@@ -554,10 +554,12 @@ struct BatchNoiseScratch {
     std::vector<std::vector<std::vector<Complex>>> dephasing_factors;
 };
 
-/** Batched fused damping: one joint table-scaled pass over all lanes;
- *  rejected lanes take the single-shot rare branch individually. The
- *  scale/inv tables are a pure function of (model, dt), so the caller
- *  builds them once per moment duration instead of once per moment. */
+/** Batched fused damping: a read sweep for every lane's no-jump norm q,
+ *  the acceptance draws, then one write sweep applying the joint scaling
+ *  (and, on accepted lanes, the normalisation); rejected lanes take the
+ *  single-shot rare branch individually. The scale/inv tables are a pure
+ *  function of (model, dt), so the caller builds them once per moment
+ *  duration instead of once per moment. */
 void
 apply_idle_damping_fused_batched(exec::BatchedStateVector& psi,
                                  const NoiseModel& model, Real dt,
@@ -568,7 +570,7 @@ apply_idle_damping_fused_batched(exec::BatchedStateVector& psi,
                                  BatchNoiseScratch& ds)
 {
     const std::vector<Real> q =
-        psi.scale_by_table_lanes(ctx.count_key, scale);
+        psi.scaled_norm_sq_lanes(ctx.count_key, scale);
     const int lanes = psi.lanes();
     std::vector<std::uint8_t>& accepted = ds.accepted;
     accepted.assign(static_cast<std::size_t>(lanes), 0);
@@ -579,10 +581,11 @@ apply_idle_damping_fused_batched(exec::BatchedStateVector& psi,
                 ? 1
                 : 0;
     }
-    // q already holds each lane's post-scale squared norm (accumulated in
-    // exactly the order a recomputation would), so the normalize can skip
-    // its own O(size * lanes) norm pass.
-    const auto ok = psi.normalize_lanes_with(q, accepted);
+    // One write sweep: every lane takes the no-jump scaling, accepted
+    // lanes are normalised by their q in the same pass, and rejected lanes
+    // are left holding the scaled amplitudes the rare branch expects.
+    const auto ok =
+        psi.scale_normalize_lanes(ctx.count_key, scale, q, accepted);
     for (int j = 0; j < lanes; ++j) {
         if (accepted[static_cast<std::size_t>(j)] != 0 &&
             ok[static_cast<std::size_t>(j)] == 0) {

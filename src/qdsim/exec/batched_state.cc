@@ -39,40 +39,75 @@ as_reals(const Complex* p)
     return reinterpret_cast<const Real*>(p);
 }
 
+/** Amplitudes per block of the lane sweeps below: each lane's accumulator
+ *  is loaded once per block and carried in a register across it. */
+constexpr std::size_t kSweepBlock = 4;
+
 /**
- * ns[b] = sum over the n amplitudes of lane b of re^2 + im^2, accumulated
- * in amplitude-index order (the StateVector::norm accumulation order, so
- * per-lane sums are bitwise reproducible). Lanes are processed in tiles of
- * four with register accumulators: a single flat loop would re-load and
- * re-store ns[b] per amplitude because the compiler cannot prove the
- * accumulator array does not alias the amplitudes.
+ * One front-to-back sweep over the n amplitudes of a B-lane batch that
+ * keeps every lane's accumulator live: acc[b] is loaded once per block of
+ * kSweepBlock amplitudes, advanced by step(i, b, acc) for each amplitude
+ * of the block in index order, and stored back. Per lane the accumulation
+ * therefore runs in amplitude-index order (the StateVector loop order, so
+ * sums stay bitwise reproducible), while the batch streams through memory
+ * once; the lane loop vectorises across lanes.
  */
-void
-accumulate_norm_sq(const Real* d, std::size_t n, std::size_t B, Real* ns)
+template <class Acc, class Step>
+inline void
+sweep_lanes(std::size_t n, std::size_t B, Acc* __restrict acc, Step step)
 {
-    std::size_t b = 0;
-    for (; b + 4 <= B; b += 4) {
-        Real a0 = 0, a1 = 0, a2 = 0, a3 = 0;
-        const Real* p = d + 2 * b;
-        for (std::size_t i = 0; i < n; ++i, p += 2 * B) {
-            a0 += p[0] * p[0] + p[1] * p[1];
-            a1 += p[2] * p[2] + p[3] * p[3];
-            a2 += p[4] * p[4] + p[5] * p[5];
-            a3 += p[6] * p[6] + p[7] * p[7];
+    std::size_t i = 0;
+    for (; i + kSweepBlock <= n; i += kSweepBlock) {
+        QD_SIMD
+        for (std::size_t b = 0; b < B; ++b) {
+            Acc a = acc[b];
+            for (std::size_t u = 0; u < kSweepBlock; ++u) {
+                step(i + u, b, a);
+            }
+            acc[b] = a;
         }
-        ns[b] = a0;
-        ns[b + 1] = a1;
-        ns[b + 2] = a2;
-        ns[b + 3] = a3;
     }
-    for (; b < B; ++b) {
-        Real acc = 0;
-        const Real* p = d + 2 * b;
-        for (std::size_t i = 0; i < n; ++i, p += 2 * B) {
-            acc += p[0] * p[0] + p[1] * p[1];
+    for (; i < n; ++i) {
+        for (std::size_t b = 0; b < B; ++b) {
+            step(i, b, acc[b]);
         }
-        ns[b] = acc;
     }
+}
+
+/**
+ * Per-lane normalisation factors expanded to re/im pairs: exactly
+ * StateVector::normalize's sqrt-then-reciprocal for every selected lane
+ * (empty mask = all) whose norm is positive and finite, and 1.0 for the
+ * rest, whose multiply is a bitwise no-op. ok[b] is cleared for selected
+ * lanes that cannot be normalised. Returns false iff no lane is scaled.
+ */
+bool
+lane_inverse_norms(const std::vector<Real>& norm_sq,
+                   const std::vector<std::uint8_t>& mask,
+                   std::vector<std::uint8_t>& ok, std::vector<Real>& inv2)
+{
+    const std::size_t B = ok.size();
+    if (!mask.empty() && mask.size() != B) {
+        throw std::invalid_argument("normalize_lanes: mask size mismatch");
+    }
+    if (norm_sq.size() != B) {
+        throw std::invalid_argument("normalize_lanes: norm count mismatch");
+    }
+    inv2.assign(2 * B, 1.0);
+    bool any = false;
+    for (std::size_t b = 0; b < B; ++b) {
+        if (!mask.empty() && mask[b] == 0) {
+            continue;
+        }
+        const Real nrm = std::sqrt(norm_sq[b]);
+        if (nrm <= 0 || !std::isfinite(nrm)) {
+            ok[b] = 0;
+            continue;
+        }
+        inv2[2 * b] = inv2[2 * b + 1] = 1.0 / nrm;
+        any = true;
+    }
+    return any;
 }
 
 }  // namespace
@@ -138,52 +173,78 @@ BatchedStateVector::scale_by_table_lanes(
             "scale_by_table_lanes: key size mismatch");
     }
     const std::size_t B = static_cast<std::size_t>(lanes_);
-    std::vector<Real> norm_sq(B);
-    // Lane tiles of four with register accumulators, scaling and
-    // accumulating in one traversal; per lane the multiply-then-accumulate
-    // runs in amplitude-index order, so the result matches
-    // StateVector::scale_by_table bitwise. (A flat lane loop would
-    // re-load/re-store the accumulator array per amplitude against
-    // possible aliasing with the amplitudes.)
-    Real* const base = as_reals(amps_.data());
+    std::vector<Real> norm_sq(B, 0.0);
+    // Scale, then accumulate the scaled value: per lane the exact
+    // multiply-then-accumulate sequence of StateVector::scale_by_table.
+    Real* __restrict d = as_reals(amps_.data());
     const std::uint16_t* __restrict k = key.data();
     const Real* __restrict s = scale.data();
-    std::size_t b = 0;
-    for (; b + 4 <= B; b += 4) {
-        Real a0 = 0, a1 = 0, a2 = 0, a3 = 0;
-        Real* __restrict p = base + 2 * b;
-        for (std::size_t i = 0; i < n; ++i, p += 2 * B) {
-            const Real f = s[k[i]];
-            p[0] *= f;
-            p[1] *= f;
-            p[2] *= f;
-            p[3] *= f;
-            p[4] *= f;
-            p[5] *= f;
-            p[6] *= f;
-            p[7] *= f;
-            a0 += p[0] * p[0] + p[1] * p[1];
-            a1 += p[2] * p[2] + p[3] * p[3];
-            a2 += p[4] * p[4] + p[5] * p[5];
-            a3 += p[6] * p[6] + p[7] * p[7];
-        }
-        norm_sq[b] = a0;
-        norm_sq[b + 1] = a1;
-        norm_sq[b + 2] = a2;
-        norm_sq[b + 3] = a3;
-    }
-    for (; b < B; ++b) {
-        Real acc = 0;
-        Real* __restrict p = base + 2 * b;
-        for (std::size_t i = 0; i < n; ++i, p += 2 * B) {
-            const Real f = s[k[i]];
-            p[0] *= f;
-            p[1] *= f;
-            acc += p[0] * p[0] + p[1] * p[1];
-        }
-        norm_sq[b] = acc;
-    }
+    sweep_lanes(n, B, norm_sq.data(),
+                [=](std::size_t i, std::size_t b, Real& acc) {
+                    Real* p = d + 2 * (i * B + b);
+                    const Real f = s[k[i]];
+                    p[0] *= f;
+                    p[1] *= f;
+                    acc += p[0] * p[0] + p[1] * p[1];
+                });
     return norm_sq;
+}
+
+std::vector<Real>
+BatchedStateVector::scaled_norm_sq_lanes(
+    const std::vector<std::uint16_t>& key,
+    const std::vector<Real>& scale) const
+{
+    const std::size_t n = static_cast<std::size_t>(dims_.size());
+    if (key.size() != n) {
+        throw std::invalid_argument(
+            "scaled_norm_sq_lanes: key size mismatch");
+    }
+    const std::size_t B = static_cast<std::size_t>(lanes_);
+    std::vector<Real> norm_sq(B, 0.0);
+    // The squares of the rounded products x * s[key] — the values
+    // scale_by_table_lanes would store and then accumulate.
+    const Real* __restrict d = as_reals(amps_.data());
+    const std::uint16_t* __restrict k = key.data();
+    const Real* __restrict s = scale.data();
+    sweep_lanes(n, B, norm_sq.data(),
+                [=](std::size_t i, std::size_t b, Real& acc) {
+                    const Real* p = d + 2 * (i * B + b);
+                    const Real f = s[k[i]];
+                    const Real re = p[0] * f, im = p[1] * f;
+                    acc += re * re + im * im;
+                });
+    return norm_sq;
+}
+
+std::vector<std::uint8_t>
+BatchedStateVector::scale_normalize_lanes(
+    const std::vector<std::uint16_t>& key, const std::vector<Real>& scale,
+    const std::vector<Real>& norm_sq, const std::vector<std::uint8_t>& mask)
+{
+    const std::size_t n = static_cast<std::size_t>(dims_.size());
+    if (key.size() != n) {
+        throw std::invalid_argument(
+            "scale_normalize_lanes: key size mismatch");
+    }
+    const std::size_t B = static_cast<std::size_t>(lanes_);
+    std::vector<std::uint8_t> ok(B, 1);
+    std::vector<Real> inv2;
+    lane_inverse_norms(norm_sq, mask, ok, inv2);
+    // (x * s[key]) * inv: the scaled value scale_by_table_lanes stores,
+    // then normalize_lanes' factor (exactly 1.0 on unselected lanes).
+    Real* __restrict d = as_reals(amps_.data());
+    const std::uint16_t* __restrict k = key.data();
+    const Real* __restrict s = scale.data();
+    const Real* __restrict g = inv2.data();
+    for (std::size_t i = 0; i < n; ++i, d += 2 * B) {
+        const Real f = s[k[i]];
+        QD_SIMD
+        for (std::size_t j = 0; j < 2 * B; ++j) {
+            d[j] = (d[j] * f) * g[j];
+        }
+    }
+    return ok;
 }
 
 std::vector<Real>
@@ -191,62 +252,32 @@ BatchedStateVector::norm_sq_lanes() const
 {
     const std::size_t n = static_cast<std::size_t>(dims_.size());
     const std::size_t B = static_cast<std::size_t>(lanes_);
-    std::vector<Real> norm_sq(B);
-    accumulate_norm_sq(as_reals(amps_.data()), n, B, norm_sq.data());
+    std::vector<Real> norm_sq(B, 0.0);
+    const Real* __restrict d = as_reals(amps_.data());
+    sweep_lanes(n, B, norm_sq.data(),
+                [=](std::size_t i, std::size_t b, Real& acc) {
+                    const Real* p = d + 2 * (i * B + b);
+                    acc += p[0] * p[0] + p[1] * p[1];
+                });
     return norm_sq;
 }
 
 std::vector<std::uint8_t>
 BatchedStateVector::normalize_lanes(const std::vector<std::uint8_t>& mask)
 {
-    return normalize_lanes_with(norm_sq_lanes(), mask);
-}
-
-std::vector<std::uint8_t>
-BatchedStateVector::normalize_lanes_with(const std::vector<Real>& norm_sq,
-                                         const std::vector<std::uint8_t>& mask)
-{
     const std::size_t B = static_cast<std::size_t>(lanes_);
-    if (!mask.empty() && mask.size() != B) {
-        throw std::invalid_argument("normalize_lanes: mask size mismatch");
-    }
-    if (norm_sq.size() != B) {
-        throw std::invalid_argument("normalize_lanes: norm count mismatch");
-    }
     std::vector<std::uint8_t> ok(B, 1);
-    // inv == 1 leaves deselected/failed lanes untouched; selected lanes get
-    // exactly StateVector::normalize's sqrt-then-reciprocal scaling.
-    std::vector<Real> inv(B, 1.0);
-    bool any = false;
-    for (std::size_t b = 0; b < B; ++b) {
-        if (!mask.empty() && mask[b] == 0) {
-            continue;
-        }
-        const Real nrm = std::sqrt(norm_sq[b]);
-        if (nrm <= 0 || !std::isfinite(nrm)) {
-            ok[b] = 0;
-            continue;
-        }
-        inv[b] = 1.0 / nrm;
-        any = true;
-    }
-    if (!any) {
+    std::vector<Real> inv2;
+    if (!lane_inverse_norms(norm_sq_lanes(), mask, ok, inv2)) {
         return ok;
-    }
-    // Lane factors expanded to re/im pairs: deselected/failed lanes carry
-    // exactly 1.0, whose multiply is a bitwise no-op on finite values.
-    std::vector<Real> inv2(2 * B);
-    for (std::size_t b = 0; b < B; ++b) {
-        inv2[2 * b] = inv[b];
-        inv2[2 * b + 1] = inv[b];
     }
     const std::size_t n = static_cast<std::size_t>(dims_.size());
     Real* __restrict d = as_reals(amps_.data());
     const Real* __restrict f = inv2.data();
     for (std::size_t i = 0; i < n; ++i, d += 2 * B) {
         QD_SIMD
-        for (std::size_t k = 0; k < 2 * B; ++k) {
-            d[k] *= f[k];
+        for (std::size_t j = 0; j < 2 * B; ++j) {
+            d[j] *= f[j];
         }
     }
     return ok;
@@ -343,31 +374,66 @@ BatchedStateVector::apply_product_diag_lanes(
             throw std::invalid_argument(
                 "apply_product_diag_lanes: factor count mismatch");
         }
-    }
-    // One odometer drives all lanes (the digit sequence only depends on the
-    // dims); each lane's running product follows the exact multiply/divide
-    // sequence of StateVector::apply_product_diag.
-    std::vector<int> odo(static_cast<std::size_t>(n), 0);
-    std::vector<Complex> cur(B, Complex(1, 0));
-    for (std::size_t b = 0; b < B; ++b) {
         for (int w = 0; w < n; ++w) {
-            cur[b] *= factors[b][static_cast<std::size_t>(w)][0];
+            if (static_cast<int>(
+                    lane_factors[static_cast<std::size_t>(w)].size()) !=
+                dims_.dim(w)) {
+                throw std::invalid_argument(
+                    "apply_product_diag_lanes: factor size mismatch");
+            }
         }
     }
-    std::vector<Real> cur2(2 * B);
-    const Index total = dims_.size();
-    Complex* a = amps_.data();
-    for (Index idx = 0;; ++idx, a += B) {
-        for (std::size_t b = 0; b < B; ++b) {
-            cur2[2 * b] = cur[b].real();
-            cur2[2 * b + 1] = cur[b].imag();
+    // Step-ratio table as re/im lane rows: row (first[w] + v) holds every
+    // lane's diag_step_ratio(factors[lane][w], v) — the quotient
+    // StateVector::apply_product_diag multiplies in when wire w's digit
+    // steps to v, from the same division of the same operands.
+    std::vector<std::size_t> first(static_cast<std::size_t>(n));
+    std::size_t rows = 0;
+    for (int w = 0; w < n; ++w) {
+        first[static_cast<std::size_t>(w)] = rows;
+        rows += static_cast<std::size_t>(dims_.dim(w));
+    }
+    std::vector<Real> ratio(rows * 2 * B);
+    std::vector<Real> cur(2 * B);
+    for (std::size_t b = 0; b < B; ++b) {
+        Complex c(1, 0);
+        for (int w = 0; w < n; ++w) {
+            const std::size_t uw = static_cast<std::size_t>(w);
+            const auto& f = factors[b][uw];
+            c *= f[0];
+            for (int v = 0; v < dims_.dim(w); ++v) {
+                const Complex r = diag_step_ratio(f, v);
+                Real* row = ratio.data() +
+                            (first[uw] + static_cast<std::size_t>(v)) * 2 * B;
+                row[2 * b] = r.real();
+                row[2 * b + 1] = r.imag();
+            }
         }
-        Real* d = as_reals(a);
+        cur[2 * b] = c.real();
+        cur[2 * b + 1] = c.imag();
+    }
+    // One odometer drives all lanes (the digit sequence only depends on
+    // the dims). Both multiplies are the std::complex products of the
+    // StateVector counterpart, written on re/im doubles.
+    std::vector<int> odo(static_cast<std::size_t>(n), 0);
+    Real* __restrict c = cur.data();
+    auto step = [&](std::size_t row) {
+        const Real* __restrict r = ratio.data() + row * 2 * B;
+        QD_SIMD
+        for (std::size_t b = 0; b < B; ++b) {
+            const Real cr = c[2 * b], ci = c[2 * b + 1];
+            c[2 * b] = cr * r[2 * b] - ci * r[2 * b + 1];
+            c[2 * b + 1] = cr * r[2 * b + 1] + ci * r[2 * b];
+        }
+    };
+    const Index total = dims_.size();
+    Real* __restrict d = as_reals(amps_.data());
+    for (Index idx = 0;; ++idx, d += 2 * B) {
         QD_SIMD
         for (std::size_t b = 0; b < B; ++b) {
             const Real ar = d[2 * b], ai = d[2 * b + 1];
-            d[2 * b] = ar * cur2[2 * b] - ai * cur2[2 * b + 1];
-            d[2 * b + 1] = ar * cur2[2 * b + 1] + ai * cur2[2 * b];
+            d[2 * b] = ar * c[2 * b] - ai * c[2 * b + 1];
+            d[2 * b + 1] = ar * c[2 * b + 1] + ai * c[2 * b];
         }
         if (idx + 1 >= total) {
             break;
@@ -375,18 +441,10 @@ BatchedStateVector::apply_product_diag_lanes(
         for (int w = n - 1;; --w) {
             const std::size_t uw = static_cast<std::size_t>(w);
             if (++odo[uw] < dims_.dim(w)) {
-                for (std::size_t b = 0; b < B; ++b) {
-                    cur[b] *=
-                        factors[b][uw][static_cast<std::size_t>(odo[uw])] /
-                        factors[b][uw][static_cast<std::size_t>(odo[uw] - 1)];
-                }
+                step(first[uw] + static_cast<std::size_t>(odo[uw]));
                 break;
             }
-            for (std::size_t b = 0; b < B; ++b) {
-                cur[b] *=
-                    factors[b][uw][0] /
-                    factors[b][uw][static_cast<std::size_t>(odo[uw] - 1)];
-            }
+            step(first[uw]);
             odo[uw] = 0;
         }
     }
@@ -400,35 +458,24 @@ BatchedStateVector::fidelity_lanes(const BatchedStateVector& other) const
     }
     const std::size_t n = static_cast<std::size_t>(dims_.size());
     const std::size_t B = static_cast<std::size_t>(lanes_);
-    // Lane pairs with register accumulators; per lane the sum runs in
-    // amplitude-index order and (conj(a) * o).re == ar*or + ai*oi bitwise,
-    // matching StateVector::inner.
-    std::vector<Real> fid(B);
-    const Real* base_a = as_reals(amps_.data());
-    const Real* base_o = as_reals(other.amps_.data());
-    std::size_t b = 0;
-    for (; b + 2 <= B; b += 2) {
-        Real r0 = 0, i0 = 0, r1 = 0, i1 = 0;
-        const Real* __restrict pa = base_a + 2 * b;
-        const Real* __restrict po = base_o + 2 * b;
-        for (std::size_t i = 0; i < n; ++i, pa += 2 * B, po += 2 * B) {
-            r0 += pa[0] * po[0] + pa[1] * po[1];
-            i0 += pa[0] * po[1] - pa[1] * po[0];
-            r1 += pa[2] * po[2] + pa[3] * po[3];
-            i1 += pa[2] * po[3] - pa[3] * po[2];
-        }
-        fid[b] = r0 * r0 + i0 * i0;
-        fid[b + 1] = r1 * r1 + i1 * i1;
-    }
-    for (; b < B; ++b) {
+    // Per lane the overlap accumulates in amplitude-index order and
+    // (conj(a) * o) == (ar*or + ai*oi, ar*oi - ai*or) bitwise, matching
+    // StateVector::inner.
+    struct Overlap {
         Real re = 0, im = 0;
-        const Real* __restrict pa = base_a + 2 * b;
-        const Real* __restrict po = base_o + 2 * b;
-        for (std::size_t i = 0; i < n; ++i, pa += 2 * B, po += 2 * B) {
-            re += pa[0] * po[0] + pa[1] * po[1];
-            im += pa[0] * po[1] - pa[1] * po[0];
-        }
-        fid[b] = re * re + im * im;
+    };
+    std::vector<Overlap> acc(B);
+    const Real* __restrict a = as_reals(amps_.data());
+    const Real* __restrict o = as_reals(other.amps_.data());
+    sweep_lanes(n, B, acc.data(),
+                [=](std::size_t i, std::size_t b, Overlap& v) {
+                    const std::size_t at = 2 * (i * B + b);
+                    v.re += a[at] * o[at] + a[at + 1] * o[at + 1];
+                    v.im += a[at] * o[at + 1] - a[at + 1] * o[at];
+                });
+    std::vector<Real> fid(B);
+    for (std::size_t b = 0; b < B; ++b) {
+        fid[b] = acc[b].re * acc[b].re + acc[b].im * acc[b].im;
     }
     return fid;
 }

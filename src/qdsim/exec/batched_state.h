@@ -15,8 +15,19 @@
  * counterpart operation-for-operation, in the same order, so a lane's
  * amplitudes stay BITWISE identical to an unbatched shot run with the same
  * RNG stream — results are independent of the batch width and of thread
- * scheduling. Divergent per-lane events (damping jumps, gate-error draws)
- * are handled by extracting the lane to a StateVector, running the existing
+ * scheduling.
+ *
+ * Every pass walks the batch once, front to back: the lane reductions
+ * (norms, fidelities) keep all lanes' accumulators live across one sweep
+ * instead of re-walking the batch per lane tile. The trajectory engine's
+ * per-moment idle noise is therefore one read sweep (scaled_norm_sq_lanes,
+ * the damping acceptance norms), one write sweep (scale_normalize_lanes,
+ * no-jump scaling and normalisation together) and, under dephasing, one
+ * read+write sweep driven by a precomputed step-ratio table
+ * (apply_product_diag_lanes) with no per-amplitude division.
+ *
+ * Divergent per-lane events (damping jumps, gate-error draws) are handled
+ * by extracting the lane to a StateVector, running the existing
  * single-shot code, and writing the lane back.
  */
 #ifndef QDSIM_EXEC_BATCHED_STATE_H
@@ -66,14 +77,36 @@ class BatchedStateVector {
     StateVector lane_state(int lane) const;
 
     /**
-     * amps[idx] *= scale[key[idx]] on every lane in one pass; returns the
-     * per-lane squared norms (same accumulation order as
+     * amps[idx] *= scale[key[idx]] on every lane in one read+write sweep;
+     * returns the per-lane squared norms (same accumulation order as
      * StateVector::scale_by_table, so the values match an unbatched shot
      * bitwise). key.size() must equal size().
      */
     std::vector<Real> scale_by_table_lanes(
         const std::vector<std::uint16_t>& key,
         const std::vector<Real>& scale);
+
+    /**
+     * Read half of the fused no-jump damping step: the per-lane squared
+     * norms sum |amps[idx] * scale[key[idx]]|^2 that scale_by_table_lanes
+     * would return, bitwise, without writing anything.
+     */
+    std::vector<Real> scaled_norm_sq_lanes(
+        const std::vector<std::uint16_t>& key,
+        const std::vector<Real>& scale) const;
+
+    /**
+     * Write half: amps[idx] *= scale[key[idx]] on every lane and, on the
+     * lanes selected by `mask` (empty = all), normalises with `norm_sq`
+     * (the scaled_norm_sq_lanes result for the CURRENT amplitudes). Each
+     * lane ends bitwise equal to scale_by_table_lanes followed by
+     * normalize_lanes(mask); flags are normalize_lanes', and lanes that
+     * are unselected or cannot be normalised are left scaled.
+     */
+    std::vector<std::uint8_t> scale_normalize_lanes(
+        const std::vector<std::uint16_t>& key,
+        const std::vector<Real>& scale, const std::vector<Real>& norm_sq,
+        const std::vector<std::uint8_t>& mask);
 
     /** Per-lane squared norms, accumulated in amplitude-index order. */
     std::vector<Real> norm_sq_lanes() const;
@@ -86,17 +119,6 @@ class BatchedStateVector {
      */
     std::vector<std::uint8_t> normalize_lanes(
         const std::vector<std::uint8_t>& mask = {});
-
-    /**
-     * Same, but reuses per-lane squared norms the caller already holds
-     * (e.g. the return value of scale_by_table_lanes, which accumulates in
-     * exactly the order a fresh recomputation would) instead of a fresh
-     * O(size * lanes) pass. `norm_sq` must describe the CURRENT amplitudes;
-     * results are bitwise identical to the recomputing overload.
-     */
-    std::vector<std::uint8_t> normalize_lanes_with(
-        const std::vector<Real>& norm_sq,
-        const std::vector<std::uint8_t>& mask);
 
     /** Per-lane per-level populations of `wire`, laid out as
      *  pops[level * lanes() + lane]; matches StateVector::populations
@@ -112,9 +134,10 @@ class BatchedStateVector {
     /**
      * Per-lane product-of-per-wire-diagonals pass (batched coherent
      * dephasing kick): factors[lane][wire] has dim(wire) unit-modulus
-     * entries. One incremental odometer drives every lane, and each lane's
-     * running factor is updated with exactly the division sequence of
-     * StateVector::apply_product_diag.
+     * entries. The (wire, level, lane) step ratios (diag_step_ratio) are
+     * computed once per call; then one incremental odometer drives every
+     * lane in a single read+write sweep, each lane's running factor taking
+     * exactly the multiply sequence of StateVector::apply_product_diag.
      */
     void apply_product_diag_lanes(
         const std::vector<std::vector<std::vector<Complex>>>& factors);

@@ -79,8 +79,7 @@ put_u64(std::vector<std::uint8_t>& out, std::uint64_t v)
 std::vector<std::uint8_t>
 canonical_bytes(const Circuit& circuit)
 {
-    std::vector<std::uint8_t> out;
-    out.insert(out.end(), {'Q', 'D', 'J', kQdjVersion});
+    std::vector<std::uint8_t> out = {'Q', 'D', 'J', kQdjVersion};
     put_u32(out, static_cast<std::uint32_t>(circuit.num_wires()));
     for (const int d : circuit.dims().dims()) {
         put_u32(out, static_cast<std::uint32_t>(d));

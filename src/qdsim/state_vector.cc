@@ -172,9 +172,23 @@ StateVector::apply_product_diag(
     if (static_cast<int>(factors.size()) != n) {
         throw std::invalid_argument("apply_product_diag: factor count");
     }
+    // Step-ratio table: ratio[first[w] + v] is the factor the running
+    // product picks up when wire w's digit steps to v (rolling over to 0
+    // divides out the wire's accumulated product).
+    std::vector<std::size_t> first(static_cast<std::size_t>(n));
+    std::vector<Complex> ratio;
+    for (int w = 0; w < n; ++w) {
+        const auto& f = factors[static_cast<std::size_t>(w)];
+        if (static_cast<int>(f.size()) != dims_.dim(w)) {
+            throw std::invalid_argument("apply_product_diag: factor size");
+        }
+        first[static_cast<std::size_t>(w)] = ratio.size();
+        for (int v = 0; v < dims_.dim(w); ++v) {
+            ratio.push_back(diag_step_ratio(f, v));
+        }
+    }
     // Odometer over digits (wire n-1 least significant); maintain the
-    // running product incrementally: one multiply on digit increment, and
-    // on rollover divide out the wire's accumulated product.
+    // running product incrementally, one multiply per digit step.
     std::vector<int> odo(static_cast<std::size_t>(n), 0);
     Complex cur(1, 0);
     for (int w = 0; w < n; ++w) {
@@ -189,12 +203,10 @@ StateVector::apply_product_diag(
         for (int w = n - 1;; --w) {
             const std::size_t uw = static_cast<std::size_t>(w);
             if (++odo[uw] < dims_.dim(w)) {
-                cur *= factors[uw][static_cast<std::size_t>(odo[uw])] /
-                       factors[uw][static_cast<std::size_t>(odo[uw] - 1)];
+                cur *= ratio[first[uw] + static_cast<std::size_t>(odo[uw])];
                 break;
             }
-            cur *= factors[uw][0] /
-                   factors[uw][static_cast<std::size_t>(odo[uw] - 1)];
+            cur *= ratio[first[uw]];
             odo[uw] = 0;
         }
     }

@@ -74,7 +74,10 @@ class StateVector {
      * single pass: amp[idx] *= prod_w factors[w][digit_w(idx)].
      * `factors[w]` must have dim(w) entries of modulus ~1. Implemented
      * with an incremental odometer so the cost is O(size) regardless of
-     * wire count (used for fused coherent dephasing).
+     * wire count (used for fused coherent dephasing): every digit step
+     * multiplies the running product by one diag_step_ratio, computed
+     * once per (wire, level) per call.
+     * @throws std::invalid_argument if a wire's factor count is wrong.
      */
     void apply_product_diag(const std::vector<std::vector<Complex>>& factors);
 
@@ -116,6 +119,19 @@ class StateVector {
     WireDims dims_;
     std::vector<Complex> amps_;
 };
+
+/**
+ * The factor apply_product_diag multiplies into its running product when
+ * a wire's digit steps to `v`: f[v] / f[v - 1], or f[0] / f[d - 1] when the
+ * digit rolls over to 0 (d = f.size()). Shared with the batched engine so
+ * both take the same quotient of the same operands.
+ */
+inline Complex
+diag_step_ratio(const std::vector<Complex>& f, int v)
+{
+    const std::size_t uv = static_cast<std::size_t>(v);
+    return uv == 0 ? f[0] / f[f.size() - 1] : f[uv] / f[uv - 1];
+}
 
 }  // namespace qd
 

@@ -286,9 +286,10 @@ expect_batch_invariant(const Circuit& c, const NoiseModel& m, int trials)
     opts.batch = 1;  // per-shot reference path
     const auto ref = run_noisy_trials(c, m, opts);
     ASSERT_EQ(static_cast<int>(ref.per_trial.size()), trials);
-    // B dividing trials, B not dividing trials, B > trials, and a thread
-    // count the batch count does not divide.
-    const int batches[] = {2, 8, trials + 3};
+    // B dividing trials, B not dividing trials, the production default
+    // width (kDefaultBatchLanes), B > trials, and a thread count the batch
+    // count does not divide.
+    const int batches[] = {2, 8, 12, trials + 3};
     for (const int b : batches) {
         for (const int threads : {1, 3}) {
             TrajectoryOptions bo = opts;

@@ -166,10 +166,26 @@ TEST(Batched, RandomCircuitsMatchSingleShotOnMixedRadix) {
     }
 }
 
-TEST(Batched, PerLanePrimitivesMatchStateVectorBitwise) {
-    Rng rng(303);
-    const WireDims dims({3, 2, 3});
-    const int lanes = 6;
+/** The damping-table shaped key: a small alphabet cycling over indices. */
+std::vector<std::uint16_t>
+cycling_key(const WireDims& dims)
+{
+    std::vector<std::uint16_t> key(static_cast<std::size_t>(dims.size()));
+    for (std::size_t i = 0; i < key.size(); ++i) {
+        key[i] = static_cast<std::uint16_t>(i % 4);
+    }
+    return key;
+}
+
+const std::vector<Real> kScale = {1.0, 0.75, 0.5, 0.25};
+
+/** Every per-lane primitive on random lanes against the StateVector
+ *  counterpart, bitwise. */
+void
+check_per_lane_primitives(const WireDims& dims, int lanes, Rng& rng)
+{
+    SCOPED_TRACE(::testing::Message() << "lanes " << lanes << ", wires "
+                                      << dims.num_wires());
     BatchedStateVector batch(dims, lanes);
     std::vector<StateVector> ref = random_lanes(batch, rng);
 
@@ -187,17 +203,22 @@ TEST(Batched, PerLanePrimitivesMatchStateVectorBitwise) {
         }
     }
 
-    // scale_by_table_lanes == per-lane scale_by_table (values and norms).
-    std::vector<std::uint16_t> key(static_cast<std::size_t>(dims.size()));
-    for (std::size_t i = 0; i < key.size(); ++i) {
-        key[i] = static_cast<std::uint16_t>(i % 4);
-    }
-    const std::vector<Real> scale = {1.0, 0.75, 0.5, 0.25};
-    const auto norms = batch.scale_by_table_lanes(key, scale);
+    // norm_sq_lanes == per-lane squared norm.
+    const auto nsq = batch.norm_sq_lanes();
     for (int b = 0; b < lanes; ++b) {
-        ASSERT_EQ(norms[static_cast<std::size_t>(b)],
-                  ref[static_cast<std::size_t>(b)].scale_by_table(key,
-                                                                  scale));
+        const Real n = ref[static_cast<std::size_t>(b)].norm();
+        ASSERT_EQ(std::sqrt(nsq[static_cast<std::size_t>(b)]), n);
+    }
+
+    // scale_by_table_lanes == per-lane scale_by_table (values and norms),
+    // and the read-only scaled_norm_sq_lanes predicts those norms.
+    const std::vector<std::uint16_t> key = cycling_key(dims);
+    const auto predicted = batch.scaled_norm_sq_lanes(key, kScale);
+    const auto norms = batch.scale_by_table_lanes(key, kScale);
+    for (int b = 0; b < lanes; ++b) {
+        const std::size_t ub = static_cast<std::size_t>(b);
+        ASSERT_EQ(norms[ub], ref[ub].scale_by_table(key, kScale));
+        ASSERT_EQ(predicted[ub], norms[ub]);
     }
     expect_lanes_bitwise_equal(batch, ref, "scale_by_table");
 
@@ -205,17 +226,25 @@ TEST(Batched, PerLanePrimitivesMatchStateVectorBitwise) {
     const std::vector<Complex> diag = {Complex(1, 0), Complex(0.8, 0),
                                        Complex(0.3, 0.1)};
     std::vector<std::uint8_t> mask(static_cast<std::size_t>(lanes), 0);
-    mask[1] = mask[4] = 1;
+    for (int b = 0; b < lanes; ++b) {
+        mask[static_cast<std::size_t>(b)] = b % 3 != 2 ? 1 : 0;
+    }
     batch.apply_diag1_masked(diag, 0, mask);
-    ref[1].apply_diag1(diag, 0);
-    ref[4].apply_diag1(diag, 0);
+    for (int b = 0; b < lanes; ++b) {
+        if (mask[static_cast<std::size_t>(b)] != 0) {
+            ref[static_cast<std::size_t>(b)].apply_diag1(diag, 0);
+        }
+    }
     expect_lanes_bitwise_equal(batch, ref, "masked diag1");
 
     // Masked normalize matches per-lane normalize.
     const auto ok = batch.normalize_lanes(mask);
-    EXPECT_TRUE(ok[1] && ok[4]);
-    ASSERT_TRUE(ref[1].normalize());
-    ASSERT_TRUE(ref[4].normalize());
+    for (int b = 0; b < lanes; ++b) {
+        EXPECT_TRUE(ok[static_cast<std::size_t>(b)]);
+        if (mask[static_cast<std::size_t>(b)] != 0) {
+            ASSERT_TRUE(ref[static_cast<std::size_t>(b)].normalize());
+        }
+    }
     expect_lanes_bitwise_equal(batch, ref, "masked normalize");
 
     // Per-lane product diagonal (the dephasing shape).
@@ -249,6 +278,79 @@ TEST(Batched, PerLanePrimitivesMatchStateVectorBitwise) {
     }
 }
 
+TEST(Batched, PerLanePrimitivesMatchStateVectorBitwise) {
+    Rng rng(303);
+    // Lane counts off and on the vector width and the production default
+    // (12); {3, 2, 3, 3} makes the dephasing odometer carry across several
+    // wires, and its 54 amplitudes leave a partial sweep block.
+    for (const auto& reg : std::vector<std::vector<int>>{{3, 2, 3},
+                                                         {3, 2, 3, 3}}) {
+        for (const int lanes : {1, 3, 6, 12, 17}) {
+            check_per_lane_primitives(WireDims(reg), lanes, rng);
+        }
+    }
+}
+
+TEST(Batched, DampingPairMatchesScaleThenNormalizeBitwise) {
+    Rng rng(305);
+    const WireDims dims({3, 2, 3, 3});
+    const std::vector<std::uint16_t> key = cycling_key(dims);
+    for (const int lanes : {1, 3, 12, 17}) {
+        BatchedStateVector batch(dims, lanes);
+        std::vector<StateVector> ref = random_lanes(batch, rng);
+        std::vector<std::uint8_t> accepted(static_cast<std::size_t>(lanes));
+        for (int b = 0; b < lanes; ++b) {
+            accepted[static_cast<std::size_t>(b)] = b % 4 != 1 ? 1 : 0;
+        }
+        const auto q = batch.scaled_norm_sq_lanes(key, kScale);
+        const auto ok = batch.scale_normalize_lanes(key, kScale, q, accepted);
+        for (int b = 0; b < lanes; ++b) {
+            const std::size_t ub = static_cast<std::size_t>(b);
+            EXPECT_TRUE(ok[ub]);
+            ASSERT_EQ(q[ub], ref[ub].scale_by_table(key, kScale));
+            // Accepted lanes: scale then normalize. Rejected lanes hold
+            // exactly the scaled amplitudes (what the rare branch undoes).
+            if (accepted[ub] != 0) {
+                ASSERT_TRUE(ref[ub].normalize());
+            }
+        }
+        expect_lanes_bitwise_equal(batch, ref, "damping pair");
+    }
+}
+
+TEST(Batched, DampingPairLeavesZeroNormLaneScaled) {
+    Rng rng(306);
+    const WireDims dims({3, 3, 2});
+    const std::vector<std::uint16_t> key = cycling_key(dims);
+    BatchedStateVector batch(dims, 3);
+    std::vector<StateVector> ref = random_lanes(batch, rng);
+    // Lane 1 only has support where the scale table is zero, so its
+    // scaled norm vanishes although it is selected.
+    const std::vector<Real> scale = {0.0, 0.75, 0.5, 0.25};
+    std::vector<Complex> amps(static_cast<std::size_t>(dims.size()));
+    for (std::size_t i = 0; i < amps.size(); i += 4) {
+        amps[i] = Complex(0.5, -0.25);
+    }
+    ref[1] = StateVector::from_amplitudes(dims, amps);
+    batch.set_lane(1, ref[1]);
+    const std::vector<std::uint8_t> accepted = {1, 1, 0};
+    const auto q = batch.scaled_norm_sq_lanes(key, scale);
+    EXPECT_EQ(q[1], 0.0);
+    const auto ok = batch.scale_normalize_lanes(key, scale, q, accepted);
+    EXPECT_TRUE(ok[0]);
+    EXPECT_FALSE(ok[1]);
+    EXPECT_TRUE(ok[2]);
+    for (StateVector& r : ref) {
+        r.scale_by_table(key, scale);
+    }
+    ASSERT_TRUE(ref[0].normalize());
+    expect_lanes_bitwise_equal(batch, ref, "zero-norm damping lane");
+    EXPECT_THROW(batch.scale_normalize_lanes(key, scale, q, {1, 0}),
+                 std::invalid_argument);
+    EXPECT_THROW(batch.scaled_norm_sq_lanes({0, 1}, scale),
+                 std::invalid_argument);
+}
+
 TEST(Batched, ZeroNormLaneSignalledAndLeftUntouched) {
     const WireDims dims({3, 3});
     BatchedStateVector batch(dims, 2);
@@ -276,6 +378,13 @@ TEST(Batched, ExtractInsertRoundTripAndValidation) {
     EXPECT_THROW(BatchedStateVector(dims, 0), std::invalid_argument);
     StateVector wrong(WireDims({3, 3}));
     EXPECT_THROW(batch.set_lane(0, wrong), std::invalid_argument);
+    // One lane's wire-1 factors have 2 entries instead of dim 3.
+    std::vector<std::vector<std::vector<Complex>>> factors(
+        3, {std::vector<Complex>(2, Complex(1, 0)),
+            std::vector<Complex>(3, Complex(1, 0))});
+    factors[2][1].pop_back();
+    EXPECT_THROW(batch.apply_product_diag_lanes(factors),
+                 std::invalid_argument);
     EXPECT_THROW(
         StateVector::from_amplitudes(dims, std::vector<Complex>(3)),
         std::invalid_argument);

@@ -220,6 +220,8 @@ TEST(StateVector, ApplyProductDiagMatchesPerWire) {
     for (Index i = 0; i < a.size(); ++i) {
         EXPECT_NEAR(std::abs(a[i] - b[i]), 0.0, 1e-10) << i;
     }
+    factors[1].pop_back();
+    EXPECT_THROW(a.apply_product_diag(factors), std::invalid_argument);
 }
 
 TEST(StateVector, ApplyProductDiagIdentity) {
