@@ -1,22 +1,23 @@
 /**
- * Batched trajectory execution vs the per-shot compiled path.
+ * Batched trajectory execution: B lanes per pass vs one lane per pass.
  *
  * Workload: the paper's 5-qutrit Generalized Toffoli (4 controls + target,
  * decomposed to one-/two-qutrit gates) under the superconducting noise
  * model — amplitude damping + depolarizing gate errors, the Section 7
- * reliability setup. Both paths run the SAME compiled kernels and the SAME
- * per-trial RNG streams; the only difference is whether trials advance one
- * at a time or B lanes per circuit pass (exec::BatchedStateVector), so the
- * ratio isolates the plan/offset-table amortisation and lane SIMD. Both
- * run single-threaded: across-shot threading is available to either path
- * and would only add scheduling noise to the ratio.
+ * reliability setup. Both runs go through the SAME trajectory engine with
+ * the SAME per-trial RNG streams; the only difference is whether each
+ * exec::BatchedStateVector pass over the compiled circuit advances one
+ * lane or B lanes, so the ratio isolates the plan/offset-table
+ * amortisation and lane SIMD. Both run single-threaded: across-shot
+ * threading is available to either width and would only add scheduling
+ * noise to the ratio. (The "per_shot_*" JSON keys name the 1-lane run.)
  *
  * Emits BENCH_batch.json (gated on "speedup" by scripts/compare_bench.py
- * against bench/baselines/). Fails loudly if the two paths' per-trial
+ * against bench/baselines/). Fails loudly if the two widths' per-trial
  * fidelities are not bitwise identical — the speedup is only meaningful
- * while the engines are exactly equivalent.
+ * while lanes are exactly independent of the batch width.
  *
- * Timing: each path runs QD_BATCH_REPS times after a shared warmup and
+ * Timing: each width runs QD_BATCH_REPS times after a shared warmup and
  * reports its fastest rep — per-run wall times are ~10 ms, so min-of-reps
  * is what filters scheduler noise out of the gated ratio.
  *
@@ -48,7 +49,7 @@ now_ms()
 int
 main(int argc, char** argv)
 {
-    bench::banner("bench_batch: B-way batched trajectories vs per-shot",
+    bench::banner("bench_batch: B lanes per pass vs one lane per pass",
                   "Section 7 Monte-Carlo reliability workload; 5-qutrit "
                   "Generalized Toffoli under damping + depolarizing");
 
@@ -85,13 +86,13 @@ main(int argc, char** argv)
         return best;
     };
 
-    // Warmup: touch both paths once so page faults and lazy init don't
-    // land in either side's first rep.
+    // Warmup: run once so page faults and lazy init don't land in either
+    // side's first rep.
     noise::TrajectoryResult single, batched;
     options.batch = lanes;
     noise::run_noisy_trials(circuit, model, options);
 
-    // 1. Per-shot compiled reference (PR 2/3 fast path).
+    // 1. One lane per pass.
     const double single_ms = time_path(1, single);
 
     // 2. B-way batched execution: one compiled pass advances B lanes.
@@ -104,7 +105,7 @@ main(int argc, char** argv)
     }
 
     const double speedup = single_ms / batched_ms;
-    std::printf("per-shot:  %d trials in %8.1f ms (%7.1f shots/s)\n", trials,
+    std::printf("1 lane:    %d trials in %8.1f ms (%7.1f shots/s)\n", trials,
                 single_ms, 1000.0 * trials / single_ms);
     std::printf("batched:   %d trials in %8.1f ms (%7.1f shots/s), B=%d\n",
                 trials, batched_ms, 1000.0 * trials / batched_ms, lanes);
@@ -141,7 +142,7 @@ main(int argc, char** argv)
     jw.write("BENCH_batch.json");
     if (!lane_equivalent) {
         std::fprintf(stderr,
-                     "bench_batch: batched and per-shot trajectories "
+                     "bench_batch: 1-lane and B-lane trajectories "
                      "diverged; the speedup is meaningless\n");
         return 1;
     }

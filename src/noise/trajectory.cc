@@ -18,7 +18,6 @@
 #include "qdsim/obs/counters.h"
 #include "qdsim/obs/trace.h"
 #include "qdsim/random_state.h"
-#include "qdsim/simulator.h"
 #include "qdsim/verify/noise_audit.h"
 
 namespace qd::noise {
@@ -74,6 +73,9 @@ struct TrajectoryCompilation::Impl {
     std::vector<std::vector<const ErrorDraw*>> errors;
     /** Schedule over noisy-op indices. */
     std::vector<Moment> moments;
+    /** Idle damping engine: fused (one table-scaled pass for the joint
+     *  no-jump operator) for uniform registers with dim <= 3, the exact
+     *  per-wire sequential loop otherwise. */
     bool accel = false;
     int width = 0;
     int dim = 0;
@@ -230,36 +232,12 @@ TrajectoryCompilation::dims() const
     return impl_->noisy.dims();
 }
 
-bool
-TrajectoryCompilation::fused_damping_supported() const
-{
-    return impl_->accel;
-}
-
 namespace {
 
-// The single-shot and batched helpers below predate the pimpl split and
-// read the compilation through its original working name.
+// The engine helpers below predate the pimpl split and read the
+// compilation through its original working name.
 using EngineContext = TrajectoryCompilation::Impl;
 using ErrorDraw = EngineContext::ErrorDraw;
-
-/** Draws and applies the operation's precompiled depolarizing errors. */
-void
-apply_gate_error(StateVector& psi,
-                 const std::vector<const ErrorDraw*>& draws, Rng& rng,
-                 exec::ExecScratch& scratch)
-{
-    obs::count(obs::Counter::kTrajGateErrorDraws, draws.size());
-    for (const ErrorDraw* e : draws) {
-        if (rng.uniform() >= e->total) {
-            continue;  // no error
-        }
-        obs::count(obs::Counter::kTrajGateErrorsFired);
-        const std::size_t pick = static_cast<std::size_t>(
-            rng.uniform_int(e->unitaries.size()));
-        exec::apply_op(e->unitaries[pick], psi, scratch);
-    }
-}
 
 /** Applies a damping jump |level> -> |0> on `wire` and renormalises.
  *  A jump is only ever drawn with probability proportional to the level's
@@ -307,53 +285,6 @@ k0_nontrivial(const NoiseModel& model, Real dt, int d)
     return false;
 }
 
-/** Exact per-wire sequential idle errors (paper Algorithm 1 inner loop);
- *  used for mixed-radix registers and the rare jump branch. */
-void
-apply_idle_damping_sequential(StateVector& psi, const NoiseModel& model,
-                              Real dt, Rng& rng)
-{
-    const WireDims& dims = psi.dims();
-    for (int w = 0; w < dims.num_wires(); ++w) {
-        const int d = dims.dim(w);
-        std::vector<Real> weights(static_cast<std::size_t>(d), 0.0);
-        Real total = 0;
-        const auto pops = psi.populations(w);
-        for (int m = 1; m < d; ++m) {
-            const Real pj =
-                model.lambda(m, dt) * pops[static_cast<std::size_t>(m)];
-            weights[static_cast<std::size_t>(m)] = pj;
-            total += pj;
-        }
-        const Real u = rng.uniform();
-        if (u < total) {
-            Real acc = 0;
-            int level = d - 1;
-            for (int m = 1; m < d; ++m) {
-                acc += weights[static_cast<std::size_t>(m)];
-                if (u < acc) {
-                    level = m;
-                    break;
-                }
-            }
-            apply_jump(psi, w, level);
-        } else if (k0_nontrivial(model, dt, d)) {
-            // Gating on ANY level's decay, not just level 1: a model with
-            // lambda(1) == 0 but lambda(2) > 0 (level-2-only decay) still
-            // has a non-identity K0, and skipping it made this engine
-            // disagree with the fused path (regression-tested).
-            apply_k0(psi, model, dt, w);
-            if (!psi.normalize()) {
-                // K0's diagonal entries are all positive for finite T1,
-                // so only an already-invalid state can land here.
-                throw std::runtime_error(
-                    "trajectory: no-jump evolution produced a zero-norm "
-                    "state");
-            }
-        }
-    }
-}
-
 /** Builds the fused no-jump scale table (indexed by packed excited-level
  *  counts) and its inverse for one moment duration. */
 void
@@ -379,8 +310,8 @@ build_damping_tables(const NoiseModel& model, Real dt,
 /**
  * The fused path's rejected branch, entered with the joint no-jump
  * operator still applied to `psi`: undo it, then draw the jump from the
- * per-(wire, level) populations. Shared by the single-shot and batched
- * engines (the batched engine calls it on an extracted lane).
+ * per-(wire, level) populations. The engine calls it on an extracted
+ * lane.
  */
 void
 fused_rare_branch(StateVector& psi, const NoiseModel& model, Real dt,
@@ -425,95 +356,14 @@ fused_rare_branch(StateVector& psi, const NoiseModel& model, Real dt,
     }
 }
 
-/**
- * Fused damping for uniform registers: apply the joint no-jump operator
- * of all wires in one table-scaled pass; accept with its squared norm
- * (the exact Monte-Carlo-wavefunction acceptance), otherwise undo and
- * take the rare jump branch.
- */
-void
-apply_idle_damping_fused(StateVector& psi, const NoiseModel& model,
-                         Real dt, const EngineContext& ctx, Rng& rng)
-{
-    std::vector<Real> scale, inv;
-    build_damping_tables(model, dt, ctx, scale, inv);
-    const Real q = psi.scale_by_table(ctx.count_key, scale);
-    if (rng.uniform() < q) {
-        // Accepted with probability q = norm^2 > u >= 0, so the norm is
-        // positive here by construction.
-        if (!psi.normalize()) {
-            throw std::runtime_error(
-                "trajectory: no-jump evolution produced a zero-norm state");
-        }
-        return;
-    }
-    fused_rare_branch(psi, model, dt, ctx, rng, scale, inv);
-}
-
-/** Coherent dephasing kick: random per-wire phase walk, fused into one
- *  product-diagonal pass. */
-void
-apply_idle_dephasing(StateVector& psi, const NoiseModel& model, Real dt,
-                     Rng& rng)
-{
-    const WireDims& dims = psi.dims();
-    const Real s = model.dephasing_sigma * std::sqrt(dt);
-    std::vector<std::vector<Complex>> factors(
-        static_cast<std::size_t>(dims.num_wires()));
-    for (int w = 0; w < dims.num_wires(); ++w) {
-        const Real theta = rng.gaussian() * s;
-        auto& f = factors[static_cast<std::size_t>(w)];
-        f.resize(static_cast<std::size_t>(dims.dim(w)));
-        for (int m = 0; m < dims.dim(w); ++m) {
-            f[static_cast<std::size_t>(m)] =
-                std::polar(1.0, static_cast<Real>(m) * theta);
-        }
-    }
-    psi.apply_product_diag(factors);
-}
-
-/** One trajectory against a prebuilt (compiled) context. `accel` is the
- *  resolved damping engine (resolve_damping_engine) — a per-run choice,
- *  so the shared immutable context never mutates. */
-Real
-run_trajectory_with_context(const NoiseModel& model,
-                            const EngineContext& ctx,
-                            const StateVector& initial,
-                            const StateVector& ideal_out, Rng& rng,
-                            exec::ExecScratch& scratch, bool accel)
-{
-    obs::count(obs::Counter::kTrajShots);
-    StateVector psi = initial;
-    for (const Moment& moment : ctx.moments) {
-        obs::ScopedSpan span("traj", "moment");
-        span.arg("ops", static_cast<std::int64_t>(moment.op_indices.size()));
-        for (const std::size_t idx : moment.op_indices) {
-            exec::apply_op(ctx.noisy.ops()[idx], psi, scratch);
-            apply_gate_error(psi, ctx.errors[idx], rng, scratch);
-        }
-        const Real dt = model.moment_duration(moment.has_multi_qudit);
-        if (model.has_damping()) {
-            if (accel) {
-                apply_idle_damping_fused(psi, model, dt, ctx, rng);
-            } else {
-                apply_idle_damping_sequential(psi, model, dt, rng);
-            }
-        }
-        if (model.has_dephasing()) {
-            apply_idle_dephasing(psi, model, dt, rng);
-        }
-    }
-    return psi.fidelity(ideal_out);
-}
-
 // --------------------------------------------------------------------------
-// Batched engine: B trajectory lanes advance through one compiled-circuit
-// pass. Shared, deterministic work (gates, no-jump scaling, dephasing) runs
-// on all lanes at once; divergent per-lane events (gate-error draws,
-// damping jumps, the fused rare branch) extract the lane, run the
-// single-shot code above, and write the lane back — which is what keeps
-// every lane bitwise identical to an unbatched shot on the same RNG
-// stream.
+// The engine: B trajectory lanes advance through one compiled-circuit pass
+// (B = 1 for a single trajectory). Shared, deterministic work (gates,
+// no-jump scaling, dephasing) runs on all lanes at once; divergent
+// per-lane events (gate-error draws, damping jumps, the fused rare branch)
+// extract the lane, run the StateVector code above, and write the lane
+// back — which is what keeps every lane's result a function of its own RNG
+// stream alone, bitwise independent of the batch width.
 // --------------------------------------------------------------------------
 
 /** Draws and applies per-lane depolarizing errors after one gate. */
@@ -557,9 +407,9 @@ struct BatchNoiseScratch {
 /** Batched fused damping: a read sweep for every lane's no-jump norm q,
  *  the acceptance draws, then one write sweep applying the joint scaling
  *  (and, on accepted lanes, the normalisation); rejected lanes take the
- *  single-shot rare branch individually. The scale/inv tables are a pure
- *  function of (model, dt), so the caller builds them once per moment
- *  duration instead of once per moment. */
+ *  rare branch individually on the extracted lane. The scale/inv tables
+ *  are a pure function of (model, dt), so the caller builds them once per
+ *  moment duration instead of once per moment. */
 void
 apply_idle_damping_fused_batched(exec::BatchedStateVector& psi,
                                  const NoiseModel& model, Real dt,
@@ -607,7 +457,7 @@ apply_idle_damping_fused_batched(exec::BatchedStateVector& psi,
 
 /** Batched exact per-wire sequential idle damping (mixed radix / dim > 3):
  *  populations and the no-jump K0 run lane-parallel per wire; jump lanes
- *  fall back to the single-shot jump on the extracted lane. */
+ *  take apply_jump on the extracted lane. */
 void
 apply_idle_damping_sequential_batched(exec::BatchedStateVector& psi,
                                       const NoiseModel& model, Real dt,
@@ -713,24 +563,76 @@ apply_idle_dephasing_batched(exec::BatchedStateVector& psi,
 }
 
 /**
+ * The trajectory moment loop. `psi` holds each lane's initial state and
+ * `ideal` its noiseless output; lane j draws from rngs[j]. Advances every
+ * lane through the noisy circuit together and returns each lane's
+ * fidelity against its ideal output.
+ */
+std::vector<Real>
+run_lanes(const EngineContext& ctx, exec::BatchedStateVector& psi,
+          const exec::BatchedStateVector& ideal, std::vector<Rng>& rngs,
+          exec::BatchedScratch& bscratch, exec::ExecScratch& scratch)
+{
+    const NoiseModel& model = ctx.model;
+    if (obs::enabled()) {
+        obs::count_unchecked(obs::Counter::kTrajShots,
+                             static_cast<std::uint64_t>(psi.lanes()));
+        obs::count_unchecked(obs::Counter::kTrajBatches);
+    }
+
+    // The fused no-jump tables depend only on the moment duration, which
+    // takes exactly two values — build each once per batch, not per moment.
+    std::vector<Real> scale_1q, inv_1q, scale_2q, inv_2q;
+    if (model.has_damping() && ctx.accel) {
+        build_damping_tables(model, model.dt_1q, ctx, scale_1q, inv_1q);
+        build_damping_tables(model, model.dt_2q, ctx, scale_2q, inv_2q);
+    }
+
+    StateVector lane(psi.dims());  // reused for per-lane divergent fallbacks
+    BatchNoiseScratch ds;
+    for (const Moment& moment : ctx.moments) {
+        obs::ScopedSpan mspan("traj", "moment");
+        mspan.arg("ops",
+                  static_cast<std::int64_t>(moment.op_indices.size()));
+        for (const std::size_t idx : moment.op_indices) {
+            exec::apply_op_batched(ctx.noisy.ops()[idx], psi,
+                                    bscratch);
+            apply_gate_error_batched(psi, ctx.errors[idx], rngs, lane,
+                                     scratch);
+        }
+        const Real dt = model.moment_duration(moment.has_multi_qudit);
+        if (model.has_damping()) {
+            if (ctx.accel) {
+                apply_idle_damping_fused_batched(
+                    psi, model, dt, ctx,
+                    moment.has_multi_qudit ? scale_2q : scale_1q,
+                    moment.has_multi_qudit ? inv_2q : inv_1q, rngs, lane,
+                    ds);
+            } else {
+                apply_idle_damping_sequential_batched(psi, model, dt, rngs,
+                                                      lane);
+            }
+        }
+        if (model.has_dephasing()) {
+            apply_idle_dephasing_batched(psi, model, dt, rngs, ds);
+        }
+    }
+    return psi.fidelity_lanes(ideal);
+}
+
+/**
  * Runs trials [start, start + lanes) as one batch: per-lane random initial
- * states, one batched noiseless pass for the ideal outputs, then the noisy
- * moment loop advancing all lanes together. Writes each lane's fidelity to
- * fidelities[start + j].
+ * states, one batched noiseless pass for the ideal outputs, then the
+ * moment loop. Writes each lane's fidelity to fidelities[start + j].
  */
 void
-run_trajectory_batch(const NoiseModel& model, const EngineContext& ctx,
+run_trajectory_batch(const EngineContext& ctx,
                      const TrajectoryOptions& options, const Rng& root,
                      int start, int lanes, std::vector<Real>& fidelities,
                      exec::BatchedScratch& bscratch,
-                     exec::ExecScratch& scratch, bool accel)
+                     exec::ExecScratch& scratch)
 {
     const WireDims& dims = ctx.noisy.dims();
-    if (obs::enabled()) {
-        obs::count_unchecked(obs::Counter::kTrajShots,
-                             static_cast<std::uint64_t>(lanes));
-        obs::count_unchecked(obs::Counter::kTrajBatches);
-    }
     obs::ScopedSpan span("traj", "shot_batch");
     span.arg("start", start);
     span.arg("lanes", lanes);
@@ -750,66 +652,12 @@ run_trajectory_batch(const NoiseModel& model, const EngineContext& ctx,
     exec::BatchedStateVector ideal = psi;
     exec::run_batched(ctx.ideal, ideal, bscratch);
 
-    // The fused no-jump tables depend only on the moment duration, which
-    // takes exactly two values — build each once per batch, not per moment.
-    std::vector<Real> scale_1q, inv_1q, scale_2q, inv_2q;
-    if (model.has_damping() && accel) {
-        build_damping_tables(model, model.dt_1q, ctx, scale_1q, inv_1q);
-        build_damping_tables(model, model.dt_2q, ctx, scale_2q, inv_2q);
-    }
-
-    StateVector lane(dims);  // reused for per-lane divergent fallbacks
-    BatchNoiseScratch ds;
-    for (const Moment& moment : ctx.moments) {
-        obs::ScopedSpan mspan("traj", "moment");
-        mspan.arg("ops",
-                  static_cast<std::int64_t>(moment.op_indices.size()));
-        for (const std::size_t idx : moment.op_indices) {
-            exec::apply_op_batched(ctx.noisy.ops()[idx], psi,
-                                    bscratch);
-            apply_gate_error_batched(psi, ctx.errors[idx], rngs, lane,
-                                     scratch);
-        }
-        const Real dt = model.moment_duration(moment.has_multi_qudit);
-        if (model.has_damping()) {
-            if (accel) {
-                apply_idle_damping_fused_batched(
-                    psi, model, dt, ctx,
-                    moment.has_multi_qudit ? scale_2q : scale_1q,
-                    moment.has_multi_qudit ? inv_2q : inv_1q, rngs, lane,
-                    ds);
-            } else {
-                apply_idle_damping_sequential_batched(psi, model, dt, rngs,
-                                                      lane);
-            }
-        }
-        if (model.has_dephasing()) {
-            apply_idle_dephasing_batched(psi, model, dt, rngs, ds);
-        }
-    }
-    const std::vector<Real> fid = psi.fidelity_lanes(ideal);
+    const std::vector<Real> fid =
+        run_lanes(ctx, psi, ideal, rngs, bscratch, scratch);
     for (int j = 0; j < lanes; ++j) {
         fidelities[static_cast<std::size_t>(start + j)] =
             fid[static_cast<std::size_t>(j)];
     }
-}
-
-/** Resolves the damping-engine choice against a compiled context's
- *  acceleration classification (no mutation — the context is shared).
- *  @throws std::invalid_argument if kFused is requested on a register the
- *          fused operator is undefined for. */
-bool
-resolve_damping_engine(const EngineContext& ctx, DampingEngine engine)
-{
-    if (engine == DampingEngine::kSequential) {
-        return false;
-    }
-    if (engine == DampingEngine::kFused && !ctx.accel) {
-        throw std::invalid_argument(
-            "trajectory: fused damping requires a uniform register with "
-            "dim <= 3");
-    }
-    return ctx.accel;
 }
 
 }  // namespace
@@ -817,25 +665,29 @@ resolve_damping_engine(const EngineContext& ctx, DampingEngine engine)
 Real
 run_single_trajectory(const Circuit& circuit, const NoiseModel& model,
                       const StateVector& initial,
-                      const StateVector& ideal_out, Rng& rng,
-                      DampingEngine engine)
+                      const StateVector& ideal_out, Rng& rng)
 {
     verify::enforce_noisy(circuit, model);
     const TrajectoryCompilation compiled(circuit, model, {});
-    return run_single_trajectory(compiled, initial, ideal_out, rng, engine);
+    return run_single_trajectory(compiled, initial, ideal_out, rng);
 }
 
 Real
 run_single_trajectory(const TrajectoryCompilation& compiled,
                       const StateVector& initial,
-                      const StateVector& ideal_out, Rng& rng,
-                      DampingEngine engine)
+                      const StateVector& ideal_out, Rng& rng)
 {
-    const EngineContext& ctx = compiled.impl();
-    const bool accel = resolve_damping_engine(ctx, engine);
+    exec::BatchedStateVector psi(compiled.dims(), 1);
+    exec::BatchedStateVector ideal(compiled.dims(), 1);
+    psi.set_lane(0, initial);
+    ideal.set_lane(0, ideal_out);
+    std::vector<Rng> rngs{rng};
+    exec::BatchedScratch bscratch;
     exec::ExecScratch scratch;
-    return run_trajectory_with_context(compiled.model(), ctx, initial,
-                                       ideal_out, rng, scratch, accel);
+    const Real fid =
+        run_lanes(compiled.impl(), psi, ideal, rngs, bscratch, scratch)[0];
+    rng = rngs[0];  // advance the caller's stream past the draws
+    return fid;
 }
 
 TrajectoryResult
@@ -895,10 +747,7 @@ run_noisy_trials(const TrajectoryCompilation& compiled,
     }
     threads = std::min(threads, num_batches);
 
-    const NoiseModel& model = compiled.model();
     const EngineContext& ctx = compiled.impl();
-    const bool accel =
-        resolve_damping_engine(ctx, options.damping_engine);
     std::vector<Real> fidelities(static_cast<std::size_t>(trials), 0.0);
     std::atomic<int> next{0};
     const Rng root(options.seed);
@@ -913,23 +762,8 @@ run_noisy_trials(const TrajectoryCompilation& compiled,
             }
             const int start = g * batch;
             const int lanes = std::min(batch, trials - start);
-            if (lanes > 1) {
-                run_trajectory_batch(model, ctx, options, root, start, lanes,
-                                     fidelities, bscratch, scratch, accel);
-                continue;
-            }
-            // Single-lane group: the per-shot reference path.
-            const int t = start;
-            Rng rng = root.child(static_cast<std::uint64_t>(t));
-            const WireDims& dims = ctx.noisy.dims();
-            StateVector initial =
-                options.qubit_subspace_inputs
-                    ? haar_random_qubit_subspace_state(dims, rng)
-                    : haar_random_state(dims, rng);
-            const StateVector ideal = simulate(ctx.ideal, initial);
-            fidelities[static_cast<std::size_t>(t)] =
-                run_trajectory_with_context(model, ctx, initial, ideal, rng,
-                                            scratch, accel);
+            run_trajectory_batch(ctx, options, root, start, lanes,
+                                 fidelities, bscratch, scratch);
         }
     };
 

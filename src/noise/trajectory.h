@@ -23,10 +23,16 @@
  * On top of that, shots run B at a time through an
  * exec::BatchedStateVector (amplitude-major lanes): one pass over the
  * compiled circuit advances B trajectories, amortising every plan/offset-
- * table read across the batch. Each trial keeps its own RNG stream
+ * table read across the batch; a single trajectory is a 1-lane batch
+ * through the same moment loop. Each trial keeps its own RNG stream
  * (root.child(t)) and divergent per-lane events (damping jumps, gate-error
- * draws) fall back to the single-shot code on the extracted lane, so
- * results are BITWISE independent of the batch width and thread count.
+ * draws) run StateVector code on the extracted lane, so results are
+ * BITWISE independent of the batch width and thread count.
+ *
+ * Idle damping picks its implementation from the register: uniform
+ * registers with dim <= 3 apply the joint no-jump operator of all wires
+ * in one table-scaled pass (fused); mixed-radix or dim > 3 registers run
+ * the exact per-wire loop of Algorithm 1 (sequential).
  */
 #ifndef NOISE_TRAJECTORY_H
 #define NOISE_TRAJECTORY_H
@@ -43,18 +49,6 @@
 
 namespace qd::noise {
 
-/**
- * Which idle amplitude-damping implementation trials run on.
- * kAuto picks kFused for uniform registers with dim <= 3 and kSequential
- * otherwise; the explicit values exist so tests can cross-validate the two
- * engines on the same workload (they agree in distribution).
- */
-enum class DampingEngine {
-    kAuto,
-    kFused,      ///< joint no-jump operator, one table-scaled pass
-    kSequential, ///< exact per-wire loop (paper Algorithm 1)
-};
-
 /** Options for a batch of trajectory trials. */
 struct TrajectoryOptions {
     int trials = 100;
@@ -69,14 +63,12 @@ struct TrajectoryOptions {
     /**
      * Trajectories advanced per batched circuit pass: 0 = auto (a
      * cache-tuned default, currently min(12, trials) — see
-     * kDefaultBatchLanes in trajectory.cc), 1 = the per-shot reference
-     * path, B > 1 = B-lane exec::BatchedStateVector execution. Per-trial
+     * kDefaultBatchLanes in trajectory.cc), B >= 1 = B lanes per
+     * exec::BatchedStateVector pass (1 = one lane per pass). Per-trial
      * results are bitwise identical for every setting (lane equivalence
      * is property-tested).
      */
     int batch = 0;
-    /** Idle-damping implementation; see DampingEngine. */
-    DampingEngine damping_engine = DampingEngine::kAuto;
     /** Record every trial's fidelity in TrajectoryResult::per_trial. */
     bool keep_per_trial = false;
     /**
@@ -107,11 +99,11 @@ struct TrajectoryResult {
  * Everything the trajectory engine derives from (circuit, model, fusion)
  * before the first shot runs: the fully fused ideal reference compilation,
  * the error-fenced noisy compilation, the precompiled gate-error draw
- * tables, the moment schedule, and the fused-damping acceleration
- * classification. Immutable after construction and safe to share across
- * threads — the CompileService caches these across requests so repeated
- * submissions of the same (circuit, model, fusion) skip compilation
- * entirely. Construction does NOT verify; admission is the
+ * tables, the moment schedule, and the register classification that
+ * selects fused or sequential idle damping. Immutable after construction
+ * and safe to share across threads — the CompileService caches these
+ * across requests so repeated submissions of the same (circuit, model,
+ * fusion) skip compilation entirely. Construction does NOT verify; admission is the
  * CompileService's job (or verify::enforce_noisy for direct callers).
  */
 class TrajectoryCompilation {
@@ -124,9 +116,6 @@ class TrajectoryCompilation {
 
     const NoiseModel& model() const;
     const WireDims& dims() const;
-    /** True when the fused joint no-jump damping operator is defined
-     *  (uniform register with dim <= 3); kAuto resolves on this. */
-    bool fused_damping_supported() const;
 
     struct Impl;
     const Impl& impl() const { return *impl_; }
@@ -137,24 +126,22 @@ class TrajectoryCompilation {
 
 /**
  * Runs one noisy trajectory of `circuit` from `initial`, comparing against
- * `ideal_out` (the noiseless output for the same input).
+ * `ideal_out` (the noiseless output for the same input), as a 1-lane
+ * batch through the same moment loop as run_noisy_trials. Draws from
+ * `rng` and leaves it advanced past them. Given the RNG stream, initial
+ * state and ideal output of run_noisy_trials' trial t, it returns that
+ * trial's fidelity bitwise.
  * Exposed for tests; most callers use run_noisy_trials.
- *
- * @throws std::invalid_argument if `engine` is kFused but the register is
- *         mixed-radix or has dim > 3 (the fused operator is undefined
- *         there).
  */
 Real run_single_trajectory(const Circuit& circuit, const NoiseModel& model,
                            const StateVector& initial,
-                           const StateVector& ideal_out, Rng& rng,
-                           DampingEngine engine = DampingEngine::kAuto);
+                           const StateVector& ideal_out, Rng& rng);
 
 /** Precompiled variant: runs one trajectory on an existing compilation
- *  (no verification, no recompilation). Same throw contract for kFused. */
+ *  (no verification, no recompilation). */
 Real run_single_trajectory(const TrajectoryCompilation& compiled,
                            const StateVector& initial,
-                           const StateVector& ideal_out, Rng& rng,
-                           DampingEngine engine = DampingEngine::kAuto);
+                           const StateVector& ideal_out, Rng& rng);
 
 /**
  * Runs `options.trials` independent trajectories with per-trial random
@@ -164,9 +151,8 @@ Real run_single_trajectory(const TrajectoryCompilation& compiled,
  * fixed seed regardless of thread count AND batch width (lane t always
  * consumes stream root.child(t)).
  *
- * @throws std::invalid_argument if options.trials <= 0, options.batch < 0,
- *         or options.damping_engine is kFused on a register the fused
- *         operator is undefined for (mixed radix or dim > 3).
+ * @throws std::invalid_argument if options.trials <= 0 or
+ *         options.batch < 0.
  *
  * @deprecated For job-stream traffic prefer serve::execute() (serve/run.h),
  *         which routes through the shared CompileService and returns a
@@ -183,7 +169,7 @@ TrajectoryResult run_noisy_trials(const Circuit& circuit,
  * re-verifying or recompiling — the per-request hot path behind the
  * CompileService. `options.fusion` is ignored (the compilation already
  * fixed it); every other option behaves as above, with the same throw
- * contract for trials/batch/damping_engine.
+ * contract for trials/batch.
  */
 TrajectoryResult run_noisy_trials(const TrajectoryCompilation& compiled,
                                   const TrajectoryOptions& options);

@@ -272,9 +272,8 @@ hot_noise()
 }
 
 /** Runs the same trial set at several batch widths / thread counts and
- *  expects BITWISE identical per-trial fidelities: lane t of a batched
- *  pass must reproduce the single-shot trajectory on stream
- *  root.child(t) exactly. */
+ *  expects BITWISE identical per-trial fidelities: lane t must reproduce
+ *  the trajectory on stream root.child(t) exactly at every width. */
 void
 expect_batch_invariant(const Circuit& c, const NoiseModel& m, int trials)
 {
@@ -283,7 +282,7 @@ expect_batch_invariant(const Circuit& c, const NoiseModel& m, int trials)
     opts.seed = 99;
     opts.keep_per_trial = true;
     opts.threads = 1;
-    opts.batch = 1;  // per-shot reference path
+    opts.batch = 1;  // one lane per pass
     const auto ref = run_noisy_trials(c, m, opts);
     ASSERT_EQ(static_cast<int>(ref.per_trial.size()), trials);
     // B dividing trials, B not dividing trials, the production default
@@ -310,19 +309,25 @@ expect_batch_invariant(const Circuit& c, const NoiseModel& m, int trials)
 
 TEST(Trajectory, BatchedLanesMatchSingleShotUniformQutrit) {
     // Uniform qutrit register: batched gates + fused damping + dephasing
-    // against the per-shot path, bitwise.
+    // against one lane per pass, bitwise.
     expect_batch_invariant(small_qutrit_circuit(), hot_noise(), 21);
 }
 
-TEST(Trajectory, BatchedLanesMatchSingleShotMixedRadix) {
-    // Mixed radix forces the sequential damping engine (per-wire jumps,
-    // masked K0) through the batched path.
+/** Mixed-radix register: runs the sequential damping engine (per-wire
+ *  jumps, masked K0). */
+Circuit
+mixed_radix_circuit()
+{
     Circuit c(WireDims({2, 3, 2}));
     c.append(gates::H(), {0});
     c.append(gates::Xplus1().controlled(2, 1), {0, 1});
     c.append(gates::H3(), {1});
     c.append(gates::X().controlled(3, 2), {1, 2});
-    expect_batch_invariant(c, hot_noise(), 13);
+    return c;
+}
+
+TEST(Trajectory, BatchedLanesMatchSingleShotMixedRadix) {
+    expect_batch_invariant(mixed_radix_circuit(), hot_noise(), 13);
 }
 
 TEST(Trajectory, BatchedLanesMatchSingleShotOnRandomCircuits) {
@@ -388,55 +393,76 @@ TEST(Trajectory, RejectsNegativeBatch) {
                  std::invalid_argument);
 }
 
-TEST(Trajectory, FusedEngineRejectsMixedRadix) {
-    Circuit c(WireDims({2, 3}));
-    c.append(gates::H(), {0});
-    TrajectoryOptions opts;
-    opts.damping_engine = DampingEngine::kFused;
-    NoiseModel m = noiseless();
-    m.t1 = 100 * m.dt_1q;
-    EXPECT_THROW(run_noisy_trials(c, m, opts), std::invalid_argument);
-}
-
 TEST(Trajectory, DampingEnginesAgreeUnderLevel2OnlyDecay) {
     // Regression: the sequential engine gated the no-jump K0 on
     // lambda(1) > 0 alone, so a level-2-only decay model (lambda(1) == 0,
     // lambda(2) > 0) silently skipped no-jump damping there while the
-    // fused engine applied it. Both engines must converge to the exact
-    // density-matrix fidelity.
-    Circuit c(WireDims::uniform(1, 3));
-    for (int i = 0; i < 8; ++i) {
-        c.append(gates::H3(), {0});
-        c.append(gates::H3().inverse(), {0});
-    }
+    // fused engine applied it. The register picks the engine: a uniform
+    // qutrit runs fused damping, the mixed-radix {3, 2} register the
+    // sequential loop. Both must converge to the exact density-matrix
+    // fidelity.
     NoiseModel m = noiseless();
     m.t1 = 10 * m.dt_1q;
     m.decay_rates = {0.0, 2.0};  // |1> metastable, |2> decays
     EXPECT_EQ(m.lambda(1, m.dt_1q), 0.0);
     EXPECT_GT(m.lambda(2, m.dt_1q), 0.0);
 
-    Rng rng(21);
-    // Superposition with heavy |2> weight so level-2 damping matters.
-    StateVector init(c.dims());
-    init.amplitudes() = {Complex(0.5, 0), Complex(0.5, 0),
-                         Complex(std::sqrt(0.5), 0)};
-    const StateVector ideal = simulate(c, init);
-    const Real exact = density_matrix_fidelity(c, m, init);
+    for (const WireDims& dims : {WireDims::uniform(1, 3), WireDims({3, 2})}) {
+        Circuit c(dims);
+        for (int i = 0; i < 8; ++i) {
+            c.append(gates::H3(), {0});
+            c.append(gates::H3().inverse(), {0});
+        }
+        // Superposition with heavy |2> weight on the qutrit (wire 0, the
+        // most significant digit; any other wire in |0>) so level-2
+        // damping matters.
+        const Index stride = dims.size() / 3;
+        StateVector init(dims);
+        init.amplitudes()[0] = Complex(0.5, 0);
+        init.amplitudes()[stride] = Complex(0.5, 0);
+        init.amplitudes()[2 * stride] = Complex(std::sqrt(0.5), 0);
+        const StateVector ideal = simulate(c, init);
+        const Real exact = density_matrix_fidelity(c, m, init);
 
-    auto mean_fid = [&](DampingEngine engine) {
+        Rng rng(21);
         Real mean = 0;
         const int trials = 3000;
         for (int t = 0; t < trials; ++t) {
             Rng child = rng.child(static_cast<std::uint64_t>(t));
-            mean += run_single_trajectory(c, m, init, ideal, child, engine);
+            mean += run_single_trajectory(c, m, init, ideal, child);
         }
-        return mean / trials;
+        EXPECT_NEAR(mean / trials, exact, 0.01)
+            << "wires " << dims.num_wires();
+    }
+}
+
+TEST(Trajectory, SingleTrajectoryMatchesRunNoisyTrialsLane) {
+    // run_single_trajectory is the 1-lane case of the engine behind
+    // run_noisy_trials: given trial t's stream, initial state and ideal
+    // output it must return that trial's fidelity bitwise.
+    auto check = [](const Circuit& c, const NoiseModel& m) {
+        TrajectoryOptions opts;
+        opts.trials = 20;
+        opts.seed = 99;
+        opts.threads = 3;
+        opts.keep_per_trial = true;
+        const auto res = run_noisy_trials(c, m, opts);
+        const TrajectoryCompilation compiled(c, m, opts.fusion);
+        const Rng root(opts.seed);
+        for (int t = 0; t < opts.trials; ++t) {
+            Rng rng = root.child(static_cast<std::uint64_t>(t));
+            const StateVector initial =
+                haar_random_qubit_subspace_state(c.dims(), rng);
+            const StateVector ideal = simulate(c, initial);
+            EXPECT_EQ(run_single_trajectory(compiled, initial, ideal, rng),
+                      res.per_trial[static_cast<std::size_t>(t)])
+                << m.name << " trial " << t;
+        }
     };
-    const Real fused = mean_fid(DampingEngine::kFused);
-    const Real sequential = mean_fid(DampingEngine::kSequential);
-    EXPECT_NEAR(fused, exact, 0.01);
-    EXPECT_NEAR(sequential, exact, 0.01);
-    EXPECT_NEAR(fused, sequential, 0.015);
+    // Fused damping + gate errors, dephasing, and sequential damping.
+    check(small_qutrit_circuit(), sc());
+    check(small_qutrit_circuit(), bare_qutrit());
+    check(mixed_radix_circuit(), hot_noise());
 }
 
 TEST(Trajectory, TotalConventionScalesErrors) {
