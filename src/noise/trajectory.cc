@@ -24,11 +24,15 @@ namespace qd::noise {
 
 namespace {
 
-/** Default lanes per batched circuit pass (TrajectoryOptions::batch == 0):
- *  wide enough to amortise plan/offset-table reads across shots, small
- *  enough that B states of a trajectory-sized register stay cache-resident
- *  (12 lanes measured fastest on the 5-qutrit bench_batch workload; the
- *  curve is flat between 8 and 16). */
+/** Default lanes per batched circuit pass (TrajectoryOptions::batch == 0).
+ *  A batch of a Figure 11 sized register does not stay cache-resident (one
+ *  12-lane batch of a width-12 qutrit register is 102 MB, about the whole
+ *  LLC); lanes pay off because every lane of a pass shares one read of the
+ *  plan's offset tables and the gate payload, and B lanes take one kernel
+ *  dispatch instead of B. On QUTRIT x SC at width 12 (48 trials, 4
+ *  threads, 4-core Xeon) batch widths 4 to 12 measure within noise of each
+ *  other (1.6-2.0 s) and 2 lanes take 2.4 s; 12 was fastest on the
+ *  5-qutrit bench_batch workload, with the curve flat between 8 and 16. */
 constexpr int kDefaultBatchLanes = 12;
 
 }  // namespace
@@ -364,94 +368,113 @@ fused_rare_branch(StateVector& psi, const NoiseModel& model, Real dt,
 // extract the lane, run the StateVector code above, and write the lane
 // back — which is what keeps every lane's result a function of its own RNG
 // stream alone, bitwise independent of the batch width.
+//
+// A moment under fused idle damping costs one memory sweep: its last gate
+// runs with the no-jump scaling as a kernel epilogue
+// (exec::apply_op_batched_damped), which also returns every lane's squared
+// norm M_b. Normalisation is deferred: lane b carries N_b, the squared
+// norm of its stored amplitudes (1 after the initial draw and after every
+// renormalisation), and takes the no-jump branch when u * N_b < M_b — the
+// draw u < M_b / N_b without the division — after which N_b = M_b and no
+// amplitude is written. Only lanes extracted for the rare branch are
+// renormalised, and the final fidelity is divided by N_b.
+//
+// Determinism: results are bitwise independent of the batch width and of
+// the thread count. Without fused damping N_b stays exactly 1, so results
+// are bitwise those of an engine that normalises every moment; with it,
+// the deferred normalisation and the chunked norm sums move per-trial
+// fidelities by rounding only (within 1e-12, tested).
 // --------------------------------------------------------------------------
 
-/** Draws and applies per-lane depolarizing errors after one gate. */
+/** One gate error drawn for one lane: the lane and the unitary it takes. */
+struct FiredError {
+    int lane;
+    const exec::CompiledOp* unitary;
+};
+
+/** Draws one gate's per-lane depolarizing errors into `fired`, in (error
+ *  site, lane) order. The draws do not depend on the state, so they may
+ *  run before the gate: each lane consumes its stream in the same order
+ *  either way. */
 void
-apply_gate_error_batched(exec::BatchedStateVector& psi,
-                         const std::vector<const ErrorDraw*>& draws,
-                         std::vector<Rng>& rngs, StateVector& lane,
-                         exec::ExecScratch& scratch)
+draw_gate_errors(const std::vector<const ErrorDraw*>& draws,
+                 std::vector<Rng>& rngs, std::vector<FiredError>& fired)
 {
-    const int lanes = psi.lanes();
+    fired.clear();
+    const int lanes = static_cast<int>(rngs.size());
     // One draw per (error site, lane) — the same lotteries an unbatched
     // shot would test, so the draw totals are batch-width invariant.
     obs::count(obs::Counter::kTrajGateErrorDraws,
                draws.size() * static_cast<std::uint64_t>(lanes));
     for (const ErrorDraw* e : draws) {
         for (int j = 0; j < lanes; ++j) {
-            if (rngs[static_cast<std::size_t>(j)].uniform() >= e->total) {
+            Rng& rng = rngs[static_cast<std::size_t>(j)];
+            if (rng.uniform() >= e->total) {
                 continue;  // no error on this lane
             }
-            obs::count(obs::Counter::kTrajGateErrorsFired);
-            obs::count(obs::Counter::kTrajLaneExtracts);
-            const std::size_t pick = static_cast<std::size_t>(
-                rngs[static_cast<std::size_t>(j)].uniform_int(
-                    e->unitaries.size()));
-            psi.extract_lane(j, lane);
-            exec::apply_op(e->unitaries[pick], lane, scratch);
-            psi.set_lane(j, lane);
+            fired.push_back(
+                {j, &e->unitaries[static_cast<std::size_t>(
+                        rng.uniform_int(e->unitaries.size()))]});
         }
     }
 }
 
-/** Reusable per-batch buffers for the idle-noise loop (one set per worker
- *  batch; avoids a handful of heap allocations per moment). */
-struct BatchNoiseScratch {
-    std::vector<std::uint8_t> accepted;
-    /** factors[lane][wire] for the batched dephasing kick; the nested
-     *  vectors are sized on first use and refilled in place after that. */
-    std::vector<std::vector<std::vector<Complex>>> dephasing_factors;
-};
+/** Applies drawn gate errors in draw order, each on its extracted lane. */
+void
+apply_gate_errors(exec::BatchedStateVector& psi,
+                  const std::vector<FiredError>& fired, StateVector& lane,
+                  exec::ExecScratch& scratch)
+{
+    for (const FiredError& f : fired) {
+        obs::count(obs::Counter::kTrajGateErrorsFired);
+        obs::count(obs::Counter::kTrajLaneExtracts);
+        psi.extract_lane(f.lane, lane);
+        exec::apply_op(*f.unitary, lane, scratch);
+        psi.set_lane(f.lane, lane);
+    }
+}
 
-/** Batched fused damping: a read sweep for every lane's no-jump norm q,
- *  the acceptance draws, then one write sweep applying the joint scaling
- *  (and, on accepted lanes, the normalisation); rejected lanes take the
- *  rare branch individually on the extracted lane. The scale/inv tables
- *  are a pure function of (model, dt), so the caller builds them once per
- *  moment duration instead of once per moment. */
+/**
+ * Batched fused damping, entered once the joint no-jump scaling has been
+ * applied to every lane (the epilogue of the moment's last gate): `scaled`
+ * holds each lane's squared norm M_b after the scaling and `norm_sq` its
+ * carried N_b from before it. Accepting lanes just adopt M_b; rejected
+ * lanes are extracted, renormalised to the normalised-then-scaled state
+ * the rare branch expects, and take it individually. The scale/inv tables
+ * are a pure function of (model, dt), so the caller builds them once per
+ * moment duration instead of once per moment.
+ */
 void
 apply_idle_damping_fused_batched(exec::BatchedStateVector& psi,
                                  const NoiseModel& model, Real dt,
                                  const EngineContext& ctx,
                                  const std::vector<Real>& scale,
                                  const std::vector<Real>& inv,
-                                 std::vector<Rng>& rngs, StateVector& lane,
-                                 BatchNoiseScratch& ds)
+                                 const std::vector<Real>& scaled,
+                                 std::vector<Real>& norm_sq,
+                                 std::vector<Rng>& rngs, StateVector& lane)
 {
-    const std::vector<Real> q =
-        psi.scaled_norm_sq_lanes(ctx.count_key, scale);
-    const int lanes = psi.lanes();
-    std::vector<std::uint8_t>& accepted = ds.accepted;
-    accepted.assign(static_cast<std::size_t>(lanes), 0);
-    for (int j = 0; j < lanes; ++j) {
-        accepted[static_cast<std::size_t>(j)] =
-            rngs[static_cast<std::size_t>(j)].uniform() <
-                    q[static_cast<std::size_t>(j)]
-                ? 1
-                : 0;
-    }
-    // One write sweep: every lane takes the no-jump scaling, accepted
-    // lanes are normalised by their q in the same pass, and rejected lanes
-    // are left holding the scaled amplitudes the rare branch expects.
-    const auto ok =
-        psi.scale_normalize_lanes(ctx.count_key, scale, q, accepted);
-    for (int j = 0; j < lanes; ++j) {
-        if (accepted[static_cast<std::size_t>(j)] != 0 &&
-            ok[static_cast<std::size_t>(j)] == 0) {
-            throw std::runtime_error(
-                "trajectory: no-jump evolution produced a zero-norm state");
-        }
-    }
-    for (int j = 0; j < lanes; ++j) {
-        if (accepted[static_cast<std::size_t>(j)] != 0) {
+    for (int j = 0; j < psi.lanes(); ++j) {
+        const std::size_t uj = static_cast<std::size_t>(j);
+        Rng& rng = rngs[uj];
+        if (rng.uniform() * norm_sq[uj] < scaled[uj]) {
+            if (!std::isfinite(scaled[uj])) {
+                throw std::runtime_error(
+                    "trajectory: no-jump evolution produced a non-finite "
+                    "state");
+            }
+            norm_sq[uj] = scaled[uj];
             continue;
         }
         obs::count(obs::Counter::kTrajLaneExtracts);
         psi.extract_lane(j, lane);
-        fused_rare_branch(lane, model, dt, ctx,
-                          rngs[static_cast<std::size_t>(j)], scale, inv);
+        const Real r = 1.0 / std::sqrt(norm_sq[uj]);
+        for (Complex& a : lane.amplitudes()) {
+            a *= r;
+        }
+        fused_rare_branch(lane, model, dt, ctx, rng, scale, inv);
         psi.set_lane(j, lane);
+        norm_sq[uj] = 1.0;
     }
 }
 
@@ -532,19 +555,22 @@ apply_idle_damping_sequential_batched(exec::BatchedStateVector& psi,
     }
 }
 
+/** Reusable per-batch buffers of the dephasing kick: factors[lane][wire],
+ *  sized on first use and refilled in place after that (avoids a handful
+ *  of heap allocations per moment). */
+using DephasingFactors = std::vector<std::vector<std::vector<Complex>>>;
+
 /** Batched coherent dephasing kick: per-lane per-wire phase walks fused
  *  into one product-diagonal pass over all lanes. */
 void
 apply_idle_dephasing_batched(exec::BatchedStateVector& psi,
                              const NoiseModel& model, Real dt,
                              std::vector<Rng>& rngs,
-                             BatchNoiseScratch& ds)
+                             DephasingFactors& factors)
 {
     const WireDims& dims = psi.dims();
     const int lanes = psi.lanes();
     const Real s = model.dephasing_sigma * std::sqrt(dt);
-    std::vector<std::vector<std::vector<Complex>>>& factors =
-        ds.dephasing_factors;
     factors.resize(static_cast<std::size_t>(lanes));
     for (int j = 0; j < lanes; ++j) {
         auto& lane_factors = factors[static_cast<std::size_t>(j)];
@@ -563,10 +589,10 @@ apply_idle_dephasing_batched(exec::BatchedStateVector& psi,
 }
 
 /**
- * The trajectory moment loop. `psi` holds each lane's initial state and
- * `ideal` its noiseless output; lane j draws from rngs[j]. Advances every
- * lane through the noisy circuit together and returns each lane's
- * fidelity against its ideal output.
+ * The trajectory moment loop. `psi` holds each lane's initial state
+ * (normalised) and `ideal` its noiseless output; lane j draws from
+ * rngs[j]. Advances every lane through the noisy circuit together and
+ * returns each lane's fidelity against its ideal output.
  */
 std::vector<Real>
 run_lanes(const EngineContext& ctx, exec::BatchedStateVector& psi,
@@ -582,42 +608,94 @@ run_lanes(const EngineContext& ctx, exec::BatchedStateVector& psi,
 
     // The fused no-jump tables depend only on the moment duration, which
     // takes exactly two values — build each once per batch, not per moment.
+    const bool fused = model.has_damping() && ctx.accel;
     std::vector<Real> scale_1q, inv_1q, scale_2q, inv_2q;
-    if (model.has_damping() && ctx.accel) {
+    if (fused) {
         build_damping_tables(model, model.dt_1q, ctx, scale_1q, inv_1q);
         build_damping_tables(model, model.dt_2q, ctx, scale_2q, inv_2q);
     }
 
     StateVector lane(psi.dims());  // reused for per-lane divergent fallbacks
-    BatchNoiseScratch ds;
+    std::vector<Real> norm_sq(static_cast<std::size_t>(psi.lanes()), 1.0);
+    std::vector<Real> scaled;  // M_b of the current damped moment
+    std::vector<FiredError> fired;
+    DephasingFactors factors;
     for (const Moment& moment : ctx.moments) {
         obs::ScopedSpan mspan("traj", "moment");
         mspan.arg("ops",
                   static_cast<std::int64_t>(moment.op_indices.size()));
-        for (const std::size_t idx : moment.op_indices) {
-            exec::apply_op_batched(ctx.noisy.ops()[idx], psi,
-                                    bscratch);
-            apply_gate_error_batched(psi, ctx.errors[idx], rngs, lane,
-                                     scratch);
-        }
         const Real dt = model.moment_duration(moment.has_multi_qudit);
-        if (model.has_damping()) {
-            if (ctx.accel) {
-                apply_idle_damping_fused_batched(
-                    psi, model, dt, ctx,
-                    moment.has_multi_qudit ? scale_2q : scale_1q,
-                    moment.has_multi_qudit ? inv_2q : inv_1q, rngs, lane,
-                    ds);
-            } else {
-                apply_idle_damping_sequential_batched(psi, model, dt, rngs,
-                                                      lane);
+        const std::vector<Real>& scale =
+            moment.has_multi_qudit ? scale_2q : scale_1q;
+        for (std::size_t k = 0; k < moment.op_indices.size(); ++k) {
+            const std::size_t idx = moment.op_indices[k];
+            const exec::CompiledOp& op = ctx.noisy.ops()[idx];
+            draw_gate_errors(ctx.errors[idx], rngs, fired);
+            const bool last = k + 1 == moment.op_indices.size();
+            if (fused && last && fired.empty()) {
+                exec::apply_op_batched_damped(op, psi, bscratch,
+                                              ctx.count_key, scale, scaled);
+                continue;
+            }
+            exec::apply_op_batched(op, psi, bscratch);
+            apply_gate_errors(psi, fired, lane, scratch);
+            if (fused && last) {
+                exec::damp_op_batched(op, psi, bscratch, ctx.count_key,
+                                      scale, scaled);
             }
         }
+        if (fused) {
+            apply_idle_damping_fused_batched(
+                psi, model, dt, ctx, scale,
+                moment.has_multi_qudit ? inv_2q : inv_1q, scaled, norm_sq,
+                rngs, lane);
+        } else if (model.has_damping()) {
+            apply_idle_damping_sequential_batched(psi, model, dt, rngs, lane);
+        }
         if (model.has_dephasing()) {
-            apply_idle_dephasing_batched(psi, model, dt, rngs, ds);
+            apply_idle_dephasing_batched(psi, model, dt, rngs, factors);
         }
     }
-    return psi.fidelity_lanes(ideal);
+    std::vector<Real> fid = psi.fidelity_lanes(ideal);
+    for (std::size_t j = 0; j < fid.size(); ++j) {
+        fid[j] /= norm_sq[j];
+    }
+    return fid;
+}
+
+/**
+ * Draws every lane's initial state straight into the batch: Haar-random
+ * over the whole register, or over its qubit subspace (every digit < 2;
+ * the other amplitudes stay zero). Lane j draws its amplitudes from
+ * rngs[j] in index order and is then normalised — bitwise
+ * haar_random_state / haar_random_qubit_subspace_state followed by
+ * set_lane, without the per-lane temporaries.
+ */
+void
+draw_initial_states(exec::BatchedStateVector& psi, std::vector<Rng>& rngs,
+                    bool qubit_subspace)
+{
+    const WireDims& dims = psi.dims();
+    const int lanes = psi.lanes();
+    auto draw = [&](Index idx) {
+        for (int j = 0; j < lanes; ++j) {
+            psi.at(idx, j) =
+                rngs[static_cast<std::size_t>(j)].complex_gaussian();
+        }
+    };
+    if (qubit_subspace) {
+        for_each_qubit_subspace_index(dims, draw);
+    } else {
+        for (Index idx = 0; idx < dims.size(); ++idx) {
+            draw(idx);
+        }
+    }
+    for (const std::uint8_t ok : psi.normalize_lanes()) {
+        if (ok == 0) {
+            throw std::runtime_error(
+                "trajectory: degenerate zero-norm initial state");
+        }
+    }
 }
 
 /**
@@ -632,23 +710,16 @@ run_trajectory_batch(const EngineContext& ctx,
                      exec::BatchedScratch& bscratch,
                      exec::ExecScratch& scratch)
 {
-    const WireDims& dims = ctx.noisy.dims();
     obs::ScopedSpan span("traj", "shot_batch");
     span.arg("start", start);
     span.arg("lanes", lanes);
     std::vector<Rng> rngs;
     rngs.reserve(static_cast<std::size_t>(lanes));
-    exec::BatchedStateVector psi(dims, lanes);
     for (int j = 0; j < lanes; ++j) {
         rngs.push_back(root.child(static_cast<std::uint64_t>(start + j)));
-        const StateVector initial =
-            options.qubit_subspace_inputs
-                ? haar_random_qubit_subspace_state(
-                      dims, rngs[static_cast<std::size_t>(j)])
-                : haar_random_state(dims,
-                                    rngs[static_cast<std::size_t>(j)]);
-        psi.set_lane(j, initial);
     }
+    exec::BatchedStateVector psi(ctx.noisy.dims(), lanes);
+    draw_initial_states(psi, rngs, options.qubit_subspace_inputs);
     exec::BatchedStateVector ideal = psi;
     exec::run_batched(ctx.ideal, ideal, bscratch);
 

@@ -2,7 +2,9 @@
 
 #include "qdsim/exec/simd.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 
 namespace qd::exec {
 
@@ -12,6 +14,11 @@ namespace {
  *  (kernels.cc): below it the batch's parallelism is across shots, not
  *  inside one gate. */
 constexpr Index kParallelOuter = Index{1} << 13;
+
+/** Amplitudes per chunk of outer blocks in one pass: the unit of OpenMP
+ *  work and of the damping epilogue's norm partials. Fixed, so the norm
+ *  summation order is a function of the op's block size alone. */
+constexpr Index kChunkAmps = Index{1} << 10;
 
 // Inner lane loops run on re/im doubles (std::complex array-oriented
 // access): the expression trees match the single-shot complex arithmetic
@@ -30,262 +37,160 @@ as_reals(const Complex* p)
     return reinterpret_cast<const Real*>(p);
 }
 
-void
-run_permutation_b(const CompiledOp& op, Complex* amps, const std::size_t B,
-                  BatchedScratch& scratch)
-{
-    const ApplyPlan& plan = *op.plan;
-    const std::int64_t nouter =
-        static_cast<std::int64_t>(plan.outer_count());
-    const Index* cyc = op.cycle_offsets.data();
-    const std::uint32_t* lens = op.cycle_lengths.data();
-    const std::size_t ncycles = op.cycle_lengths.size();
-    auto do_block = [&](Index base, Complex* tmp) {
-        const Index* c = cyc;
-        for (std::size_t j = 0; j < ncycles; ++j) {
-            const std::uint32_t len = lens[j];
-            const Complex* last = amps + (base + c[len - 1]) * B;
-            for (std::size_t b = 0; b < B; ++b) {
-                tmp[b] = last[b];
-            }
-            for (std::uint32_t i = len - 1; i >= 1; --i) {
-                Complex* dst = amps + (base + c[i]) * B;
-                const Complex* src = amps + (base + c[i - 1]) * B;
-                for (std::size_t b = 0; b < B; ++b) {
-                    dst[b] = src[b];
-                }
-            }
-            Complex* first = amps + (base + c[0]) * B;
-            for (std::size_t b = 0; b < B; ++b) {
-                first[b] = tmp[b];
-            }
-            c += len;
-        }
-    };
-#ifdef _OPENMP
-    if (nouter >= static_cast<std::int64_t>(kParallelOuter)) {
-#pragma omp parallel
-        {
-            std::vector<Complex> tmp(B);
-#pragma omp for schedule(static)
-            for (std::int64_t o = 0; o < nouter; ++o) {
-                do_block(plan.base_of(static_cast<Index>(o)), tmp.data());
-            }
-        }
-        return;
-    }
-#endif
-    if (scratch.tmp.size() < B) {
-        scratch.tmp.resize(B);
-    }
-    for (std::int64_t o = 0; o < nouter; ++o) {
-        do_block(plan.base_of(static_cast<Index>(o)), scratch.tmp.data());
-    }
-}
+/** Outer blocks of a plan-based kernel: block o holds the amplitudes
+ *  plan.base_of(o) + local_offset[k], in odometer order. */
+struct PlanBlocks {
+    const ApplyPlan& plan;
 
-void
-run_monomial_b(const CompiledOp& op, Complex* amps, const std::size_t B,
-               BatchedScratch& scratch)
-{
-    const ApplyPlan& plan = *op.plan;
-    const std::int64_t nouter =
-        static_cast<std::int64_t>(plan.outer_count());
-    const Index* cyc = op.cycle_offsets.data();
-    const Complex* ph = op.cycle_phases.data();
-    const std::uint32_t* lens = op.cycle_lengths.data();
-    const std::size_t ncycles = op.cycle_lengths.size();
-    // dst[b] = src[b] * phase, lane loop on raw re/im doubles (matches the
-    // single-shot complex multiply bitwise; see the note at the top).
-    auto move_scaled = [&](Complex* dst, const Complex* src, Complex f) {
-        const Real fr = f.real(), fi = f.imag();
-        Real* d = as_reals(dst);
-        const Real* s = as_reals(src);
-        QD_SIMD
-        for (std::size_t l = 0; l < B; ++l) {
-            const Real ar = s[2 * l], ai = s[2 * l + 1];
-            d[2 * l] = ar * fr - ai * fi;
-            d[2 * l + 1] = ar * fi + ai * fr;
+    std::int64_t count() const {
+        return static_cast<std::int64_t>(plan.outer_count());
+    }
+    bool parallel() const { return plan.outer_count() >= kParallelOuter; }
+    const Index* offsets() const { return plan.local_offset.data(); }
+    Index size() const { return plan.block; }
+
+    template <class Visit>
+    void walk(std::int64_t lo, std::int64_t hi, Visit visit) const {
+        for (std::int64_t o = lo; o < hi; ++o) {
+            visit(plan.base_of(static_cast<Index>(o)));
         }
-    };
-    auto do_block = [&](Index base, Complex* tmp) {
-        const Index* c = cyc;
-        const Complex* v = ph;
-        for (std::size_t j = 0; j < ncycles; ++j) {
-            const std::uint32_t len = lens[j];
-            if (len == 1) {
-                Complex* p = amps + (base + c[0]) * B;
-                move_scaled(p, p, v[0]);
+    }
+};
+
+/** Outer blocks of a single-wire kernel: block o is row o, the d
+ *  amplitudes base + v * stride (v < d), rows in increasing base order.
+ *  Runs of `period` amplitudes are the OpenMP threshold unit, exactly as
+ *  in the single-shot kernels. */
+struct WireBlocks {
+    Index stride, period, total;
+    Index off[3];
+    Index d;
+
+    WireBlocks(Index stride_, Index period_, Index total_)
+        : stride(stride_), period(period_), total(total_),
+          off{0, stride_, 2 * stride_}, d(period_ / stride_) {}
+
+    std::int64_t count() const {
+        return static_cast<std::int64_t>(total / d);
+    }
+    bool parallel() const { return total / period >= kParallelOuter; }
+    const Index* offsets() const { return off; }
+    Index size() const { return d; }
+
+    template <class Visit>
+    void walk(std::int64_t lo, std::int64_t hi, Visit visit) const {
+        Index i = static_cast<Index>(lo) % stride;
+        Index base = static_cast<Index>(lo) / stride * period + i;
+        for (std::int64_t o = lo; o < hi; ++o) {
+            visit(base);
+            if (++i == stride) {
+                i = 0;
+                base += period - stride + 1;
             } else {
-                move_scaled(tmp, amps + (base + c[len - 1]) * B, v[len - 1]);
-                for (std::uint32_t i = len - 1; i >= 1; --i) {
-                    move_scaled(amps + (base + c[i]) * B,
-                                amps + (base + c[i - 1]) * B, v[i - 1]);
-                }
-                Complex* first = amps + (base + c[0]) * B;
-                for (std::size_t b = 0; b < B; ++b) {
-                    first[b] = tmp[b];
-                }
+                ++base;
             }
-            c += len;
-            v += len;
         }
+    }
+};
+
+/** The no-jump damping epilogue of one pass over a B-lane batch. */
+struct Damping {
+    Real* amps;  ///< the batch as re/im doubles
+    std::size_t B;
+    const std::uint16_t* key;
+    const Real* scale;
+
+    /**
+     * Scales the n amplitudes base + off[j] of every lane by
+     * scale[key[idx]] and adds their squared magnitudes into acc[lane],
+     * in j order — the multiply-then-accumulate of scale_by_table.
+     */
+    void block(Index base, const Index* off, Index n,
+               Real* __restrict acc) const {
+        for (Index j = 0; j < n; ++j) {
+            const Index idx = base + off[j];
+            const Real f = scale[key[idx]];
+            Real* __restrict p =
+                amps + 2 * static_cast<std::size_t>(idx) * B;
+            QD_SIMD
+            for (std::size_t b = 0; b < B; ++b) {
+                const Real re = p[2 * b] * f, im = p[2 * b + 1] * f;
+                p[2 * b] = re;
+                p[2 * b + 1] = im;
+                acc[b] += re * re + im * im;
+            }
+        }
+    }
+};
+
+/**
+ * The one pass driver every batched kernel runs through: visits the outer
+ * blocks of `blocks` in chunks of about kChunkAmps amplitudes (OpenMP
+ * static schedule over chunks on large registers) and calls
+ * kernel(base, tmp) per block, where tmp is a per-thread buffer of
+ * `tmp_elems` complexes. With `damping`, the epilogue scales each block
+ * right after the kernel wrote it, while it is cache-resident; chunk c
+ * sums its lanes' squared norms into its own partial row, and the rows
+ * are added in chunk order into `norm_sq`.
+ */
+template <class Blocks, class Kernel>
+void
+run_blocks(const Blocks& blocks, std::size_t tmp_elems,
+           BatchedScratch& scratch, Kernel kernel, const Damping* damping,
+           std::vector<Real>* norm_sq)
+{
+    const std::int64_t n = blocks.count();
+    const std::int64_t per =
+        std::max<std::int64_t>(1, static_cast<std::int64_t>(
+                                      kChunkAmps / blocks.size()));
+    const std::int64_t nchunks = (n + per - 1) / per;
+    const std::size_t B = damping != nullptr ? damping->B : 0;
+    Real* partial = nullptr;
+    if (damping != nullptr) {
+        scratch.partial.assign(static_cast<std::size_t>(nchunks) * B, 0.0);
+        partial = scratch.partial.data();
+    }
+    auto run_chunk = [&](std::int64_t c, Complex* tmp) {
+        const std::int64_t lo = c * per;
+        const std::int64_t hi = std::min(n, lo + per);
+        if (damping == nullptr) {
+            blocks.walk(lo, hi, [&](Index base) { kernel(base, tmp); });
+            return;
+        }
+        Real* acc = partial + static_cast<std::size_t>(c) * B;
+        blocks.walk(lo, hi, [&](Index base) {
+            kernel(base, tmp);
+            damping->block(base, blocks.offsets(), blocks.size(), acc);
+        });
     };
 #ifdef _OPENMP
-    if (nouter >= static_cast<std::int64_t>(kParallelOuter)) {
+    if (blocks.parallel()) {
 #pragma omp parallel
         {
-            std::vector<Complex> tmp(B);
+            std::vector<Complex> tmp(tmp_elems);
 #pragma omp for schedule(static)
-            for (std::int64_t o = 0; o < nouter; ++o) {
-                do_block(plan.base_of(static_cast<Index>(o)), tmp.data());
+            for (std::int64_t c = 0; c < nchunks; ++c) {
+                run_chunk(c, tmp.data());
             }
         }
-        return;
-    }
+    } else
 #endif
-    if (scratch.tmp.size() < B) {
-        scratch.tmp.resize(B);
-    }
-    for (std::int64_t o = 0; o < nouter; ++o) {
-        do_block(plan.base_of(static_cast<Index>(o)), scratch.tmp.data());
-    }
-}
-
-void
-run_diagonal_b(const CompiledOp& op, Complex* amps, const std::size_t B)
-{
-    const ApplyPlan& plan = *op.plan;
-    const Index* off = plan.local_offset.data();
-    const Complex* diag = op.diag.data();
-    const Index block = plan.block;
-    const std::int64_t nouter =
-        static_cast<std::int64_t>(plan.outer_count());
-    auto do_block = [&](Index base) {
-        for (Index b = 0; b < block; ++b) {
-            const Real fr = diag[b].real(), fi = diag[b].imag();
-            Real* d = as_reals(amps + (base + off[b]) * B);
-            QD_SIMD
-            for (std::size_t l = 0; l < B; ++l) {
-                const Real ar = d[2 * l], ai = d[2 * l + 1];
-                d[2 * l] = ar * fr - ai * fi;
-                d[2 * l + 1] = ar * fi + ai * fr;
-            }
+    {
+        if (scratch.tmp.size() < tmp_elems) {
+            scratch.tmp.resize(tmp_elems);
         }
-    };
-#ifdef _OPENMP
-    if (nouter >= static_cast<std::int64_t>(kParallelOuter)) {
-#pragma omp parallel for schedule(static)
-        for (std::int64_t o = 0; o < nouter; ++o) {
-            do_block(plan.base_of(static_cast<Index>(o)));
-        }
-        return;
-    }
-#endif
-    for (std::int64_t o = 0; o < nouter; ++o) {
-        do_block(plan.base_of(static_cast<Index>(o)));
-    }
-}
-
-void
-run_single_d2_b(const CompiledOp& op, Complex* amps, Index total,
-                const std::size_t B)
-{
-    const Complex u00 = op.u[0], u01 = op.u[1];
-    const Complex u10 = op.u[2], u11 = op.u[3];
-    const Index stride = op.stride1, period = op.period1;
-    const std::int64_t nchunks = static_cast<std::int64_t>(total / period);
-    const std::size_t jump = static_cast<std::size_t>(stride) * B;
-    const Real u00r = u00.real(), u00i = u00.imag();
-    const Real u01r = u01.real(), u01i = u01.imag();
-    const Real u10r = u10.real(), u10i = u10.imag();
-    const Real u11r = u11.real(), u11i = u11.imag();
-    auto do_chunk = [&](Index start) {
-        Complex* p0 = amps + start * B;
-        for (Index i = 0; i < stride; ++i, p0 += B) {
-            Real* d0 = as_reals(p0);
-            Real* d1 = as_reals(p0 + jump);
-            QD_SIMD
-            for (std::size_t b = 0; b < B; ++b) {
-                const Real a0r = d0[2 * b], a0i = d0[2 * b + 1];
-                const Real a1r = d1[2 * b], a1i = d1[2 * b + 1];
-                d0[2 * b] = (u00r * a0r - u00i * a0i) +
-                            (u01r * a1r - u01i * a1i);
-                d0[2 * b + 1] = (u00r * a0i + u00i * a0r) +
-                                (u01r * a1i + u01i * a1r);
-                d1[2 * b] = (u10r * a0r - u10i * a0i) +
-                            (u11r * a1r - u11i * a1i);
-                d1[2 * b + 1] = (u10r * a0i + u10i * a0r) +
-                                (u11r * a1i + u11i * a1r);
-            }
-        }
-    };
-#ifdef _OPENMP
-    if (nchunks >= static_cast<std::int64_t>(kParallelOuter)) {
-#pragma omp parallel for schedule(static)
         for (std::int64_t c = 0; c < nchunks; ++c) {
-            do_chunk(static_cast<Index>(c) * period);
+            run_chunk(c, scratch.tmp.data());
         }
-        return;
     }
-#endif
-    for (std::int64_t c = 0; c < nchunks; ++c) {
-        do_chunk(static_cast<Index>(c) * period);
-    }
-}
-
-void
-run_single_d3_b(const CompiledOp& op, Complex* amps, Index total,
-                const std::size_t B)
-{
-    const Complex u00 = op.u[0], u01 = op.u[1], u02 = op.u[2];
-    const Complex u10 = op.u[3], u11 = op.u[4], u12 = op.u[5];
-    const Complex u20 = op.u[6], u21 = op.u[7], u22 = op.u[8];
-    const Index stride = op.stride1, period = op.period1;
-    const std::int64_t nchunks = static_cast<std::int64_t>(total / period);
-    const std::size_t jump = static_cast<std::size_t>(stride) * B;
-    auto do_chunk = [&](Index start) {
-        Complex* p0 = amps + start * B;
-        for (Index i = 0; i < stride; ++i, p0 += B) {
-            Real* d0 = as_reals(p0);
-            Real* d1 = as_reals(p0 + jump);
-            Real* d2 = as_reals(p0 + 2 * jump);
-            QD_SIMD
+    if (damping != nullptr) {
+        norm_sq->assign(B, 0.0);
+        for (std::int64_t c = 0; c < nchunks; ++c) {
+            const Real* row = partial + static_cast<std::size_t>(c) * B;
             for (std::size_t b = 0; b < B; ++b) {
-                const Real a0r = d0[2 * b], a0i = d0[2 * b + 1];
-                const Real a1r = d1[2 * b], a1i = d1[2 * b + 1];
-                const Real a2r = d2[2 * b], a2i = d2[2 * b + 1];
-                d0[2 * b] = (u00.real() * a0r - u00.imag() * a0i) +
-                            (u01.real() * a1r - u01.imag() * a1i) +
-                            (u02.real() * a2r - u02.imag() * a2i);
-                d0[2 * b + 1] = (u00.real() * a0i + u00.imag() * a0r) +
-                                (u01.real() * a1i + u01.imag() * a1r) +
-                                (u02.real() * a2i + u02.imag() * a2r);
-                d1[2 * b] = (u10.real() * a0r - u10.imag() * a0i) +
-                            (u11.real() * a1r - u11.imag() * a1i) +
-                            (u12.real() * a2r - u12.imag() * a2i);
-                d1[2 * b + 1] = (u10.real() * a0i + u10.imag() * a0r) +
-                                (u11.real() * a1i + u11.imag() * a1r) +
-                                (u12.real() * a2i + u12.imag() * a2r);
-                d2[2 * b] = (u20.real() * a0r - u20.imag() * a0i) +
-                            (u21.real() * a1r - u21.imag() * a1i) +
-                            (u22.real() * a2r - u22.imag() * a2i);
-                d2[2 * b + 1] = (u20.real() * a0i + u20.imag() * a0r) +
-                                (u21.real() * a1i + u21.imag() * a1r) +
-                                (u22.real() * a2i + u22.imag() * a2r);
+                (*norm_sq)[b] += row[b];
             }
         }
-    };
-#ifdef _OPENMP
-    if (nchunks >= static_cast<std::int64_t>(kParallelOuter)) {
-#pragma omp parallel for schedule(static)
-        for (std::int64_t c = 0; c < nchunks; ++c) {
-            do_chunk(static_cast<Index>(c) * period);
-        }
-        return;
-    }
-#endif
-    for (std::int64_t c = 0; c < nchunks; ++c) {
-        do_chunk(static_cast<Index>(c) * period);
     }
 }
 
@@ -358,39 +263,232 @@ matvec_block_b(Complex* amps, Index base, const Index* off, Index nb,
     }
 }
 
+/**
+ * Runs `op` over every lane through run_blocks (with the damping epilogue
+ * when `damping` is set). Each case supplies the kernel's outer-block
+ * geometry and its per-block body.
+ */
 void
-run_block_matvec_b(const CompiledOp& op, Complex* amps, const std::size_t B,
-                   BatchedScratch& scratch, const Index* off, Index nb,
-                   const Complex* m, Index extra_offset)
+run_op(const CompiledOp& op, BatchedStateVector& psi, BatchedScratch& scratch,
+       const Damping* damping, std::vector<Real>* norm_sq)
 {
-    const ApplyPlan& plan = *op.plan;
-    const std::int64_t nouter =
-        static_cast<std::int64_t>(plan.outer_count());
-    const std::size_t need = static_cast<std::size_t>(nb) * B;
-#ifdef _OPENMP
-    if (nouter >= static_cast<std::int64_t>(kParallelOuter)) {
-#pragma omp parallel
-        {
-            std::vector<Complex> in(need);
-#pragma omp for schedule(static)
-            for (std::int64_t o = 0; o < nouter; ++o) {
-                matvec_block_b(amps,
-                               plan.base_of(static_cast<Index>(o)) +
-                                   extra_offset,
-                               off, nb, m, B, in.data());
-            }
+    Complex* amps = psi.data();
+    const std::size_t B = static_cast<std::size_t>(psi.lanes());
+    auto run = [&](const auto& blocks, std::size_t tmp_elems, auto kernel) {
+        run_blocks(blocks, tmp_elems, scratch, kernel, damping, norm_sq);
+    };
+    switch (op.kind) {
+        case KernelKind::kPermutation: {
+            const Index* cyc = op.cycle_offsets.data();
+            const std::uint32_t* lens = op.cycle_lengths.data();
+            const std::size_t ncycles = op.cycle_lengths.size();
+            run(PlanBlocks{*op.plan}, B, [=](Index base, Complex* tmp) {
+                const Index* c = cyc;
+                for (std::size_t j = 0; j < ncycles; ++j) {
+                    const std::uint32_t len = lens[j];
+                    const Complex* last = amps + (base + c[len - 1]) * B;
+                    for (std::size_t b = 0; b < B; ++b) {
+                        tmp[b] = last[b];
+                    }
+                    for (std::uint32_t i = len - 1; i >= 1; --i) {
+                        Complex* dst = amps + (base + c[i]) * B;
+                        const Complex* src = amps + (base + c[i - 1]) * B;
+                        for (std::size_t b = 0; b < B; ++b) {
+                            dst[b] = src[b];
+                        }
+                    }
+                    Complex* first = amps + (base + c[0]) * B;
+                    for (std::size_t b = 0; b < B; ++b) {
+                        first[b] = tmp[b];
+                    }
+                    c += len;
+                }
+            });
+            return;
         }
-        return;
+        case KernelKind::kMonomial: {
+            const Index* cyc = op.cycle_offsets.data();
+            const Complex* ph = op.cycle_phases.data();
+            const std::uint32_t* lens = op.cycle_lengths.data();
+            const std::size_t ncycles = op.cycle_lengths.size();
+            // dst[b] = src[b] * phase, lane loop on raw re/im doubles
+            // (matches the single-shot complex multiply bitwise; see the
+            // note at the top).
+            auto move_scaled = [B](Complex* dst, const Complex* src,
+                                   Complex f) {
+                const Real fr = f.real(), fi = f.imag();
+                Real* d = as_reals(dst);
+                const Real* s = as_reals(src);
+                QD_SIMD
+                for (std::size_t l = 0; l < B; ++l) {
+                    const Real ar = s[2 * l], ai = s[2 * l + 1];
+                    d[2 * l] = ar * fr - ai * fi;
+                    d[2 * l + 1] = ar * fi + ai * fr;
+                }
+            };
+            run(PlanBlocks{*op.plan}, B, [=](Index base, Complex* tmp) {
+                const Index* c = cyc;
+                const Complex* v = ph;
+                for (std::size_t j = 0; j < ncycles; ++j) {
+                    const std::uint32_t len = lens[j];
+                    if (len == 1) {
+                        Complex* p = amps + (base + c[0]) * B;
+                        move_scaled(p, p, v[0]);
+                    } else {
+                        move_scaled(tmp, amps + (base + c[len - 1]) * B,
+                                    v[len - 1]);
+                        for (std::uint32_t i = len - 1; i >= 1; --i) {
+                            move_scaled(amps + (base + c[i]) * B,
+                                        amps + (base + c[i - 1]) * B,
+                                        v[i - 1]);
+                        }
+                        Complex* first = amps + (base + c[0]) * B;
+                        for (std::size_t b = 0; b < B; ++b) {
+                            first[b] = tmp[b];
+                        }
+                    }
+                    c += len;
+                    v += len;
+                }
+            });
+            return;
+        }
+        case KernelKind::kDiagonal: {
+            const Index* off = op.plan->local_offset.data();
+            const Complex* diag = op.diag.data();
+            const Index block = op.plan->block;
+            run(PlanBlocks{*op.plan}, 0, [=](Index base, Complex*) {
+                for (Index b = 0; b < block; ++b) {
+                    const Real fr = diag[b].real(), fi = diag[b].imag();
+                    Real* d = as_reals(amps + (base + off[b]) * B);
+                    QD_SIMD
+                    for (std::size_t l = 0; l < B; ++l) {
+                        const Real ar = d[2 * l], ai = d[2 * l + 1];
+                        d[2 * l] = ar * fr - ai * fi;
+                        d[2 * l + 1] = ar * fi + ai * fr;
+                    }
+                }
+            });
+            return;
+        }
+        case KernelKind::kSingleWireD2: {
+            const Real u00r = op.u[0].real(), u00i = op.u[0].imag();
+            const Real u01r = op.u[1].real(), u01i = op.u[1].imag();
+            const Real u10r = op.u[2].real(), u10i = op.u[2].imag();
+            const Real u11r = op.u[3].real(), u11i = op.u[3].imag();
+            const std::size_t jump = static_cast<std::size_t>(op.stride1) * B;
+            run(WireBlocks(op.stride1, op.period1, psi.size()), 0,
+                [=](Index base, Complex*) {
+                    Real* d0 = as_reals(amps + base * B);
+                    Real* d1 = as_reals(amps + base * B + jump);
+                    QD_SIMD
+                    for (std::size_t b = 0; b < B; ++b) {
+                        const Real a0r = d0[2 * b], a0i = d0[2 * b + 1];
+                        const Real a1r = d1[2 * b], a1i = d1[2 * b + 1];
+                        d0[2 * b] = (u00r * a0r - u00i * a0i) +
+                                    (u01r * a1r - u01i * a1i);
+                        d0[2 * b + 1] = (u00r * a0i + u00i * a0r) +
+                                        (u01r * a1i + u01i * a1r);
+                        d1[2 * b] = (u10r * a0r - u10i * a0i) +
+                                    (u11r * a1r - u11i * a1i);
+                        d1[2 * b + 1] = (u10r * a0i + u10i * a0r) +
+                                        (u11r * a1i + u11i * a1r);
+                    }
+                });
+            return;
+        }
+        case KernelKind::kSingleWireD3: {
+            const Complex u00 = op.u[0], u01 = op.u[1], u02 = op.u[2];
+            const Complex u10 = op.u[3], u11 = op.u[4], u12 = op.u[5];
+            const Complex u20 = op.u[6], u21 = op.u[7], u22 = op.u[8];
+            const std::size_t jump = static_cast<std::size_t>(op.stride1) * B;
+            run(WireBlocks(op.stride1, op.period1, psi.size()), 0,
+                [=](Index base, Complex*) {
+                    Real* d0 = as_reals(amps + base * B);
+                    Real* d1 = as_reals(amps + base * B + jump);
+                    Real* d2 = as_reals(amps + base * B + 2 * jump);
+                    QD_SIMD
+                    for (std::size_t b = 0; b < B; ++b) {
+                        const Real a0r = d0[2 * b], a0i = d0[2 * b + 1];
+                        const Real a1r = d1[2 * b], a1i = d1[2 * b + 1];
+                        const Real a2r = d2[2 * b], a2i = d2[2 * b + 1];
+                        d0[2 * b] = (u00.real() * a0r - u00.imag() * a0i) +
+                                    (u01.real() * a1r - u01.imag() * a1i) +
+                                    (u02.real() * a2r - u02.imag() * a2i);
+                        d0[2 * b + 1] =
+                            (u00.real() * a0i + u00.imag() * a0r) +
+                            (u01.real() * a1i + u01.imag() * a1r) +
+                            (u02.real() * a2i + u02.imag() * a2r);
+                        d1[2 * b] = (u10.real() * a0r - u10.imag() * a0i) +
+                                    (u11.real() * a1r - u11.imag() * a1i) +
+                                    (u12.real() * a2r - u12.imag() * a2i);
+                        d1[2 * b + 1] =
+                            (u10.real() * a0i + u10.imag() * a0r) +
+                            (u11.real() * a1i + u11.imag() * a1r) +
+                            (u12.real() * a2i + u12.imag() * a2r);
+                        d2[2 * b] = (u20.real() * a0r - u20.imag() * a0i) +
+                                    (u21.real() * a1r - u21.imag() * a1i) +
+                                    (u22.real() * a2r - u22.imag() * a2i);
+                        d2[2 * b + 1] =
+                            (u20.real() * a0i + u20.imag() * a0r) +
+                            (u21.real() * a1i + u21.imag() * a1r) +
+                            (u22.real() * a2i + u22.imag() * a2r);
+                    }
+                });
+            return;
+        }
+        case KernelKind::kControlled: {
+            // The epilogue walks the full plan block (controls and
+            // targets); the matvec only the active-control target block.
+            const Index* off = op.inner_offset.data();
+            const Index nb = static_cast<Index>(op.inner_offset.size());
+            const Complex* m = op.inner.data().data();
+            const Index ctrl = op.ctrl_offset;
+            run(PlanBlocks{*op.plan}, static_cast<std::size_t>(nb) * B,
+                [=](Index base, Complex* in) {
+                    matvec_block_b(amps, base + ctrl, off, nb, m, B, in);
+                });
+            return;
+        }
+        case KernelKind::kDense: {
+            const Index* off = op.plan->local_offset.data();
+            const Index nb = op.plan->block;
+            const Complex* m = op.gate.matrix().data().data();
+            run(PlanBlocks{*op.plan}, static_cast<std::size_t>(nb) * B,
+                [=](Index base, Complex* in) {
+                    matvec_block_b(amps, base, off, nb, m, B, in);
+                });
+            return;
+        }
     }
-#endif
-    if (scratch.in.size() < need) {
-        scratch.in.resize(need);
+}
+
+void
+count_dispatch(const CompiledOp& op, const BatchedStateVector& psi)
+{
+    // Counter hook sits OUTSIDE the kernels' OpenMP regions. The class
+    // counter advances by the lane count so per-class totals across the
+    // two zoos are invariant under the batch width (each lane is bitwise
+    // one single-shot application).
+    if (obs::enabled()) {
+        const std::uint64_t B = static_cast<std::uint64_t>(psi.lanes());
+        obs::count_unchecked(kernel_counter(op.kind, /*batched=*/true), B);
+        obs::count_unchecked(obs::Counter::kBatDispatches);
+        obs::count_unchecked(obs::Counter::kEstimatedFlops,
+                             op_flop_estimate(op, psi.size()) * B);
     }
-    for (std::int64_t o = 0; o < nouter; ++o) {
-        matvec_block_b(amps,
-                       plan.base_of(static_cast<Index>(o)) + extra_offset,
-                       off, nb, m, B, scratch.in.data());
+}
+
+Damping
+damping_for(BatchedStateVector& psi, const std::vector<std::uint16_t>& key,
+            const std::vector<Real>& scale)
+{
+    if (key.size() != static_cast<std::size_t>(psi.size())) {
+        throw std::invalid_argument("damping epilogue: key size mismatch");
     }
+    return Damping{as_reals(psi.data()),
+                   static_cast<std::size_t>(psi.lanes()), key.data(),
+                   scale.data()};
 }
 
 }  // namespace
@@ -399,45 +497,36 @@ void
 apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
                  BatchedScratch& scratch)
 {
-    Complex* amps = psi.data();
-    const std::size_t B = static_cast<std::size_t>(psi.lanes());
-    // Counter hook sits OUTSIDE the kernels' OpenMP regions. The class
-    // counter advances by the lane count so per-class totals across the
-    // two zoos are invariant under the batch width (each lane is bitwise
-    // one single-shot application).
-    if (obs::enabled()) {
-        obs::count_unchecked(kernel_counter(op.kind, /*batched=*/true), B);
-        obs::count_unchecked(obs::Counter::kBatDispatches);
-        obs::count_unchecked(
-            obs::Counter::kEstimatedFlops,
-            op_flop_estimate(op, psi.size()) * static_cast<std::uint64_t>(B));
-    }
-    switch (op.kind) {
-        case KernelKind::kPermutation:
-            run_permutation_b(op, amps, B, scratch);
-            return;
-        case KernelKind::kDiagonal:
-            run_diagonal_b(op, amps, B);
-            return;
-        case KernelKind::kMonomial:
-            run_monomial_b(op, amps, B, scratch);
-            return;
-        case KernelKind::kSingleWireD2:
-            run_single_d2_b(op, amps, psi.size(), B);
-            return;
-        case KernelKind::kSingleWireD3:
-            run_single_d3_b(op, amps, psi.size(), B);
-            return;
-        case KernelKind::kControlled:
-            run_block_matvec_b(op, amps, B, scratch, op.inner_offset.data(),
-                               static_cast<Index>(op.inner_offset.size()),
-                               op.inner.data().data(), op.ctrl_offset);
-            return;
-        case KernelKind::kDense:
-            run_block_matvec_b(op, amps, B, scratch,
-                               op.plan->local_offset.data(), op.plan->block,
-                               op.gate.matrix().data().data(), 0);
-            return;
+    count_dispatch(op, psi);
+    run_op(op, psi, scratch, nullptr, nullptr);
+}
+
+void
+apply_op_batched_damped(const CompiledOp& op, BatchedStateVector& psi,
+                        BatchedScratch& scratch,
+                        const std::vector<std::uint16_t>& key,
+                        const std::vector<Real>& scale,
+                        std::vector<Real>& norm_sq)
+{
+    const Damping damping = damping_for(psi, key, scale);
+    count_dispatch(op, psi);
+    run_op(op, psi, scratch, &damping, &norm_sq);
+}
+
+void
+damp_op_batched(const CompiledOp& op, BatchedStateVector& psi,
+                BatchedScratch& scratch,
+                const std::vector<std::uint16_t>& key,
+                const std::vector<Real>& scale, std::vector<Real>& norm_sq)
+{
+    const Damping damping = damping_for(psi, key, scale);
+    auto no_gate = [](Index, Complex*) {};
+    if (op.plan == nullptr) {
+        run_blocks(WireBlocks(op.stride1, op.period1, psi.size()), 0,
+                   scratch, no_gate, &damping, &norm_sq);
+    } else {
+        run_blocks(PlanBlocks{*op.plan}, 0, scratch, no_gate, &damping,
+                   &norm_sq);
     }
 }
 

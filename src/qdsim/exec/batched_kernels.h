@@ -15,9 +15,23 @@
  * same state (property-tested in tests/qdsim/test_batched.cc). That is
  * what lets the trajectory engine mix batched passes with per-lane
  * single-shot fallbacks for divergent events.
+ *
+ * `apply_op_batched_damped` is the same pass with the trajectory engine's
+ * no-jump damping step as an epilogue: right after the kernel writes an
+ * outer block, every amplitude of that block (touched or not) is scaled
+ * by its damping-table entry and added into the lane's squared norm, while
+ * the block is still in cache — so the damping adds no sweep of its own
+ * to a moment. Norms are summed per fixed-size chunk of outer blocks
+ * and the chunk partials combined in chunk order: the result depends on
+ * the op's block geometry only, never on the OpenMP thread count, and
+ * `damp_op_batched` (the epilogue on its own, same walk) reproduces it
+ * bitwise after a plain `apply_op_batched`.
  */
 #ifndef QDSIM_EXEC_BATCHED_KERNELS_H
 #define QDSIM_EXEC_BATCHED_KERNELS_H
+
+#include <cstdint>
+#include <vector>
 
 #include "qdsim/exec/batched_state.h"
 #include "qdsim/exec/compiled_circuit.h"
@@ -25,18 +39,41 @@
 
 namespace qd::exec {
 
-/** Reusable lane-major buffers, one per executing thread, grown on demand
- *  like ExecScratch: `in` gathers operand blocks for the matvec kernels
+/** Reusable buffers, one per executing thread, grown on demand like
+ *  ExecScratch: `tmp` gathers operand blocks for the matvec kernels
  *  (outputs store straight back to the state, so there is no scatter
- *  buffer), `tmp` holds one lane row during permutation cycle walks. */
+ *  buffer) or holds one lane row during permutation cycle walks; `partial`
+ *  holds the damping epilogue's per-chunk, per-lane norm partials. */
 struct BatchedScratch {
-    std::vector<Complex> in, tmp;
+    std::vector<Complex> tmp;
+    std::vector<Real> partial;
 };
 
 /** Executes a compiled operation on every lane in place. `psi` must be
  *  over the dims the op was compiled for. */
 void apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
                       BatchedScratch& scratch);
+
+/**
+ * apply_op_batched with the no-jump damping epilogue: afterwards every
+ * amplitude idx of every lane has been multiplied by scale[key[idx]], and
+ * norm_sq[b] holds lane b's squared norm of the result. Each lane is
+ * bitwise equal to apply_op_batched followed by damp_op_batched.
+ * @throws std::invalid_argument if key.size() != psi.size().
+ */
+void apply_op_batched_damped(const CompiledOp& op, BatchedStateVector& psi,
+                             BatchedScratch& scratch,
+                             const std::vector<std::uint16_t>& key,
+                             const std::vector<Real>& scale,
+                             std::vector<Real>& norm_sq);
+
+/** The damping epilogue of apply_op_batched_damped on its own: the same
+ *  walk over `op`'s outer blocks, without the gate. */
+void damp_op_batched(const CompiledOp& op, BatchedStateVector& psi,
+                     BatchedScratch& scratch,
+                     const std::vector<std::uint16_t>& key,
+                     const std::vector<Real>& scale,
+                     std::vector<Real>& norm_sq);
 
 /** Applies all operations of a compiled circuit to every lane in order. */
 void run_batched(const CompiledCircuit& compiled, BatchedStateVector& psi,

@@ -74,42 +74,6 @@ sweep_lanes(std::size_t n, std::size_t B, Acc* __restrict acc, Step step)
     }
 }
 
-/**
- * Per-lane normalisation factors expanded to re/im pairs: exactly
- * StateVector::normalize's sqrt-then-reciprocal for every selected lane
- * (empty mask = all) whose norm is positive and finite, and 1.0 for the
- * rest, whose multiply is a bitwise no-op. ok[b] is cleared for selected
- * lanes that cannot be normalised. Returns false iff no lane is scaled.
- */
-bool
-lane_inverse_norms(const std::vector<Real>& norm_sq,
-                   const std::vector<std::uint8_t>& mask,
-                   std::vector<std::uint8_t>& ok, std::vector<Real>& inv2)
-{
-    const std::size_t B = ok.size();
-    if (!mask.empty() && mask.size() != B) {
-        throw std::invalid_argument("normalize_lanes: mask size mismatch");
-    }
-    if (norm_sq.size() != B) {
-        throw std::invalid_argument("normalize_lanes: norm count mismatch");
-    }
-    inv2.assign(2 * B, 1.0);
-    bool any = false;
-    for (std::size_t b = 0; b < B; ++b) {
-        if (!mask.empty() && mask[b] == 0) {
-            continue;
-        }
-        const Real nrm = std::sqrt(norm_sq[b]);
-        if (nrm <= 0 || !std::isfinite(nrm)) {
-            ok[b] = 0;
-            continue;
-        }
-        inv2[2 * b] = inv2[2 * b + 1] = 1.0 / nrm;
-        any = true;
-    }
-    return any;
-}
-
 }  // namespace
 
 BatchedStateVector::BatchedStateVector(WireDims dims, int lanes)
@@ -191,63 +155,6 @@ BatchedStateVector::scale_by_table_lanes(
 }
 
 std::vector<Real>
-BatchedStateVector::scaled_norm_sq_lanes(
-    const std::vector<std::uint16_t>& key,
-    const std::vector<Real>& scale) const
-{
-    const std::size_t n = static_cast<std::size_t>(dims_.size());
-    if (key.size() != n) {
-        throw std::invalid_argument(
-            "scaled_norm_sq_lanes: key size mismatch");
-    }
-    const std::size_t B = static_cast<std::size_t>(lanes_);
-    std::vector<Real> norm_sq(B, 0.0);
-    // The squares of the rounded products x * s[key] — the values
-    // scale_by_table_lanes would store and then accumulate.
-    const Real* __restrict d = as_reals(amps_.data());
-    const std::uint16_t* __restrict k = key.data();
-    const Real* __restrict s = scale.data();
-    sweep_lanes(n, B, norm_sq.data(),
-                [=](std::size_t i, std::size_t b, Real& acc) {
-                    const Real* p = d + 2 * (i * B + b);
-                    const Real f = s[k[i]];
-                    const Real re = p[0] * f, im = p[1] * f;
-                    acc += re * re + im * im;
-                });
-    return norm_sq;
-}
-
-std::vector<std::uint8_t>
-BatchedStateVector::scale_normalize_lanes(
-    const std::vector<std::uint16_t>& key, const std::vector<Real>& scale,
-    const std::vector<Real>& norm_sq, const std::vector<std::uint8_t>& mask)
-{
-    const std::size_t n = static_cast<std::size_t>(dims_.size());
-    if (key.size() != n) {
-        throw std::invalid_argument(
-            "scale_normalize_lanes: key size mismatch");
-    }
-    const std::size_t B = static_cast<std::size_t>(lanes_);
-    std::vector<std::uint8_t> ok(B, 1);
-    std::vector<Real> inv2;
-    lane_inverse_norms(norm_sq, mask, ok, inv2);
-    // (x * s[key]) * inv: the scaled value scale_by_table_lanes stores,
-    // then normalize_lanes' factor (exactly 1.0 on unselected lanes).
-    Real* __restrict d = as_reals(amps_.data());
-    const std::uint16_t* __restrict k = key.data();
-    const Real* __restrict s = scale.data();
-    const Real* __restrict g = inv2.data();
-    for (std::size_t i = 0; i < n; ++i, d += 2 * B) {
-        const Real f = s[k[i]];
-        QD_SIMD
-        for (std::size_t j = 0; j < 2 * B; ++j) {
-            d[j] = (d[j] * f) * g[j];
-        }
-    }
-    return ok;
-}
-
-std::vector<Real>
 BatchedStateVector::norm_sq_lanes() const
 {
     const std::size_t n = static_cast<std::size_t>(dims_.size());
@@ -266,9 +173,30 @@ std::vector<std::uint8_t>
 BatchedStateVector::normalize_lanes(const std::vector<std::uint8_t>& mask)
 {
     const std::size_t B = static_cast<std::size_t>(lanes_);
+    if (!mask.empty() && mask.size() != B) {
+        throw std::invalid_argument("normalize_lanes: mask size mismatch");
+    }
+    // Per-lane factors expanded to re/im pairs: exactly
+    // StateVector::normalize's sqrt-then-reciprocal for every selected lane
+    // whose norm is positive and finite, and 1.0 (a bitwise no-op
+    // multiply) for the rest.
     std::vector<std::uint8_t> ok(B, 1);
-    std::vector<Real> inv2;
-    if (!lane_inverse_norms(norm_sq_lanes(), mask, ok, inv2)) {
+    const std::vector<Real> norm_sq = norm_sq_lanes();
+    std::vector<Real> inv2(2 * B, 1.0);
+    bool any = false;
+    for (std::size_t b = 0; b < B; ++b) {
+        if (!mask.empty() && mask[b] == 0) {
+            continue;
+        }
+        const Real nrm = std::sqrt(norm_sq[b]);
+        if (nrm <= 0 || !std::isfinite(nrm)) {
+            ok[b] = 0;
+            continue;
+        }
+        inv2[2 * b] = inv2[2 * b + 1] = 1.0 / nrm;
+        any = true;
+    }
+    if (!any) {
         return ok;
     }
     const std::size_t n = static_cast<std::size_t>(dims_.size());
@@ -384,9 +312,8 @@ BatchedStateVector::apply_product_diag_lanes(
         }
     }
     // Step-ratio table as re/im lane rows: row (first[w] + v) holds every
-    // lane's diag_step_ratio(factors[lane][w], v) — the quotient
-    // StateVector::apply_product_diag multiplies in when wire w's digit
-    // steps to v, from the same division of the same operands.
+    // lane's diag_step_ratio(factors[lane][w], v) — the quotient the lane's
+    // running product multiplies in when wire w's digit steps to v.
     std::vector<std::size_t> first(static_cast<std::size_t>(n));
     std::size_t rows = 0;
     for (int w = 0; w < n; ++w) {
@@ -413,8 +340,8 @@ BatchedStateVector::apply_product_diag_lanes(
         cur[2 * b + 1] = c.imag();
     }
     // One odometer drives all lanes (the digit sequence only depends on
-    // the dims). Both multiplies are the std::complex products of the
-    // StateVector counterpart, written on re/im doubles.
+    // the dims). Both multiplies are std::complex products written on
+    // re/im doubles.
     std::vector<int> odo(static_cast<std::size_t>(n), 0);
     Real* __restrict c = cur.data();
     auto step = [&](std::size_t row) {

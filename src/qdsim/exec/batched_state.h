@@ -19,12 +19,17 @@
  *
  * Every pass walks the batch once, front to back: the lane reductions
  * (norms, fidelities) keep all lanes' accumulators live across one sweep
- * instead of re-walking the batch per lane tile. The trajectory engine's
- * per-moment idle noise is therefore one read sweep (scaled_norm_sq_lanes,
- * the damping acceptance norms), one write sweep (scale_normalize_lanes,
- * no-jump scaling and normalisation together) and, under dephasing, one
- * read+write sweep driven by a precomputed step-ratio table
- * (apply_product_diag_lanes) with no per-amplitude division.
+ * instead of re-walking the batch per lane tile.
+ *
+ * The trajectory engine's per-moment idle noise adds no sweep of its own
+ * to a damped moment: the no-jump scaling and the lanes' squared norms
+ * ride as an epilogue on the moment's last gate kernel
+ * (apply_op_batched_damped in batched_kernels.h), and normalisation is
+ * deferred — the engine carries each lane's squared norm N_b and divides
+ * the final fidelity by it, so accepting the no-jump branch writes no
+ * amplitude. Under dephasing there is one read+write sweep driven by a
+ * precomputed step-ratio table (apply_product_diag_lanes) with no
+ * per-amplitude division.
  *
  * Divergent per-lane events (damping jumps, gate-error draws) are handled
  * by extracting the lane to a StateVector, running the existing
@@ -86,28 +91,6 @@ class BatchedStateVector {
         const std::vector<std::uint16_t>& key,
         const std::vector<Real>& scale);
 
-    /**
-     * Read half of the fused no-jump damping step: the per-lane squared
-     * norms sum |amps[idx] * scale[key[idx]]|^2 that scale_by_table_lanes
-     * would return, bitwise, without writing anything.
-     */
-    std::vector<Real> scaled_norm_sq_lanes(
-        const std::vector<std::uint16_t>& key,
-        const std::vector<Real>& scale) const;
-
-    /**
-     * Write half: amps[idx] *= scale[key[idx]] on every lane and, on the
-     * lanes selected by `mask` (empty = all), normalises with `norm_sq`
-     * (the scaled_norm_sq_lanes result for the CURRENT amplitudes). Each
-     * lane ends bitwise equal to scale_by_table_lanes followed by
-     * normalize_lanes(mask); flags are normalize_lanes', and lanes that
-     * are unselected or cannot be normalised are left scaled.
-     */
-    std::vector<std::uint8_t> scale_normalize_lanes(
-        const std::vector<std::uint16_t>& key,
-        const std::vector<Real>& scale, const std::vector<Real>& norm_sq,
-        const std::vector<std::uint8_t>& mask);
-
     /** Per-lane squared norms, accumulated in amplitude-index order. */
     std::vector<Real> norm_sq_lanes() const;
 
@@ -136,8 +119,9 @@ class BatchedStateVector {
      * dephasing kick): factors[lane][wire] has dim(wire) unit-modulus
      * entries. The (wire, level, lane) step ratios (diag_step_ratio) are
      * computed once per call; then one incremental odometer drives every
-     * lane in a single read+write sweep, each lane's running factor taking
-     * exactly the multiply sequence of StateVector::apply_product_diag.
+     * lane in a single read+write sweep; each lane's running factor takes
+     * one step-ratio multiply per digit step (per lane, bitwise the
+     * single-shot odometer in tests/qdsim/product_diag_reference.h).
      */
     void apply_product_diag_lanes(
         const std::vector<std::vector<std::vector<Complex>>>& factors);

@@ -23,29 +23,8 @@ StateVector
 haar_random_qubit_subspace_state(const WireDims& dims, Rng& rng)
 {
     StateVector psi(dims);
-    psi[0] = Complex(0, 0);
-    const int n = dims.num_wires();
-    // Enumerate only indices with all digits < 2 via a binary odometer.
-    std::vector<int> digits(static_cast<std::size_t>(n), 0);
-    Index idx = 0;
-    for (;;) {
-        psi[idx] = rng.complex_gaussian();
-        // Advance binary odometer over mixed-radix strides.
-        int w = n - 1;
-        for (; w >= 0; --w) {
-            const std::size_t uw = static_cast<std::size_t>(w);
-            if (digits[uw] == 0) {
-                digits[uw] = 1;
-                idx += dims.stride(w);
-                break;
-            }
-            digits[uw] = 0;
-            idx -= dims.stride(w);
-        }
-        if (w < 0) {
-            break;
-        }
-    }
+    for_each_qubit_subspace_index(
+        dims, [&](Index idx) { psi[idx] = rng.complex_gaussian(); });
     if (!psi.normalize()) {
         throw std::runtime_error(
             "haar_random_qubit_subspace_state: degenerate zero-norm draw");

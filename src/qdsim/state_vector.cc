@@ -164,54 +164,6 @@ StateVector::apply_diag1(const std::vector<Complex>& diag, int wire)
     }
 }
 
-void
-StateVector::apply_product_diag(
-    const std::vector<std::vector<Complex>>& factors)
-{
-    const int n = dims_.num_wires();
-    if (static_cast<int>(factors.size()) != n) {
-        throw std::invalid_argument("apply_product_diag: factor count");
-    }
-    // Step-ratio table: ratio[first[w] + v] is the factor the running
-    // product picks up when wire w's digit steps to v (rolling over to 0
-    // divides out the wire's accumulated product).
-    std::vector<std::size_t> first(static_cast<std::size_t>(n));
-    std::vector<Complex> ratio;
-    for (int w = 0; w < n; ++w) {
-        const auto& f = factors[static_cast<std::size_t>(w)];
-        if (static_cast<int>(f.size()) != dims_.dim(w)) {
-            throw std::invalid_argument("apply_product_diag: factor size");
-        }
-        first[static_cast<std::size_t>(w)] = ratio.size();
-        for (int v = 0; v < dims_.dim(w); ++v) {
-            ratio.push_back(diag_step_ratio(f, v));
-        }
-    }
-    // Odometer over digits (wire n-1 least significant); maintain the
-    // running product incrementally, one multiply per digit step.
-    std::vector<int> odo(static_cast<std::size_t>(n), 0);
-    Complex cur(1, 0);
-    for (int w = 0; w < n; ++w) {
-        cur *= factors[static_cast<std::size_t>(w)][0];
-    }
-    const Index total = dims_.size();
-    for (Index idx = 0;; ++idx) {
-        amps_[idx] *= cur;
-        if (idx + 1 >= total) {
-            break;
-        }
-        for (int w = n - 1;; --w) {
-            const std::size_t uw = static_cast<std::size_t>(w);
-            if (++odo[uw] < dims_.dim(w)) {
-                cur *= ratio[first[uw] + static_cast<std::size_t>(odo[uw])];
-                break;
-            }
-            cur *= ratio[first[uw]];
-            odo[uw] = 0;
-        }
-    }
-}
-
 Real
 StateVector::scale_by_table(const std::vector<std::uint16_t>& key,
                             const std::vector<Real>& scale)

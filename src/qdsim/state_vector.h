@@ -70,18 +70,6 @@ class StateVector {
     void apply_diag1(const std::vector<Complex>& diag, int wire);
 
     /**
-     * Applies the product of per-wire unit-modulus diagonal factors in a
-     * single pass: amp[idx] *= prod_w factors[w][digit_w(idx)].
-     * `factors[w]` must have dim(w) entries of modulus ~1. Implemented
-     * with an incremental odometer so the cost is O(size) regardless of
-     * wire count (used for fused coherent dephasing): every digit step
-     * multiplies the running product by one diag_step_ratio, computed
-     * once per (wire, level) per call.
-     * @throws std::invalid_argument if a wire's factor count is wrong.
-     */
-    void apply_product_diag(const std::vector<std::vector<Complex>>& factors);
-
-    /**
      * Multiplies amplitude idx by scale[level_counts_key(idx)] in one pass
      * and returns the resulting squared norm. `key` maps each basis index
      * to a small table key (e.g. packed excited-level counts); used for the
@@ -121,10 +109,12 @@ class StateVector {
 };
 
 /**
- * The factor apply_product_diag multiplies into its running product when
- * a wire's digit steps to `v`: f[v] / f[v - 1], or f[0] / f[d - 1] when the
- * digit rolls over to 0 (d = f.size()). Shared with the batched engine so
- * both take the same quotient of the same operands.
+ * The factor a product-of-per-wire-diagonals odometer (the batched
+ * dephasing pass, BatchedStateVector::apply_product_diag_lanes) multiplies
+ * into its running product when a wire's digit steps to `v`: f[v] /
+ * f[v - 1], or f[0] / f[d - 1] when the digit rolls over to 0
+ * (d = f.size()). Shared with the tests' single-shot reference so both
+ * take the same quotient of the same operands.
  */
 inline Complex
 diag_step_ratio(const std::vector<Complex>& f, int v)

@@ -6,9 +6,11 @@
 
 #include "noise/density_matrix.h"
 #include "noise/error_placement.h"
+#include "noise/channels.h"
 #include "noise/models.h"
 #include "qdsim/exec/compiled_circuit.h"
 #include "qdsim/gate_library.h"
+#include "qdsim/moments.h"
 #include "qdsim/random_state.h"
 #include "qdsim/simulator.h"
 
@@ -570,6 +572,223 @@ TEST(Trajectory, BatchInvarianceSurvivesFusion) {
     NoiseModel m = noiseless();
     m.p2 = 5e-3;
     expect_batch_invariant(c, m, 25);
+}
+
+/** Three qutrits, every kernel class the idle-noise loop compiles to
+ *  except dense, several ops per moment. */
+Circuit
+three_qutrit_circuit()
+{
+    Circuit c(WireDims::uniform(3, 3));
+    c.append(gates::H3(), {0});
+    c.append(gates::H3(), {2});
+    c.append(gates::Xplus1().controlled(3, 2), {0, 1});
+    c.append(gates::H3().controlled(3, 1), {1, 2});
+    c.append(gates::Z3(), {0});
+    c.append(gates::Xplus1(), {1});
+    c.append(gates::Xplus1().controlled(3, 1), {2, 0});
+    c.append(gates::X12(), {1});
+    return c;
+}
+
+TEST(Trajectory, BatchInvariantWhenGateErrorsSplitDampedMoments) {
+    // Fused damping rides on each moment's last gate unless a lane draws a
+    // gate error there; then the whole batch runs the gate plain, the
+    // errors, and the standalone damping walk. At p = 5e-3 a two-qutrit
+    // error fires with probability 0.4 per lane, a one-qutrit error with
+    // 0.04, so wide batches mix both paths while 1-lane batches mostly
+    // fuse: per-trial fidelities must still be bitwise equal.
+    NoiseModel m = noiseless();
+    m.p1 = 5e-3;
+    m.p2 = 5e-3;
+    m.t1 = 20 * m.dt_1q;
+    for (const Circuit& c : {small_qutrit_circuit(), three_qutrit_circuit()}) {
+        TrajectoryOptions opts;
+        opts.trials = 40;
+        opts.seed = 5;
+        opts.keep_per_trial = true;
+        opts.threads = 1;
+        opts.batch = 1;
+        const auto ref = run_noisy_trials(c, m, opts);
+        for (const int batch : {5, 12, 17}) {
+            for (const int threads : {1, 3}) {
+                TrajectoryOptions bo = opts;
+                bo.batch = batch;
+                bo.threads = threads;
+                const auto got = run_noisy_trials(c, m, bo);
+                for (int t = 0; t < opts.trials; ++t) {
+                    ASSERT_EQ(got.per_trial[static_cast<std::size_t>(t)],
+                              ref.per_trial[static_cast<std::size_t>(t)])
+                        << c.num_wires() << " wires, batch " << batch
+                        << " threads " << threads << " trial " << t;
+                }
+            }
+        }
+    }
+}
+
+/** What the reference loop below saw happen. */
+struct ReferenceStats {
+    int gate_errors = 0;
+    int rare_branches = 0;
+};
+
+/**
+ * Test-local single-shot trajectory that normalises after every moment:
+ * Algorithm 1 written out with StateVector operations, with the fused
+ * no-jump draw of uniform registers (one acceptance draw against the
+ * joint no-jump norm; a rejected draw picks the jump from the per-(wire,
+ * level) populations). Consumes `rng` in the engine's order, so its
+ * fidelity matches the engine's trial up to rounding.
+ */
+Real
+reference_trajectory(const Circuit& c, const NoiseModel& m,
+                     const StateVector& initial, const StateVector& ideal,
+                     Rng& rng, ReferenceStats& stats)
+{
+    const WireDims& dims = c.dims();
+    const int width = dims.num_wires();
+    const int d = dims.dim(0);
+    const auto sites = enumerate_error_sites(c, m);
+    auto k0 = [&](Real dt) {
+        std::vector<Complex> diag(static_cast<std::size_t>(d));
+        diag[0] = Complex(1, 0);
+        for (int lvl = 1; lvl < d; ++lvl) {
+            diag[static_cast<std::size_t>(lvl)] =
+                Complex(std::sqrt(1.0 - m.lambda(lvl, dt)), 0);
+        }
+        return diag;
+    };
+    StateVector psi = initial;
+    for (const Moment& moment : schedule_asap(c)) {
+        for (const std::size_t i : moment.op_indices) {
+            const Operation& op = c.ops()[i];
+            psi.apply(op.gate.matrix(), op.wires);
+            for (const ErrorSite& site : sites[i]) {
+                const MixedUnitaryChannel ch =
+                    site.dims.size() == 1
+                        ? depolarizing1(site.dims[0], site.per_channel)
+                        : depolarizing2(site.dims[0], site.dims[1],
+                                        site.per_channel);
+                const Real total =
+                    static_cast<Real>(ch.probs.size()) * site.per_channel;
+                if (rng.uniform() >= total) {
+                    continue;
+                }
+                ++stats.gate_errors;
+                psi.apply(ch.unitaries[static_cast<std::size_t>(
+                              rng.uniform_int(ch.unitaries.size()))],
+                          site.wires);
+            }
+        }
+        const Real dt = m.moment_duration(moment.has_multi_qudit);
+        if (m.has_damping()) {
+            StateVector kept = psi;
+            for (int w = 0; w < width; ++w) {
+                kept.apply_diag1(k0(dt), w);
+            }
+            const Real q = kept.norm() * kept.norm();
+            if (rng.uniform() < q) {
+                psi = kept;
+                EXPECT_TRUE(psi.normalize());
+            } else {
+                ++stats.rare_branches;
+                std::vector<Real> weights;
+                std::vector<std::pair<int, int>> arms;  // (wire, level)
+                for (int w = 0; w < width; ++w) {
+                    const auto pops = psi.populations(w);
+                    for (int lvl = 1; lvl < d; ++lvl) {
+                        weights.push_back(m.lambda(lvl, dt) *
+                                          pops[static_cast<std::size_t>(lvl)]);
+                        arms.emplace_back(w, lvl);
+                    }
+                }
+                const auto pick = rng.weighted_draw(weights);
+                if (!pick.has_value()) {
+                    psi = kept;
+                } else {
+                    const auto [jw, jl] = arms[*pick];
+                    Matrix jump(static_cast<std::size_t>(d),
+                                static_cast<std::size_t>(d));
+                    jump(0, static_cast<std::size_t>(jl)) = Complex(1, 0);
+                    const std::vector<int> wires = {jw};
+                    psi.apply(jump, wires);
+                    EXPECT_TRUE(psi.normalize());
+                    for (int w = 0; w < width; ++w) {
+                        if (w != jw) {
+                            psi.apply_diag1(k0(dt), w);
+                        }
+                    }
+                }
+                EXPECT_TRUE(psi.normalize());
+            }
+        }
+        if (m.has_dephasing()) {
+            const Real s = m.dephasing_sigma * std::sqrt(dt);
+            for (int w = 0; w < width; ++w) {
+                const Real theta = rng.gaussian() * s;
+                std::vector<Complex> phases(static_cast<std::size_t>(d));
+                for (int lvl = 0; lvl < d; ++lvl) {
+                    phases[static_cast<std::size_t>(lvl)] =
+                        std::polar(1.0, static_cast<Real>(lvl) * theta);
+                }
+                psi.apply_diag1(phases, w);
+            }
+        }
+    }
+    return psi.fidelity(ideal);
+}
+
+TEST(Trajectory, DeferredNormalisationMatchesPerMomentNormalisation) {
+    // The engine never normalises a lane that takes the no-jump branch; it
+    // carries the lane's squared norm and divides the final overlap by it.
+    // Per trial that must agree with normalising every moment to rounding.
+    NoiseModel errors_and_damping = noiseless();
+    errors_and_damping.p1 = 5e-3;
+    errors_and_damping.p2 = 5e-3;
+    errors_and_damping.t1 = 20 * errors_and_damping.dt_1q;
+    Circuit qubits(WireDims::uniform(3, 2));
+    qubits.append(gates::H(), {0});
+    qubits.append(gates::CNOT(), {0, 1});
+    qubits.append(gates::H(), {2});
+    qubits.append(gates::CCX(), {2, 0, 1});
+    qubits.append(gates::H(), {1});
+    struct Case {
+        Circuit circuit;
+        NoiseModel model;
+    };
+    const std::vector<Case> cases = {
+        {small_qutrit_circuit(), sc()},
+        {small_qutrit_circuit(), hot_noise()},
+        {three_qutrit_circuit(), hot_noise()},
+        {three_qutrit_circuit(), errors_and_damping},
+        {qubits, hot_noise()},
+    };
+    ReferenceStats stats;
+    for (const Case& k : cases) {
+        TrajectoryOptions opts;
+        opts.trials = 30;
+        opts.seed = 11;
+        opts.threads = 2;
+        opts.keep_per_trial = true;
+        const auto res = run_noisy_trials(k.circuit, k.model, opts);
+        const Rng root(opts.seed);
+        for (int t = 0; t < opts.trials; ++t) {
+            Rng rng = root.child(static_cast<std::uint64_t>(t));
+            const StateVector initial =
+                haar_random_qubit_subspace_state(k.circuit.dims(), rng);
+            const StateVector ideal = simulate(k.circuit, initial);
+            const Real want = reference_trajectory(k.circuit, k.model,
+                                                   initial, ideal, rng, stats);
+            EXPECT_NEAR(res.per_trial[static_cast<std::size_t>(t)], want,
+                        1e-12)
+                << k.model.name << ", " << k.circuit.num_wires()
+                << " wires, trial " << t;
+        }
+    }
+    // The hot models must have exercised the divergent branches.
+    EXPECT_GT(stats.gate_errors, 0);
+    EXPECT_GT(stats.rare_branches, 0);
 }
 
 TEST(Trajectory, PerChannelConventionPenalisesQutrits) {

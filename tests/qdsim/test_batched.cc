@@ -9,15 +9,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <optional>
 
 #include <gtest/gtest.h>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "qdsim/exec/batched_state.h"
 #include "qdsim/gate_library.h"
 #include "qdsim/random_state.h"
 #include "qdsim/simulator.h"
+#include "product_diag_reference.h"
 
 namespace qd {
 namespace {
@@ -210,15 +216,12 @@ check_per_lane_primitives(const WireDims& dims, int lanes, Rng& rng)
         ASSERT_EQ(std::sqrt(nsq[static_cast<std::size_t>(b)]), n);
     }
 
-    // scale_by_table_lanes == per-lane scale_by_table (values and norms),
-    // and the read-only scaled_norm_sq_lanes predicts those norms.
+    // scale_by_table_lanes == per-lane scale_by_table (values and norms).
     const std::vector<std::uint16_t> key = cycling_key(dims);
-    const auto predicted = batch.scaled_norm_sq_lanes(key, kScale);
     const auto norms = batch.scale_by_table_lanes(key, kScale);
     for (int b = 0; b < lanes; ++b) {
         const std::size_t ub = static_cast<std::size_t>(b);
         ASSERT_EQ(norms[ub], ref[ub].scale_by_table(key, kScale));
-        ASSERT_EQ(predicted[ub], norms[ub]);
     }
     expect_lanes_bitwise_equal(batch, ref, "scale_by_table");
 
@@ -262,8 +265,8 @@ check_per_lane_primitives(const WireDims& dims, int lanes, Rng& rng)
     }
     batch.apply_product_diag_lanes(factors);
     for (int b = 0; b < lanes; ++b) {
-        ref[static_cast<std::size_t>(b)].apply_product_diag(
-            factors[static_cast<std::size_t>(b)]);
+        reference::apply_product_diag(ref[static_cast<std::size_t>(b)],
+                                      factors[static_cast<std::size_t>(b)]);
     }
     expect_lanes_bitwise_equal(batch, ref, "product diag");
 
@@ -291,65 +294,129 @@ TEST(Batched, PerLanePrimitivesMatchStateVectorBitwise) {
     }
 }
 
-TEST(Batched, DampingPairMatchesScaleThenNormalizeBitwise) {
+/** One op of every kernel class over `dims`, which must hold at least
+ *  three qutrit wires; the single-wire d=2 op acts on wire `qubit` (none
+ *  when it is negative). */
+std::vector<CompiledOp>
+every_kernel_class(const WireDims& dims, int qubit, Rng& rng)
+{
+    std::vector<int> q;  // qutrit wires
+    for (int w = 0; w < dims.num_wires(); ++w) {
+        if (dims.dim(w) == 3) {
+            q.push_back(w);
+        }
+    }
+    std::vector<CompiledOp> ops;
+    auto add = [&](const Gate& g, std::vector<int> wires, KernelKind kind) {
+        ops.push_back(exec::compile_op(dims, g, wires));
+        EXPECT_EQ(ops.back().kind, kind) << g.name();
+    };
+    add(gates::Xplus1().controlled(3, 2), {q[0], q[2]},
+        KernelKind::kPermutation);
+    add(gates::Z3(), {q[1]}, KernelKind::kDiagonal);
+    add(Gate("Z3xX+1", {3, 3},
+             gates::Z3().matrix().kron(gates::Xplus1().matrix())),
+        {q[2], q[0]}, KernelKind::kMonomial);
+    // The last qutrit wire has the shortest runs: the single-wire kernel's
+    // OpenMP threshold (runs per register) is easiest to reach there.
+    add(gates::H3(), {q.back()}, KernelKind::kSingleWireD3);
+    add(gates::fourier(3).controlled(3, 1), {q[1], q.back()},
+        KernelKind::kControlled);
+    add(Gate("rand", {3, 3}, random_matrix(9, rng)), {q.back(), q[1]},
+        KernelKind::kDense);
+    if (qubit >= 0) {
+        add(gates::H(), {qubit}, KernelKind::kSingleWireD2);
+    }
+    return ops;
+}
+
+TEST(Batched, DampingEpilogueMatchesOpThenStandaloneWalkBitwise) {
+    // The fused epilogue must leave every lane exactly where the plain
+    // kernel followed by the standalone walk leaves it (amplitudes and
+    // norms), and its amplitudes must be the per-lane single-shot op then
+    // scale_by_table. The norm is summed per chunk of outer blocks, so
+    // against scale_by_table's index-order sum it only agrees to rounding.
     Rng rng(305);
     const WireDims dims({3, 2, 3, 3});
     const std::vector<std::uint16_t> key = cycling_key(dims);
-    for (const int lanes : {1, 3, 12, 17}) {
-        BatchedStateVector batch(dims, lanes);
-        std::vector<StateVector> ref = random_lanes(batch, rng);
-        std::vector<std::uint8_t> accepted(static_cast<std::size_t>(lanes));
-        for (int b = 0; b < lanes; ++b) {
-            accepted[static_cast<std::size_t>(b)] = b % 4 != 1 ? 1 : 0;
-        }
-        const auto q = batch.scaled_norm_sq_lanes(key, kScale);
-        const auto ok = batch.scale_normalize_lanes(key, kScale, q, accepted);
-        for (int b = 0; b < lanes; ++b) {
-            const std::size_t ub = static_cast<std::size_t>(b);
-            EXPECT_TRUE(ok[ub]);
-            ASSERT_EQ(q[ub], ref[ub].scale_by_table(key, kScale));
-            // Accepted lanes: scale then normalize. Rejected lanes hold
-            // exactly the scaled amplitudes (what the rare branch undoes).
-            if (accepted[ub] != 0) {
-                ASSERT_TRUE(ref[ub].normalize());
+    for (const CompiledOp& op : every_kernel_class(dims, 1, rng)) {
+        for (const int lanes : {1, 3, 12, 17}) {
+            SCOPED_TRACE(::testing::Message()
+                         << exec::kernel_name(op.kind) << ", lanes " << lanes);
+            BatchedStateVector fused(dims, lanes);
+            std::vector<StateVector> ref = random_lanes(fused, rng);
+            BatchedStateVector split = fused;
+            BatchedScratch bscratch;
+            std::vector<Real> fused_norms, split_norms;
+            exec::apply_op_batched_damped(op, fused, bscratch, key, kScale,
+                                          fused_norms);
+            exec::apply_op_batched(op, split, bscratch);
+            exec::damp_op_batched(op, split, bscratch, key, kScale,
+                                  split_norms);
+            ASSERT_EQ(fused_norms.size(), static_cast<std::size_t>(lanes));
+            ASSERT_EQ(split_norms.size(), static_cast<std::size_t>(lanes));
+
+            exec::ExecScratch scratch;
+            for (int b = 0; b < lanes; ++b) {
+                const std::size_t ub = static_cast<std::size_t>(b);
+                ASSERT_EQ(fused_norms[ub], split_norms[ub]) << "lane " << b;
+                exec::apply_op(op, ref[ub], scratch);
+                EXPECT_NEAR(fused_norms[ub],
+                            ref[ub].scale_by_table(key, kScale), 1e-14);
             }
+            expect_lanes_bitwise_equal(fused, ref, "fused epilogue");
+            expect_lanes_bitwise_equal(split, ref, "standalone epilogue");
         }
-        expect_lanes_bitwise_equal(batch, ref, "damping pair");
     }
+    BatchedStateVector batch(dims, 2);
+    std::vector<Real> norms;
+    BatchedScratch bscratch;
+    const std::vector<int> wire0 = {0};
+    const CompiledOp op = exec::compile_op(dims, gates::H3(), wire0);
+    EXPECT_THROW(exec::damp_op_batched(op, batch, bscratch, {0, 1}, kScale,
+                                       norms),
+                 std::invalid_argument);
+    EXPECT_THROW(exec::apply_op_batched_damped(op, batch, bscratch, {0, 1},
+                                               kScale, norms),
+                 std::invalid_argument);
 }
 
-TEST(Batched, DampingPairLeavesZeroNormLaneScaled) {
+#ifdef _OPENMP
+TEST(Batched, DampingEpilogueIndependentOfThreadCount) {
+    // Width-11 qutrit register: every kernel class clears the outer-block
+    // threshold, so the OpenMP branch runs; the chunked norm partials must
+    // make amplitudes and norms bitwise equal at 1 and 4 threads.
     Rng rng(306);
-    const WireDims dims({3, 3, 2});
+    const WireDims dims = WireDims::uniform(11, 3);
     const std::vector<std::uint16_t> key = cycling_key(dims);
-    BatchedStateVector batch(dims, 3);
-    std::vector<StateVector> ref = random_lanes(batch, rng);
-    // Lane 1 only has support where the scale table is zero, so its
-    // scaled norm vanishes although it is selected.
-    const std::vector<Real> scale = {0.0, 0.75, 0.5, 0.25};
-    std::vector<Complex> amps(static_cast<std::size_t>(dims.size()));
-    for (std::size_t i = 0; i < amps.size(); i += 4) {
-        amps[i] = Complex(0.5, -0.25);
+    const int lanes = 3;
+    BatchedStateVector start(dims, lanes);
+    random_lanes(start, rng);
+    const int saved = omp_get_max_threads();
+    for (const CompiledOp& op : every_kernel_class(dims, -1, rng)) {
+        SCOPED_TRACE(exec::kernel_name(op.kind));
+        std::vector<BatchedStateVector> out;
+        std::vector<std::vector<Real>> norms(2);
+        for (const int threads : {1, 4}) {
+            omp_set_num_threads(threads);
+            out.push_back(start);
+            BatchedScratch bscratch;
+            exec::apply_op_batched_damped(op, out.back(), bscratch, key,
+                                          kScale, norms[out.size() - 1]);
+        }
+        omp_set_num_threads(saved);
+        for (int b = 0; b < lanes; ++b) {
+            const std::size_t ub = static_cast<std::size_t>(b);
+            ASSERT_EQ(norms[0][ub], norms[1][ub]) << "lane " << b;
+        }
+        ASSERT_EQ(std::memcmp(out[0].data(), out[1].data(),
+                              static_cast<std::size_t>(dims.size()) *
+                                  static_cast<std::size_t>(lanes) *
+                                  sizeof(Complex)),
+                  0);
     }
-    ref[1] = StateVector::from_amplitudes(dims, amps);
-    batch.set_lane(1, ref[1]);
-    const std::vector<std::uint8_t> accepted = {1, 1, 0};
-    const auto q = batch.scaled_norm_sq_lanes(key, scale);
-    EXPECT_EQ(q[1], 0.0);
-    const auto ok = batch.scale_normalize_lanes(key, scale, q, accepted);
-    EXPECT_TRUE(ok[0]);
-    EXPECT_FALSE(ok[1]);
-    EXPECT_TRUE(ok[2]);
-    for (StateVector& r : ref) {
-        r.scale_by_table(key, scale);
-    }
-    ASSERT_TRUE(ref[0].normalize());
-    expect_lanes_bitwise_equal(batch, ref, "zero-norm damping lane");
-    EXPECT_THROW(batch.scale_normalize_lanes(key, scale, q, {1, 0}),
-                 std::invalid_argument);
-    EXPECT_THROW(batch.scaled_norm_sq_lanes({0, 1}, scale),
-                 std::invalid_argument);
 }
+#endif
 
 TEST(Batched, ZeroNormLaneSignalledAndLeftUntouched) {
     const WireDims dims({3, 3});

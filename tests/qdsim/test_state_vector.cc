@@ -6,6 +6,7 @@
 
 #include "qdsim/gate_library.h"
 #include "qdsim/random_state.h"
+#include "product_diag_reference.h"
 
 namespace qd {
 namespace {
@@ -201,6 +202,8 @@ TEST(StateVector, ThreeWireGate) {
 
 
 TEST(StateVector, ApplyProductDiagMatchesPerWire) {
+    // Validates the single-shot reference the batched dephasing pass is
+    // tested against (tests/qdsim/product_diag_reference.h).
     Rng rng(77);
     const WireDims dims({3, 2, 3, 2});
     StateVector a = haar_random_state(dims, rng);
@@ -213,7 +216,7 @@ TEST(StateVector, ApplyProductDiagMatchesPerWire) {
         }
         factors.push_back(f);
     }
-    a.apply_product_diag(factors);
+    reference::apply_product_diag(a, factors);
     for (int w = 0; w < dims.num_wires(); ++w) {
         b.apply_diag1(factors[static_cast<std::size_t>(w)], w);
     }
@@ -221,7 +224,8 @@ TEST(StateVector, ApplyProductDiagMatchesPerWire) {
         EXPECT_NEAR(std::abs(a[i] - b[i]), 0.0, 1e-10) << i;
     }
     factors[1].pop_back();
-    EXPECT_THROW(a.apply_product_diag(factors), std::invalid_argument);
+    EXPECT_THROW(reference::apply_product_diag(a, factors),
+                 std::invalid_argument);
 }
 
 TEST(StateVector, ApplyProductDiagIdentity) {
@@ -231,7 +235,7 @@ TEST(StateVector, ApplyProductDiagIdentity) {
     const StateVector before = a;
     std::vector<std::vector<Complex>> factors(
         3, std::vector<Complex>(3, Complex(1, 0)));
-    a.apply_product_diag(factors);
+    reference::apply_product_diag(a, factors);
     EXPECT_NEAR(a.fidelity(before), 1.0, 1e-12);
 }
 
