@@ -4,7 +4,7 @@
 Usage: lint_invariants.py [--root DIR]
        lint_invariants.py --self-test
 
-Three invariants that code review keeps re-checking by hand, now gated
+Invariants that code review keeps re-checking by hand, now gated
 in CI before anything is built (first-stage gate, like
 compare_bench.py --self-test):
 
@@ -14,6 +14,12 @@ compare_bench.py --self-test):
                  hooks inside would tear or serialize the hot loop).
                  Detected by brace-tracking the statement or block that
                  follows every `#pragma omp parallel...` in src/.
+  omp-sites      a `#pragma omp parallel...` in src/ appears only in the
+                 files of OMP_SITES: the one block driver every
+                 state-vector kernel runs through (batched_kernels.cc)
+                 and the density superoperator kernels (superop.cc). A
+                 pragma anywhere else is a second kernel loop growing
+                 back beside the driver.
   raw-assert     no raw assert() in library code (src/): asserts vanish
                  in Release builds, so invariants must either throw or
                  be static_assert. Tests/benches may assert freely.
@@ -137,6 +143,35 @@ def check_obs_in_omp(root):
     return findings
 
 
+# The only src/ files allowed to open OpenMP parallel regions.
+OMP_SITES = (
+    "src/qdsim/exec/batched_kernels.cc",
+    "src/qdsim/exec/superop.cc",
+)
+
+
+def check_omp_sites(root):
+    """Flags `#pragma omp parallel` in src/ outside OMP_SITES."""
+    findings = []
+    for dirpath, _, files in os.walk(os.path.join(root, "src")):
+        for name in sorted(files):
+            if not name.endswith((".cc", ".h")):
+                continue
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, root).replace(os.sep, "/")
+            if rel in OMP_SITES:
+                continue
+            with open(path, encoding="utf-8") as f:
+                text = strip_comments(f.read())
+            for m in OMP_PARALLEL.finditer(text):
+                line = text.count("\n", 0, m.start()) + 1
+                findings.append(
+                    f"{rel}:{line}: OpenMP parallel region outside "
+                    f"{', '.join(OMP_SITES)} (state-vector kernels run "
+                    f"through the one block driver, run_blocks)")
+    return findings
+
+
 def check_raw_assert(root):
     """Flags raw assert() in library code under src/."""
     findings = []
@@ -241,6 +276,7 @@ def check_ir_error_ids(root):
 
 CHECKS = {
     "obs-in-omp": check_obs_in_omp,
+    "omp-sites": check_omp_sites,
     "raw-assert": check_raw_assert,
     "bench-metrics": check_bench_metrics,
     "ir-error-ids": check_ir_error_ids,
@@ -298,6 +334,10 @@ void hot() {
 }
 """
 
+COMMENT_PRAGMA_CC = """
+// A second kernel loop would need `#pragma omp parallel for` here.
+"""
+
 BAD_ASSERT_CC = """
 #include <cassert>
 void f(int x) { assert(x > 0); }
@@ -341,12 +381,14 @@ def expect(cond, label, problems):
 
 
 def make_fixture_repo(root, *, bad):
-    write(root, "src/good.cc", GOOD_CC + GOOD_ASSERT_CC)
-    write(root, "src/commented.cc", COMMENT_ONLY_CC)
+    write(root, OMP_SITES[0], GOOD_CC)
+    write(root, OMP_SITES[1], COMMENT_ONLY_CC)
+    write(root, "src/good.cc", GOOD_ASSERT_CC + COMMENT_PRAGMA_CC)
     if bad:
         write(root, "src/bad_omp.cc", BAD_OMP_CC)
         write(root, "src/bad_omp_for.cc", BAD_OMP_FOR_CC)
         write(root, "src/bad_assert.cc", BAD_ASSERT_CC)
+        write(root, "src/qdsim/exec/kernels.cc", GOOD_CC)
     write(
         root, "scripts/compare_bench.py", """
 TRACKED = {
@@ -381,6 +423,8 @@ def self_test():
         make_fixture_repo(good, bad=False)
         expect(check_obs_in_omp(good) == [], "clean omp fixture passes",
                problems)
+        expect(check_omp_sites(good) == [],
+               "pragmas in the allowed files pass", problems)
         expect(check_raw_assert(good) == [], "clean assert fixture passes",
                problems)
         expect(check_bench_metrics(good) == [],
@@ -394,6 +438,12 @@ def self_test():
         expect(len(omp) == 2 and any("bad_omp.cc" in f for f in omp)
                and any("bad_omp_for.cc" in f for f in omp),
                "obs:: inside parallel block and parallel-for flagged",
+               problems)
+        sites = check_omp_sites(bad)
+        expect(len(sites) == 3 and any("bad_omp.cc" in f for f in sites)
+               and any("bad_omp_for.cc" in f for f in sites)
+               and any("exec/kernels.cc" in f for f in sites),
+               "parallel regions outside the allowed files flagged",
                problems)
         expect(check_raw_assert(bad) != [], "raw assert flagged", problems)
         bench = check_bench_metrics(bad)

@@ -597,7 +597,7 @@ apply_idle_dephasing_batched(exec::BatchedStateVector& psi,
 std::vector<Real>
 run_lanes(const EngineContext& ctx, exec::BatchedStateVector& psi,
           const exec::BatchedStateVector& ideal, std::vector<Rng>& rngs,
-          exec::BatchedScratch& bscratch, exec::ExecScratch& scratch)
+          exec::ExecScratch& scratch)
 {
     const NoiseModel& model = ctx.model;
     if (obs::enabled()) {
@@ -633,14 +633,14 @@ run_lanes(const EngineContext& ctx, exec::BatchedStateVector& psi,
             draw_gate_errors(ctx.errors[idx], rngs, fired);
             const bool last = k + 1 == moment.op_indices.size();
             if (fused && last && fired.empty()) {
-                exec::apply_op_batched_damped(op, psi, bscratch,
+                exec::apply_op_batched_damped(op, psi, scratch,
                                               ctx.count_key, scale, scaled);
                 continue;
             }
-            exec::apply_op_batched(op, psi, bscratch);
+            exec::apply_op_batched(op, psi, scratch);
             apply_gate_errors(psi, fired, lane, scratch);
             if (fused && last) {
-                exec::damp_op_batched(op, psi, bscratch, ctx.count_key,
+                exec::damp_op_batched(op, psi, scratch, ctx.count_key,
                                       scale, scaled);
             }
         }
@@ -707,7 +707,6 @@ void
 run_trajectory_batch(const EngineContext& ctx,
                      const TrajectoryOptions& options, const Rng& root,
                      int start, int lanes, std::vector<Real>& fidelities,
-                     exec::BatchedScratch& bscratch,
                      exec::ExecScratch& scratch)
 {
     obs::ScopedSpan span("traj", "shot_batch");
@@ -721,10 +720,10 @@ run_trajectory_batch(const EngineContext& ctx,
     exec::BatchedStateVector psi(ctx.noisy.dims(), lanes);
     draw_initial_states(psi, rngs, options.qubit_subspace_inputs);
     exec::BatchedStateVector ideal = psi;
-    exec::run_batched(ctx.ideal, ideal, bscratch);
+    exec::run_batched(ctx.ideal, ideal, scratch);
 
     const std::vector<Real> fid =
-        run_lanes(ctx, psi, ideal, rngs, bscratch, scratch);
+        run_lanes(ctx, psi, ideal, rngs, scratch);
     for (int j = 0; j < lanes; ++j) {
         fidelities[static_cast<std::size_t>(start + j)] =
             fid[static_cast<std::size_t>(j)];
@@ -753,10 +752,9 @@ run_single_trajectory(const TrajectoryCompilation& compiled,
     psi.set_lane(0, initial);
     ideal.set_lane(0, ideal_out);
     std::vector<Rng> rngs{rng};
-    exec::BatchedScratch bscratch;
     exec::ExecScratch scratch;
     const Real fid =
-        run_lanes(compiled.impl(), psi, ideal, rngs, bscratch, scratch)[0];
+        run_lanes(compiled.impl(), psi, ideal, rngs, scratch)[0];
     rng = rngs[0];  // advance the caller's stream past the draws
     return fid;
 }
@@ -825,7 +823,6 @@ run_noisy_trials(const TrajectoryCompilation& compiled,
 
     auto worker = [&]() {
         exec::ExecScratch scratch;  // reused across this worker's trials
-        exec::BatchedScratch bscratch;
         for (;;) {
             const int g = next.fetch_add(1);
             if (g >= num_batches) {
@@ -834,7 +831,7 @@ run_noisy_trials(const TrajectoryCompilation& compiled,
             const int start = g * batch;
             const int lanes = std::min(batch, trials - start);
             run_trajectory_batch(ctx, options, root, start, lanes,
-                                 fidelities, bscratch, scratch);
+                                 fidelities, scratch);
         }
     };
 

@@ -5,14 +5,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <type_traits>
 
 namespace qd::exec {
 
 namespace {
 
-/** Same outer-block parallelism threshold as the single-shot kernels
- *  (kernels.cc): below it the batch's parallelism is across shots, not
- *  inside one gate. */
+/** Outer-block count above which a pass parallelises with OpenMP. High
+ *  enough that trajectory-sized registers stay serial (their parallelism
+ *  is across shots, not inside one gate). */
 constexpr Index kParallelOuter = Index{1} << 13;
 
 /** Amplitudes per chunk of outer blocks in one pass: the unit of OpenMP
@@ -20,10 +21,21 @@ constexpr Index kParallelOuter = Index{1} << 13;
  *  summation order is a function of the op's block size alone. */
 constexpr Index kChunkAmps = Index{1} << 10;
 
+/** Marks a kernel's per-block body, which run_blocks calls once per outer
+ *  block: always inlined, since a one-lane block is a few loads and
+ *  stores, cheaper than the call GCC otherwise keeps in the large run_op
+ *  instantiations. */
+#define QD_BLOCK_BODY __attribute__((always_inline))
+
+/** Lane count of a single-shot pass: a compile-time 1, so every lane loop
+ *  of the kernel bodies below folds away. Batched passes instantiate the
+ *  same bodies with the batch width as a runtime std::size_t. */
+using OneLane = std::integral_constant<std::size_t, 1>;
+
 // Inner lane loops run on re/im doubles (std::complex array-oriented
-// access): the expression trees match the single-shot complex arithmetic
-// exactly — (a*b).re == a.re*b.re - a.im*b.im bitwise at runtime — so
-// lanes stay bit-identical to unbatched shots while the loops vectorise
+// access): the expression tree of every amplitude is fixed per kernel
+// and independent of the lane count, so a lane of a batched pass is
+// bitwise one single-shot pass, while the loops vectorise across lanes
 // and skip libstdc++'s complex-multiply NaN-recovery branches.
 inline Real*
 as_reals(Complex* p)
@@ -49,18 +61,27 @@ struct PlanBlocks {
     const Index* offsets() const { return plan.local_offset.data(); }
     Index size() const { return plan.block; }
 
+    /** Calls visit(base, tmp) for blocks [lo, hi), in order. */
     template <class Visit>
-    void walk(std::int64_t lo, std::int64_t hi, Visit visit) const {
+    void walk(std::int64_t lo, std::int64_t hi, const Visit& visit,
+              Complex* tmp) const {
+        if (!plan.base_offsets.empty()) {
+            // Tabulated bases, read through a hoisted pointer.
+            const Index* bases = plan.base_offsets.data();
+            for (std::int64_t o = lo; o < hi; ++o) {
+                visit(bases[o], tmp);
+            }
+            return;
+        }
         for (std::int64_t o = lo; o < hi; ++o) {
-            visit(plan.base_of(static_cast<Index>(o)));
+            visit(plan.base_of(static_cast<Index>(o)), tmp);
         }
     }
 };
 
 /** Outer blocks of a single-wire kernel: block o is row o, the d
  *  amplitudes base + v * stride (v < d), rows in increasing base order.
- *  Runs of `period` amplitudes are the OpenMP threshold unit, exactly as
- *  in the single-shot kernels. */
+ *  Runs of `period` amplitudes are the OpenMP threshold unit. */
 struct WireBlocks {
     Index stride, period, total;
     Index off[3];
@@ -77,12 +98,14 @@ struct WireBlocks {
     const Index* offsets() const { return off; }
     Index size() const { return d; }
 
+    /** Calls visit(base, tmp) for blocks [lo, hi), in order. */
     template <class Visit>
-    void walk(std::int64_t lo, std::int64_t hi, Visit visit) const {
+    void walk(std::int64_t lo, std::int64_t hi, const Visit& visit,
+              Complex* tmp) const {
         Index i = static_cast<Index>(lo) % stride;
         Index base = static_cast<Index>(lo) / stride * period + i;
         for (std::int64_t o = lo; o < hi; ++o) {
-            visit(base);
+            visit(base, tmp);
             if (++i == stride) {
                 i = 0;
                 base += period - stride + 1;
@@ -99,6 +122,7 @@ struct Damping {
     std::size_t B;
     const std::uint16_t* key;
     const Real* scale;
+    std::vector<Real>& norm_sq;  ///< receives each lane's squared norm
 
     /**
      * Scales the n amplitudes base + off[j] of every lane by
@@ -124,22 +148,29 @@ struct Damping {
 };
 
 /**
- * The one pass driver every batched kernel runs through: visits the outer
- * blocks of `blocks` in chunks of about kChunkAmps amplitudes (OpenMP
- * static schedule over chunks on large registers) and calls
- * kernel(base, tmp) per block, where tmp is a per-thread buffer of
- * `tmp_elems` complexes. With `damping`, the epilogue scales each block
- * right after the kernel wrote it, while it is cache-resident; chunk c
- * sums its lanes' squared norms into its own partial row, and the rows
- * are added in chunk order into `norm_sq`.
+ * The one pass driver every kernel runs through, single-shot and batched:
+ * calls kernel(base, tmp) per outer block of `blocks`, where tmp is a
+ * per-thread buffer of `tmp_elems` complexes. A serial pass without
+ * damping walks the blocks in one run. Otherwise blocks go in chunks of
+ * about kChunkAmps amplitudes (OpenMP static schedule over chunks on
+ * large registers). With `damping`, the epilogue scales each block right
+ * after the kernel wrote it, while it is cache-resident; chunk c sums its
+ * lanes' squared norms into its own partial row, and the rows are added
+ * in chunk order into damping->norm_sq.
  */
 template <class Blocks, class Kernel>
 void
-run_blocks(const Blocks& blocks, std::size_t tmp_elems,
-           BatchedScratch& scratch, Kernel kernel, const Damping* damping,
-           std::vector<Real>* norm_sq)
+run_blocks(const Blocks& blocks, std::size_t tmp_elems, ExecScratch& scratch,
+           Kernel kernel, const Damping* damping)
 {
     const std::int64_t n = blocks.count();
+    if (damping == nullptr && !blocks.parallel()) {
+        if (scratch.tmp.size() < tmp_elems) {
+            scratch.tmp.resize(tmp_elems);
+        }
+        blocks.walk(0, n, kernel, scratch.tmp.data());
+        return;
+    }
     const std::int64_t per =
         std::max<std::int64_t>(1, static_cast<std::int64_t>(
                                       kChunkAmps / blocks.size()));
@@ -154,14 +185,17 @@ run_blocks(const Blocks& blocks, std::size_t tmp_elems,
         const std::int64_t lo = c * per;
         const std::int64_t hi = std::min(n, lo + per);
         if (damping == nullptr) {
-            blocks.walk(lo, hi, [&](Index base) { kernel(base, tmp); });
+            blocks.walk(lo, hi, kernel, tmp);
             return;
         }
         Real* acc = partial + static_cast<std::size_t>(c) * B;
-        blocks.walk(lo, hi, [&](Index base) {
-            kernel(base, tmp);
-            damping->block(base, blocks.offsets(), blocks.size(), acc);
-        });
+        blocks.walk(
+            lo, hi,
+            [&](Index base, Complex* t) {
+                kernel(base, t);
+                damping->block(base, blocks.offsets(), blocks.size(), acc);
+            },
+            tmp);
     };
 #ifdef _OPENMP
     if (blocks.parallel()) {
@@ -184,13 +218,44 @@ run_blocks(const Blocks& blocks, std::size_t tmp_elems,
         }
     }
     if (damping != nullptr) {
-        norm_sq->assign(B, 0.0);
+        std::vector<Real>& norm_sq = damping->norm_sq;
+        norm_sq.assign(B, 0.0);
         for (std::int64_t c = 0; c < nchunks; ++c) {
             const Real* row = partial + static_cast<std::size_t>(c) * B;
             for (std::size_t b = 0; b < B; ++b) {
-                (*norm_sq)[b] += row[b];
+                norm_sq[b] += row[b];
             }
         }
+    }
+}
+
+/** One row of per-lane temporaries: the per-thread scratch row for a
+ *  runtime lane count; a local for OneLane, which the compiler keeps in
+ *  registers (a scratch row could alias the state). */
+template <class Lanes>
+struct LaneRow {
+    Complex* p;
+    explicit LaneRow(Complex* scratch_row) : p(scratch_row) {}
+    Complex* data() { return p; }
+};
+
+template <>
+struct LaneRow<OneLane> {
+    Complex v[1];
+    explicit LaneRow(Complex*) {}
+    Complex* data() { return v; }
+};
+
+/** dst = src over one row of B lanes (disjoint rows). */
+template <class Lanes>
+inline void
+copy_lanes(Complex* dst, const Complex* src, const Lanes B)
+{
+    Real* d = as_reals(dst);
+    const Real* s = as_reals(src);
+    QD_SIMD
+    for (std::size_t l = 0; l < 2 * B; ++l) {
+        d[l] = s[l];
     }
 }
 
@@ -201,18 +266,16 @@ run_blocks(const Blocks& blocks, std::size_t tmp_elems,
  * once, so each output row can accumulate in registers and store straight
  * back to the state — no zero-fill or scatter pass. Per lane the
  * accumulation runs 0 + row[0]*in[0] + row[1]*in[1] + ... in column
- * order, matching the single-shot kernels bitwise.
+ * order, whatever the lane count.
  */
+template <class Lanes>
 void
 matvec_block_b(Complex* amps, Index base, const Index* off, Index nb,
-               const Complex* m, const std::size_t B, Complex* in)
+               const Complex* m, const Lanes B, Complex* in)
 {
     for (Index b = 0; b < nb; ++b) {
-        const Complex* src = amps + (base + off[b]) * B;
-        Complex* dst = in + static_cast<std::size_t>(b) * B;
-        for (std::size_t l = 0; l < B; ++l) {
-            dst[l] = src[l];
-        }
+        copy_lanes(in + static_cast<std::size_t>(b) * B,
+                   amps + (base + off[b]) * B, B);
     }
     // The gather buffer never aliases the state, and the matrix row is
     // hoisted into locals, so the lane loop runs on registers; without the
@@ -264,46 +327,41 @@ matvec_block_b(Complex* amps, Index base, const Index* off, Index nb,
 }
 
 /**
- * Runs `op` over every lane through run_blocks (with the damping epilogue
- * when `damping` is set). Each case supplies the kernel's outer-block
- * geometry and its per-block body.
+ * Runs `op` over the B lanes of the `total`-amplitude register at `amps`
+ * through run_blocks (with the damping epilogue when `damping` is set).
+ * Each case supplies the kernel's outer-block geometry and its per-block
+ * body. `Lanes` is OneLane for a StateVector and std::size_t for a
+ * BatchedStateVector.
  */
+template <class Lanes>
 void
-run_op(const CompiledOp& op, BatchedStateVector& psi, BatchedScratch& scratch,
-       const Damping* damping, std::vector<Real>* norm_sq)
+run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
+       ExecScratch& scratch, const Damping* damping)
 {
-    Complex* amps = psi.data();
-    const std::size_t B = static_cast<std::size_t>(psi.lanes());
     auto run = [&](const auto& blocks, std::size_t tmp_elems, auto kernel) {
-        run_blocks(blocks, tmp_elems, scratch, kernel, damping, norm_sq);
+        run_blocks(blocks, tmp_elems, scratch, kernel, damping);
     };
     switch (op.kind) {
         case KernelKind::kPermutation: {
             const Index* cyc = op.cycle_offsets.data();
             const std::uint32_t* lens = op.cycle_lengths.data();
             const std::size_t ncycles = op.cycle_lengths.size();
-            run(PlanBlocks{*op.plan}, B, [=](Index base, Complex* tmp) {
-                const Index* c = cyc;
-                for (std::size_t j = 0; j < ncycles; ++j) {
-                    const std::uint32_t len = lens[j];
-                    const Complex* last = amps + (base + c[len - 1]) * B;
-                    for (std::size_t b = 0; b < B; ++b) {
-                        tmp[b] = last[b];
-                    }
-                    for (std::uint32_t i = len - 1; i >= 1; --i) {
-                        Complex* dst = amps + (base + c[i]) * B;
-                        const Complex* src = amps + (base + c[i - 1]) * B;
-                        for (std::size_t b = 0; b < B; ++b) {
-                            dst[b] = src[b];
+            run(PlanBlocks{*op.plan}, B,
+                [=](Index base, Complex* buf) QD_BLOCK_BODY {
+                    LaneRow<Lanes> row(buf);
+                    Complex* tmp = row.data();
+                    const Index* c = cyc;
+                    for (std::size_t j = 0; j < ncycles; ++j) {
+                        const std::uint32_t len = lens[j];
+                        copy_lanes(tmp, amps + (base + c[len - 1]) * B, B);
+                        for (std::uint32_t i = len - 1; i >= 1; --i) {
+                            copy_lanes(amps + (base + c[i]) * B,
+                                       amps + (base + c[i - 1]) * B, B);
                         }
+                        copy_lanes(amps + (base + c[0]) * B, tmp, B);
+                        c += len;
                     }
-                    Complex* first = amps + (base + c[0]) * B;
-                    for (std::size_t b = 0; b < B; ++b) {
-                        first[b] = tmp[b];
-                    }
-                    c += len;
-                }
-            });
+                });
             return;
         }
         case KernelKind::kMonomial: {
@@ -326,49 +384,50 @@ run_op(const CompiledOp& op, BatchedStateVector& psi, BatchedScratch& scratch,
                     d[2 * l + 1] = ar * fi + ai * fr;
                 }
             };
-            run(PlanBlocks{*op.plan}, B, [=](Index base, Complex* tmp) {
-                const Index* c = cyc;
-                const Complex* v = ph;
-                for (std::size_t j = 0; j < ncycles; ++j) {
-                    const std::uint32_t len = lens[j];
-                    if (len == 1) {
-                        Complex* p = amps + (base + c[0]) * B;
-                        move_scaled(p, p, v[0]);
-                    } else {
-                        move_scaled(tmp, amps + (base + c[len - 1]) * B,
-                                    v[len - 1]);
-                        for (std::uint32_t i = len - 1; i >= 1; --i) {
-                            move_scaled(amps + (base + c[i]) * B,
-                                        amps + (base + c[i - 1]) * B,
-                                        v[i - 1]);
+            run(PlanBlocks{*op.plan}, B,
+                [=](Index base, Complex* buf) QD_BLOCK_BODY {
+                    LaneRow<Lanes> row(buf);
+                    Complex* tmp = row.data();
+                    const Index* c = cyc;
+                    const Complex* v = ph;
+                    for (std::size_t j = 0; j < ncycles; ++j) {
+                        const std::uint32_t len = lens[j];
+                        if (len == 1) {
+                            Complex* p = amps + (base + c[0]) * B;
+                            move_scaled(p, p, v[0]);
+                        } else {
+                            move_scaled(tmp, amps + (base + c[len - 1]) * B,
+                                        v[len - 1]);
+                            for (std::uint32_t i = len - 1; i >= 1; --i) {
+                                move_scaled(amps + (base + c[i]) * B,
+                                            amps + (base + c[i - 1]) * B,
+                                            v[i - 1]);
+                            }
+                            copy_lanes(amps + (base + c[0]) * B, tmp, B);
                         }
-                        Complex* first = amps + (base + c[0]) * B;
-                        for (std::size_t b = 0; b < B; ++b) {
-                            first[b] = tmp[b];
-                        }
+                        c += len;
+                        v += len;
                     }
-                    c += len;
-                    v += len;
-                }
-            });
+                });
             return;
         }
         case KernelKind::kDiagonal: {
             const Index* off = op.plan->local_offset.data();
             const Complex* diag = op.diag.data();
             const Index block = op.plan->block;
-            run(PlanBlocks{*op.plan}, 0, [=](Index base, Complex*) {
-                for (Index b = 0; b < block; ++b) {
-                    const Real fr = diag[b].real(), fi = diag[b].imag();
-                    Real* d = as_reals(amps + (base + off[b]) * B);
-                    QD_SIMD
-                    for (std::size_t l = 0; l < B; ++l) {
-                        const Real ar = d[2 * l], ai = d[2 * l + 1];
-                        d[2 * l] = ar * fr - ai * fi;
-                        d[2 * l + 1] = ar * fi + ai * fr;
+            run(PlanBlocks{*op.plan}, 0,
+                [=](Index base, Complex*) QD_BLOCK_BODY {
+                    for (Index b = 0; b < block; ++b) {
+                        const Real fr = diag[b].real(), fi = diag[b].imag();
+                        Real* d = as_reals(amps + (base + off[b]) * B);
+                        QD_SIMD
+                        for (std::size_t l = 0; l < B; ++l) {
+                            const Real ar = d[2 * l], ai = d[2 * l + 1];
+                            d[2 * l] = ar * fr - ai * fi;
+                            d[2 * l + 1] = ar * fi + ai * fr;
+                        }
                     }
-                }
-            });
+                });
             return;
         }
         case KernelKind::kSingleWireD2: {
@@ -377,8 +436,8 @@ run_op(const CompiledOp& op, BatchedStateVector& psi, BatchedScratch& scratch,
             const Real u10r = op.u[2].real(), u10i = op.u[2].imag();
             const Real u11r = op.u[3].real(), u11i = op.u[3].imag();
             const std::size_t jump = static_cast<std::size_t>(op.stride1) * B;
-            run(WireBlocks(op.stride1, op.period1, psi.size()), 0,
-                [=](Index base, Complex*) {
+            run(WireBlocks(op.stride1, op.period1, total), 0,
+                [=](Index base, Complex*) QD_BLOCK_BODY {
                     Real* d0 = as_reals(amps + base * B);
                     Real* d1 = as_reals(amps + base * B + jump);
                     QD_SIMD
@@ -402,8 +461,8 @@ run_op(const CompiledOp& op, BatchedStateVector& psi, BatchedScratch& scratch,
             const Complex u10 = op.u[3], u11 = op.u[4], u12 = op.u[5];
             const Complex u20 = op.u[6], u21 = op.u[7], u22 = op.u[8];
             const std::size_t jump = static_cast<std::size_t>(op.stride1) * B;
-            run(WireBlocks(op.stride1, op.period1, psi.size()), 0,
-                [=](Index base, Complex*) {
+            run(WireBlocks(op.stride1, op.period1, total), 0,
+                [=](Index base, Complex*) QD_BLOCK_BODY {
                     Real* d0 = as_reals(amps + base * B);
                     Real* d1 = as_reals(amps + base * B + jump);
                     Real* d2 = as_reals(amps + base * B + 2 * jump);
@@ -445,7 +504,7 @@ run_op(const CompiledOp& op, BatchedStateVector& psi, BatchedScratch& scratch,
             const Complex* m = op.inner.data().data();
             const Index ctrl = op.ctrl_offset;
             run(PlanBlocks{*op.plan}, static_cast<std::size_t>(nb) * B,
-                [=](Index base, Complex* in) {
+                [=](Index base, Complex* in) QD_BLOCK_BODY {
                     matvec_block_b(amps, base + ctrl, off, nb, m, B, in);
                 });
             return;
@@ -455,7 +514,7 @@ run_op(const CompiledOp& op, BatchedStateVector& psi, BatchedScratch& scratch,
             const Index nb = op.plan->block;
             const Complex* m = op.gate.matrix().data().data();
             run(PlanBlocks{*op.plan}, static_cast<std::size_t>(nb) * B,
-                [=](Index base, Complex* in) {
+                [=](Index base, Complex* in) QD_BLOCK_BODY {
                     matvec_block_b(amps, base, off, nb, m, B, in);
                 });
             return;
@@ -479,60 +538,78 @@ count_dispatch(const CompiledOp& op, const BatchedStateVector& psi)
     }
 }
 
+std::size_t
+lanes_of(const BatchedStateVector& psi)
+{
+    return static_cast<std::size_t>(psi.lanes());
+}
+
 Damping
 damping_for(BatchedStateVector& psi, const std::vector<std::uint16_t>& key,
-            const std::vector<Real>& scale)
+            const std::vector<Real>& scale, std::vector<Real>& norm_sq)
 {
     if (key.size() != static_cast<std::size_t>(psi.size())) {
         throw std::invalid_argument("damping epilogue: key size mismatch");
     }
-    return Damping{as_reals(psi.data()),
-                   static_cast<std::size_t>(psi.lanes()), key.data(),
-                   scale.data()};
+    return Damping{as_reals(psi.data()), lanes_of(psi), key.data(),
+                   scale.data(), norm_sq};
 }
 
 }  // namespace
 
 void
+apply_op(const CompiledOp& op, StateVector& psi, ExecScratch& scratch)
+{
+    // Hook sits outside the kernels' OpenMP regions; counts land in the
+    // calling thread's block (see obs/counters.h).
+    if (obs::enabled()) {
+        obs::count_unchecked(kernel_counter(op.kind, /*batched=*/false));
+        obs::count_unchecked(obs::Counter::kEstimatedFlops,
+                             op_flop_estimate(op, psi.size()));
+    }
+    run_op(op, psi.amplitudes().data(), psi.size(), OneLane{}, scratch,
+           nullptr);
+}
+
+void
 apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
-                 BatchedScratch& scratch)
+                 ExecScratch& scratch)
 {
     count_dispatch(op, psi);
-    run_op(op, psi, scratch, nullptr, nullptr);
+    run_op(op, psi.data(), psi.size(), lanes_of(psi), scratch, nullptr);
 }
 
 void
 apply_op_batched_damped(const CompiledOp& op, BatchedStateVector& psi,
-                        BatchedScratch& scratch,
+                        ExecScratch& scratch,
                         const std::vector<std::uint16_t>& key,
                         const std::vector<Real>& scale,
                         std::vector<Real>& norm_sq)
 {
-    const Damping damping = damping_for(psi, key, scale);
+    const Damping damping = damping_for(psi, key, scale, norm_sq);
     count_dispatch(op, psi);
-    run_op(op, psi, scratch, &damping, &norm_sq);
+    run_op(op, psi.data(), psi.size(), lanes_of(psi), scratch, &damping);
 }
 
 void
 damp_op_batched(const CompiledOp& op, BatchedStateVector& psi,
-                BatchedScratch& scratch,
+                ExecScratch& scratch,
                 const std::vector<std::uint16_t>& key,
                 const std::vector<Real>& scale, std::vector<Real>& norm_sq)
 {
-    const Damping damping = damping_for(psi, key, scale);
+    const Damping damping = damping_for(psi, key, scale, norm_sq);
     auto no_gate = [](Index, Complex*) {};
     if (op.plan == nullptr) {
         run_blocks(WireBlocks(op.stride1, op.period1, psi.size()), 0,
-                   scratch, no_gate, &damping, &norm_sq);
+                   scratch, no_gate, &damping);
     } else {
-        run_blocks(PlanBlocks{*op.plan}, 0, scratch, no_gate, &damping,
-                   &norm_sq);
+        run_blocks(PlanBlocks{*op.plan}, 0, scratch, no_gate, &damping);
     }
 }
 
 void
 run_batched(const CompiledCircuit& compiled, BatchedStateVector& psi,
-            BatchedScratch& scratch)
+            ExecScratch& scratch)
 {
     for (const CompiledOp& op : compiled.ops()) {
         apply_op_batched(op, psi, scratch);

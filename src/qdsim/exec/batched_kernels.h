@@ -7,14 +7,17 @@
  * gate payload are read once per amplitude block instead of once per shot,
  * and the per-amplitude work runs over the B contiguous lanes with
  * `QD_SIMD` inner loops. Outer blocks go parallel via OpenMP on large
- * registers exactly like the single-shot kernels.
+ * registers.
  *
- * Per lane, every kernel performs the same floating-point operations in
- * the same order as its single-shot counterpart in kernels.cc, so lane b
- * of a batched pass is bitwise identical to an unbatched apply_op on the
- * same state (property-tested in tests/qdsim/test_batched.cc). That is
- * what lets the trajectory engine mix batched passes with per-lane
- * single-shot fallbacks for divergent events.
+ * The kernel bodies are the ones single-shot `apply_op` runs (kernels.h):
+ * one template per kernel class over the lane count, instantiated at a
+ * compile-time 1 for a StateVector and at the runtime batch width here.
+ * The floating-point operations of an amplitude do not depend on the lane
+ * count, so lane b of a batched pass is bitwise identical to an unbatched
+ * apply_op on the same state (property-tested in
+ * tests/qdsim/test_batched.cc). That is what lets the trajectory engine
+ * mix batched passes with per-lane single-shot fallbacks for divergent
+ * events.
  *
  * `apply_op_batched_damped` is the same pass with the trajectory engine's
  * no-jump damping step as an epilogue: right after the kernel writes an
@@ -39,20 +42,14 @@
 
 namespace qd::exec {
 
-/** Reusable buffers, one per executing thread, grown on demand like
- *  ExecScratch: `tmp` gathers operand blocks for the matvec kernels
- *  (outputs store straight back to the state, so there is no scatter
- *  buffer) or holds one lane row during permutation cycle walks; `partial`
- *  holds the damping epilogue's per-chunk, per-lane norm partials. */
-struct BatchedScratch {
-    std::vector<Complex> tmp;
-    std::vector<Real> partial;
-};
+/** Former name of the per-thread scratch; batched and single-shot passes
+ *  share ExecScratch. */
+using BatchedScratch = ExecScratch;
 
 /** Executes a compiled operation on every lane in place. `psi` must be
  *  over the dims the op was compiled for. */
 void apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
-                      BatchedScratch& scratch);
+                      ExecScratch& scratch);
 
 /**
  * apply_op_batched with the no-jump damping epilogue: afterwards every
@@ -62,7 +59,7 @@ void apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
  * @throws std::invalid_argument if key.size() != psi.size().
  */
 void apply_op_batched_damped(const CompiledOp& op, BatchedStateVector& psi,
-                             BatchedScratch& scratch,
+                             ExecScratch& scratch,
                              const std::vector<std::uint16_t>& key,
                              const std::vector<Real>& scale,
                              std::vector<Real>& norm_sq);
@@ -70,14 +67,14 @@ void apply_op_batched_damped(const CompiledOp& op, BatchedStateVector& psi,
 /** The damping epilogue of apply_op_batched_damped on its own: the same
  *  walk over `op`'s outer blocks, without the gate. */
 void damp_op_batched(const CompiledOp& op, BatchedStateVector& psi,
-                     BatchedScratch& scratch,
+                     ExecScratch& scratch,
                      const std::vector<std::uint16_t>& key,
                      const std::vector<Real>& scale,
                      std::vector<Real>& norm_sq);
 
 /** Applies all operations of a compiled circuit to every lane in order. */
 void run_batched(const CompiledCircuit& compiled, BatchedStateVector& psi,
-                 BatchedScratch& scratch);
+                 ExecScratch& scratch);
 
 }  // namespace qd::exec
 

@@ -1,6 +1,5 @@
 #include "qdsim/exec/compiled_circuit.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -16,7 +15,6 @@ CompiledCircuit::compile_plain(const Circuit& circuit, PlanCache& cache)
     for (const Operation& op : circuit.ops()) {
         ops_.push_back(compile_op(dims_, op.gate, op.wires, &cache));
         ops_.back().source_ops.assign(1, index++);
-        max_block_ = std::max(max_block_, op.gate.block_size());
     }
     num_source_ops_ = circuit.num_ops();
 }
@@ -55,7 +53,6 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
             // execution stay bitwise identical.
             const Operation& op = ops[group.members[0]];
             ops_.push_back(compile_op(dims_, op.gate, op.wires, &use));
-            max_block_ = std::max(max_block_, op.gate.block_size());
         } else {
             std::vector<int> gate_dims;
             gate_dims.reserve(group.wires.size());
@@ -72,7 +69,6 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
             // variant.
             ops_.push_back(compile_op(dims_, fused, group.wires, &use,
                                       options.plan_salt()));
-            max_block_ = std::max(max_block_, fused.block_size());
             ++num_fused_groups_;
         }
         ops_.back().source_ops = group.members;

@@ -58,9 +58,6 @@ class CompiledCircuit {
     /** Number of compiled ops that merged two or more circuit ops. */
     std::size_t num_fused_groups() const { return num_fused_groups_; }
 
-    /** Largest gather block of any compiled op (scratch sizing hint). */
-    Index max_block() const { return max_block_; }
-
     /** Applies all operations to `psi` in order, reusing `scratch` between
      *  gates. `psi` must be over dims(). */
     void run(StateVector& psi, ExecScratch& scratch) const;
@@ -86,7 +83,6 @@ class CompiledCircuit {
     std::vector<CompiledOp> ops_;
     std::size_t num_source_ops_ = 0;
     std::size_t num_fused_groups_ = 0;
-    Index max_block_ = 0;
 };
 
 }  // namespace qd::exec

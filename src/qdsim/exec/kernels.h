@@ -1,6 +1,7 @@
 /**
  * @file kernels.h
- * Specialized gate-application kernels and the per-operation dispatcher.
+ * Gate compilation: the kernel classes, the compiled operation, and the
+ * single-shot entry point.
  *
  * `compile_op` inspects the gate's cached structure (permutation action,
  * diagonality, controlled-subspace split — all derived once at Gate
@@ -14,7 +15,7 @@
  *    products the fusion stage emits): values move along precomputed
  *    cycles with one phase multiply each, no matvec.
  *  - kSingleWireD2 / kSingleWireD3: fully unrolled dense 2x2 / 3x3 kernels
- *    walking the state in contiguous runs (no offset tables at all).
+ *    walking the wire's rows directly (no offset tables at all).
  *  - kControlled: touches only the `d^N / d^c` amplitudes where the `c`
  *    control operands hold their activation values, applying the inner
  *    dense operator there.
@@ -22,10 +23,12 @@
  *    the fallback, and the shape every other kernel is property-tested
  *    against (via StateVector::apply, the reference implementation).
  *
- * All kernels are allocation-free and div/mod-free in their inner loops;
- * the dense/permutation/diagonal/controlled outer loops go parallel via
- * OpenMP when the register is large enough (blocks are disjoint by
- * construction).
+ * There is one set of kernel bodies (batched_kernels.cc), templated on
+ * the lane count: `apply_op` runs them at a compile-time count of 1,
+ * `apply_op_batched` at the batch width. Both go through one block
+ * driver, allocation-free and div/mod-free in the inner loops, whose
+ * outer loop goes parallel via OpenMP when the register is large enough
+ * (blocks are disjoint by construction).
  */
 #ifndef QDSIM_EXEC_KERNELS_H
 #define QDSIM_EXEC_KERNELS_H
@@ -55,10 +58,15 @@ enum class KernelKind : std::uint8_t {
 /** Human-readable kernel name (bench/test logging). */
 const char* kernel_name(KernelKind kind);
 
-/** Reusable gather/scatter buffers; one per executing thread. Kernels never
- *  allocate once the scratch has grown to the circuit's largest block. */
+/** Reusable buffers, one per executing thread, grown on demand: `tmp`
+ *  gathers operand blocks for the matvec kernels (outputs store straight
+ *  back to the state, so there is no scatter buffer) or holds one lane
+ *  row during permutation cycle walks; `partial` holds the batched damping
+ *  epilogue's per-chunk, per-lane norm partials. Kernels never allocate
+ *  once the scratch has grown to the largest block they have run. */
 struct ExecScratch {
-    std::vector<Complex> in, out;
+    std::vector<Complex> tmp;
+    std::vector<Real> partial;
 };
 
 /**
@@ -145,12 +153,13 @@ CompiledOp compile_op(const WireDims& dims, const Gate& gate,
                       std::span<const int> wires, PlanCache* cache = nullptr,
                       Index plan_salt = 0);
 
-/** Executes a compiled operation in place. `psi` must be over the dims the
- *  op was compiled for. */
+/** Executes a compiled operation in place: the batched kernel bodies at a
+ *  compile-time lane count of 1 (defined in batched_kernels.cc). `psi`
+ *  must be over the dims the op was compiled for. */
 void apply_op(const CompiledOp& op, StateVector& psi, ExecScratch& scratch);
 
-/** Dispatch counter for one application of `kind`: the single-shot zoo
- *  counter, or the batched-zoo counter when `batched` (advanced by the
+/** Dispatch counter for one application of `kind`: the single-shot
+ *  counter, or the batched counter when `batched` (advanced by the
  *  lane count there). The d=2/d=3 unrolled kernels share one
  *  "single_wire" class. */
 obs::Counter kernel_counter(KernelKind kind, bool batched) noexcept;

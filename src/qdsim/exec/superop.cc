@@ -93,11 +93,11 @@ left_block_pass(const ApplyPlan& plan, Index extra, const Index* off,
         return;
     }
 #endif
-    if (scratch.in.size() < need) {
-        scratch.in.resize(need);
+    if (scratch.tmp.size() < need) {
+        scratch.tmp.resize(need);
     }
     for (Index o = 0; o < plan.outer_count(); ++o) {
-        do_block(o, scratch.in.data());
+        do_block(o, scratch.tmp.data());
     }
 }
 
@@ -144,11 +144,11 @@ right_block_pass(const ApplyPlan& plan, Index extra, const Index* off,
         return;
     }
 #endif
-    if (scratch.in.size() < static_cast<std::size_t>(n)) {
-        scratch.in.resize(static_cast<std::size_t>(n));
+    if (scratch.tmp.size() < static_cast<std::size_t>(n)) {
+        scratch.tmp.resize(static_cast<std::size_t>(n));
     }
     for (Index r = 0; r < dim; ++r) {
-        do_row(r, scratch.in.data());
+        do_row(r, scratch.tmp.data());
     }
 }
 
@@ -182,10 +182,10 @@ void
 walk_cycles_rows(const CompiledSuperOp& op, Complex* a, Index base,
                  Index dim, ExecScratch& scratch)
 {
-    if (scratch.in.size() < static_cast<std::size_t>(dim)) {
-        scratch.in.resize(static_cast<std::size_t>(dim));
+    if (scratch.tmp.size() < static_cast<std::size_t>(dim)) {
+        scratch.tmp.resize(static_cast<std::size_t>(dim));
     }
-    Complex* tmp = scratch.in.data();
+    Complex* tmp = scratch.tmp.data();
     const Index* c = op.cycle_offsets.data();
     const Complex* v = op.cycle_phases.data();
     auto scale_copy = [dim](Complex* dst, const Complex* src, Complex ph) {

@@ -14,7 +14,7 @@
  * tables are shared with the state-vector engine via PlanCache).
  *
  * Structured operators route to cheaper kernels, mirroring the
- * state-vector kernel zoo:
+ * state-vector kernel classes:
  *  - kDiagonal: the expanded diagonal is tabulated once; conjugation is a
  *    single fused O(D^2) pass rho(r,c) *= d[r] * conj(d[c]). Covers phase
  *    gates and the amplitude-damping no-jump operator.

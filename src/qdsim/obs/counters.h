@@ -41,20 +41,21 @@ namespace qd::obs {
 
 /**
  * Everything the instrumentation layer tracks. Kernel-dispatch counts are
- * kept per zoo: the single-shot counters advance by 1 per apply_op, the
- * batched counters by the lane count per apply_op_batched, so the per-class
- * SUM across the two zoos is invariant under the batch width (lanes are
- * bitwise equal to unbatched shots by the batched-engine contract).
+ * kept per entry point: the single-shot counters advance by 1 per
+ * apply_op, the batched counters by the lane count per apply_op_batched,
+ * so the per-class SUM across the two is invariant under the batch width
+ * (both run the same kernel bodies; lanes are bitwise equal to unbatched
+ * shots).
  */
 enum class Counter : unsigned {
-    // Single-shot kernel zoo (exec/kernels.cc), one per dispatch.
+    // Single-shot passes (exec::apply_op), one per dispatch.
     kSsPermutation = 0,
     kSsDiagonal,
     kSsMonomial,
     kSsSingleWire,  ///< unrolled d=2 / d=3 single-wire kernels
     kSsControlled,
     kSsDense,
-    // Batched kernel zoo (exec/batched_kernels.cc), LANES per dispatch.
+    // Batched passes (exec::apply_op_batched), LANES per dispatch.
     kBatPermutation,
     kBatDiagonal,
     kBatMonomial,

@@ -21,7 +21,7 @@ namespace qd::obs {
 struct SimReport {
     CounterSnapshot counters;
 
-    /** Kernel-class totals summed across the single-shot and batched zoos
+    /** Kernel-class totals summed across single-shot and batched passes
      *  (batched counters advance by lane count, so these totals are
      *  invariant under the batch width). Order: permutation, diagonal,
      *  monomial, single_wire, controlled, dense. */

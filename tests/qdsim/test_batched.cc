@@ -28,7 +28,7 @@
 namespace qd {
 namespace {
 
-using exec::BatchedScratch;
+using exec::ExecScratch;
 using exec::BatchedStateVector;
 using exec::CompiledOp;
 using exec::KernelKind;
@@ -91,7 +91,7 @@ check_batched_matches_single(const WireDims& dims, const Gate& gate,
     BatchedStateVector batch(dims, lanes);
     std::vector<StateVector> ref = random_lanes(batch, rng);
 
-    BatchedScratch bscratch;
+    ExecScratch bscratch;
     exec::apply_op_batched(op, batch, bscratch);
 
     exec::ExecScratch scratch;
@@ -104,31 +104,39 @@ check_batched_matches_single(const WireDims& dims, const Gate& gate,
 TEST(Batched, EveryKernelKindMatchesSingleShotBitwise) {
     Rng rng(301);
     const WireDims q3 = WireDims::uniform(4, 3);
-    // Permutation, diagonal, unrolled d3, controlled, dense.
-    check_batched_matches_single(q3, gates::Xplus1().controlled(3, 2),
-                                 {1, 3}, 5, rng, KernelKind::kPermutation);
-    check_batched_matches_single(q3, gates::Z3(), {2}, 5, rng,
-                                 KernelKind::kDiagonal);
-    // Monomial: generalized permutation with phases (Z ⊗ X+1 product,
-    // the shape of X^j Z^k error terms and phase∘permutation fusions).
-    check_batched_matches_single(
-        q3,
-        Gate("Z3xX+1", {3, 3},
-             gates::Z3().matrix().kron(gates::Xplus1().matrix())),
-        {1, 3}, 5, rng, KernelKind::kMonomial);
-    check_batched_matches_single(q3, gates::H3(), {1}, 5, rng,
-                                 KernelKind::kSingleWireD3);
-    check_batched_matches_single(q3, gates::fourier(3).controlled(3, 2),
-                                 {0, 2}, 5, rng, KernelKind::kControlled);
-    check_batched_matches_single(
-        q3, Gate("rand", {3, 3}, random_matrix(9, rng)), {3, 1}, 5, rng,
-        KernelKind::kDense);
-
     const WireDims q2 = WireDims::uniform(3, 2);
-    check_batched_matches_single(q2, gates::H(), {1}, 4, rng,
-                                 KernelKind::kSingleWireD2);
-    check_batched_matches_single(q2, gates::CCX(), {2, 0, 1}, 4, rng,
-                                 KernelKind::kPermutation);
+    // lanes = 1 runs the runtime-lane-count kernels at one lane against
+    // the compile-time one-lane instantiation apply_op runs.
+    for (const int lanes : {1, 4, 5}) {
+        SCOPED_TRACE(::testing::Message() << "lanes " << lanes);
+        // Permutation, diagonal, unrolled d3, controlled, dense.
+        check_batched_matches_single(q3, gates::Xplus1().controlled(3, 2),
+                                     {1, 3}, lanes, rng,
+                                     KernelKind::kPermutation);
+        check_batched_matches_single(q3, gates::Z3(), {2}, lanes, rng,
+                                     KernelKind::kDiagonal);
+        // Monomial: generalized permutation with phases (Z ⊗ X+1
+        // product, the shape of X^j Z^k error terms and
+        // phase∘permutation fusions).
+        check_batched_matches_single(
+            q3,
+            Gate("Z3xX+1", {3, 3},
+                 gates::Z3().matrix().kron(gates::Xplus1().matrix())),
+            {1, 3}, lanes, rng, KernelKind::kMonomial);
+        check_batched_matches_single(q3, gates::H3(), {1}, lanes, rng,
+                                     KernelKind::kSingleWireD3);
+        check_batched_matches_single(q3, gates::fourier(3).controlled(3, 2),
+                                     {0, 2}, lanes, rng,
+                                     KernelKind::kControlled);
+        check_batched_matches_single(
+            q3, Gate("rand", {3, 3}, random_matrix(9, rng)), {3, 1}, lanes,
+            rng, KernelKind::kDense);
+
+        check_batched_matches_single(q2, gates::H(), {1}, lanes, rng,
+                                     KernelKind::kSingleWireD2);
+        check_batched_matches_single(q2, gates::CCX(), {2, 0, 1}, lanes, rng,
+                                     KernelKind::kPermutation);
+    }
 }
 
 TEST(Batched, RandomCircuitsMatchSingleShotOnMixedRadix) {
@@ -158,10 +166,12 @@ TEST(Batched, RandomCircuitsMatchSingleShotOnMixedRadix) {
                  {0, 1});
 
         const exec::CompiledCircuit compiled(c);
+        // lanes = 1: the runtime-lane-count instantiation at one lane
+        // against the compile-time one that CompiledCircuit::run uses.
         for (const int lanes : {1, 3, 8}) {
             BatchedStateVector batch(dims, lanes);
             std::vector<StateVector> ref = random_lanes(batch, rng);
-            BatchedScratch bscratch;
+            ExecScratch bscratch;
             exec::run_batched(compiled, batch, bscratch);
             exec::ExecScratch scratch;
             for (StateVector& r : ref) {
@@ -346,7 +356,7 @@ TEST(Batched, DampingEpilogueMatchesOpThenStandaloneWalkBitwise) {
             BatchedStateVector fused(dims, lanes);
             std::vector<StateVector> ref = random_lanes(fused, rng);
             BatchedStateVector split = fused;
-            BatchedScratch bscratch;
+            ExecScratch bscratch;
             std::vector<Real> fused_norms, split_norms;
             exec::apply_op_batched_damped(op, fused, bscratch, key, kScale,
                                           fused_norms);
@@ -370,7 +380,7 @@ TEST(Batched, DampingEpilogueMatchesOpThenStandaloneWalkBitwise) {
     }
     BatchedStateVector batch(dims, 2);
     std::vector<Real> norms;
-    BatchedScratch bscratch;
+    ExecScratch bscratch;
     const std::vector<int> wire0 = {0};
     const CompiledOp op = exec::compile_op(dims, gates::H3(), wire0);
     EXPECT_THROW(exec::damp_op_batched(op, batch, bscratch, {0, 1}, kScale,
@@ -400,7 +410,7 @@ TEST(Batched, DampingEpilogueIndependentOfThreadCount) {
         for (const int threads : {1, 4}) {
             omp_set_num_threads(threads);
             out.push_back(start);
-            BatchedScratch bscratch;
+            ExecScratch bscratch;
             exec::apply_op_batched_damped(op, out.back(), bscratch, key,
                                           kScale, norms[out.size() - 1]);
         }

@@ -8,10 +8,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <thread>
 
 #include <gtest/gtest.h>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "qdsim/exec/apply_plan.h"
 #include "qdsim/exec/kernels.h"
@@ -318,6 +323,65 @@ TEST(Exec, BaseOfMatchesTabulatedOffsets) {
             << o;
     }
 }
+
+#ifdef _OPENMP
+TEST(Exec, EveryKernelClassIndependentOfThreadCount) {
+    // Registers on which every kernel class clears the outer-block
+    // threshold, so apply_op takes the OpenMP branch of the block driver:
+    // width-11 qutrits for the plan kernels and single-wire d=3 (on the
+    // least significant wire), width-14 qubits for single-wire d=2. The
+    // amplitudes must be bitwise equal at 1 and 4 threads.
+    Rng rng(112);
+    const WireDims q3 = WireDims::uniform(11, 3);
+    const WireDims q2 = WireDims::uniform(14, 2);
+    struct Case {
+        const WireDims* dims;
+        Gate gate;
+        std::vector<int> wires;
+        KernelKind kind;
+    };
+    const std::vector<Case> cases = {
+        {&q3, gates::Xplus1().controlled(3, 2), {3, 7},
+         KernelKind::kPermutation},
+        {&q3, gates::Z3(), {4}, KernelKind::kDiagonal},
+        {&q3,
+         Gate("Z3xX+1", {3, 3},
+              gates::Z3().matrix().kron(gates::Xplus1().matrix())),
+         {1, 5}, KernelKind::kMonomial},
+        {&q3, gates::H3(), {10}, KernelKind::kSingleWireD3},
+        {&q3, gates::fourier(3).controlled(3, 2), {0, 6},
+         KernelKind::kControlled},
+        {&q3, Gate("rand", {3, 3}, random_matrix(9, rng)), {8, 2},
+         KernelKind::kDense},
+        {&q2, gates::H(), {13}, KernelKind::kSingleWireD2},
+    };
+    const int saved = omp_get_max_threads();
+    for (const Case& c : cases) {
+        const CompiledOp op = exec::compile_op(*c.dims, c.gate, c.wires);
+        ASSERT_EQ(op.kind, c.kind) << c.gate.name();
+        SCOPED_TRACE(exec::kernel_name(op.kind));
+        const StateVector start = haar_random_state(*c.dims, rng);
+        std::vector<StateVector> out;
+        for (const int threads : {1, 4}) {
+            omp_set_num_threads(threads);
+            out.push_back(start);
+            exec::ExecScratch scratch;
+            exec::apply_op(op, out.back(), scratch);
+        }
+        omp_set_num_threads(saved);
+        ASSERT_EQ(std::memcmp(out[0].amplitudes().data(),
+                              out[1].amplitudes().data(),
+                              static_cast<std::size_t>(start.size()) *
+                                  sizeof(Complex)),
+                  0);
+        StateVector ref = start;
+        ref.apply(c.gate.matrix(), c.wires);
+        for (Index i = 0; i < ref.size(); ++i) {
+            ASSERT_NEAR(std::abs(out[0][i] - ref[i]), 0.0, 1e-10) << i;
+        }
+    }
+}
+#endif
 
 TEST(Exec, CompileRejectsInvalidSites) {
     const WireDims dims = WireDims::uniform(3, 3);

@@ -230,7 +230,7 @@ TEST(Fusion, BatchedLanesBitwiseMatchSingleShotUnderFusion) {
         ref.push_back(haar_random_state(dims, rng));
         batch.set_lane(b, ref.back());
     }
-    exec::BatchedScratch bscratch;
+    exec::ExecScratch bscratch;
     exec::run_batched(fused, batch, bscratch);
     exec::ExecScratch scratch;
     for (int b = 0; b < lanes; ++b) {

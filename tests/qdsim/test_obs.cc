@@ -166,7 +166,7 @@ TEST_F(ObsTest, BatchedKernelCountsAdvanceByLaneCount)
     for (int b = 0; b < kLanes; ++b) {
         batch.set_lane(b, haar_random_state(circuit.dims(), rng));
     }
-    exec::BatchedScratch scratch;
+    exec::ExecScratch scratch;
 
     obs::reset_counters();
     exec::run_batched(compiled, batch, scratch);
