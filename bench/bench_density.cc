@@ -5,10 +5,12 @@
  * chains), evolved exactly as a density matrix. Two measurements:
  *   1. ms per exact-evolution pass with the old dense path — expand every
  *      operator to D x D and multiply, O(D^3) per operator,
- *   2. ms per pass with the compiled superoperator path — gates, gate
- *      errors and channels compiled once against shared ApplyPlans,
- *      O(D^2 * b) per operator (density_matrix_fidelity).
- * The two fidelities are also compared (they must agree to ~1e-10).
+ *   2. ms per pass with the compiled path — gates, gate errors and
+ *      channels compiled once against shared ApplyPlans and applied as
+ *      rho -> K rho K^dagger on the state-vector kernels, O(D^2 * b) per
+ *      operator (density_matrix_fidelity).
+ * The two fidelities are also compared (they must agree to ~1e-10). The
+ * dense oracle is tests/noise/density_reference.h.
  * Emits BENCH_density.json so the perf trajectory accumulates run over
  * run; the acceptance bar is a >= 5x compiled-over-dense speedup.
  *
@@ -19,6 +21,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "../tests/noise/density_reference.h"
 #include "bench_util.h"
 #include "noise/channels.h"
 #include "noise/density_matrix.h"
@@ -69,13 +72,15 @@ dense_reference_fidelity(const Circuit& circuit,
 {
     const StateVector ideal = simulate(circuit, initial);
     noise::DensityMatrix dm(initial);
+    Matrix& rho = dm.mutable_rho();
     const auto sites = noise::enumerate_error_sites(circuit, model);
     const auto moments = schedule_asap(circuit);
     for (const Moment& moment : moments) {
         for (const std::size_t idx : moment.op_indices) {
             const Operation& op = circuit.ops()[idx];
-            dm.apply_unitary_dense(op.gate.matrix(),
-                                   std::span<const int>(op.wires));
+            reference::apply_unitary_dense(circuit.dims(), rho,
+                                           op.gate.matrix(),
+                                           std::span<const int>(op.wires));
             for (const noise::ErrorSite& site : sites[idx]) {
                 const auto ch =
                     site.dims.size() == 1
@@ -87,8 +92,9 @@ dense_reference_fidelity(const Circuit& circuit,
                 for (const int d : site.dims) {
                     block *= static_cast<std::size_t>(d);
                 }
-                dm.apply_channel_dense(ch.to_kraus(block),
-                                       std::span<const int>(site.wires));
+                reference::apply_channel_dense(
+                    circuit.dims(), rho, ch.to_kraus(block),
+                    std::span<const int>(site.wires));
             }
         }
     }
@@ -100,7 +106,7 @@ dense_reference_fidelity(const Circuit& circuit,
 int
 main(int argc, char** argv)
 {
-    bench::banner("bench_density: compiled superoperators vs dense expand()",
+    bench::banner("bench_density: compiled conjugation vs dense expand()",
                   "Section 6.2 exact reference; 3-qutrit depolarizing "
                   "workload");
 
@@ -129,7 +135,7 @@ main(int argc, char** argv)
     }
     const double dense_ms = (now_ms() - t0) / reps;
 
-    // 2. Compiled superoperator path, O(D^2 * b) per operator.
+    // 2. Compiled path, O(D^2 * b) per operator.
     Real compiled_fid = 0;
     const double t1 = now_ms();
     for (int r = 0; r < reps; ++r) {
@@ -149,8 +155,9 @@ main(int argc, char** argv)
                 speedup >= 5.0 ? "(>= 5x target met)"
                                : "(below 5x target)");
 
-    // Instrumented section: one compiled pass with counters on (superop
-    // conjugation classes, plan-cache traffic) and optional --trace spans.
+    // Instrumented section: one compiled pass with counters on (kernel
+    // classes of both conjugation passes, plan-cache traffic) and optional
+    // --trace spans.
     bench::ObsSection obs_section(bench::trace_flag(argc, argv));
     noise::density_matrix_fidelity(circuit, model, init);
     const obs::SimReport rep = obs_section.finish();

@@ -15,9 +15,9 @@ compare_bench.py --self-test):
                  Detected by brace-tracking the statement or block that
                  follows every `#pragma omp parallel...` in src/.
   omp-sites      a `#pragma omp parallel...` in src/ appears only in the
-                 files of OMP_SITES: the one block driver every
-                 state-vector kernel runs through (batched_kernels.cc)
-                 and the density superoperator kernels (superop.cc). A
+                 files of OMP_SITES: the one block driver every kernel
+                 runs through (run_blocks in batched_kernels.cc) —
+                 single-shot, batched and density-matrix passes alike. A
                  pragma anywhere else is a second kernel loop growing
                  back beside the driver.
   raw-assert     no raw assert() in library code (src/): asserts vanish
@@ -144,10 +144,7 @@ def check_obs_in_omp(root):
 
 
 # The only src/ files allowed to open OpenMP parallel regions.
-OMP_SITES = (
-    "src/qdsim/exec/batched_kernels.cc",
-    "src/qdsim/exec/superop.cc",
-)
+OMP_SITES = ("src/qdsim/exec/batched_kernels.cc",)
 
 
 def check_omp_sites(root):
@@ -167,7 +164,7 @@ def check_omp_sites(root):
                 line = text.count("\n", 0, m.start()) + 1
                 findings.append(
                     f"{rel}:{line}: OpenMP parallel region outside "
-                    f"{', '.join(OMP_SITES)} (state-vector kernels run "
+                    f"{', '.join(OMP_SITES)} (every kernel runs "
                     f"through the one block driver, run_blocks)")
     return findings
 
@@ -381,14 +378,14 @@ def expect(cond, label, problems):
 
 
 def make_fixture_repo(root, *, bad):
-    write(root, OMP_SITES[0], GOOD_CC)
-    write(root, OMP_SITES[1], COMMENT_ONLY_CC)
+    write(root, OMP_SITES[0], GOOD_CC + COMMENT_ONLY_CC)
     write(root, "src/good.cc", GOOD_ASSERT_CC + COMMENT_PRAGMA_CC)
     if bad:
         write(root, "src/bad_omp.cc", BAD_OMP_CC)
         write(root, "src/bad_omp_for.cc", BAD_OMP_FOR_CC)
         write(root, "src/bad_assert.cc", BAD_ASSERT_CC)
         write(root, "src/qdsim/exec/kernels.cc", GOOD_CC)
+        write(root, "src/qdsim/exec/superop.cc", GOOD_CC)
     write(
         root, "scripts/compare_bench.py", """
 TRACKED = {
@@ -440,9 +437,10 @@ def self_test():
                "obs:: inside parallel block and parallel-for flagged",
                problems)
         sites = check_omp_sites(bad)
-        expect(len(sites) == 3 and any("bad_omp.cc" in f for f in sites)
+        expect(len(sites) == 4 and any("bad_omp.cc" in f for f in sites)
                and any("bad_omp_for.cc" in f for f in sites)
-               and any("exec/kernels.cc" in f for f in sites),
+               and any("exec/kernels.cc" in f for f in sites)
+               and any("exec/superop.cc" in f for f in sites),
                "parallel regions outside the allowed files flagged",
                problems)
         expect(check_raw_assert(bad) != [], "raw assert flagged", problems)

@@ -8,6 +8,7 @@
 
 #include "noise/channels.h"
 #include "noise/error_placement.h"
+#include "qdsim/exec/batched_kernels.h"
 #include "qdsim/exec/compile_service.h"
 #include "qdsim/moments.h"
 #include "qdsim/obs/trace.h"
@@ -15,6 +16,48 @@
 #include "qdsim/verify/noise_audit.h"
 
 namespace qd::noise {
+
+CompiledSuperOp
+compile_superop(const WireDims& dims, const Gate& gate,
+                std::span<const int> wires, exec::PlanCache* cache,
+                Index plan_salt)
+{
+    if (gate.empty()) {
+        throw std::invalid_argument("compile_superop: empty gate");
+    }
+    Matrix conj = gate.matrix();
+    for (Complex& v : conj.data()) {
+        v = std::conj(v);
+    }
+    const Gate gate_conj(gate.name() + "*", gate.dims(), std::move(conj));
+    CompiledSuperOp out{
+        exec::compile_op(dims, gate, wires, cache, plan_salt),
+        exec::compile_op(dims, gate_conj, wires, cache, plan_salt)};
+    // Only the dense kernel reads the matrix through CompiledOp::gate.
+    // Dropping it elsewhere keeps a channel's Kraus operators from holding
+    // two b x b payloads each (a cached density program keeps them all).
+    if (out.k.kind != exec::KernelKind::kDense) {
+        out.k.gate = Gate();
+        out.k_conj.gate = Gate();
+    }
+    return out;
+}
+
+CompiledSuperOp
+compile_superop(const WireDims& dims, const Matrix& op,
+                std::span<const int> wires, exec::PlanCache* cache,
+                Index plan_salt)
+{
+    std::vector<int> gate_dims;
+    for (const int w : wires) {
+        if (w < 0 || w >= dims.num_wires()) {
+            throw std::invalid_argument("compile_superop: wire out of range");
+        }
+        gate_dims.push_back(dims.dim(w));
+    }
+    return compile_superop(dims, Gate("kraus", std::move(gate_dims), op),
+                           wires, cache, plan_salt);
+}
 
 CompiledChannel
 compile_channel(const WireDims& dims, const KrausChannel& channel,
@@ -27,7 +70,7 @@ compile_channel(const WireDims& dims, const KrausChannel& channel,
     CompiledChannel out;
     out.kraus.reserve(channel.operators.size());
     for (const Matrix& k : channel.operators) {
-        out.kraus.push_back(exec::compile_superop(dims, k, wires, use));
+        out.kraus.push_back(compile_superop(dims, k, wires, use));
     }
     return out;
 }
@@ -53,49 +96,10 @@ DensityMatrix::DensityMatrix(WireDims dims, Matrix rho)
     }
 }
 
-Matrix
-DensityMatrix::expand(const Matrix& op, std::span<const int> wires) const
-{
-    const Index total = dims_.size();
-    Matrix full(total, total);
-    const int k = static_cast<int>(wires.size());
-    for (Index r = 0; r < total; ++r) {
-        for (Index c = 0; c < total; ++c) {
-            // Non-operand digits must agree.
-            bool same = true;
-            for (int w = 0; w < dims_.num_wires() && same; ++w) {
-                bool is_operand = false;
-                for (const int t : wires) {
-                    if (t == w) {
-                        is_operand = true;
-                        break;
-                    }
-                }
-                if (!is_operand && dims_.digit(r, w) != dims_.digit(c, w)) {
-                    same = false;
-                }
-            }
-            if (!same) {
-                continue;
-            }
-            Index lr = 0, lc = 0;
-            for (int i = 0; i < k; ++i) {
-                const int d = dims_.dim(wires[i]);
-                lr = lr * static_cast<Index>(d) +
-                     static_cast<Index>(dims_.digit(r, wires[i]));
-                lc = lc * static_cast<Index>(d) +
-                     static_cast<Index>(dims_.digit(c, wires[i]));
-            }
-            full(r, c) = op(lr, lc);
-        }
-    }
-    return full;
-}
-
 void
 DensityMatrix::apply_unitary(const Matrix& u, std::span<const int> wires)
 {
-    apply(exec::compile_superop(dims_, u, wires, &cache_));
+    apply(compile_superop(dims_, u, wires, &cache_));
 }
 
 void
@@ -105,10 +109,22 @@ DensityMatrix::apply_channel(const KrausChannel& channel,
     apply(compile_channel(dims_, channel, wires, &cache_));
 }
 
+namespace {
+
+/** rho -> K rho K^dagger, traced as one density span. */
 void
-DensityMatrix::apply(const exec::CompiledSuperOp& op)
+conjugate(const CompiledSuperOp& op, Matrix& rho, exec::ExecScratch& scratch)
 {
-    exec::superop_conjugate(op, rho_, scratch_);
+    obs::ScopedSpan span("density", "superop_conjugate");
+    exec::conjugate_op(op.k, op.k_conj, rho, scratch);
+}
+
+}  // namespace
+
+void
+DensityMatrix::apply(const CompiledSuperOp& op)
+{
+    conjugate(op, rho_, scratch_);
 }
 
 void
@@ -118,7 +134,7 @@ DensityMatrix::apply(const CompiledChannel& channel)
         throw std::invalid_argument("DensityMatrix::apply: empty channel");
     }
     if (channel.kraus.size() == 1) {
-        exec::superop_conjugate(channel.kraus[0], rho_, scratch_);
+        conjugate(channel.kraus[0], rho_, scratch_);
         return;
     }
     if (acc_.rows() != rho_.rows()) {
@@ -126,9 +142,9 @@ DensityMatrix::apply(const CompiledChannel& channel)
     } else {
         acc_.data().assign(acc_.data().size(), Complex(0, 0));
     }
-    for (const exec::CompiledSuperOp& k : channel.kraus) {
+    for (const CompiledSuperOp& k : channel.kraus) {
         tmp_ = rho_;
-        exec::superop_conjugate(k, tmp_, scratch_);
+        conjugate(k, tmp_, scratch_);
         const std::vector<Complex>& src = tmp_.data();
         std::vector<Complex>& dst = acc_.data();
         for (std::size_t i = 0; i < dst.size(); ++i) {
@@ -136,26 +152,6 @@ DensityMatrix::apply(const CompiledChannel& channel)
         }
     }
     std::swap(rho_, acc_);
-}
-
-void
-DensityMatrix::apply_unitary_dense(const Matrix& u,
-                                   std::span<const int> wires)
-{
-    const Matrix full = expand(u, wires);
-    rho_ = full * rho_ * full.dagger();
-}
-
-void
-DensityMatrix::apply_channel_dense(const KrausChannel& channel,
-                                   std::span<const int> wires)
-{
-    Matrix acc(rho_.rows(), rho_.cols());
-    for (const Matrix& k : channel.operators) {
-        const Matrix full = expand(k, wires);
-        acc = acc + full * rho_ * full.dagger();
-    }
-    rho_ = std::move(acc);
 }
 
 Real
@@ -198,7 +194,7 @@ apply_gaussian_dephasing(DensityMatrix& dm, Matrix& rho, int wire, Real s)
 
 /**
  * The payload behind DensityCompilation (cached across requests by the
- * CompileService): the fully fused ideal reference, every superoperator
+ * CompileService): the fully fused ideal reference, every operator
  * and channel the evolution touches — compiled once against one shared
  * plan cache — and the flattened step program that replays the exact
  * moment-by-moment (or fused-group) application order of the original
@@ -219,7 +215,7 @@ struct DensityCompilation::Impl {
     NoiseModel model;              ///< the model the program was built from
     exec::PlanCache cache;         ///< plans shared by every compile below
     exec::CompiledCircuit ideal;   ///< fully fused noiseless reference
-    std::vector<exec::CompiledSuperOp> superops;
+    std::vector<CompiledSuperOp> superops;
     std::vector<CompiledChannel> channels;
     std::vector<Step> steps;
 
@@ -280,7 +276,7 @@ struct DensityCompilation::Impl {
             for (const exec::FusedGroup& group : groups) {
                 if (group.members.size() == 1) {
                     const Operation& op = circuit.ops()[group.members[0]];
-                    superops.push_back(exec::compile_superop(
+                    superops.push_back(compile_superop(
                         dims, op.gate, op.wires, &cache));
                 } else {
                     // Wrap the product in a Gate so controlled structure
@@ -298,7 +294,7 @@ struct DensityCompilation::Impl {
                             "]",
                         std::move(gate_dims),
                         exec::fused_matrix(dims, circuit.ops(), group));
-                    superops.push_back(exec::compile_superop(
+                    superops.push_back(compile_superop(
                         dims, fused_gate, group.wires, &cache,
                         fusion.plan_salt()));
                 }
@@ -319,7 +315,7 @@ struct DensityCompilation::Impl {
         gate_ops.reserve(circuit.num_ops());
         for (const Operation& op : circuit.ops()) {
             superops.push_back(
-                exec::compile_superop(dims, op.gate, op.wires, &cache));
+                compile_superop(dims, op.gate, op.wires, &cache));
             gate_ops.push_back(superops.size() - 1);
         }
 

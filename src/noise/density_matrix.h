@@ -1,18 +1,18 @@
 /**
  * @file density_matrix.h
- * Exact density-matrix evolution, running on the compiled superoperator
- * engine.
+ * Exact density-matrix evolution on the state-vector kernel zoo.
  *
  * The paper (Section 6.2) notes that the quantum-trajectory method
  * converges to full density-matrix simulation over repeated trials. This
  * module provides that reference implementation so tests can quantify the
- * convergence. Storage is still d^N x d^N, but operators are applied
- * through exec::CompiledSuperOp — two strided block passes over rho at
- * O(D^2 * b) per operator instead of the dense-kron O(D^3) — so exact
- * noise studies on mid-size registers share the trajectory engine's
- * compiled fast path (and its ApplyPlan offset tables). The old dense
- * path survives as apply_*_dense, the reference oracle the compiled path
- * is property-tested against.
+ * convergence. Storage is d^N x d^N; each operator K is compiled twice
+ * through exec::compile_op (K and its elementwise conjugate, as a
+ * CompiledSuperOp) and applied by exec::conjugate_op: K over rho's
+ * columns as D batched lanes, then conj(K) on each row, O(D^2 * b) per
+ * operator instead of the dense-kron O(D^3). Exact noise studies thus run
+ * the trajectory engine's kernels and share its ApplyPlan offset tables.
+ * The dense expand() oracle the compiled path is property-tested and
+ * benchmarked against lives in tests/noise/density_reference.h.
  */
 #ifndef NOISE_DENSITY_MATRIX_H
 #define NOISE_DENSITY_MATRIX_H
@@ -24,19 +24,50 @@
 #include "noise/noise_model.h"
 #include "qdsim/circuit.h"
 #include "qdsim/exec/fusion.h"
-#include "qdsim/exec/superop.h"
+#include "qdsim/exec/kernels.h"
 #include "qdsim/state_vector.h"
 
 namespace qd::noise {
 
 /**
+ * One operator K (not necessarily unitary) compiled for rho -> K rho
+ * K^dagger: K and its elementwise conjugate, each through exec::compile_op,
+ * so both land on the same kernel class. Their `gate` is kept only for
+ * kDense, the one kernel that reads it. Immutable; safe to share across
+ * threads.
+ */
+struct CompiledSuperOp {
+    exec::CompiledOp k;
+    exec::CompiledOp k_conj;
+};
+
+/**
+ * Compiles `gate` on `wires` of `dims` for density-matrix application.
+ * `cache` (optional) shares ApplyPlans with other operators on the same
+ * wires; `plan_salt` distinguishes plan variants in the cache (fused
+ * groups are keyed by the fusion options — see PlanCache).
+ * @throws std::invalid_argument on wire/dimension mismatches.
+ */
+CompiledSuperOp compile_superop(const WireDims& dims, const Gate& gate,
+                                std::span<const int> wires,
+                                exec::PlanCache* cache = nullptr,
+                                Index plan_salt = 0);
+
+/** Matrix overload: wraps a k-local operator (Kraus operators welcome;
+ *  wires[0] most significant) in a Gate over the wires' dimensions. */
+CompiledSuperOp compile_superop(const WireDims& dims, const Matrix& op,
+                                std::span<const int> wires,
+                                exec::PlanCache* cache = nullptr,
+                                Index plan_salt = 0);
+
+/**
  * A Kraus channel compiled once per (channel, wires, dims): every operator
- * lowered to its cheapest superoperator kernel, all sharing one ApplyPlan.
+ * lowered to its cheapest kernel class, all sharing one ApplyPlan.
  * Immutable after compile_channel; reusable across moments and across
  * DensityMatrix instances over the same register.
  */
 struct CompiledChannel {
-    std::vector<exec::CompiledSuperOp> kraus;
+    std::vector<CompiledSuperOp> kraus;
 };
 
 /**
@@ -71,31 +102,19 @@ class DensityMatrix {
     exec::PlanCache& plan_cache() { return cache_; }
 
     /** Applies a unitary on the given wires: rho -> U rho U^dagger
-     *  (compiled superoperator path; plans cached per wire tuple). */
+     *  (compiled path; plans cached per wire tuple). */
     void apply_unitary(const Matrix& u, std::span<const int> wires);
 
     /** Applies a Kraus channel on the given wires:
-     *  rho -> sum_i K_i rho K_i^dagger (compiled superoperator path). */
+     *  rho -> sum_i K_i rho K_i^dagger (compiled path). */
     void apply_channel(const KrausChannel& channel,
                        std::span<const int> wires);
 
     /** Applies a precompiled operator: rho -> K rho K^dagger. */
-    void apply(const exec::CompiledSuperOp& op);
+    void apply(const CompiledSuperOp& op);
 
     /** Applies a precompiled channel: rho -> sum_i K_i rho K_i^dagger. */
     void apply(const CompiledChannel& channel);
-
-    /**
-     * Dense reference oracle for apply_unitary: expands U to the full
-     * register and multiplies, O(D^3). Kept (with apply_channel_dense)
-     * as the independent implementation the compiled superoperator path
-     * is property-tested and benchmarked against.
-     */
-    void apply_unitary_dense(const Matrix& u, std::span<const int> wires);
-
-    /** Dense reference oracle for apply_channel (see above). */
-    void apply_channel_dense(const KrausChannel& channel,
-                             std::span<const int> wires);
 
     /** Fidelity against a pure state: <psi| rho |psi>. */
     Real fidelity(const StateVector& psi) const;
@@ -104,9 +123,6 @@ class DensityMatrix {
     Real trace_real() const;
 
   private:
-    /** Expands a k-local operator to the full register (dense; small N). */
-    Matrix expand(const Matrix& op, std::span<const int> wires) const;
-
     WireDims dims_;
     Matrix rho_;
     exec::PlanCache cache_;
@@ -117,7 +133,7 @@ class DensityMatrix {
 /**
  * Everything the exact engine derives from (circuit, model, fusion)
  * before rho moves: the fully fused ideal reference compilation, every
- * gate lowered to its superoperator kernel, every gate-error and damping
+ * gate compiled as a CompiledSuperOp, every gate-error and damping
  * channel compiled against one shared plan cache, and the flattened
  * moment-by-moment step program the evolution replays. Immutable after
  * construction and safe to share across threads — the CompileService
@@ -154,7 +170,7 @@ class DensityCompilation {
  * modelled as the equivalent Gaussian dephasing channel.
  *
  * `fusion` drives the compile-time fusion stage (exec/fusion.h) on the
- * superoperator side: gate runs between noise boundaries merge into one
+ * density side: gate runs between noise boundaries merge into one
  * conjugation pass. Error channels fence the partition, so they attach to
  * pre-fusion op boundaries exactly like the trajectory engine; under idle
  * noise (damping/dephasing every moment, where in-moment ops are
@@ -165,7 +181,7 @@ class DensityCompilation {
  * DensityCompilation.
  *
  * @deprecated For job-stream traffic prefer serve::execute() (serve/run.h),
- *         which builds the superoperator program once per distinct job and
+ *         which builds the density program once per distinct job and
  *         returns a uniform RunResult, or the precompiled overload below —
  *         this convenience overload re-hashes and re-verifies the circuit
  *         on every call. It remains supported for one-shot callers.

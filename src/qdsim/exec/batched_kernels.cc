@@ -522,19 +522,34 @@ run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
     }
 }
 
+/** Counts `n` single-shot applications of `op` to a `total`-amplitude
+ *  register. */
 void
-count_dispatch(const CompiledOp& op, const BatchedStateVector& psi)
+count_single(const CompiledOp& op, Index total, std::uint64_t n)
 {
-    // Counter hook sits OUTSIDE the kernels' OpenMP regions. The class
-    // counter advances by the lane count so per-class totals across the
-    // two zoos are invariant under the batch width (each lane is bitwise
-    // one single-shot application).
+    // Hooks sit outside the kernels' OpenMP regions; counts land in the
+    // calling thread's block (see obs/counters.h).
     if (obs::enabled()) {
-        const std::uint64_t B = static_cast<std::uint64_t>(psi.lanes());
-        obs::count_unchecked(kernel_counter(op.kind, /*batched=*/true), B);
+        obs::count_unchecked(kernel_counter(op.kind, /*batched=*/false), n);
+        obs::count_unchecked(obs::Counter::kEstimatedFlops,
+                             op_flop_estimate(op, total) * n);
+    }
+}
+
+/** Counts one batched dispatch of `op` over `lanes` lanes of a
+ *  `total`-amplitude register. */
+void
+count_dispatch(const CompiledOp& op, Index total, std::uint64_t lanes)
+{
+    // The class counter advances by the lane count so per-class totals
+    // across the two zoos are invariant under the batch width (each lane
+    // is bitwise one single-shot application).
+    if (obs::enabled()) {
+        obs::count_unchecked(kernel_counter(op.kind, /*batched=*/true),
+                             lanes);
         obs::count_unchecked(obs::Counter::kBatDispatches);
         obs::count_unchecked(obs::Counter::kEstimatedFlops,
-                             op_flop_estimate(op, psi.size()) * B);
+                             op_flop_estimate(op, total) * lanes);
     }
 }
 
@@ -560,13 +575,7 @@ damping_for(BatchedStateVector& psi, const std::vector<std::uint16_t>& key,
 void
 apply_op(const CompiledOp& op, StateVector& psi, ExecScratch& scratch)
 {
-    // Hook sits outside the kernels' OpenMP regions; counts land in the
-    // calling thread's block (see obs/counters.h).
-    if (obs::enabled()) {
-        obs::count_unchecked(kernel_counter(op.kind, /*batched=*/false));
-        obs::count_unchecked(obs::Counter::kEstimatedFlops,
-                             op_flop_estimate(op, psi.size()));
-    }
+    count_single(op, psi.size(), 1);
     run_op(op, psi.amplitudes().data(), psi.size(), OneLane{}, scratch,
            nullptr);
 }
@@ -575,7 +584,7 @@ void
 apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
                  ExecScratch& scratch)
 {
-    count_dispatch(op, psi);
+    count_dispatch(op, psi.size(), lanes_of(psi));
     run_op(op, psi.data(), psi.size(), lanes_of(psi), scratch, nullptr);
 }
 
@@ -587,7 +596,7 @@ apply_op_batched_damped(const CompiledOp& op, BatchedStateVector& psi,
                         std::vector<Real>& norm_sq)
 {
     const Damping damping = damping_for(psi, key, scale, norm_sq);
-    count_dispatch(op, psi);
+    count_dispatch(op, psi.size(), lanes_of(psi));
     run_op(op, psi.data(), psi.size(), lanes_of(psi), scratch, &damping);
 }
 
@@ -604,6 +613,31 @@ damp_op_batched(const CompiledOp& op, BatchedStateVector& psi,
                    scratch, no_gate, &damping);
     } else {
         run_blocks(PlanBlocks{*op.plan}, 0, scratch, no_gate, &damping);
+    }
+}
+
+void
+conjugate_op(const CompiledOp& k, const CompiledOp& k_conj, Matrix& rho,
+             ExecScratch& scratch)
+{
+    const Index dim = static_cast<Index>(rho.rows());
+    const bool fits = k.plan != nullptr
+                          ? k.plan->outer_count() * k.plan->block == dim
+                          : k.period1 != 0 && dim % k.period1 == 0;
+    if (rho.cols() != rho.rows() || !fits) {
+        throw std::invalid_argument(
+            "conjugate_op: rho size does not match the compiled register");
+    }
+    Complex* a = rho.data().data();
+    // Left pass, rho -> K rho: row-major rho is a batch of D lanes (the
+    // column index) over a D-amplitude register (the row index).
+    count_dispatch(k, dim, dim);
+    run_op(k, a, dim, static_cast<std::size_t>(dim), scratch, nullptr);
+    // Right pass, rho -> rho K^dagger: row r of rho K^dagger is conj(K)
+    // applied to row r, so each row is one single-shot pass, no transpose.
+    count_single(k_conj, dim, dim);
+    for (Index r = 0; r < dim; ++r) {
+        run_op(k_conj, a + r * dim, dim, OneLane{}, scratch, nullptr);
     }
 }
 

@@ -29,6 +29,12 @@
  * the op's block geometry only, never on the OpenMP thread count, and
  * `damp_op_batched` (the epilogue on its own, same walk) reproduces it
  * bitwise after a plain `apply_op_batched`.
+ *
+ * `conjugate_op` runs the exact density-matrix engine on the same bodies:
+ * a row-major D x D rho is a lane-interleaved batch of D lanes, so
+ * rho -> K rho is one batched pass, and rho -> rho K^dagger is one
+ * single-shot pass of conj(K) per row. There is no second kernel set and
+ * no OpenMP region outside run_blocks.
  */
 #ifndef QDSIM_EXEC_BATCHED_KERNELS_H
 #define QDSIM_EXEC_BATCHED_KERNELS_H
@@ -71,6 +77,17 @@ void damp_op_batched(const CompiledOp& op, BatchedStateVector& psi,
                      const std::vector<std::uint16_t>& key,
                      const std::vector<Real>& scale,
                      std::vector<Real>& norm_sq);
+
+/**
+ * rho -> K rho K^dagger in place. `k` is K and `k_conj` its elementwise
+ * conjugate, both compiled (compile_op) over the register rho is the
+ * density matrix of; rho is D x D, row-major, and need not be Hermitian.
+ * Counts one batched dispatch of `k` over D lanes and D single-shot
+ * applications of `k_conj`.
+ * @throws std::invalid_argument if rho is not D x D for the op's register.
+ */
+void conjugate_op(const CompiledOp& k, const CompiledOp& k_conj,
+                  Matrix& rho, ExecScratch& scratch);
 
 /** Applies all operations of a compiled circuit to every lane in order. */
 void run_batched(const CompiledCircuit& compiled, BatchedStateVector& psi,

@@ -65,7 +65,8 @@
  *
  * The partition (fuse_sites) is engine-agnostic: CompiledCircuit lowers
  * groups to state-vector kernels (shared by the batched lane engine), and
- * the density-matrix path compiles the same groups to superoperators.
+ * the density-matrix path compiles the same groups to K / conj(K) pairs
+ * of those kernels.
  */
 #ifndef QDSIM_EXEC_FUSION_H
 #define QDSIM_EXEC_FUSION_H

@@ -57,8 +57,11 @@ static_assert(
 static_assert(class_offset(Counter::kBatDense, Counter::kBatPermutation) ==
               class_offset(Counter::kSsDense, Counter::kSsPermutation));
 
-}  // namespace
-
+/** Appends the non-trivial cycles of a monomial action to the three
+ *  parallel output vectors, composed with the plan's local offsets so the
+ *  kernel walks state offsets directly. A value at cycle slot i moves to
+ *  slot i+1 scaled by phases[i]; length-1 cycles are fixed points with a
+ *  non-unit phase (identity fixed points are skipped). */
 void
 build_monomial_cycles(const std::vector<Index>& perm,
                       const std::vector<Complex>& phase,
@@ -95,6 +98,8 @@ build_monomial_cycles(const std::vector<Index>& perm,
         lengths.push_back(len);
     }
 }
+
+}  // namespace
 
 bool
 monomial_action(const Matrix& op, std::vector<Index>& perm,

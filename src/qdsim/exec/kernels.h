@@ -25,7 +25,9 @@
  *
  * There is one set of kernel bodies (batched_kernels.cc), templated on
  * the lane count: `apply_op` runs them at a compile-time count of 1,
- * `apply_op_batched` at the batch width. Both go through one block
+ * `apply_op_batched` at the batch width, and `conjugate_op` applies a
+ * density operator as rho -> K rho K^dagger with both (K over rho's D
+ * columns as lanes, then conj(K) on each row). All go through one block
  * driver, allocation-free and div/mod-free in the inner loops, whose
  * outer loop goes parallel via OpenMP when the register is large enough
  * (blocks are disjoint by construction).
@@ -122,22 +124,6 @@ struct CompiledOp {
  */
 bool monomial_action(const Matrix& op, std::vector<Index>& perm,
                      std::vector<Complex>& phase);
-
-/**
- * Appends the non-trivial cycles of a monomial action to the three
- * parallel output vectors, composed with the plan's local offsets so
- * kernels walk state offsets directly. A value at cycle slot i moves to
- * slot i+1 scaled by phases[i]; length-1 cycles are fixed points with a
- * non-unit phase (identity fixed points are skipped). Shared by the
- * state-vector (CompiledOp) and superoperator (CompiledSuperOp) monomial
- * compilers so the two kernels can never diverge.
- */
-void build_monomial_cycles(const std::vector<Index>& perm,
-                           const std::vector<Complex>& phase,
-                           const ApplyPlan& plan,
-                           std::vector<Index>& offsets,
-                           std::vector<Complex>& phases,
-                           std::vector<std::uint32_t>& lengths);
 
 /**
  * Compiles one (gate, wires) application site against `dims`, choosing the

@@ -24,10 +24,6 @@ counter_name(Counter c) noexcept
         "bat_controlled",
         "bat_dense",
         "bat_dispatches",
-        "super_diagonal",
-        "super_monomial",
-        "super_controlled",
-        "super_dense",
         "plan_cache_hits",
         "plan_cache_misses",
         "plan_cache_inserts",

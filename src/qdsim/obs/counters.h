@@ -45,7 +45,9 @@ namespace qd::obs {
  * apply_op, the batched counters by the lane count per apply_op_batched,
  * so the per-class SUM across the two is invariant under the batch width
  * (both run the same kernel bodies; lanes are bitwise equal to unbatched
- * shots).
+ * shots). A density-matrix conjugation (exec::conjugate_op) on a D x D
+ * rho counts as one batched dispatch of D lanes plus D single-shot
+ * applications.
  */
 enum class Counter : unsigned {
     // Single-shot passes (exec::apply_op), one per dispatch.
@@ -63,11 +65,6 @@ enum class Counter : unsigned {
     kBatControlled,
     kBatDense,
     kBatDispatches,  ///< apply_op_batched calls (NOT batch-invariant)
-    // Superoperator conjugations by class (exec/superop.cc).
-    kSuperDiagonal,
-    kSuperMonomial,
-    kSuperControlled,
-    kSuperDense,
     // PlanCache (exec/apply_plan.cc).
     kPlanCacheHits,
     kPlanCacheMisses,

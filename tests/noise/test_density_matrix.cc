@@ -1,9 +1,10 @@
 /**
- * Property tests for the compiled density-matrix engine: every compiled
- * superoperator kernel (diagonal, monomial, controlled-subspace, dense)
- * must match the dense expand() oracle on random mixed-radix density
- * matrices and random operators, including non-unitary Kraus sets; the
- * trajectory engine must converge to the compiled exact evolution.
+ * Property tests for the compiled density-matrix engine: every kernel
+ * class rho -> K rho K^dagger runs on (both passes of exec::conjugate_op)
+ * must match the dense expand() oracle (density_reference.h) on random
+ * mixed-radix density matrices and random operators, including
+ * non-unitary Kraus sets and fused groups; the trajectory engine must
+ * converge to the compiled exact evolution.
  */
 #include "noise/density_matrix.h"
 
@@ -11,11 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include "density_reference.h"
 #include "noise/channels.h"
 #include "noise/error_placement.h"
 #include "noise/models.h"
 #include "noise/trajectory.h"
-#include "qdsim/exec/superop.h"
 #include "qdsim/gate_library.h"
 #include "qdsim/random_state.h"
 #include "qdsim/simulator.h"
@@ -23,7 +24,7 @@
 namespace qd::noise {
 namespace {
 
-using exec::SuperOpKind;
+using exec::KernelKind;
 
 /** Random dense (generally non-unitary) operator. */
 Matrix
@@ -75,22 +76,25 @@ expect_rho_equal(const Matrix& a, const Matrix& b, Real tol,
     }
 }
 
-/** Applies `op` to copies of a random mixed rho via the compiled and the
- *  dense-oracle path, expecting agreement; returns the routed kernel. */
-SuperOpKind
-check_unitary_against_oracle(const WireDims& dims, const Gate& gate,
-                             const std::vector<int>& wires, Rng& rng)
+/** Applies `gate` to copies of a random mixed rho via the compiled and
+ *  the dense-oracle path, expecting agreement within `tol` and K and
+ *  conj(K) on the same kernel class; returns that class. */
+KernelKind
+check_against_oracle(const WireDims& dims, const Gate& gate,
+                     const std::vector<int>& wires, Rng& rng,
+                     Real tol = 1e-10)
 {
     const Matrix rho = random_mixed_rho(dims, rng);
     DensityMatrix compiled(dims, rho);
-    DensityMatrix dense(dims, rho);
-    const auto sop = exec::compile_superop(dims, gate, wires,
-                                           &compiled.plan_cache());
+    const CompiledSuperOp sop =
+        compile_superop(dims, gate, wires, &compiled.plan_cache());
+    EXPECT_EQ(sop.k_conj.kind, sop.k.kind) << gate.name();
     compiled.apply(sop);
-    dense.apply_unitary_dense(gate.matrix(), wires);
-    expect_rho_equal(compiled.rho(), dense.rho(), 1e-10,
-                     exec::superop_kernel_name(sop.kind));
-    return sop.kind;
+    Matrix dense = rho;
+    reference::apply_unitary_dense(dims, dense, gate.matrix(), wires);
+    expect_rho_equal(compiled.rho(), dense, tol,
+                     exec::kernel_name(sop.k.kind));
+    return sop.k.kind;
 }
 
 TEST(DensityMatrix, CompiledUnitaryMatchesOracleOnRandomOperators) {
@@ -114,36 +118,99 @@ TEST(DensityMatrix, CompiledUnitaryMatchesOracleOnRandomOperators) {
                 }
                 const Gate g("rand", gdims,
                              haar_random_unitary(block, rng));
-                EXPECT_EQ(check_unitary_against_oracle(dims, g, wires, rng),
-                          SuperOpKind::kDense);
+                KernelKind expected = KernelKind::kDense;
+                if (k == 1) {
+                    expected = gdims[0] == 2 ? KernelKind::kSingleWireD2
+                                             : KernelKind::kSingleWireD3;
+                }
+                EXPECT_EQ(check_against_oracle(dims, g, wires, rng),
+                          expected);
             }
         }
     }
 }
 
-TEST(DensityMatrix, KernelRoutingMatchesOperatorStructure) {
+TEST(DensityMatrix, EveryKernelKindMatchesOracleOnMixedRadix) {
     Rng rng(302);
-    const WireDims q3 = WireDims::uniform(3, 3);
-    // Phase-only gates route to the fused diagonal kernel.
-    EXPECT_EQ(check_unitary_against_oracle(q3, gates::Z3(), {1}, rng),
-              SuperOpKind::kDiagonal);
-    // Pure permutations and generalized Paulis route to monomial cycles.
-    EXPECT_EQ(check_unitary_against_oracle(q3, gates::Xplus1(), {2}, rng),
-              SuperOpKind::kMonomial);
-    // Controlled gates touch only the active control subspace.
-    EXPECT_EQ(check_unitary_against_oracle(
-                  q3, gates::H3().controlled(3, 2), {0, 2}, rng),
-              SuperOpKind::kControlled);
-    // Generic dense fallback.
-    EXPECT_EQ(check_unitary_against_oracle(
-                  q3, Gate("rand", {3}, haar_random_unitary(3, rng)), {1},
-                  rng),
-              SuperOpKind::kDense);
+    const WireDims dims({2, 3, 3});
+    const KrausChannel damp = amplitude_damping(3, {0.05, 0.12});
+    struct Case {
+        Gate gate;
+        std::vector<int> wires;
+        KernelKind kind;
+    };
+    const std::vector<Case> cases = {
+        {gates::Xplus1().controlled(2, 1), {0, 2}, KernelKind::kPermutation},
+        {gates::Z3().controlled(2, 1), {0, 1}, KernelKind::kDiagonal},
+        {Gate("ZxX", {3, 3},
+              gates::Z3().matrix().kron(gates::Xplus1().matrix())),
+         {2, 1},
+         KernelKind::kMonomial},
+        {gates::H(), {0}, KernelKind::kSingleWireD2},
+        {gates::H3(), {1}, KernelKind::kSingleWireD3},
+        {gates::H3().controlled(2, 1), {0, 2}, KernelKind::kControlled},
+        {Gate("rand", {3, 2}, haar_random_unitary(6, rng)),
+         {2, 0},
+         KernelKind::kDense},
+        // Non-unitary Kraus operators: the amplitude-damping no-jump
+        // operator and the jump |0><2|.
+        {Gate("no_jump", {3}, damp.operators[0]), {2}, KernelKind::kDiagonal},
+        {Gate("jump", {3}, damp.operators[2]), {1}, KernelKind::kSingleWireD3},
+    };
+    for (const Case& tc : cases) {
+        EXPECT_EQ(check_against_oracle(dims, tc.gate, tc.wires, rng, 1e-12),
+                  tc.kind)
+            << tc.gate.name();
+    }
+}
+
+TEST(DensityMatrix, FusedGroupMatchesOracleOnMixedRadix) {
+    // A fused group compiles like the exact engine compiles it (the
+    // product wrapped in a Gate, plan keyed by the fusion salt) and must
+    // match the oracle applying its members one by one.
+    Rng rng(312);
+    const WireDims dims({2, 3, 3});
+    Circuit c(dims);
+    c.append(gates::H3(), {1});
+    c.append(gates::Xplus1().controlled(3, 1), {1, 2});
+    c.append(gates::Z3(), {2});
+    c.append(gates::H3().controlled(2, 1), {0, 1});
+    const exec::FusionOptions fusion;
+    const std::vector<std::uint8_t> no_fences(c.num_ops(), 0);
+    const auto groups = exec::fuse_sites(dims, c.ops(), no_fences, fusion);
+    int fused = 0;
+    for (const exec::FusedGroup& group : groups) {
+        if (group.members.size() < 2) {
+            continue;
+        }
+        ++fused;
+        std::vector<int> gdims;
+        for (const int w : group.wires) {
+            gdims.push_back(dims.dim(w));
+        }
+        const Gate g("fused", gdims,
+                     exec::fused_matrix(dims, c.ops(), group));
+        const Matrix rho = random_mixed_rho(dims, rng);
+        DensityMatrix compiled(dims, rho);
+        const CompiledSuperOp sop =
+            compile_superop(dims, g, group.wires, &compiled.plan_cache(),
+                            fusion.plan_salt());
+        EXPECT_EQ(sop.k_conj.kind, sop.k.kind);
+        compiled.apply(sop);
+        Matrix dense = rho;
+        for (const std::uint32_t m : group.members) {
+            const Operation& op = c.ops()[m];
+            reference::apply_unitary_dense(dims, dense, op.gate.matrix(),
+                                           op.wires);
+        }
+        expect_rho_equal(compiled.rho(), dense, 1e-12, "fused");
+    }
+    EXPECT_GE(fused, 1);
 }
 
 TEST(DensityMatrix, MonomialKernelCoversGeneralizedPaulis) {
     // Every X^j Z^k depolarizing term is a generalized permutation; the
-    // monomial kernel must reproduce the oracle for all of them.
+    // structured kernels must reproduce the oracle for all of them.
     Rng rng(303);
     const WireDims dims({3, 2, 3});
     const MixedUnitaryChannel ch = depolarizing1(3, 0.01);
@@ -151,13 +218,14 @@ TEST(DensityMatrix, MonomialKernelCoversGeneralizedPaulis) {
     for (const Matrix& u : ch.unitaries) {
         const Matrix rho = random_mixed_rho(dims, rng);
         DensityMatrix compiled(dims, rho);
-        DensityMatrix dense(dims, rho);
-        const auto sop = exec::compile_superop(dims, u, wires);
-        EXPECT_NE(sop.kind, SuperOpKind::kDense)
-            << "generalized Pauli should hit a structured kernel";
+        const CompiledSuperOp sop = compile_superop(dims, u, wires);
+        EXPECT_NE(sop.k.kind, KernelKind::kDense)
+            << "generalized Pauli should not need the dense fallback";
+        EXPECT_EQ(sop.k_conj.kind, sop.k.kind);
         compiled.apply(sop);
-        dense.apply_unitary_dense(u, wires);
-        expect_rho_equal(compiled.rho(), dense.rho(), 1e-10, "pauli");
+        Matrix dense = rho;
+        reference::apply_unitary_dense(dims, dense, u, wires);
+        expect_rho_equal(compiled.rho(), dense, 1e-10, "pauli");
     }
 }
 
@@ -181,10 +249,10 @@ TEST(DensityMatrix, CompiledChannelMatchesOracleOnNonUnitaryKraus) {
             }
             const Matrix rho = random_mixed_rho(dims, rng);
             DensityMatrix compiled(dims, rho);
-            DensityMatrix dense(dims, rho);
+            Matrix dense = rho;
             compiled.apply_channel(ch, wires);
-            dense.apply_channel_dense(ch, wires);
-            expect_rho_equal(compiled.rho(), dense.rho(), 1e-10, "kraus");
+            reference::apply_channel_dense(dims, dense, ch, wires);
+            expect_rho_equal(compiled.rho(), dense, 1e-10, "kraus");
         }
     }
 }
@@ -198,10 +266,10 @@ TEST(DensityMatrix, AmplitudeDampingChannelMatchesOracle) {
         const std::vector<int> wires = {w};
         const Matrix rho = random_mixed_rho(dims, rng);
         DensityMatrix compiled(dims, rho);
-        DensityMatrix dense(dims, rho);
+        Matrix dense = rho;
         compiled.apply_channel(damp, wires);
-        dense.apply_channel_dense(damp, wires);
-        expect_rho_equal(compiled.rho(), dense.rho(), 1e-10, "damping");
+        reference::apply_channel_dense(dims, dense, damp, wires);
+        expect_rho_equal(compiled.rho(), dense, 1e-10, "damping");
         EXPECT_NEAR(compiled.trace_real(), 1.0, 1e-10);
     }
 }
@@ -214,10 +282,10 @@ TEST(DensityMatrix, TwoQutritDepolarizingChannelMatchesOracle) {
     ASSERT_TRUE(ch.is_complete());
     const Matrix rho = random_mixed_rho(dims, rng);
     DensityMatrix compiled(dims, rho);
-    DensityMatrix dense(dims, rho);
+    Matrix dense = rho;
     compiled.apply_channel(ch, wires);
-    dense.apply_channel_dense(ch, wires);
-    expect_rho_equal(compiled.rho(), dense.rho(), 1e-10, "depolarizing2");
+    reference::apply_channel_dense(dims, dense, ch, wires);
+    expect_rho_equal(compiled.rho(), dense, 1e-10, "depolarizing2");
     EXPECT_NEAR(compiled.trace_real(), 1.0, 1e-10);
 }
 
@@ -231,17 +299,25 @@ TEST(DensityMatrix, CompiledChannelReusableAcrossApplications) {
     const CompiledChannel compiled_ch = compile_channel(dims, damp, wires);
     const Matrix rho = random_mixed_rho(dims, rng);
     DensityMatrix compiled(dims, rho);
-    DensityMatrix dense(dims, rho);
+    Matrix dense = rho;
     for (int moment = 0; moment < 3; ++moment) {
         compiled.apply(compiled_ch);
-        dense.apply_channel_dense(damp, wires);
+        reference::apply_channel_dense(dims, dense, damp, wires);
     }
-    expect_rho_equal(compiled.rho(), dense.rho(), 1e-10, "reuse");
+    expect_rho_equal(compiled.rho(), dense, 1e-10, "reuse");
 }
 
 TEST(DensityMatrix, AdoptedRhoCtorValidatesSize) {
     EXPECT_THROW(DensityMatrix(WireDims({3, 3}), Matrix(4, 4)),
                  std::invalid_argument);
+}
+
+TEST(DensityMatrix, ConjugationRejectsOperatorOfAnotherRegister) {
+    const int wires[] = {0, 1};
+    const CompiledSuperOp op = compile_superop(
+        WireDims({3, 3}), gates::H3().controlled(3, 1), wires);
+    DensityMatrix dm(WireDims({3, 3, 3}), std::vector<int>{0, 1, 2});
+    EXPECT_THROW(dm.apply(op), std::invalid_argument);
 }
 
 TEST(DensityMatrix, NoiselessCircuitFidelityIsOne) {
@@ -273,8 +349,7 @@ TEST(DensityMatrix, ErrorPlacementSplitsWideGatesIntoPairs) {
 
 TEST(DensityMatrix, TrajectoryConvergesToCompiledExactDepolarizing) {
     // Satellite: trajectory-vs-exact convergence on a 2-qutrit
-    // depolarizing circuit, with the exact side on the compiled
-    // superoperator path.
+    // depolarizing circuit, with the exact side on the compiled path.
     Circuit c(WireDims::uniform(2, 3));
     c.append(gates::H3(), {0});
     c.append(gates::Xplus1().controlled(3, 1), {0, 1});
@@ -299,7 +374,7 @@ TEST(DensityMatrix, TrajectoryConvergesToCompiledExactDepolarizing) {
 }
 
 TEST(DensityMatrix, FusedFidelityMatchesUnfused) {
-    // Gate errors on two-qutrit ops only: the superoperator path fuses
+    // Gate errors on two-qutrit ops only: the density path fuses
     // the single-qutrit runs between channels into one conjugation pass;
     // the exact fidelity must be unchanged (error channels fence the
     // partition, so placement is identical).
@@ -325,36 +400,38 @@ TEST(DensityMatrix, FusedFidelityMatchesUnfused) {
     EXPECT_NEAR(fused, unfused, 1e-10);
 }
 
-TEST(DensityMatrix, SuperopKernelsMatchStateConjugationAtParallelScale) {
-    // 3^6 register: the size where the superoperator outer passes go
-    // parallel under OpenMP. On a pure state, K rho K^dagger must equal
-    // the outer product of K|psi> — checked for every kernel routing
-    // (dense, diagonal, monomial, controlled), serial or parallel.
+TEST(DensityMatrix, ConjugationMatchesStateOuterProductOnWideRegister) {
+    // 3^6 register: the left pass runs 729 lanes per amplitude block and
+    // the right pass 729 single-lane rows. On a pure state, K rho K^dagger
+    // must equal the outer product of K|psi> for every kernel class.
     const WireDims dims = WireDims::uniform(6, 3);
     Rng rng(311);
     const StateVector psi0 = haar_random_state(dims, rng);
     struct Case {
         Gate gate;
         std::vector<int> wires;
-        SuperOpKind kind;
+        KernelKind kind;
     };
     const std::vector<Case> cases = {
         {Gate("rand", {3, 3}, random_matrix(9, rng)),
          {1, 4},
-         SuperOpKind::kDense},
-        {gates::Z3(), {2}, SuperOpKind::kDiagonal},
+         KernelKind::kDense},
+        {gates::Z3(), {2}, KernelKind::kDiagonal},
+        {gates::Xplus1(), {4}, KernelKind::kPermutation},
         {Gate("ZxX", {3, 3},
               gates::Z3().matrix().kron(gates::Xplus1().matrix())),
          {0, 5},
-         SuperOpKind::kMonomial},
+         KernelKind::kMonomial},
+        {gates::H3(), {5}, KernelKind::kSingleWireD3},
         {gates::fourier(3).controlled(3, 2), {3, 1},
-         SuperOpKind::kControlled},
+         KernelKind::kControlled},
     };
     for (const Case& tc : cases) {
         DensityMatrix dm(psi0);
-        const auto sop = exec::compile_superop(dims, tc.gate, tc.wires,
-                                               &dm.plan_cache());
-        ASSERT_EQ(sop.kind, tc.kind) << tc.gate.name();
+        const CompiledSuperOp sop = compile_superop(
+            dims, tc.gate, tc.wires, &dm.plan_cache());
+        ASSERT_EQ(sop.k.kind, tc.kind) << tc.gate.name();
+        ASSERT_EQ(sop.k_conj.kind, tc.kind) << tc.gate.name();
         dm.apply(sop);
         StateVector psi = psi0;
         psi.apply(tc.gate.matrix(), tc.wires);

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "noise/density_matrix.h"
 #include "noise/models.h"
 #include "noise/trajectory.h"
 #include "qdsim/circuit.h"
@@ -23,7 +24,6 @@
 #include "qdsim/exec/batched_state.h"
 #include "qdsim/exec/compile_service.h"
 #include "qdsim/exec/compiled_circuit.h"
-#include "qdsim/exec/superop.h"
 #include "qdsim/gate_library.h"
 #include "qdsim/obs/report.h"
 #include "qdsim/obs/trace.h"
@@ -193,40 +193,60 @@ TEST_F(ObsTest, BatchedKernelCountsAdvanceByLaneCount)
 
 TEST_F(ObsTest, SuperopClassCountsHandCounted)
 {
+    // A density conjugation on a D x D rho counts as one batched dispatch
+    // of K over D lanes plus D single-shot passes of conj(K), one per row.
     const WireDims dims = WireDims::uniform(2, 3);
+    constexpr std::uint64_t D = 9;
     const int w0[] = {0};
     const int w01[] = {0, 1};
 
-    const auto diag = exec::compile_superop(dims, gates::Z3(), w0);
-    const auto mono = exec::compile_superop(dims, gates::Xplus1(), w0);
-    // Controlled-Xplus1 is itself a generalized permutation and would
-    // classify monomial; the controlled kernel needs a dense inner block.
+    const auto diag = noise::compile_superop(dims, gates::Z3(), w0);
+    const auto perm = noise::compile_superop(dims, gates::Xplus1(), w0);
+    const auto mono = noise::compile_superop(
+        dims,
+        Gate("ZxX", {3, 3},
+             gates::Z3().matrix().kron(gates::Xplus1().matrix())),
+        w01);
+    const auto wire = noise::compile_superop(dims, gates::H3(), w0);
+    // Controlled-Xplus1 is itself a permutation; the controlled kernel
+    // needs a dense inner block.
     const auto ctrl =
-        exec::compile_superop(dims, gates::H3().controlled(3, 1), w01);
-    const auto dense = exec::compile_superop(dims, gates::H3(), w0);
-    ASSERT_EQ(diag.kind, exec::SuperOpKind::kDiagonal);
-    ASSERT_EQ(mono.kind, exec::SuperOpKind::kMonomial);
-    ASSERT_EQ(ctrl.kind, exec::SuperOpKind::kControlled);
-    ASSERT_EQ(dense.kind, exec::SuperOpKind::kDense);
+        noise::compile_superop(dims, gates::H3().controlled(3, 1), w01);
+    const auto dense = noise::compile_superop(
+        dims,
+        Gate("H3xH3", {3, 3}, gates::H3().matrix().kron(gates::H3().matrix())),
+        w01);
+    ASSERT_EQ(diag.k.kind, exec::KernelKind::kDiagonal);
+    ASSERT_EQ(perm.k.kind, exec::KernelKind::kPermutation);
+    ASSERT_EQ(mono.k.kind, exec::KernelKind::kMonomial);
+    ASSERT_EQ(wire.k.kind, exec::KernelKind::kSingleWireD3);
+    ASSERT_EQ(ctrl.k.kind, exec::KernelKind::kControlled);
+    ASSERT_EQ(dense.k.kind, exec::KernelKind::kDense);
 
-    Matrix rho(9, 9);
-    for (std::size_t r = 0; r < 9; ++r) {
-        rho(r, r) = Complex(1.0 / 9.0, 0);
-    }
-    exec::ExecScratch scratch;
-
+    noise::DensityMatrix dm(dims, std::vector<int>{0, 1});
     obs::reset_counters();
-    exec::superop_conjugate(diag, rho, scratch);
-    exec::superop_conjugate(mono, rho, scratch);
-    exec::superop_conjugate(mono, rho, scratch);
-    exec::superop_conjugate(ctrl, rho, scratch);
-    exec::superop_conjugate(dense, rho, scratch);
+    dm.apply(diag);
+    dm.apply(perm);
+    dm.apply(perm);
+    dm.apply(mono);
+    dm.apply(wire);
+    dm.apply(ctrl);
+    dm.apply(dense);
     const obs::CounterSnapshot s = obs::counters_snapshot();
 
-    EXPECT_EQ(s[Counter::kSuperDiagonal], 1u);
-    EXPECT_EQ(s[Counter::kSuperMonomial], 2u);
-    EXPECT_EQ(s[Counter::kSuperControlled], 1u);
-    EXPECT_EQ(s[Counter::kSuperDense], 1u);
+    EXPECT_EQ(s[Counter::kBatDispatches], 7u);
+    EXPECT_EQ(s[Counter::kBatDiagonal], D);
+    EXPECT_EQ(s[Counter::kBatPermutation], 2 * D);
+    EXPECT_EQ(s[Counter::kBatMonomial], D);
+    EXPECT_EQ(s[Counter::kBatSingleWire], D);
+    EXPECT_EQ(s[Counter::kBatControlled], D);
+    EXPECT_EQ(s[Counter::kBatDense], D);
+    EXPECT_EQ(s[Counter::kSsDiagonal], D);
+    EXPECT_EQ(s[Counter::kSsPermutation], 2 * D);
+    EXPECT_EQ(s[Counter::kSsMonomial], D);
+    EXPECT_EQ(s[Counter::kSsSingleWire], D);
+    EXPECT_EQ(s[Counter::kSsControlled], D);
+    EXPECT_EQ(s[Counter::kSsDense], D);
 }
 
 TEST_F(ObsTest, PlanCacheCountersUnderConcurrentLookups)
