@@ -42,9 +42,10 @@ constexpr int kDefaultBatchLanes = 12;
  * behind TrajectoryCompilation, cached across requests by the
  * CompileService): two compiled circuits over one shared plan cache —
  * `ideal` (fully fused) for the noiseless reference passes, `noisy`
- * (fused only between noise boundaries; unfused under idle noise) for
- * the moment loop — the per-compiled-op precompiled depolarizing error
- * draws, the moment schedule and, for uniform-dimension registers, a
+ * (fused only between noise boundaries: error sites, or moments under
+ * idle noise) for the moment loop — the per-compiled-op precompiled
+ * depolarizing error draws, the moment schedule and, for
+ * uniform-dimension registers, a
  * per-basis-index key packing the excited-level counts (n1, n2), which
  * lets the no-jump damping operator of ALL wires apply as one
  * table-scaled pass.
@@ -63,15 +64,17 @@ struct TrajectoryCompilation::Impl {
     NoiseModel model;             ///< the model every trial draws from
     exec::PlanCache cache;        ///< plans shared across both compilations
     exec::CompiledCircuit ideal;  ///< fully fused: ideal reference passes
-    /** The noisy-loop compilation. Gate-error ops are fusion fences, so
-     *  every error channel still attaches to its pre-fusion op boundary —
-     *  this holds for stage-2 union merges too, because cost-model
-     *  windows never span a fence; under idle noise the moment schedule
-     *  (wire-disjoint ops) is kept per op and nothing merges. */
+    /** The noisy-loop compilation. Without idle noise, gate-error ops are
+     *  fusion fences, so every error channel still attaches to its
+     *  pre-fusion op boundary — this holds for stage-2 union merges too,
+     *  because cost-model windows never span a fence. Under idle noise
+     *  each moment is fenced instead and its wire-disjoint ops may merge
+     *  into one kernel (compile_moments); a member's gate errors commute
+     *  with the other members, so they run after the merged kernel. */
     exec::CompiledCircuit noisy;
-    /** Per noisy-op index: the error lotteries drawn after that op (the
-     *  draws of its source ops; fences guarantee only the last source op
-     *  of a fused group — nested or union-merged — carries any).
+    /** Per noisy-op index: the error lotteries drawn for that op, the
+     *  draws of its source ops in op order (with error fences only the
+     *  last source op of a fused group carries any).
      *  Pointers into `error_memo_`, deduplicated by (wires,
      *  probability). */
     std::vector<std::vector<const ErrorDraw*>> errors;
@@ -98,15 +101,11 @@ struct TrajectoryCompilation::Impl {
         const auto sites = enumerate_error_sites(circuit, model);
         const bool idle_noise =
             model.has_damping() || model.has_dephasing();
-        if (!fusion.enabled || idle_noise) {
-            // Idle noise fences every moment boundary, and ops within a
-            // moment are wire-disjoint: fusion has nothing to merge, so
-            // compile per op (bitwise the pre-fusion engine) and keep the
-            // ASAP moments as the noisy schedule.
-            exec::FusionOptions off = fusion;
-            off.enabled = false;
-            noisy = exec::CompiledCircuit(circuit, off, {}, &cache);
-            moments = schedule_asap(circuit);
+        std::vector<std::uint32_t> order;  // noisy source op -> circuit op
+        if (idle_noise || !fusion.enabled) {
+            // With fusion off the compile ignores the fences: one kernel
+            // per op on the ASAP moment schedule.
+            order = compile_moments(circuit, fusion);
         } else {
             // Gate errors are the only noise: fuse between error sites.
             // Every op that draws a channel fences the partition, pinning
@@ -125,7 +124,7 @@ struct TrajectoryCompilation::Impl {
             }
             moments.push_back(std::move(all));
         }
-        build_error_draws(circuit, sites);
+        build_error_draws(circuit, sites, order);
         const WireDims& dims = circuit.dims();
         width = dims.num_wires();
         dim = dims.dim(0);
@@ -164,6 +163,47 @@ struct TrajectoryCompilation::Impl {
 
   private:
     /**
+     * Idle-noise compile with moment kernels: the circuit is laid out in
+     * ASAP-moment order and compiled through the fusion stage with a
+     * fence after each moment's last op, so the cost model can merge the
+     * wire-disjoint ops of one moment (and nothing across moments) into
+     * one kernel; with fusion off it is one kernel per op in that order.
+     * Fills `noisy` and `moments` (over noisy-op indices) and returns,
+     * per source op of `noisy`, the circuit op it is. Fused blocks keep
+     * their matrix only when the dense kernel reads it.
+     */
+    std::vector<std::uint32_t> compile_moments(
+        const Circuit& circuit, const exec::FusionOptions& fusion) {
+        const std::vector<Moment> asap = schedule_asap(circuit);
+        Circuit ordered(circuit.dims());
+        std::vector<std::uint32_t> order;
+        std::vector<std::uint8_t> fences;
+        std::vector<std::uint32_t> moment_of;
+        order.reserve(circuit.num_ops());
+        for (std::size_t m = 0; m < asap.size(); ++m) {
+            for (const std::size_t i : asap[m].op_indices) {
+                const Operation& op = circuit.ops()[i];
+                ordered.append(op.gate, op.wires);
+                order.push_back(static_cast<std::uint32_t>(i));
+                fences.push_back(0);
+                moment_of.push_back(static_cast<std::uint32_t>(m));
+            }
+            fences.back() = 1;
+        }
+        noisy = exec::CompiledCircuit(ordered, fusion, fences, &cache);
+        noisy.release_fused_payloads();
+        moments.resize(asap.size());
+        for (std::size_t m = 0; m < asap.size(); ++m) {
+            moments[m].has_multi_qudit = asap[m].has_multi_qudit;
+        }
+        for (std::size_t k = 0; k < noisy.num_ops(); ++k) {
+            const std::uint32_t first = noisy.ops()[k].source_ops.front();
+            moments[moment_of[first]].op_indices.push_back(k);
+        }
+        return order;
+    }
+
+    /**
      * Precompiles every depolarizing error unitary the trajectory loop can
      * draw, sharing apply plans with the compiled circuits (an error on a
      * gate's wires reuses that gate's offset tables via the shared
@@ -172,10 +212,12 @@ struct TrajectoryCompilation::Impl {
      * stay comparable. Draws are memoised by (wires, per-channel
      * probability), so a circuit with many gates on the same wire pair
      * compiles its channel once. Per-source-op draw lists are folded onto
-     * the noisy compilation through CompiledOp::source_ops.
+     * the noisy compilation through CompiledOp::source_ops (source op s
+     * is circuit op order[s], or op s when `order` is empty).
      */
     void build_error_draws(const Circuit& circuit,
-                           const std::vector<std::vector<ErrorSite>>& sites) {
+                           const std::vector<std::vector<ErrorSite>>& sites,
+                           const std::vector<std::uint32_t>& order) {
         const WireDims& dims = circuit.dims();
         std::vector<std::vector<const ErrorDraw*>> per_op(circuit.num_ops());
         for (std::size_t i = 0; i < sites.size(); ++i) {
@@ -206,7 +248,8 @@ struct TrajectoryCompilation::Impl {
         errors.resize(noisy.num_ops());
         for (std::size_t k = 0; k < noisy.num_ops(); ++k) {
             for (const std::uint32_t s : noisy.ops()[k].source_ops) {
-                const auto& draws = per_op[static_cast<std::size_t>(s)];
+                const auto& draws =
+                    per_op[order.empty() ? s : order[s]];
                 errors[k].insert(errors[k].end(), draws.begin(),
                                  draws.end());
             }
@@ -369,21 +412,29 @@ fused_rare_branch(StateVector& psi, const NoiseModel& model, Real dt,
 // back — which is what keeps every lane's result a function of its own RNG
 // stream alone, bitwise independent of the batch width.
 //
-// A moment under fused idle damping costs one memory sweep: its last gate
-// runs with the no-jump scaling as a kernel epilogue
-// (exec::apply_op_batched_damped), which also returns every lane's squared
-// norm M_b. Normalisation is deferred: lane b carries N_b, the squared
-// norm of its stored amplitudes (1 after the initial draw and after every
-// renormalisation), and takes the no-jump branch when u * N_b < M_b — the
-// draw u < M_b / N_b without the division — after which N_b = M_b and no
-// amplitude is written. Only lanes extracted for the rare branch are
-// renormalised, and the final fidelity is divided by N_b.
+// Fused idle damping runs in a damping frame (exec::BatchedStateVector::
+// frame): the joint no-jump operator of a moment is a real diagonal that
+// depends on the circuit alone, so it multiplies one factor per amplitude
+// shared by all lanes (f) and the gate kernels carry f; a damped moment
+// costs a pass over f, not over the batch. Normalisation is deferred:
+// lane b's state f (.) x_b is unnormalised, and the no-jump branch is
+// taken iff u * N_b < M_b (N_b, M_b the squared norms before and after the
+// moment's scaling — the draw u < M_b / N_b without the division). Since
+// M_b >= s_min^2 N_b for the table's smallest entry s_min, a draw below
+// s_min^2 (less a margin) accepts with no norm at all; only the other
+// draws take one read sweep for N_b and M_b. Per-lane events (fired gate
+// errors, the rare branch) extract f (.) x_b and store the result / f;
+// they never fold f into the batch, which would make f depend on the
+// lanes. The frame is folded deterministically when a lower bound on its
+// entries (the product of the moments' smallest table entries since the
+// last fold) nears underflow, and the final fidelity divides by the
+// lane's norm.
 //
 // Determinism: results are bitwise independent of the batch width and of
-// the thread count. Without fused damping N_b stays exactly 1, so results
+// the thread count. Without fused damping there is no frame, so results
 // are bitwise those of an engine that normalises every moment; with it,
-// the deferred normalisation and the chunked norm sums move per-trial
-// fidelities by rounding only (within 1e-12, tested).
+// the frame and the deferred normalisation move per-trial fidelities by
+// rounding only (within 1e-12, tested).
 // --------------------------------------------------------------------------
 
 /** One gate error drawn for one lane: the lane and the unitary it takes. */
@@ -434,47 +485,97 @@ apply_gate_errors(exec::BatchedStateVector& psi,
     }
 }
 
+/** True iff the engine carries fused idle damping in a frame. */
+bool
+uses_frame(const EngineContext& ctx)
+{
+    return ctx.model.has_damping() && ctx.accel;
+}
+
+/** The frame is folded into the lanes once its floor (a lower bound on
+ *  every factor) drops below this: far above underflow, and a stored
+ *  amplitude x = (f x) / f stays finite. */
+constexpr Real kFrameFoldBelow = 0x1p-500;
+
+/** The fused no-jump tables of one moment duration: the per-count-key
+ *  scale, its inverse (the rare branch undoes the scaling), its smallest
+ *  entry s_min, and the draw below which a lane accepts without a norm:
+ *  s_min^2 less a margin for the rounding of the norm sums. */
+struct DampingTables {
+    std::vector<Real> scale, inv;
+    Real s_min = 1;
+    Real accept_below = 0;
+};
+
+DampingTables
+damping_tables(const NoiseModel& model, Real dt, const EngineContext& ctx)
+{
+    DampingTables t;
+    build_damping_tables(model, dt, ctx, t.scale, t.inv);
+    t.s_min = *std::min_element(t.scale.begin(), t.scale.end());
+    t.accept_below = t.s_min * t.s_min * (1.0 - 1e-9);
+    return t;
+}
+
 /**
- * Batched fused damping, entered once the joint no-jump scaling has been
- * applied to every lane (the epilogue of the moment's last gate): `scaled`
- * holds each lane's squared norm M_b after the scaling and `norm_sq` its
- * carried N_b from before it. Accepting lanes just adopt M_b; rejected
- * lanes are extracted, renormalised to the normalised-then-scaled state
- * the rare branch expects, and take it individually. The scale/inv tables
- * are a pure function of (model, dt), so the caller builds them once per
- * moment duration instead of once per moment.
+ * Fused idle damping of one moment on a framed batch: draws every lane's
+ * acceptance u, takes one read sweep for N_b and M_b only if some draw
+ * is not below tables.accept_below, applies the no-jump scaling to the
+ * frame, and runs the rare branch on each rejected lane (extracted as
+ * the scaled state, renormalised by 1/sqrt(N_b), as fused_rare_branch
+ * expects). `frame_floor` bounds every frame factor from below: the scaling
+ * multiplies it by s_min (kernels only move factors or reset them to 1),
+ * and the frame is folded when it nears underflow — a function of the
+ * circuit alone, so every lane sees the same folds.
  */
 void
-apply_idle_damping_fused_batched(exec::BatchedStateVector& psi,
-                                 const NoiseModel& model, Real dt,
-                                 const EngineContext& ctx,
-                                 const std::vector<Real>& scale,
-                                 const std::vector<Real>& inv,
-                                 const std::vector<Real>& scaled,
-                                 std::vector<Real>& norm_sq,
-                                 std::vector<Rng>& rngs, StateVector& lane)
+apply_idle_damping_framed(exec::BatchedStateVector& psi,
+                          const NoiseModel& model, Real dt,
+                          const EngineContext& ctx,
+                          const DampingTables& tables,
+                          std::vector<Rng>& rngs, StateVector& lane,
+                          std::vector<Real>& u, std::vector<Real>& norm_sq,
+                          std::vector<Real>& scaled, Real& frame_floor)
 {
-    for (int j = 0; j < psi.lanes(); ++j) {
-        const std::size_t uj = static_cast<std::size_t>(j);
-        Rng& rng = rngs[uj];
-        if (rng.uniform() * norm_sq[uj] < scaled[uj]) {
-            if (!std::isfinite(scaled[uj])) {
-                throw std::runtime_error(
-                    "trajectory: no-jump evolution produced a non-finite "
-                    "state");
-            }
-            norm_sq[uj] = scaled[uj];
+    const std::size_t B = static_cast<std::size_t>(psi.lanes());
+    u.resize(B);
+    bool sweep = false;
+    for (std::size_t j = 0; j < B; ++j) {
+        u[j] = rngs[j].uniform();
+        sweep = sweep || u[j] >= tables.accept_below;
+    }
+    if (sweep) {
+        psi.damped_norm_sq_lanes(ctx.count_key, tables.scale, norm_sq,
+                                 scaled);
+    }
+    psi.scale_frame(ctx.count_key, tables.scale);
+    for (std::size_t j = 0; sweep && j < B; ++j) {
+        if (u[j] < tables.accept_below) {
+            continue;
+        }
+        if (!std::isfinite(scaled[j])) {
+            throw std::runtime_error(
+                "trajectory: no-jump evolution produced a non-finite state");
+        }
+        if (u[j] * norm_sq[j] < scaled[j]) {
             continue;
         }
         obs::count(obs::Counter::kTrajLaneExtracts);
-        psi.extract_lane(j, lane);
-        const Real r = 1.0 / std::sqrt(norm_sq[uj]);
+        const int jj = static_cast<int>(j);
+        psi.extract_lane(jj, lane);
+        const Real r = 1.0 / std::sqrt(norm_sq[j]);
         for (Complex& a : lane.amplitudes()) {
             a *= r;
         }
-        fused_rare_branch(lane, model, dt, ctx, rng, scale, inv);
-        psi.set_lane(j, lane);
-        norm_sq[uj] = 1.0;
+        fused_rare_branch(lane, model, dt, ctx, rngs[j], tables.scale,
+                          tables.inv);
+        psi.set_lane(jj, lane);
+    }
+    frame_floor *= tables.s_min;
+    if (frame_floor < kFrameFoldBelow) {
+        obs::count(obs::Counter::kTrajFrameFolds);
+        psi.fold_frame();
+        frame_floor = 1;
     }
 }
 
@@ -608,16 +709,17 @@ run_lanes(const EngineContext& ctx, exec::BatchedStateVector& psi,
 
     // The fused no-jump tables depend only on the moment duration, which
     // takes exactly two values — build each once per batch, not per moment.
-    const bool fused = model.has_damping() && ctx.accel;
-    std::vector<Real> scale_1q, inv_1q, scale_2q, inv_2q;
-    if (fused) {
-        build_damping_tables(model, model.dt_1q, ctx, scale_1q, inv_1q);
-        build_damping_tables(model, model.dt_2q, ctx, scale_2q, inv_2q);
+    const bool framed = uses_frame(ctx);
+    DampingTables tables_1q, tables_2q;
+    if (framed) {
+        tables_1q = damping_tables(model, model.dt_1q, ctx);
+        tables_2q = damping_tables(model, model.dt_2q, ctx);
+        psi.start_frame();
     }
 
     StateVector lane(psi.dims());  // reused for per-lane divergent fallbacks
-    std::vector<Real> norm_sq(static_cast<std::size_t>(psi.lanes()), 1.0);
-    std::vector<Real> scaled;  // M_b of the current damped moment
+    std::vector<Real> u, norm_sq, scaled;
+    Real frame_floor = 1;  // lower bound on the frame's factors
     std::vector<FiredError> fired;
     DephasingFactors factors;
     for (const Moment& moment : ctx.moments) {
@@ -625,30 +727,19 @@ run_lanes(const EngineContext& ctx, exec::BatchedStateVector& psi,
         mspan.arg("ops",
                   static_cast<std::int64_t>(moment.op_indices.size()));
         const Real dt = model.moment_duration(moment.has_multi_qudit);
-        const std::vector<Real>& scale =
-            moment.has_multi_qudit ? scale_2q : scale_1q;
-        for (std::size_t k = 0; k < moment.op_indices.size(); ++k) {
-            const std::size_t idx = moment.op_indices[k];
-            const exec::CompiledOp& op = ctx.noisy.ops()[idx];
+        for (const std::size_t idx : moment.op_indices) {
+            // A fused moment kernel's members are wire-disjoint, so their
+            // errors (drawn in member order; draws do not depend on the
+            // state) commute with the other members and run after it.
             draw_gate_errors(ctx.errors[idx], rngs, fired);
-            const bool last = k + 1 == moment.op_indices.size();
-            if (fused && last && fired.empty()) {
-                exec::apply_op_batched_damped(op, psi, scratch,
-                                              ctx.count_key, scale, scaled);
-                continue;
-            }
-            exec::apply_op_batched(op, psi, scratch);
+            exec::apply_op_batched(ctx.noisy.ops()[idx], psi, scratch);
             apply_gate_errors(psi, fired, lane, scratch);
-            if (fused && last) {
-                exec::damp_op_batched(op, psi, scratch, ctx.count_key,
-                                      scale, scaled);
-            }
         }
-        if (fused) {
-            apply_idle_damping_fused_batched(
-                psi, model, dt, ctx, scale,
-                moment.has_multi_qudit ? inv_2q : inv_1q, scaled, norm_sq,
-                rngs, lane);
+        if (framed) {
+            apply_idle_damping_framed(
+                psi, model, dt, ctx,
+                moment.has_multi_qudit ? tables_2q : tables_1q, rngs, lane,
+                u, norm_sq, scaled, frame_floor);
         } else if (model.has_damping()) {
             apply_idle_damping_sequential_batched(psi, model, dt, rngs, lane);
         }
@@ -656,7 +747,10 @@ run_lanes(const EngineContext& ctx, exec::BatchedStateVector& psi,
             apply_idle_dephasing_batched(psi, model, dt, rngs, factors);
         }
     }
-    std::vector<Real> fid = psi.fidelity_lanes(ideal);
+    if (!framed) {
+        return psi.fidelity_lanes(ideal);
+    }
+    std::vector<Real> fid = psi.fidelity_lanes(ideal, &norm_sq);
     for (std::size_t j = 0; j < fid.size(); ++j) {
         fid[j] /= norm_sq[j];
     }
@@ -677,23 +771,48 @@ draw_initial_states(exec::BatchedStateVector& psi, std::vector<Rng>& rngs,
 {
     const WireDims& dims = psi.dims();
     const int lanes = psi.lanes();
-    auto draw = [&](Index idx) {
-        for (int j = 0; j < lanes; ++j) {
-            psi.at(idx, j) =
-                rngs[static_cast<std::size_t>(j)].complex_gaussian();
-        }
-    };
-    if (qubit_subspace) {
-        for_each_qubit_subspace_index(dims, draw);
-    } else {
+    const std::size_t B = static_cast<std::size_t>(lanes);
+    if (!qubit_subspace) {
         for (Index idx = 0; idx < dims.size(); ++idx) {
-            draw(idx);
+            for (int j = 0; j < lanes; ++j) {
+                psi.at(idx, j) =
+                    rngs[static_cast<std::size_t>(j)].complex_gaussian();
+            }
         }
+        for (const std::uint8_t ok : psi.normalize_lanes()) {
+            if (ok == 0) {
+                throw std::runtime_error(
+                    "trajectory: degenerate zero-norm initial state");
+            }
+        }
+        return;
     }
-    for (const std::uint8_t ok : psi.normalize_lanes()) {
-        if (ok == 0) {
+    // Only the qubit-subspace rows are nonzero, so the norms and the
+    // scaling visit those alone, in increasing index order: the skipped
+    // terms are exact zeros, so every lane is bitwise normalize_lanes().
+    std::vector<Index> support;
+    std::vector<Real> norm_sq(B, 0.0);
+    for_each_qubit_subspace_index(dims, [&](Index idx) {
+        support.push_back(idx);
+        for (std::size_t j = 0; j < B; ++j) {
+            const Complex a = rngs[j].complex_gaussian();
+            psi.at(idx, static_cast<int>(j)) = a;
+            norm_sq[j] += a.real() * a.real() + a.imag() * a.imag();
+        }
+    });
+    std::vector<Real> inv(B);
+    for (std::size_t j = 0; j < B; ++j) {
+        const Real nrm = std::sqrt(norm_sq[j]);
+        if (nrm <= 0 || !std::isfinite(nrm)) {
             throw std::runtime_error(
                 "trajectory: degenerate zero-norm initial state");
+        }
+        inv[j] = 1.0 / nrm;
+    }
+    for (const Index idx : support) {
+        for (std::size_t j = 0; j < B; ++j) {
+            Complex& a = psi.at(idx, static_cast<int>(j));
+            a = Complex(a.real() * inv[j], a.imag() * inv[j]);
         }
     }
 }
@@ -717,7 +836,7 @@ run_trajectory_batch(const EngineContext& ctx,
     for (int j = 0; j < lanes; ++j) {
         rngs.push_back(root.child(static_cast<std::uint64_t>(start + j)));
     }
-    exec::BatchedStateVector psi(ctx.noisy.dims(), lanes);
+    exec::BatchedStateVector psi(ctx.noisy.dims(), lanes, uses_frame(ctx));
     draw_initial_states(psi, rngs, options.qubit_subspace_inputs);
     exec::BatchedStateVector ideal = psi;
     exec::run_batched(ctx.ideal, ideal, scratch);

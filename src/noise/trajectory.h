@@ -31,8 +31,9 @@
  *
  * Idle damping picks its implementation from the register: uniform
  * registers with dim <= 3 apply the joint no-jump operator of all wires
- * in one table-scaled pass (fused); mixed-radix or dim > 3 registers run
- * the exact per-wire loop of Algorithm 1 (sequential).
+ * as one table scaling of a damping frame shared by the batch's lanes
+ * (fused; see exec/batched_state.h); mixed-radix or dim > 3 registers
+ * run the exact per-wire loop of Algorithm 1 (sequential).
  */
 #ifndef NOISE_TRAJECTORY_H
 #define NOISE_TRAJECTORY_H
@@ -74,10 +75,11 @@ struct TrajectoryOptions {
     /**
      * Compile-time operator fusion (see exec/fusion.h). The ideal
      * reference passes always compile fully fused; the noisy loop fuses
-     * only between noise boundaries: every op that draws a gate-error
-     * channel is a fence (errors attach to pre-fusion op boundaries), and
-     * circuits under idle noise (damping/dephasing) keep the per-op
-     * moment schedule, where ops are wire-disjoint and nothing merges.
+     * only between noise boundaries: without idle noise every op that
+     * draws a gate-error channel is a fence (errors attach to pre-fusion
+     * op boundaries); under idle noise (damping/dephasing) every moment
+     * is fenced and its wire-disjoint ops may merge into one moment
+     * kernel, their gate errors applied after it (they commute).
      * Disabling reproduces the pre-fusion engine bitwise.
      */
     exec::FusionOptions fusion = {};

@@ -11,14 +11,15 @@ namespace qd::exec {
 
 namespace {
 
-/** Outer-block count above which a pass parallelises with OpenMP. High
- *  enough that trajectory-sized registers stay serial (their parallelism
- *  is across shots, not inside one gate). */
+/** Outer-block count above which a pass parallelises with OpenMP. Small
+ *  registers stay serial, but a trajectory batch can cross it: a two-wire
+ *  plan on 12 qutrits has 3^10 = 59049 outer blocks, so every trajectory
+ *  worker on such a register opens its own OpenMP team (measured on a
+ *  4-core Xeon: forcing one kernel thread per worker made a QUTRIT x SC
+ *  width-12 cell slower, 1.23-1.48 s against 1.15-1.25 s). */
 constexpr Index kParallelOuter = Index{1} << 13;
 
-/** Amplitudes per chunk of outer blocks in one pass: the unit of OpenMP
- *  work and of the damping epilogue's norm partials. Fixed, so the norm
- *  summation order is a function of the op's block size alone. */
+/** Amplitudes per chunk of outer blocks: the unit of OpenMP work. */
 constexpr Index kChunkAmps = Index{1} << 10;
 
 /** Marks a kernel's per-block body, which run_blocks calls once per outer
@@ -58,7 +59,6 @@ struct PlanBlocks {
         return static_cast<std::int64_t>(plan.outer_count());
     }
     bool parallel() const { return plan.outer_count() >= kParallelOuter; }
-    const Index* offsets() const { return plan.local_offset.data(); }
     Index size() const { return plan.block; }
 
     /** Calls visit(base, tmp) for blocks [lo, hi), in order. */
@@ -95,7 +95,6 @@ struct WireBlocks {
         return static_cast<std::int64_t>(total / d);
     }
     bool parallel() const { return total / period >= kParallelOuter; }
-    const Index* offsets() const { return off; }
     Index size() const { return d; }
 
     /** Calls visit(base, tmp) for blocks [lo, hi), in order. */
@@ -116,117 +115,41 @@ struct WireBlocks {
     }
 };
 
-/** The no-jump damping epilogue of one pass over a B-lane batch. */
-struct Damping {
-    Real* amps;  ///< the batch as re/im doubles
-    std::size_t B;
-    const std::uint16_t* key;
-    const Real* scale;
-    std::vector<Real>& norm_sq;  ///< receives each lane's squared norm
-
-    /**
-     * Scales the n amplitudes base + off[j] of every lane by
-     * scale[key[idx]] and adds their squared magnitudes into acc[lane],
-     * in j order — the multiply-then-accumulate of scale_by_table.
-     */
-    void block(Index base, const Index* off, Index n,
-               Real* __restrict acc) const {
-        for (Index j = 0; j < n; ++j) {
-            const Index idx = base + off[j];
-            const Real f = scale[key[idx]];
-            Real* __restrict p =
-                amps + 2 * static_cast<std::size_t>(idx) * B;
-            QD_SIMD
-            for (std::size_t b = 0; b < B; ++b) {
-                const Real re = p[2 * b] * f, im = p[2 * b + 1] * f;
-                p[2 * b] = re;
-                p[2 * b + 1] = im;
-                acc[b] += re * re + im * im;
-            }
-        }
-    }
-};
-
 /**
  * The one pass driver every kernel runs through, single-shot and batched:
  * calls kernel(base, tmp) per outer block of `blocks`, where tmp is a
- * per-thread buffer of `tmp_elems` complexes. A serial pass without
- * damping walks the blocks in one run. Otherwise blocks go in chunks of
- * about kChunkAmps amplitudes (OpenMP static schedule over chunks on
- * large registers). With `damping`, the epilogue scales each block right
- * after the kernel wrote it, while it is cache-resident; chunk c sums its
- * lanes' squared norms into its own partial row, and the rows are added
- * in chunk order into damping->norm_sq.
+ * per-thread buffer of `tmp_elems` complexes. A serial pass walks the
+ * blocks in one run; a parallel one (large registers) goes in chunks of
+ * about kChunkAmps amplitudes under an OpenMP static schedule. Blocks are
+ * disjoint, so the result does not depend on the thread count.
  */
 template <class Blocks, class Kernel>
 void
 run_blocks(const Blocks& blocks, std::size_t tmp_elems, ExecScratch& scratch,
-           Kernel kernel, const Damping* damping)
+           Kernel kernel)
 {
     const std::int64_t n = blocks.count();
-    if (damping == nullptr && !blocks.parallel()) {
-        if (scratch.tmp.size() < tmp_elems) {
-            scratch.tmp.resize(tmp_elems);
-        }
-        blocks.walk(0, n, kernel, scratch.tmp.data());
-        return;
-    }
-    const std::int64_t per =
-        std::max<std::int64_t>(1, static_cast<std::int64_t>(
-                                      kChunkAmps / blocks.size()));
-    const std::int64_t nchunks = (n + per - 1) / per;
-    const std::size_t B = damping != nullptr ? damping->B : 0;
-    Real* partial = nullptr;
-    if (damping != nullptr) {
-        scratch.partial.assign(static_cast<std::size_t>(nchunks) * B, 0.0);
-        partial = scratch.partial.data();
-    }
-    auto run_chunk = [&](std::int64_t c, Complex* tmp) {
-        const std::int64_t lo = c * per;
-        const std::int64_t hi = std::min(n, lo + per);
-        if (damping == nullptr) {
-            blocks.walk(lo, hi, kernel, tmp);
-            return;
-        }
-        Real* acc = partial + static_cast<std::size_t>(c) * B;
-        blocks.walk(
-            lo, hi,
-            [&](Index base, Complex* t) {
-                kernel(base, t);
-                damping->block(base, blocks.offsets(), blocks.size(), acc);
-            },
-            tmp);
-    };
 #ifdef _OPENMP
     if (blocks.parallel()) {
+        const std::int64_t per = std::max<std::int64_t>(
+            1, static_cast<std::int64_t>(kChunkAmps / blocks.size()));
+        const std::int64_t nchunks = (n + per - 1) / per;
 #pragma omp parallel
         {
             std::vector<Complex> tmp(tmp_elems);
 #pragma omp for schedule(static)
             for (std::int64_t c = 0; c < nchunks; ++c) {
-                run_chunk(c, tmp.data());
+                blocks.walk(c * per, std::min(n, c * per + per), kernel,
+                            tmp.data());
             }
         }
-    } else
+        return;
+    }
 #endif
-    {
-        if (scratch.tmp.size() < tmp_elems) {
-            scratch.tmp.resize(tmp_elems);
-        }
-        for (std::int64_t c = 0; c < nchunks; ++c) {
-            run_chunk(c, scratch.tmp.data());
-        }
+    if (scratch.tmp.size() < tmp_elems) {
+        scratch.tmp.resize(tmp_elems);
     }
-    if (damping != nullptr) {
-        std::vector<Real>& norm_sq = damping->norm_sq;
-        norm_sq.assign(B, 0.0);
-        for (std::int64_t c = 0; c < nchunks; ++c) {
-            const Real* row = partial + static_cast<std::size_t>(c) * B;
-            for (std::size_t b = 0; b < B; ++b) {
-                norm_sq[b] += row[b];
-            }
-        }
-    }
+    blocks.walk(0, n, kernel, scratch.tmp.data());
 }
 
 /** One row of per-lane temporaries: the per-thread scratch row for a
@@ -268,14 +191,27 @@ copy_lanes(Complex* dst, const Complex* src, const Lanes B)
  * accumulation runs 0 + row[0]*in[0] + row[1]*in[1] + ... in column
  * order, whatever the lane count.
  */
-template <class Lanes>
+template <bool kFramed, class Lanes>
 void
 matvec_block_b(Complex* amps, Index base, const Index* off, Index nb,
-               const Complex* m, const Lanes B, Complex* in)
+               const Complex* m, const Lanes B, Complex* in, Real* frame)
 {
     for (Index b = 0; b < nb; ++b) {
-        copy_lanes(in + static_cast<std::size_t>(b) * B,
-                   amps + (base + off[b]) * B, B);
+        Complex* src = amps + (base + off[b]) * B;
+        if constexpr (kFramed) {
+            // Gather f (.) x and leave f = 1 behind: the rows this block
+            // writes hold the framed state itself.
+            const Real f = frame[base + off[b]];
+            frame[base + off[b]] = 1.0;
+            Real* d = as_reals(in + static_cast<std::size_t>(b) * B);
+            const Real* x = as_reals(src);
+            QD_SIMD
+            for (std::size_t l = 0; l < 2 * B; ++l) {
+                d[l] = x[l] * f;
+            }
+        } else {
+            copy_lanes(in + static_cast<std::size_t>(b) * B, src, B);
+        }
     }
     // The gather buffer never aliases the state, and the matrix row is
     // hoisted into locals, so the lane loop runs on registers; without the
@@ -328,18 +264,35 @@ matvec_block_b(Complex* amps, Index base, const Index* off, Index nb,
 
 /**
  * Runs `op` over the B lanes of the `total`-amplitude register at `amps`
- * through run_blocks (with the damping epilogue when `damping` is set).
- * Each case supplies the kernel's outer-block geometry and its per-block
- * body. `Lanes` is OneLane for a StateVector and std::size_t for a
- * BatchedStateVector.
+ * through run_blocks. Each case supplies the kernel's outer-block
+ * geometry and its per-block body. `Lanes` is OneLane for a StateVector
+ * and std::size_t for a BatchedStateVector. With `kFramed` the lanes
+ * carry a damping frame (batched_state.h): permutation and monomial
+ * blocks move f[idx] along their cycles with the amplitudes, diagonal
+ * blocks leave it alone (real diagonals commute), and the matvec kernels
+ * (single-wire, controlled, dense) multiply the amplitudes they read by
+ * f and reset those entries to 1.
  */
-template <class Lanes>
+template <bool kFramed, class Lanes>
 void
 run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
-       ExecScratch& scratch, const Damping* damping)
+       ExecScratch& scratch, Real* frame)
 {
     auto run = [&](const auto& blocks, std::size_t tmp_elems, auto kernel) {
-        run_blocks(blocks, tmp_elems, scratch, kernel, damping);
+        run_blocks(blocks, tmp_elems, scratch, kernel);
+    };
+    // Moves frame entries along one cycle of local offsets c[0..len), the
+    // way the cycle walks below move amplitudes: c[i-1] -> c[i], last ->
+    // first.
+    auto cycle_frame = [frame](Index base, const Index* c,
+                               std::uint32_t len) {
+        if constexpr (kFramed) {
+            const Real last = frame[base + c[len - 1]];
+            for (std::uint32_t i = len - 1; i >= 1; --i) {
+                frame[base + c[i]] = frame[base + c[i - 1]];
+            }
+            frame[base + c[0]] = last;
+        }
     };
     switch (op.kind) {
         case KernelKind::kPermutation: {
@@ -359,6 +312,7 @@ run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
                                        amps + (base + c[i - 1]) * B, B);
                         }
                         copy_lanes(amps + (base + c[0]) * B, tmp, B);
+                        cycle_frame(base, c, len);
                         c += len;
                     }
                 });
@@ -404,6 +358,7 @@ run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
                                             v[i - 1]);
                             }
                             copy_lanes(amps + (base + c[0]) * B, tmp, B);
+                            cycle_frame(base, c, len);
                         }
                         c += len;
                         v += len;
@@ -436,14 +391,27 @@ run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
             const Real u10r = op.u[2].real(), u10i = op.u[2].imag();
             const Real u11r = op.u[3].real(), u11i = op.u[3].imag();
             const std::size_t jump = static_cast<std::size_t>(op.stride1) * B;
+            const Index s1 = op.stride1;
             run(WireBlocks(op.stride1, op.period1, total), 0,
                 [=](Index base, Complex*) QD_BLOCK_BODY {
                     Real* d0 = as_reals(amps + base * B);
                     Real* d1 = as_reals(amps + base * B + jump);
+                    Real f0 = 1.0, f1 = 1.0;
+                    if constexpr (kFramed) {
+                        f0 = frame[base];
+                        f1 = frame[base + s1];
+                        frame[base] = frame[base + s1] = 1.0;
+                    }
                     QD_SIMD
                     for (std::size_t b = 0; b < B; ++b) {
-                        const Real a0r = d0[2 * b], a0i = d0[2 * b + 1];
-                        const Real a1r = d1[2 * b], a1i = d1[2 * b + 1];
+                        Real a0r = d0[2 * b], a0i = d0[2 * b + 1];
+                        Real a1r = d1[2 * b], a1i = d1[2 * b + 1];
+                        if constexpr (kFramed) {
+                            a0r *= f0;
+                            a0i *= f0;
+                            a1r *= f1;
+                            a1i *= f1;
+                        }
                         d0[2 * b] = (u00r * a0r - u00i * a0i) +
                                     (u01r * a1r - u01i * a1i);
                         d0[2 * b + 1] = (u00r * a0i + u00i * a0r) +
@@ -461,16 +429,33 @@ run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
             const Complex u10 = op.u[3], u11 = op.u[4], u12 = op.u[5];
             const Complex u20 = op.u[6], u21 = op.u[7], u22 = op.u[8];
             const std::size_t jump = static_cast<std::size_t>(op.stride1) * B;
+            const Index s1 = op.stride1;
             run(WireBlocks(op.stride1, op.period1, total), 0,
                 [=](Index base, Complex*) QD_BLOCK_BODY {
                     Real* d0 = as_reals(amps + base * B);
                     Real* d1 = as_reals(amps + base * B + jump);
                     Real* d2 = as_reals(amps + base * B + 2 * jump);
+                    Real f0 = 1.0, f1 = 1.0, f2 = 1.0;
+                    if constexpr (kFramed) {
+                        f0 = frame[base];
+                        f1 = frame[base + s1];
+                        f2 = frame[base + 2 * s1];
+                        frame[base] = frame[base + s1] =
+                            frame[base + 2 * s1] = 1.0;
+                    }
                     QD_SIMD
                     for (std::size_t b = 0; b < B; ++b) {
-                        const Real a0r = d0[2 * b], a0i = d0[2 * b + 1];
-                        const Real a1r = d1[2 * b], a1i = d1[2 * b + 1];
-                        const Real a2r = d2[2 * b], a2i = d2[2 * b + 1];
+                        Real a0r = d0[2 * b], a0i = d0[2 * b + 1];
+                        Real a1r = d1[2 * b], a1i = d1[2 * b + 1];
+                        Real a2r = d2[2 * b], a2i = d2[2 * b + 1];
+                        if constexpr (kFramed) {
+                            a0r *= f0;
+                            a0i *= f0;
+                            a1r *= f1;
+                            a1i *= f1;
+                            a2r *= f2;
+                            a2i *= f2;
+                        }
                         d0[2 * b] = (u00.real() * a0r - u00.imag() * a0i) +
                                     (u01.real() * a1r - u01.imag() * a1i) +
                                     (u02.real() * a2r - u02.imag() * a2i);
@@ -497,15 +482,15 @@ run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
             return;
         }
         case KernelKind::kControlled: {
-            // The epilogue walks the full plan block (controls and
-            // targets); the matvec only the active-control target block.
+            // Only the active-control target block is read and written.
             const Index* off = op.inner_offset.data();
             const Index nb = static_cast<Index>(op.inner_offset.size());
             const Complex* m = op.inner.data().data();
             const Index ctrl = op.ctrl_offset;
             run(PlanBlocks{*op.plan}, static_cast<std::size_t>(nb) * B,
                 [=](Index base, Complex* in) QD_BLOCK_BODY {
-                    matvec_block_b(amps, base + ctrl, off, nb, m, B, in);
+                    matvec_block_b<kFramed>(amps, base + ctrl, off, nb, m, B,
+                                            in, frame);
                 });
             return;
         }
@@ -515,7 +500,8 @@ run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
             const Complex* m = op.gate.matrix().data().data();
             run(PlanBlocks{*op.plan}, static_cast<std::size_t>(nb) * B,
                 [=](Index base, Complex* in) QD_BLOCK_BODY {
-                    matvec_block_b(amps, base, off, nb, m, B, in);
+                    matvec_block_b<kFramed>(amps, base, off, nb, m, B, in,
+                                            frame);
                 });
             return;
         }
@@ -559,25 +545,14 @@ lanes_of(const BatchedStateVector& psi)
     return static_cast<std::size_t>(psi.lanes());
 }
 
-Damping
-damping_for(BatchedStateVector& psi, const std::vector<std::uint16_t>& key,
-            const std::vector<Real>& scale, std::vector<Real>& norm_sq)
-{
-    if (key.size() != static_cast<std::size_t>(psi.size())) {
-        throw std::invalid_argument("damping epilogue: key size mismatch");
-    }
-    return Damping{as_reals(psi.data()), lanes_of(psi), key.data(),
-                   scale.data(), norm_sq};
-}
-
 }  // namespace
 
 void
 apply_op(const CompiledOp& op, StateVector& psi, ExecScratch& scratch)
 {
     count_single(op, psi.size(), 1);
-    run_op(op, psi.amplitudes().data(), psi.size(), OneLane{}, scratch,
-           nullptr);
+    run_op<false>(op, psi.amplitudes().data(), psi.size(), OneLane{},
+                  scratch, nullptr);
 }
 
 void
@@ -585,34 +560,12 @@ apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
                  ExecScratch& scratch)
 {
     count_dispatch(op, psi.size(), lanes_of(psi));
-    run_op(op, psi.data(), psi.size(), lanes_of(psi), scratch, nullptr);
-}
-
-void
-apply_op_batched_damped(const CompiledOp& op, BatchedStateVector& psi,
-                        ExecScratch& scratch,
-                        const std::vector<std::uint16_t>& key,
-                        const std::vector<Real>& scale,
-                        std::vector<Real>& norm_sq)
-{
-    const Damping damping = damping_for(psi, key, scale, norm_sq);
-    count_dispatch(op, psi.size(), lanes_of(psi));
-    run_op(op, psi.data(), psi.size(), lanes_of(psi), scratch, &damping);
-}
-
-void
-damp_op_batched(const CompiledOp& op, BatchedStateVector& psi,
-                ExecScratch& scratch,
-                const std::vector<std::uint16_t>& key,
-                const std::vector<Real>& scale, std::vector<Real>& norm_sq)
-{
-    const Damping damping = damping_for(psi, key, scale, norm_sq);
-    auto no_gate = [](Index, Complex*) {};
-    if (op.plan == nullptr) {
-        run_blocks(WireBlocks(op.stride1, op.period1, psi.size()), 0,
-                   scratch, no_gate, &damping);
+    if (Real* frame = psi.frame()) {
+        run_op<true>(op, psi.data(), psi.size(), lanes_of(psi), scratch,
+                     frame);
     } else {
-        run_blocks(PlanBlocks{*op.plan}, 0, scratch, no_gate, &damping);
+        run_op<false>(op, psi.data(), psi.size(), lanes_of(psi), scratch,
+                      nullptr);
     }
 }
 
@@ -632,12 +585,14 @@ conjugate_op(const CompiledOp& k, const CompiledOp& k_conj, Matrix& rho,
     // Left pass, rho -> K rho: row-major rho is a batch of D lanes (the
     // column index) over a D-amplitude register (the row index).
     count_dispatch(k, dim, dim);
-    run_op(k, a, dim, static_cast<std::size_t>(dim), scratch, nullptr);
+    run_op<false>(k, a, dim, static_cast<std::size_t>(dim), scratch,
+                  nullptr);
     // Right pass, rho -> rho K^dagger: row r of rho K^dagger is conj(K)
     // applied to row r, so each row is one single-shot pass, no transpose.
     count_single(k_conj, dim, dim);
     for (Index r = 0; r < dim; ++r) {
-        run_op(k_conj, a + r * dim, dim, OneLane{}, scratch, nullptr);
+        run_op<false>(k_conj, a + r * dim, dim, OneLane{}, scratch,
+                      nullptr);
     }
 }
 

@@ -19,16 +19,17 @@
  * mix batched passes with per-lane single-shot fallbacks for divergent
  * events.
  *
- * `apply_op_batched_damped` is the same pass with the trajectory engine's
- * no-jump damping step as an epilogue: right after the kernel writes an
- * outer block, every amplitude of that block (touched or not) is scaled
- * by its damping-table entry and added into the lane's squared norm, while
- * the block is still in cache — so the damping adds no sweep of its own
- * to a moment. Norms are summed per fixed-size chunk of outer blocks
- * and the chunk partials combined in chunk order: the result depends on
- * the op's block geometry only, never on the OpenMP thread count, and
- * `damp_op_batched` (the epilogue on its own, same walk) reproduces it
- * bitwise after a plain `apply_op_batched`.
+ * A batch that carries a damping frame (BatchedStateVector::frame:
+ * lane b's state is f (.) x_b with one real factor per amplitude shared
+ * by every lane) runs the same bodies with the frame threaded through:
+ * permutation and monomial kernels move f along their cycles, diagonal
+ * kernels leave it alone, and the single-wire, controlled and dense
+ * kernels multiply the amplitudes they gather by f and reset those
+ * entries to 1. f depends on the circuit alone, so lanes stay bitwise
+ * independent of the batch width, and a framed pass followed by
+ * fold_frame() equals fold_frame() followed by the plain pass to
+ * rounding (property-tested). The trajectory engine's no-jump damping
+ * then costs one pass over f per moment instead of a sweep of the batch.
  *
  * `conjugate_op` runs the exact density-matrix engine on the same bodies:
  * a row-major D x D rho is a lane-interleaved batch of D lanes, so
@@ -38,9 +39,6 @@
  */
 #ifndef QDSIM_EXEC_BATCHED_KERNELS_H
 #define QDSIM_EXEC_BATCHED_KERNELS_H
-
-#include <cstdint>
-#include <vector>
 
 #include "qdsim/exec/batched_state.h"
 #include "qdsim/exec/compiled_circuit.h"
@@ -52,31 +50,11 @@ namespace qd::exec {
  *  share ExecScratch. */
 using BatchedScratch = ExecScratch;
 
-/** Executes a compiled operation on every lane in place. `psi` must be
- *  over the dims the op was compiled for. */
+/** Executes a compiled operation on every lane in place, carrying the
+ *  batch's damping frame when it has one. `psi` must be over the dims
+ *  the op was compiled for. */
 void apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
                       ExecScratch& scratch);
-
-/**
- * apply_op_batched with the no-jump damping epilogue: afterwards every
- * amplitude idx of every lane has been multiplied by scale[key[idx]], and
- * norm_sq[b] holds lane b's squared norm of the result. Each lane is
- * bitwise equal to apply_op_batched followed by damp_op_batched.
- * @throws std::invalid_argument if key.size() != psi.size().
- */
-void apply_op_batched_damped(const CompiledOp& op, BatchedStateVector& psi,
-                             ExecScratch& scratch,
-                             const std::vector<std::uint16_t>& key,
-                             const std::vector<Real>& scale,
-                             std::vector<Real>& norm_sq);
-
-/** The damping epilogue of apply_op_batched_damped on its own: the same
- *  walk over `op`'s outer blocks, without the gate. */
-void damp_op_batched(const CompiledOp& op, BatchedStateVector& psi,
-                     ExecScratch& scratch,
-                     const std::vector<std::uint16_t>& key,
-                     const std::vector<Real>& scale,
-                     std::vector<Real>& norm_sq);
 
 /**
  * rho -> K rho K^dagger in place. `k` is K and `k_conj` its elementwise

@@ -2,6 +2,7 @@
 
 #include "qdsim/exec/simd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -74,12 +75,24 @@ sweep_lanes(std::size_t n, std::size_t B, Acc* __restrict acc, Step step)
     }
 }
 
+/** Complex slots holding a frame of `n` reals. */
+std::size_t
+frame_slots(Index n)
+{
+    return (static_cast<std::size_t>(n) + 1) / 2;
+}
+
 }  // namespace
 
-BatchedStateVector::BatchedStateVector(WireDims dims, int lanes)
-    : dims_(std::move(dims)), lanes_(lanes),
-      amps_(static_cast<std::size_t>(dims_.size()) * checked_lane_count(lanes),
-            Complex(0, 0)) {
+BatchedStateVector::BatchedStateVector(WireDims dims, int lanes,
+                                       bool frame_room)
+    : dims_(std::move(dims)), lanes_(lanes) {
+    const std::size_t body =
+        static_cast<std::size_t>(dims_.size()) * checked_lane_count(lanes);
+    if (frame_room) {
+        amps_.reserve(body + frame_slots(dims_.size()));
+    }
+    amps_.resize(body, Complex(0, 0));
     for (int b = 0; b < lanes_; ++b) {
         amps_[static_cast<std::size_t>(b)] = Complex(1, 0);
     }
@@ -95,6 +108,12 @@ BatchedStateVector::set_lane(int lane, const StateVector& src)
     const std::size_t B = static_cast<std::size_t>(lanes_);
     const std::size_t n = static_cast<std::size_t>(dims_.size());
     Complex* a = amps_.data() + static_cast<std::size_t>(lane);
+    if (const Real* f = frame()) {
+        for (std::size_t i = 0; i < n; ++i) {
+            a[i * B] = Complex(s[i].real() / f[i], s[i].imag() / f[i]);
+        }
+        return;
+    }
     for (std::size_t i = 0; i < n; ++i) {
         a[i * B] = s[i];
     }
@@ -106,10 +125,21 @@ BatchedStateVector::extract_lane(int lane, StateVector& dst) const
     if (!(dst.dims() == dims_)) {
         throw std::invalid_argument("extract_lane: dimension mismatch");
     }
-    Complex* d = dst.amplitudes().data();
+    copy_lane_out(lane, dst.amplitudes().data());
+}
+
+void
+BatchedStateVector::copy_lane_out(int lane, Complex* d) const
+{
     const std::size_t B = static_cast<std::size_t>(lanes_);
     const std::size_t n = static_cast<std::size_t>(dims_.size());
     const Complex* a = amps_.data() + static_cast<std::size_t>(lane);
+    if (const Real* f = frame()) {
+        for (std::size_t i = 0; i < n; ++i) {
+            d[i] = Complex(a[i * B].real() * f[i], a[i * B].imag() * f[i]);
+        }
+        return;
+    }
     for (std::size_t i = 0; i < n; ++i) {
         d[i] = a[i * B];
     }
@@ -119,12 +149,94 @@ StateVector
 BatchedStateVector::lane_state(int lane) const
 {
     std::vector<Complex> out(static_cast<std::size_t>(dims_.size()));
-    const std::size_t B = static_cast<std::size_t>(lanes_);
-    const Complex* a = amps_.data() + static_cast<std::size_t>(lane);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        out[i] = a[i * B];
-    }
+    copy_lane_out(lane, out.data());
     return StateVector::from_amplitudes(dims_, std::move(out));
+}
+
+void
+BatchedStateVector::start_frame()
+{
+    // reserve() allocates exactly (a no-op when the constructor made
+    // room), so resize() never grows the buffer geometrically.
+    const std::size_t total = lane_amps() + frame_slots(dims_.size());
+    amps_.reserve(total);
+    amps_.resize(total);
+    framed_ = true;
+    std::fill_n(frame(), static_cast<std::size_t>(dims_.size()), 1.0);
+}
+
+void
+BatchedStateVector::scale_frame(const std::vector<std::uint16_t>& key,
+                                const std::vector<Real>& scale)
+{
+    const std::size_t n = static_cast<std::size_t>(dims_.size());
+    if (!framed_ || key.size() != n) {
+        throw std::invalid_argument(
+            "scale_frame: needs a frame and one key per amplitude");
+    }
+    Real* __restrict f = frame();
+    const std::uint16_t* __restrict k = key.data();
+    const Real* __restrict s = scale.data();
+    for (std::size_t i = 0; i < n; ++i) {
+        f[i] *= s[k[i]];
+    }
+}
+
+void
+BatchedStateVector::fold_frame()
+{
+    if (!framed_) {
+        return;
+    }
+    const std::size_t n = static_cast<std::size_t>(dims_.size());
+    const std::size_t B = static_cast<std::size_t>(lanes_);
+    Real* __restrict d = as_reals(amps_.data());
+    Real* __restrict f = frame();
+    for (std::size_t i = 0; i < n; ++i, d += 2 * B) {
+        const Real fi = f[i];
+        QD_SIMD
+        for (std::size_t j = 0; j < 2 * B; ++j) {
+            d[j] *= fi;
+        }
+    }
+    std::fill_n(f, n, 1.0);
+}
+
+void
+BatchedStateVector::damped_norm_sq_lanes(
+    const std::vector<std::uint16_t>& key, const std::vector<Real>& scale,
+    std::vector<Real>& norm_sq, std::vector<Real>& scaled) const
+{
+    const std::size_t n = static_cast<std::size_t>(dims_.size());
+    if (!framed_ || key.size() != n) {
+        throw std::invalid_argument(
+            "damped_norm_sq_lanes: needs a frame and one key per amplitude");
+    }
+    const std::size_t B = static_cast<std::size_t>(lanes_);
+    struct Pair {
+        Real n = 0, m = 0;
+    };
+    std::vector<Pair> acc(B);
+    const Real* __restrict d = as_reals(amps_.data());
+    const Real* __restrict f = frame();
+    const std::uint16_t* __restrict k = key.data();
+    const Real* __restrict s = scale.data();
+    // (f x)^2, never f^2 x^2: x may be as large as 1 / f.
+    sweep_lanes(n, B, acc.data(),
+                [=](std::size_t i, std::size_t b, Pair& v) {
+                    const Real* p = d + 2 * (i * B + b);
+                    const Real g = f[i], h = f[i] * s[k[i]];
+                    const Real ar = p[0] * g, ai = p[1] * g;
+                    const Real br = p[0] * h, bi = p[1] * h;
+                    v.n += ar * ar + ai * ai;
+                    v.m += br * br + bi * bi;
+                });
+    norm_sq.resize(B);
+    scaled.resize(B);
+    for (std::size_t b = 0; b < B; ++b) {
+        norm_sq[b] = acc[b].n;
+        scaled[b] = acc[b].m;
+    }
 }
 
 std::vector<Real>
@@ -132,9 +244,9 @@ BatchedStateVector::scale_by_table_lanes(
     const std::vector<std::uint16_t>& key, const std::vector<Real>& scale)
 {
     const std::size_t n = static_cast<std::size_t>(dims_.size());
-    if (key.size() != n) {
+    if (key.size() != n || framed_) {
         throw std::invalid_argument(
-            "scale_by_table_lanes: key size mismatch");
+            "scale_by_table_lanes: key size mismatch or framed batch");
     }
     const std::size_t B = static_cast<std::size_t>(lanes_);
     std::vector<Real> norm_sq(B, 0.0);
@@ -159,6 +271,9 @@ BatchedStateVector::norm_sq_lanes() const
 {
     const std::size_t n = static_cast<std::size_t>(dims_.size());
     const std::size_t B = static_cast<std::size_t>(lanes_);
+    if (framed_) {
+        throw std::invalid_argument("norm_sq_lanes: framed batch");
+    }
     std::vector<Real> norm_sq(B, 0.0);
     const Real* __restrict d = as_reals(amps_.data());
     sweep_lanes(n, B, norm_sq.data(),
@@ -214,6 +329,9 @@ BatchedStateVector::normalize_lanes(const std::vector<std::uint8_t>& mask)
 std::vector<Real>
 BatchedStateVector::populations_lanes(int wire) const
 {
+    if (framed_) {
+        throw std::invalid_argument("populations_lanes: framed batch");
+    }
     const Index stride = dims_.stride(wire);
     const int d = dims_.dim(wire);
     const Index period = stride * static_cast<Index>(d);
@@ -378,31 +496,52 @@ BatchedStateVector::apply_product_diag_lanes(
 }
 
 std::vector<Real>
-BatchedStateVector::fidelity_lanes(const BatchedStateVector& other) const
+BatchedStateVector::fidelity_lanes(const BatchedStateVector& other,
+                                   std::vector<Real>* norm_sq) const
 {
-    if (!(dims_ == other.dims_) || lanes_ != other.lanes_) {
-        throw std::invalid_argument("fidelity_lanes: shape mismatch");
+    if (!(dims_ == other.dims_) || lanes_ != other.lanes_ ||
+        other.framed_ || (norm_sq != nullptr && !framed_)) {
+        throw std::invalid_argument(
+            "fidelity_lanes: shape mismatch, framed `other`, or norms "
+            "asked of an unframed batch");
     }
     const std::size_t n = static_cast<std::size_t>(dims_.size());
     const std::size_t B = static_cast<std::size_t>(lanes_);
     // Per lane the overlap accumulates in amplitude-index order and
     // (conj(a) * o) == (ar*or + ai*oi, ar*oi - ai*or) bitwise, matching
-    // StateVector::inner.
+    // StateVector::inner. Under a frame a = f x, formed first.
     struct Overlap {
-        Real re = 0, im = 0;
+        Real re = 0, im = 0, nsq = 0;
     };
     std::vector<Overlap> acc(B);
     const Real* __restrict a = as_reals(amps_.data());
     const Real* __restrict o = as_reals(other.amps_.data());
-    sweep_lanes(n, B, acc.data(),
-                [=](std::size_t i, std::size_t b, Overlap& v) {
-                    const std::size_t at = 2 * (i * B + b);
-                    v.re += a[at] * o[at] + a[at + 1] * o[at + 1];
-                    v.im += a[at] * o[at + 1] - a[at + 1] * o[at];
-                });
+    if (const Real* __restrict f = frame()) {
+        sweep_lanes(n, B, acc.data(),
+                    [=](std::size_t i, std::size_t b, Overlap& v) {
+                        const std::size_t at = 2 * (i * B + b);
+                        const Real ar = a[at] * f[i], ai = a[at + 1] * f[i];
+                        v.re += ar * o[at] + ai * o[at + 1];
+                        v.im += ar * o[at + 1] - ai * o[at];
+                        v.nsq += ar * ar + ai * ai;
+                    });
+    } else {
+        sweep_lanes(n, B, acc.data(),
+                    [=](std::size_t i, std::size_t b, Overlap& v) {
+                        const std::size_t at = 2 * (i * B + b);
+                        v.re += a[at] * o[at] + a[at + 1] * o[at + 1];
+                        v.im += a[at] * o[at + 1] - a[at + 1] * o[at];
+                    });
+    }
     std::vector<Real> fid(B);
+    if (norm_sq != nullptr) {
+        norm_sq->resize(B);
+    }
     for (std::size_t b = 0; b < B; ++b) {
         fid[b] = acc[b].re * acc[b].re + acc[b].im * acc[b].im;
+        if (norm_sq != nullptr) {
+            (*norm_sq)[b] = acc[b].nsq;
+        }
     }
     return fid;
 }

@@ -21,15 +21,21 @@
  * (norms, fidelities) keep all lanes' accumulators live across one sweep
  * instead of re-walking the batch per lane tile.
  *
- * The trajectory engine's per-moment idle noise adds no sweep of its own
- * to a damped moment: the no-jump scaling and the lanes' squared norms
- * ride as an epilogue on the moment's last gate kernel
- * (apply_op_batched_damped in batched_kernels.h), and normalisation is
- * deferred — the engine carries each lane's squared norm N_b and divides
- * the final fidelity by it, so accepting the no-jump branch writes no
- * amplitude. Under dephasing there is one read+write sweep driven by a
- * precomputed step-ratio table (apply_product_diag_lanes) with no
- * per-amplitude division.
+ * Damping frame: the trajectory engine's no-jump damping is a real
+ * diagonal that depends on the circuit alone, so it is kept out of the
+ * lanes in one factor per amplitude shared by every lane, f[idx]: while a
+ * frame is set, lane b's state is f (.) x_b, with x_b the stored
+ * amplitudes. A damped moment then costs `scale_frame` (one pass over f,
+ * 1/(2B) of the batch) instead of a sweep over the batch; the gate
+ * kernels carry f (batched_kernels.h); normalisation is deferred to the
+ * final fidelity. The lane accessors and the fidelity (set_lane,
+ * extract_lane, lane_state, fidelity_lanes) work on the framed state
+ * f (.) x_b. Diagonal per-lane passes (apply_diag1_masked,
+ * apply_product_diag_lanes: the dephasing kick) commute with f and run
+ * on x_b unchanged; scale_by_table_lanes, norm_sq_lanes,
+ * normalize_lanes and populations_lanes need a batch without a frame.
+ * Dephasing is one read+write sweep driven by a precomputed step-ratio
+ * table with no per-amplitude division.
  *
  * Divergent per-lane events (damping jumps, gate-error draws) are handled
  * by extracting the lane to a StateVector, running the existing
@@ -49,8 +55,11 @@ namespace qd::exec {
 /** B trajectory states over one register, lane-interleaved. */
 class BatchedStateVector {
   public:
-    /** All lanes initialised to |00...0>. `lanes` must be >= 1. */
-    BatchedStateVector(WireDims dims, int lanes);
+    /** All lanes initialised to |00...0>. `lanes` must be >= 1. With
+     *  `frame_room`, the buffer is sized for a later start_frame() (which
+     *  then allocates nothing); a copy taken before the frame starts does
+     *  not carry the room. */
+    BatchedStateVector(WireDims dims, int lanes, bool frame_room = false);
 
     const WireDims& dims() const { return dims_; }
     int lanes() const { return lanes_; }
@@ -72,11 +81,48 @@ class BatchedStateVector {
                      static_cast<std::size_t>(lane)];
     }
 
-    /** Overwrites one lane with `src` (dims must match). */
+    /** Overwrites one lane with `src` (dims must match); under a frame
+     *  the stored amplitudes are src / f. */
     void set_lane(int lane, const StateVector& src);
 
-    /** Copies one lane into `dst` (dims must match). */
+    /** Copies one lane into `dst` (dims must match); under a frame,
+     *  f (.) x_lane. */
     void extract_lane(int lane, StateVector& dst) const;
+
+    /** Starts a damping frame of all ones (no-op on the lanes' states).
+     *  The frame lives in the batch's own buffer, after the lanes. */
+    void start_frame();
+
+    /** The frame, one factor per amplitude; null when none is set. */
+    Real* frame() {
+        return framed_ ? reinterpret_cast<Real*>(amps_.data() + lane_amps())
+                       : nullptr;
+    }
+    const Real* frame() const {
+        return framed_ ? reinterpret_cast<const Real*>(amps_.data() +
+                                                       lane_amps())
+                       : nullptr;
+    }
+
+    /** f[idx] *= scale[key[idx]] (every lane's state takes the real
+     *  diagonal scale[key[.]]). Requires a frame; key.size() must equal
+     *  size(). */
+    void scale_frame(const std::vector<std::uint16_t>& key,
+                     const std::vector<Real>& scale);
+
+    /** Multiplies the frame into every lane and resets it to ones. */
+    void fold_frame();
+
+    /**
+     * One read sweep giving, per lane, the squared norm of the state and
+     * of the state after a scale_frame(key, scale) still to come:
+     * norm_sq[b] = sum (f|x_b|)^2, scaled[b] = sum (f s|x_b|)^2, both in
+     * amplitude-index order. Requires a frame.
+     */
+    void damped_norm_sq_lanes(const std::vector<std::uint16_t>& key,
+                              const std::vector<Real>& scale,
+                              std::vector<Real>& norm_sq,
+                              std::vector<Real>& scaled) const;
 
     /** Materialises one lane as a standalone StateVector. */
     StateVector lane_state(int lane) const;
@@ -91,14 +137,17 @@ class BatchedStateVector {
         const std::vector<std::uint16_t>& key,
         const std::vector<Real>& scale);
 
-    /** Per-lane squared norms, accumulated in amplitude-index order. */
+    /** Per-lane squared norms, accumulated in amplitude-index order.
+     *  Needs a batch without a frame (fidelity_lanes gives a framed
+     *  batch's norms). */
     std::vector<Real> norm_sq_lanes() const;
 
     /**
      * Normalises the lanes selected by `mask` (empty mask = every lane).
      * Returns one flag per lane: false iff the lane was selected and its
      * norm was zero or non-finite (such lanes are left untouched, matching
-     * StateVector::normalize); deselected lanes report true.
+     * StateVector::normalize); deselected lanes report true. Needs a
+     * batch without a frame.
      */
     std::vector<std::uint8_t> normalize_lanes(
         const std::vector<std::uint8_t>& mask = {});
@@ -127,13 +176,30 @@ class BatchedStateVector {
         const std::vector<std::vector<std::vector<Complex>>>& factors);
 
     /** Per-lane squared overlap |<this_b|other_b>|^2 (pure-state fidelity),
-     *  lane b against lane b. Registers and lane counts must match. */
-    std::vector<Real> fidelity_lanes(const BatchedStateVector& other) const;
+     *  lane b against lane b; `other` must have no frame. Registers and
+     *  lane counts must match. With `norm_sq` (framed batches only), the
+     *  same sweep also stores each lane's squared norm there. */
+    std::vector<Real> fidelity_lanes(const BatchedStateVector& other,
+                                     std::vector<Real>* norm_sq =
+                                         nullptr) const;
 
   private:
+    /** Writes lane `lane` (times the frame, if any) to d[0..size()). */
+    void copy_lane_out(int lane, Complex* d) const;
+
+    /** Complex slots of the lanes; a frame's reals follow them. */
+    std::size_t lane_amps() const {
+        return static_cast<std::size_t>(dims_.size()) *
+               static_cast<std::size_t>(lanes_);
+    }
+
     WireDims dims_;
     int lanes_ = 1;
+    /** The lanes, then (while framed_) the frame: one allocation, so a
+     *  frame is freed with its batch instead of being parked by the
+     *  allocator between batches. */
     std::vector<Complex> amps_;
+    bool framed_ = false;
 };
 
 }  // namespace qd::exec

@@ -98,6 +98,16 @@ CompiledCircuit::run(StateVector& psi) const
     run(psi, scratch);
 }
 
+void
+CompiledCircuit::release_fused_payloads()
+{
+    for (CompiledOp& op : ops_) {
+        if (op.source_ops.size() > 1 && op.kind != KernelKind::kDense) {
+            op.gate = Gate();
+        }
+    }
+}
+
 CompiledCircuit::KernelCounts
 CompiledCircuit::kernel_counts() const
 {

@@ -65,6 +65,12 @@ class CompiledCircuit {
     /** Convenience overload with a call-local scratch. */
     void run(StateVector& psi) const;
 
+    /** Drops the matrix payload of every fused block whose kernel does
+     *  not read it (all but kDense): a fused block's Gate is built for
+     *  the compile alone, while an unfused op shares its circuit's. For
+     *  compilations that are only executed; audits recompile their own. */
+    void release_fused_payloads();
+
     /** How many operations were routed to each kernel (bench/telemetry). */
     struct KernelCounts {
         std::size_t permutation = 0;

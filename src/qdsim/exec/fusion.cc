@@ -469,14 +469,23 @@ cost_model_lookahead(const WireDims& dims, std::span<const Operation> ops,
                 have_m = true;
             }
             ensure_eval(gj, dims, ops);
-            if (nw.size() != uw.size()) {
-                m = embed_into_block(dims, nw, uw, m);
+            if (nw.size() == uw.size() + gj.wires.size()) {
+                // Wire-disjoint extension (the ops of one moment): over
+                // uw ++ gj.wires the product is kron(m, gj.mat), whose
+                // entries are the embedded product's single nonzero
+                // terms, up to the sign of zeros, which no tolerance test
+                // below sees; no embedding and no full multiply.
+                m = m.kron(gj.mat);
+            } else {
+                if (nw.size() != uw.size()) {
+                    m = embed_into_block(dims, nw, uw, m);
+                }
+                const Matrix mj = gj.wires == nw
+                                      ? gj.mat
+                                      : embed_into_block(dims, nw, gj.wires,
+                                                         gj.mat);
+                m = mj * m;
             }
-            const Matrix mj = gj.wires == nw
-                                  ? gj.mat
-                                  : embed_into_block(dims, nw, gj.wires,
-                                                     gj.mat);
-            m = mj * m;
             uw = std::move(nw);
             std::vector<int> ns;
             ns.reserve(us.size() + gj.wire_set.size());
@@ -488,9 +497,9 @@ cost_model_lookahead(const WireDims& dims, std::span<const Operation> ops,
             sum += gj.cost;
 
             std::vector<int> ord = control_first_order(dims, uw, m);
-            const Matrix m2 =
-                ord == uw ? m : embed_into_block(dims, ord, uw, m);
-            const Gate probe("s2", gate_dims_of(dims, ord), m2);
+            const Gate probe(
+                "s2", gate_dims_of(dims, ord),
+                ord == uw ? m : embed_into_block(dims, ord, uw, m));
             FuseClass ccls = FuseClass::kHeavy;
             const std::uint64_t cand =
                 est_class_cost(dims, ord, probe, total, ccls);
@@ -515,12 +524,15 @@ cost_model_lookahead(const WireDims& dims, std::span<const Operation> ops,
     // dp[k]: minimal estimated cost of executing groups k..n-1;
     // choice[k] is the window end realizing it (k itself = stay
     // unmerged). On cost ties prefer the longer window: fewer passes at
-    // equal modelled work.
+    // equal modelled work. A group the enumeration never evaluated is in
+    // no window (every window member is evaluated on the way), so it is a
+    // singleton in every partition and its cost adds the same constant
+    // to every total that includes it: it counts as 0 and is never
+    // evaluated (under moment fences, every op alone in its moment).
     std::vector<std::uint64_t> dp(n + 1, 0);
     std::vector<std::size_t> choice(n, 0);
     for (std::size_t k = n; k-- > 0;) {
-        ensure_eval(in[k], dims, ops);
-        dp[k] = in[k].cost + dp[k + 1];
+        dp[k] = (in[k].evaluated ? in[k].cost : 0) + dp[k + 1];
         choice[k] = k;
         for (const WindowCand& w : cands[k]) {
             const std::uint64_t t = w.cost + dp[w.j + 1];

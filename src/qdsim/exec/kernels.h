@@ -60,15 +60,13 @@ enum class KernelKind : std::uint8_t {
 /** Human-readable kernel name (bench/test logging). */
 const char* kernel_name(KernelKind kind);
 
-/** Reusable buffers, one per executing thread, grown on demand: `tmp`
+/** Reusable buffer, one per executing thread, grown on demand: `tmp`
  *  gathers operand blocks for the matvec kernels (outputs store straight
  *  back to the state, so there is no scatter buffer) or holds one lane
- *  row during permutation cycle walks; `partial` holds the batched damping
- *  epilogue's per-chunk, per-lane norm partials. Kernels never allocate
- *  once the scratch has grown to the largest block they have run. */
+ *  row during permutation cycle walks. Kernels never allocate once the
+ *  scratch has grown to the largest block they have run. */
 struct ExecScratch {
     std::vector<Complex> tmp;
-    std::vector<Real> partial;
 };
 
 /**

@@ -45,6 +45,7 @@ counter_name(Counter c) noexcept
         "traj_damping_jumps",
         "traj_rare_branches",
         "traj_lane_extracts",
+        "traj_frame_folds",
         "serve_connections",
         "serve_jobs_accepted",
         "serve_jobs_rejected",

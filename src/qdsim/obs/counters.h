@@ -90,6 +90,7 @@ enum class Counter : unsigned {
     kTrajDampingJumps,      ///< amplitude-damping jump applications
     kTrajRareBranches,      ///< fused idle-damping rare-branch resolutions
     kTrajLaneExtracts,      ///< batched lanes spilled to single-shot code
+    kTrajFrameFolds,        ///< damping frames folded into the lanes
     // Serving front-end (src/serve/): the qd_served daemon and the
     // stdin single-client loop share these through the RunRequest →
     // RunResult facade.

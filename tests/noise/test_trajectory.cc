@@ -11,6 +11,7 @@
 #include "qdsim/exec/compiled_circuit.h"
 #include "qdsim/gate_library.h"
 #include "qdsim/moments.h"
+#include "qdsim/obs/counters.h"
 #include "qdsim/random_state.h"
 #include "qdsim/simulator.h"
 
@@ -277,12 +278,14 @@ hot_noise()
  *  expects BITWISE identical per-trial fidelities: lane t must reproduce
  *  the trajectory on stream root.child(t) exactly at every width. */
 void
-expect_batch_invariant(const Circuit& c, const NoiseModel& m, int trials)
+expect_batch_invariant(const Circuit& c, const NoiseModel& m, int trials,
+                       bool qubit_subspace_inputs = true)
 {
     TrajectoryOptions opts;
     opts.trials = trials;
     opts.seed = 99;
     opts.keep_per_trial = true;
+    opts.qubit_subspace_inputs = qubit_subspace_inputs;
     opts.threads = 1;
     opts.batch = 1;  // one lane per pass
     const auto ref = run_noisy_trials(c, m, opts);
@@ -326,6 +329,29 @@ mixed_radix_circuit()
     c.append(gates::H3(), {1});
     c.append(gates::X().controlled(3, 2), {1, 2});
     return c;
+}
+
+TEST(Trajectory, FullSpaceInputsBatchInvariantAndNoiselessExact) {
+    // qubit_subspace_inputs = false draws Haar states over the whole
+    // register, so every amplitude (levels 2 included) is nonzero from
+    // the start and the damped moment loop runs on dense lanes.
+    const Circuit c = small_qutrit_circuit();
+    expect_batch_invariant(c, sc(), 21, /*qubit_subspace_inputs=*/false);
+    expect_batch_invariant(c, hot_noise(), 13,
+                           /*qubit_subspace_inputs=*/false);
+    TrajectoryOptions opts;
+    opts.trials = 16;
+    opts.threads = 2;
+    opts.qubit_subspace_inputs = false;
+    opts.keep_per_trial = true;
+    NoiseModel still = noiseless();
+    still.t1 = 1.0;  // damping on, but far too slow to move a fidelity
+    for (const NoiseModel& m : {noiseless(), still}) {
+        const auto res = run_noisy_trials(c, m, opts);
+        for (const Real f : res.per_trial) {
+            EXPECT_NEAR(f, 1.0, 1e-9) << m.name;
+        }
+    }
 }
 
 TEST(Trajectory, BatchedLanesMatchSingleShotMixedRadix) {
@@ -592,12 +618,14 @@ three_qutrit_circuit()
 }
 
 TEST(Trajectory, BatchInvariantWhenGateErrorsSplitDampedMoments) {
-    // Fused damping rides on each moment's last gate unless a lane draws a
-    // gate error there; then the whole batch runs the gate plain, the
-    // errors, and the standalone damping walk. At p = 5e-3 a two-qutrit
-    // error fires with probability 0.4 per lane, a one-qutrit error with
-    // 0.04, so wide batches mix both paths while 1-lane batches mostly
-    // fuse: per-trial fidelities must still be bitwise equal.
+    // Fused damping lives in the batch's frame; a lane that draws a gate
+    // error is extracted as f (.) x_b, takes the error, and is stored
+    // back divided by f, while the other lanes and the frame stay as
+    // they are. At p = 5e-3 a two-qutrit error fires with probability
+    // 0.4 per lane, a one-qutrit error with 0.04, so wide batches mix
+    // framed extract/store events with untouched lanes: per-trial
+    // fidelities must stay bitwise equal across batch widths and thread
+    // counts.
     NoiseModel m = noiseless();
     m.p1 = 5e-3;
     m.p2 = 5e-3;
@@ -765,13 +793,18 @@ TEST(Trajectory, DeferredNormalisationMatchesPerMomentNormalisation) {
         {qubits, hot_noise()},
     };
     ReferenceStats stats;
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
     for (const Case& k : cases) {
         TrajectoryOptions opts;
         opts.trials = 30;
         opts.seed = 11;
         opts.threads = 2;
         opts.keep_per_trial = true;
+        obs::reset_counters();
         const auto res = run_noisy_trials(k.circuit, k.model, opts);
+        const obs::CounterSnapshot seen = obs::counters_snapshot();
+        const int rare_before = stats.rare_branches;
         const Rng root(opts.seed);
         for (int t = 0; t < opts.trials; ++t) {
             Rng rng = root.child(static_cast<std::uint64_t>(t));
@@ -785,10 +818,68 @@ TEST(Trajectory, DeferredNormalisationMatchesPerMomentNormalisation) {
                 << k.model.name << ", " << k.circuit.num_wires()
                 << " wires, trial " << t;
         }
+        // The reference computes the no-jump norm every moment; the
+        // engine skips it whenever the draw is below s_min^2. Both must
+        // take the same accept/reject decisions.
+        if (obs::enabled()) {
+            EXPECT_EQ(seen[obs::Counter::kTrajRareBranches],
+                      static_cast<std::uint64_t>(stats.rare_branches -
+                                                 rare_before))
+                << k.model.name << ", " << k.circuit.num_wires() << " wires";
+        }
     }
+    obs::set_enabled(was_enabled);
     // The hot models must have exercised the divergent branches.
     EXPECT_GT(stats.gate_errors, 0);
     EXPECT_GT(stats.rare_branches, 0);
+}
+
+TEST(Trajectory, DampingFrameFoldsBeforeUnderflow) {
+    // Permutations and diagonals never reset the damping frame, so under
+    // strong damping its floor (the table's smallest entry, both qutrits
+    // in |2>, to the power of the moment count) shrinks by e^-1 per
+    // moment here; the engine must fold the frame into the lanes before
+    // it underflows (the floor reaches 2^-500 after ~350 moments) and
+    // still agree with the per-moment-normalising reference, gate errors
+    // on the tiny-frame lanes included.
+    NoiseModel m = noiseless();
+    m.t1 = 2 * m.dt_1q;
+    m.p1 = 5e-3;
+    Circuit c(WireDims::uniform(2, 3));
+    for (int i = 0; i < 500; ++i) {
+        c.append(gates::Xplus1(), {0});
+        c.append(gates::Z3(), {1});
+    }
+    ASSERT_EQ(schedule_asap(c).size(), 500u);
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    obs::reset_counters();
+    TrajectoryOptions opts;
+    opts.trials = 6;
+    opts.seed = 3;
+    opts.threads = 1;
+    opts.keep_per_trial = true;
+    const auto res = run_noisy_trials(c, m, opts);
+    const obs::CounterSnapshot seen = obs::counters_snapshot();
+    obs::set_enabled(was_enabled);
+    if (seen[obs::Counter::kTrajShots] > 0) {  // counters compiled in
+        // One fold per batch at moment ~350 of 500.
+        EXPECT_EQ(seen[obs::Counter::kTrajFrameFolds], 1u);
+    }
+    ReferenceStats stats;
+    const Rng root(opts.seed);
+    for (int t = 0; t < opts.trials; ++t) {
+        Rng rng = root.child(static_cast<std::uint64_t>(t));
+        const StateVector initial =
+            haar_random_qubit_subspace_state(c.dims(), rng);
+        const StateVector ideal = simulate(c, initial);
+        const Real want =
+            reference_trajectory(c, m, initial, ideal, rng, stats);
+        EXPECT_TRUE(std::isfinite(res.per_trial[static_cast<std::size_t>(t)]));
+        EXPECT_NEAR(res.per_trial[static_cast<std::size_t>(t)], want, 1e-12)
+            << "trial " << t;
+    }
+    EXPECT_GT(stats.gate_errors, 0);
 }
 
 TEST(Trajectory, PerChannelConventionPenalisesQutrits) {

@@ -340,89 +340,140 @@ every_kernel_class(const WireDims& dims, int qubit, Rng& rng)
     return ops;
 }
 
-TEST(Batched, DampingEpilogueMatchesOpThenStandaloneWalkBitwise) {
-    // The fused epilogue must leave every lane exactly where the plain
-    // kernel followed by the standalone walk leaves it (amplitudes and
-    // norms), and its amplitudes must be the per-lane single-shot op then
-    // scale_by_table. The norm is summed per chunk of outer blocks, so
-    // against scale_by_table's index-order sum it only agrees to rounding.
+/** Starts a frame on `batch` with factors in (0, 1] that vary with the
+ *  index: two scalings by the cycling key, one of them shifted. */
+void
+start_varied_frame(BatchedStateVector& batch)
+{
+    const std::vector<std::uint16_t> key = cycling_key(batch.dims());
+    std::vector<std::uint16_t> shifted(key.size());
+    for (std::size_t i = 0; i < key.size(); ++i) {
+        shifted[i] = static_cast<std::uint16_t>((i / 3) % 4);
+    }
+    batch.start_frame();
+    batch.scale_frame(key, kScale);
+    batch.scale_frame(shifted, kScale);
+}
+
+TEST(Batched, FramedOpThenFoldMatchesFoldThenPlainOp) {
+    // A batch carrying a damping frame f holds lane states f (.) x_b. The
+    // frame-carrying kernel followed by fold_frame() must give the states
+    // that fold_frame() followed by the plain kernel gives, to rounding
+    // (the matvec kernels multiply by f before the gate, not after).
     Rng rng(305);
     const WireDims dims({3, 2, 3, 3});
-    const std::vector<std::uint16_t> key = cycling_key(dims);
     for (const CompiledOp& op : every_kernel_class(dims, 1, rng)) {
         for (const int lanes : {1, 3, 12, 17}) {
             SCOPED_TRACE(::testing::Message()
                          << exec::kernel_name(op.kind) << ", lanes " << lanes);
-            BatchedStateVector fused(dims, lanes);
-            std::vector<StateVector> ref = random_lanes(fused, rng);
-            BatchedStateVector split = fused;
+            BatchedStateVector framed(dims, lanes);
+            random_lanes(framed, rng);
+            start_varied_frame(framed);
+            BatchedStateVector folded = framed;
             ExecScratch bscratch;
-            std::vector<Real> fused_norms, split_norms;
-            exec::apply_op_batched_damped(op, fused, bscratch, key, kScale,
-                                          fused_norms);
-            exec::apply_op_batched(op, split, bscratch);
-            exec::damp_op_batched(op, split, bscratch, key, kScale,
-                                  split_norms);
-            ASSERT_EQ(fused_norms.size(), static_cast<std::size_t>(lanes));
-            ASSERT_EQ(split_norms.size(), static_cast<std::size_t>(lanes));
-
-            exec::ExecScratch scratch;
+            exec::apply_op_batched(op, framed, bscratch);
+            framed.fold_frame();
+            folded.fold_frame();
+            ASSERT_NE(folded.frame(), nullptr);
+            exec::apply_op_batched(op, folded, bscratch);
             for (int b = 0; b < lanes; ++b) {
-                const std::size_t ub = static_cast<std::size_t>(b);
-                ASSERT_EQ(fused_norms[ub], split_norms[ub]) << "lane " << b;
-                exec::apply_op(op, ref[ub], scratch);
-                EXPECT_NEAR(fused_norms[ub],
-                            ref[ub].scale_by_table(key, kScale), 1e-14);
+                const StateVector got = framed.lane_state(b);
+                const StateVector want = folded.lane_state(b);
+                for (Index i = 0; i < got.size(); ++i) {
+                    ASSERT_NEAR(std::abs(got[i] - want[i]), 0.0, 1e-14)
+                        << "lane " << b << " index " << i;
+                }
             }
-            expect_lanes_bitwise_equal(fused, ref, "fused epilogue");
-            expect_lanes_bitwise_equal(split, ref, "standalone epilogue");
         }
     }
-    BatchedStateVector batch(dims, 2);
+}
+
+TEST(Batched, FrameAccessorsSeeTheFramedState) {
+    // set_lane / extract_lane / fidelity_lanes and its norms act on
+    // f (.) x_b, the frame-only passes validate their inputs, and the
+    // passes that need an unframed batch refuse a framed one.
+    Rng rng(307);
+    const WireDims dims({3, 3, 3});
+    BatchedStateVector batch(dims, 3);
+    const std::vector<StateVector> lanes = random_lanes(batch, rng);
+    BatchedStateVector other = batch;
+    start_varied_frame(batch);
+    StateVector lane(dims);
+    for (int b = 0; b < 3; ++b) {
+        batch.set_lane(b, lanes[static_cast<std::size_t>(b)]);
+    }
     std::vector<Real> norms;
-    ExecScratch bscratch;
-    const std::vector<int> wire0 = {0};
-    const CompiledOp op = exec::compile_op(dims, gates::H3(), wire0);
-    EXPECT_THROW(exec::damp_op_batched(op, batch, bscratch, {0, 1}, kScale,
-                                       norms),
+    const std::vector<Real> fid = batch.fidelity_lanes(other, &norms);
+    for (int b = 0; b < 3; ++b) {
+        const std::size_t ub = static_cast<std::size_t>(b);
+        batch.extract_lane(b, lane);
+        for (Index i = 0; i < dims.size(); ++i) {
+            EXPECT_NEAR(std::abs(lane[i] - lanes[ub][i]), 0.0, 1e-15);
+        }
+        EXPECT_NEAR(fid[ub], 1.0, 1e-13);
+        EXPECT_NEAR(norms[ub], 1.0, 1e-13);
+    }
+    // N and M of one more scaling, then the scaling itself.
+    const std::vector<std::uint16_t> key = cycling_key(dims);
+    std::vector<Real> before, after;
+    batch.damped_norm_sq_lanes(key, kScale, before, after);
+    const std::vector<Real> f0(batch.frame(), batch.frame() + dims.size());
+    batch.scale_frame(key, kScale);
+    for (std::size_t i = 0; i < f0.size(); ++i) {
+        EXPECT_EQ(batch.frame()[i], f0[i] * kScale[key[i]]);
+    }
+    std::vector<Real> now;
+    batch.fidelity_lanes(other, &now);
+    for (std::size_t b = 0; b < 3; ++b) {
+        EXPECT_EQ(before[b], norms[b]);
+        EXPECT_EQ(after[b], now[b]);
+    }
+    EXPECT_THROW(batch.scale_by_table_lanes(key, kScale),
                  std::invalid_argument);
-    EXPECT_THROW(exec::apply_op_batched_damped(op, batch, bscratch, {0, 1},
-                                               kScale, norms),
-                 std::invalid_argument);
+    EXPECT_THROW(batch.populations_lanes(0), std::invalid_argument);
+    EXPECT_THROW(batch.norm_sq_lanes(), std::invalid_argument);
+    EXPECT_THROW(batch.normalize_lanes(), std::invalid_argument);
+    EXPECT_THROW(other.fidelity_lanes(other, &now), std::invalid_argument);
+    EXPECT_THROW(other.fidelity_lanes(batch), std::invalid_argument);
+    // A batch made with frame room starts its frame in place.
+    BatchedStateVector roomy(dims, 3, true);
+    const Complex* lanes_at = roomy.data();
+    roomy.start_frame();
+    EXPECT_EQ(roomy.data(), lanes_at);
+    EXPECT_EQ(roomy.lane_state(0)[0], Complex(1, 0));
+    EXPECT_THROW(other.scale_frame(key, kScale), std::invalid_argument);
+    EXPECT_THROW(batch.scale_frame({0, 1}, kScale), std::invalid_argument);
 }
 
 #ifdef _OPENMP
-TEST(Batched, DampingEpilogueIndependentOfThreadCount) {
+TEST(Batched, FramedKernelsIndependentOfThreadCount) {
     // Width-11 qutrit register: every kernel class clears the outer-block
-    // threshold, so the OpenMP branch runs; the chunked norm partials must
-    // make amplitudes and norms bitwise equal at 1 and 4 threads.
+    // threshold, so the OpenMP branch runs; amplitudes and frame must be
+    // bitwise equal at 1 and 4 threads.
     Rng rng(306);
     const WireDims dims = WireDims::uniform(11, 3);
-    const std::vector<std::uint16_t> key = cycling_key(dims);
     const int lanes = 3;
     BatchedStateVector start(dims, lanes);
     random_lanes(start, rng);
+    start_varied_frame(start);
     const int saved = omp_get_max_threads();
     for (const CompiledOp& op : every_kernel_class(dims, -1, rng)) {
         SCOPED_TRACE(exec::kernel_name(op.kind));
         std::vector<BatchedStateVector> out;
-        std::vector<std::vector<Real>> norms(2);
         for (const int threads : {1, 4}) {
             omp_set_num_threads(threads);
             out.push_back(start);
             ExecScratch bscratch;
-            exec::apply_op_batched_damped(op, out.back(), bscratch, key,
-                                          kScale, norms[out.size() - 1]);
+            exec::apply_op_batched(op, out.back(), bscratch);
         }
         omp_set_num_threads(saved);
-        for (int b = 0; b < lanes; ++b) {
-            const std::size_t ub = static_cast<std::size_t>(b);
-            ASSERT_EQ(norms[0][ub], norms[1][ub]) << "lane " << b;
-        }
+        const std::size_t n = static_cast<std::size_t>(dims.size());
         ASSERT_EQ(std::memcmp(out[0].data(), out[1].data(),
-                              static_cast<std::size_t>(dims.size()) *
-                                  static_cast<std::size_t>(lanes) *
+                              n * static_cast<std::size_t>(lanes) *
                                   sizeof(Complex)),
+                  0);
+        ASSERT_EQ(std::memcmp(out[0].frame(), out[1].frame(),
+                              n * sizeof(Real)),
                   0);
     }
 }
