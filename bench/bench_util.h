@@ -15,6 +15,10 @@
 #include <utility>
 #include <vector>
 
+#if defined(_OPENMP)
+#include <omp.h>
+#endif
+
 #include "qdsim/exec/compile_service.h"
 #include "qdsim/obs/counters.h"
 #include "qdsim/obs/report.h"
@@ -42,10 +46,23 @@ banner(const std::string& artifact, const std::string& note)
                 note.c_str(), line.c_str());
 }
 
+/** OpenMP max thread count the bench ran under (1 without OpenMP). */
+inline int
+omp_threads()
+{
+#if defined(_OPENMP)
+    return omp_get_max_threads();
+#else
+    return 1;
+#endif
+}
+
 /**
  * Flat JSON object writer for the BENCH_*.json artifacts: fields emit in
  * insertion order, one per line, matching the shape compare_bench.py
- * consumes (top-level object, scalar metrics).
+ * consumes (top-level object, scalar metrics). Every artifact records the
+ * OpenMP thread count it ran under as `threads`, so a comparison can tell
+ * runs on different core counts apart.
  */
 class JsonWriter {
   public:
@@ -97,13 +114,12 @@ class JsonWriter {
         if (out == nullptr) {
             return false;
         }
-        std::fputs("{\n", out);
-        for (std::size_t i = 0; i < fields_.size(); ++i) {
-            std::fprintf(out, "  \"%s\": %s%s\n", fields_[i].first.c_str(),
-                         fields_[i].second.c_str(),
-                         i + 1 == fields_.size() ? "" : ",");
+        std::fprintf(out, "{\n  \"threads\": %d", omp_threads());
+        for (const auto& [key, value] : fields_) {
+            std::fprintf(out, ",\n  \"%s\": %s", key.c_str(),
+                         value.c_str());
         }
-        std::fputs("}\n", out);
+        std::fputs("\n}\n", out);
         if (std::fclose(out) != 0) {
             return false;
         }

@@ -27,6 +27,10 @@ object and every tracked metric must be a plain number (booleans are
 rejected — JSON true/false silently coerce to 1/0 in Python and would
 gate on garbage).
 
+Every failure line names the OpenMP thread count each side ran under
+(the BENCH_*.json "threads" field, "unrecorded" when a file predates it),
+so a failure on a different core count reads as such.
+
 --self-test exercises the script's own failure paths (truncated JSON,
 schema violations, zero metrics compared, below-floor / not-exact /
 above-ceiling regressions, and the passing cases) against generated
@@ -35,6 +39,7 @@ passing after a 20-minute build.
 """
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -136,8 +141,16 @@ def numeric(data, path, metric, failures):
     return float(value)
 
 
-def check_metric(name, metric, mode, base, got, tolerance, failures, out):
-    """Applies one mode's pass criterion and logs/records the outcome."""
+def threads_of(data):
+    """The thread count a BENCH_*.json records, as printed."""
+    return str(data["threads"]) if "threads" in data else "unrecorded"
+
+
+def check_metric(name, metric, mode, base, got, tolerance, failures, out,
+                 threads=""):
+    """Applies one mode's pass criterion and logs/records the outcome;
+    `threads` is appended to a failure line."""
+    failed = len(failures)
     if mode == "min":
         floor = base * (1.0 - tolerance)
         ok = got >= floor
@@ -163,6 +176,8 @@ def check_metric(name, metric, mode, base, got, tolerance, failures, out):
                 f"{base:g} (deterministic counter drifted — either the "
                 f"engine changed or the baseline needs a deliberate "
                 f"update)")
+    if len(failures) > failed and threads:
+        failures[-1] += f" [{threads}]"
     status = "ok" if ok else "REGRESSION"
     print(f"[{status}] {name}:{metric} ({mode}): {got:.3f} "
           f"(baseline {base:.3f}, {bound})", file=out)
@@ -188,6 +203,8 @@ def compare(results_dir, baselines_dir, tolerance, tracked=None,
         baseline = load_json(baseline_path, failures)
         if result is None or baseline is None:
             continue
+        threads = (f"threads: result {threads_of(result)}, "
+                   f"baseline {threads_of(baseline)}")
         for spec in specs:
             metric, mode = normalize_spec(spec)
             if metric not in baseline:
@@ -201,7 +218,7 @@ def compare(results_dir, baselines_dir, tolerance, tracked=None,
             if base is None or got is None:
                 continue
             check_metric(name, metric, mode, base, got, tolerance,
-                         failures, out)
+                         failures, out, threads)
             checked += 1
 
     if failures:
@@ -230,7 +247,7 @@ def self_test():
     scenarios = 0
 
     def scenario(name, expect_rc, baseline_text, result_text,
-                 tracked=None):
+                 tracked=None, expect_err=None):
         nonlocal scenarios
         scenarios += 1
         tracked = ({"BENCH_fixture.json": ["speedup"]}
@@ -248,16 +265,19 @@ def self_test():
                 with open(os.path.join(results,
                                        "BENCH_fixture.json"), "w") as f:
                     f.write(result_text)
+            err = io.StringIO()
             with open(os.devnull, "w") as sink:
-                # Route both streams to the sink: the scenarios FAIL on
+                # Keep both streams out of the log: the scenarios FAIL on
                 # purpose, and their diagnostics would read as real
                 # failures in the CI log.
                 rc = compare(results, baselines, 0.25, tracked,
-                             out=sink, err=sink)
-            status = "ok" if rc == expect_rc else "FAIL"
+                             out=sink, err=err)
+            passed = rc == expect_rc and (expect_err is None or
+                                          expect_err in err.getvalue())
+            status = "ok" if passed else "FAIL"
             print(f"[self-test {status}] {name}: exit {rc} "
                   f"(expected {expect_rc})")
-            if rc != expect_rc:
+            if not passed:
                 problems.append(name)
 
     exact = {"BENCH_fixture.json": [{"metric": "hits", "mode": "exact"}]}
@@ -274,6 +294,9 @@ def self_test():
     scenario("zero metrics compared fails (no baseline)", 1, None, ok)
     scenario("metric missing from result fails", 1, ok,
              json.dumps({"other": 1.0}))
+    scenario("failure line names both thread counts", 1, ok,
+             json.dumps({"threads": 4, "speedup": 1.0}),
+             expect_err="threads: result 4, baseline unrecorded")
     scenario("exact match passes", 0, json.dumps({"hits": 41}),
              json.dumps({"hits": 41}), tracked=exact)
     scenario("exact mismatch fails", 1, json.dumps({"hits": 41}),

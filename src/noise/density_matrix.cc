@@ -268,11 +268,11 @@ struct DensityCompilation::Impl {
         // runs between error fences into single conjugation passes
         // (channels fence the partition and attach to their pre-fusion op
         // boundaries, exactly like the trajectory engine).
-        const bool idle_noise =
-            model.has_damping() || model.has_dephasing();
-        if (fusion.enabled && !idle_noise) {
-            const auto groups = exec::fuse_sites(
-                dims, circuit.ops(), error_fences(sites), fusion);
+        const NoisyLayout layout =
+            noisy_layout(circuit, model, sites, fusion.enabled);
+        if (!layout.by_moment) {
+            const auto groups = exec::fuse_sites(dims, circuit.ops(),
+                                                 layout.fences, fusion);
             for (const exec::FusedGroup& group : groups) {
                 if (group.members.size() == 1) {
                     const Operation& op = circuit.ops()[group.members[0]];
@@ -282,8 +282,7 @@ struct DensityCompilation::Impl {
                     // Wrap the product in a Gate so controlled structure
                     // survives fusion on this path too (plain-matrix
                     // compilation would densify same-signature controlled
-                    // products). Fused-group plans are keyed by the full
-                    // option salt (see FusionOptions::plan_salt).
+                    // products).
                     std::vector<int> gate_dims;
                     gate_dims.reserve(group.wires.size());
                     for (const int w : group.wires) {
@@ -296,7 +295,7 @@ struct DensityCompilation::Impl {
                         exec::fused_matrix(dims, circuit.ops(), group));
                     superops.push_back(compile_superop(
                         dims, fused_gate, group.wires, &cache,
-                        fusion.plan_salt()));
+                        exec::kFusedPlanSalt));
                 }
                 steps.push_back(
                     {Step::Kind::kSuperOp, superops.size() - 1, 0, 0});
@@ -340,8 +339,7 @@ struct DensityCompilation::Impl {
             return it->second;
         };
 
-        const auto moments = schedule_asap(circuit);
-        for (const Moment& moment : moments) {
+        for (const Moment& moment : layout.moments) {
             for (const std::size_t idx : moment.op_indices) {
                 steps.push_back(
                     {Step::Kind::kSuperOp, gate_ops[idx], 0, 0});

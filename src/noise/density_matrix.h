@@ -45,7 +45,7 @@ struct CompiledSuperOp {
  * Compiles `gate` on `wires` of `dims` for density-matrix application.
  * `cache` (optional) shares ApplyPlans with other operators on the same
  * wires; `plan_salt` distinguishes plan variants in the cache (fused
- * groups are keyed by the fusion options — see PlanCache).
+ * groups use exec::kFusedPlanSalt — see PlanCache).
  * @throws std::invalid_argument on wire/dimension mismatches.
  */
 CompiledSuperOp compile_superop(const WireDims& dims, const Gate& gate,

@@ -53,4 +53,29 @@ error_fences(const std::vector<std::vector<ErrorSite>>& sites)
     return fences;
 }
 
+NoisyLayout
+noisy_layout(const Circuit& circuit, const NoiseModel& model,
+             const std::vector<std::vector<ErrorSite>>& sites,
+             bool fusion_enabled)
+{
+    NoisyLayout layout;
+    layout.by_moment =
+        model.has_damping() || model.has_dephasing() || !fusion_enabled;
+    if (!layout.by_moment) {
+        layout.fences = error_fences(sites);
+        return layout;
+    }
+    layout.moments = schedule_asap(circuit);
+    layout.order.reserve(circuit.num_ops());
+    layout.fences.reserve(circuit.num_ops());
+    for (const Moment& moment : layout.moments) {
+        for (const std::size_t i : moment.op_indices) {
+            layout.order.push_back(static_cast<std::uint32_t>(i));
+            layout.fences.push_back(0);
+        }
+        layout.fences.back() = 1;
+    }
+    return layout;
+}
+
 }  // namespace qd::noise

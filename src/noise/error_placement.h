@@ -18,6 +18,7 @@
 
 #include "noise/noise_model.h"
 #include "qdsim/circuit.h"
+#include "qdsim/moments.h"
 
 namespace qd::noise {
 
@@ -49,6 +50,34 @@ std::vector<std::vector<ErrorSite>> enumerate_error_sites(
  */
 std::vector<std::uint8_t> error_fences(
     const std::vector<std::vector<ErrorSite>>& sites);
+
+/** The op order and fusion fences a noisy circuit compiles under. */
+struct NoisyLayout {
+    /** True: ASAP-moment order with a fence after each moment's last op.
+     *  False: circuit order with error_fences. */
+    bool by_moment = false;
+    /** The ASAP schedule over circuit ops (by_moment only). */
+    std::vector<Moment> moments;
+    /** Layout position -> circuit op (by_moment only; empty keeps circuit
+     *  order). */
+    std::vector<std::uint32_t> order;
+    /** fence_after per layout position. */
+    std::vector<std::uint8_t> fences;
+};
+
+/**
+ * The layout the noise engines compile a noisy circuit in: under idle
+ * noise (damping or dephasing) or with fusion off, ASAP-moment order
+ * fenced after every moment, so fusion merges only the wire-disjoint ops
+ * of one moment; otherwise circuit order fenced by the gate errors
+ * (`sites`, from enumerate_error_sites). Single source of truth for the
+ * trajectory and density compiles (the density engine runs a by-moment
+ * layout one op at a time), CompileService admission and
+ * verify::enforce_noisy, so the audited partition is the compiled one.
+ */
+NoisyLayout noisy_layout(const Circuit& circuit, const NoiseModel& model,
+                         const std::vector<std::vector<ErrorSite>>& sites,
+                         bool fusion_enabled);
 
 }  // namespace qd::noise
 

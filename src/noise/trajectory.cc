@@ -99,20 +99,19 @@ struct TrajectoryCompilation::Impl {
           cache(circuit.dims()),
           ideal(circuit, fusion, {}, &cache) {
         const auto sites = enumerate_error_sites(circuit, model);
-        const bool idle_noise =
-            model.has_damping() || model.has_dephasing();
-        std::vector<std::uint32_t> order;  // noisy source op -> circuit op
-        if (idle_noise || !fusion.enabled) {
+        const NoisyLayout layout =
+            noisy_layout(circuit, model, sites, fusion.enabled);
+        if (layout.by_moment) {
             // With fusion off the compile ignores the fences: one kernel
             // per op on the ASAP moment schedule.
-            order = compile_moments(circuit, fusion);
+            compile_moments(circuit, layout, fusion);
         } else {
             // Gate errors are the only noise: fuse between error sites.
             // Every op that draws a channel fences the partition, pinning
-            // the channel to its pre-fusion boundary (error_fences is the
+            // the channel to its pre-fusion boundary (noisy_layout is the
             // single source of truth shared with the density engine).
-            noisy = exec::CompiledCircuit(circuit, fusion,
-                                          error_fences(sites), &cache);
+            noisy = exec::CompiledCircuit(circuit, fusion, layout.fences,
+                                          &cache);
             Moment all;
             all.op_indices.resize(noisy.num_ops());
             for (std::size_t k = 0; k < noisy.num_ops(); ++k) {
@@ -124,7 +123,7 @@ struct TrajectoryCompilation::Impl {
             }
             moments.push_back(std::move(all));
         }
-        build_error_draws(circuit, sites, order);
+        build_error_draws(circuit, sites, layout.order);
         const WireDims& dims = circuit.dims();
         width = dims.num_wires();
         dim = dims.dim(0);
@@ -163,34 +162,27 @@ struct TrajectoryCompilation::Impl {
 
   private:
     /**
-     * Idle-noise compile with moment kernels: the circuit is laid out in
-     * ASAP-moment order and compiled through the fusion stage with a
-     * fence after each moment's last op, so the cost model can merge the
-     * wire-disjoint ops of one moment (and nothing across moments) into
-     * one kernel; with fusion off it is one kernel per op in that order.
-     * Fills `noisy` and `moments` (over noisy-op indices) and returns,
-     * per source op of `noisy`, the circuit op it is. Fused blocks keep
-     * their matrix only when the dense kernel reads it.
+     * Moment-kernel compile of a by-moment layout: the circuit is laid
+     * out in ASAP-moment order and compiled through the fusion stage with
+     * a fence after each moment's last op, so the cost model can merge
+     * the wire-disjoint ops of one moment (and nothing across moments)
+     * into one kernel; with fusion off it is one kernel per op in that
+     * order. Fills `noisy` and `moments` (over noisy-op indices). Fused
+     * blocks keep their matrix only when the dense kernel reads it.
      */
-    std::vector<std::uint32_t> compile_moments(
-        const Circuit& circuit, const exec::FusionOptions& fusion) {
-        const std::vector<Moment> asap = schedule_asap(circuit);
+    void compile_moments(const Circuit& circuit, const NoisyLayout& layout,
+                         const exec::FusionOptions& fusion) {
+        const std::vector<Moment>& asap = layout.moments;
         Circuit ordered(circuit.dims());
-        std::vector<std::uint32_t> order;
-        std::vector<std::uint8_t> fences;
         std::vector<std::uint32_t> moment_of;
-        order.reserve(circuit.num_ops());
         for (std::size_t m = 0; m < asap.size(); ++m) {
             for (const std::size_t i : asap[m].op_indices) {
                 const Operation& op = circuit.ops()[i];
                 ordered.append(op.gate, op.wires);
-                order.push_back(static_cast<std::uint32_t>(i));
-                fences.push_back(0);
                 moment_of.push_back(static_cast<std::uint32_t>(m));
             }
-            fences.back() = 1;
         }
-        noisy = exec::CompiledCircuit(ordered, fusion, fences, &cache);
+        noisy = exec::CompiledCircuit(ordered, fusion, layout.fences, &cache);
         noisy.release_fused_payloads();
         moments.resize(asap.size());
         for (std::size_t m = 0; m < asap.size(); ++m) {
@@ -200,7 +192,6 @@ struct TrajectoryCompilation::Impl {
             const std::uint32_t first = noisy.ops()[k].source_ops.front();
             moments[moment_of[first]].op_indices.push_back(k);
         }
-        return order;
     }
 
     /**

@@ -92,15 +92,11 @@ std::shared_ptr<const ApplyPlan> make_apply_plan(const WireDims& dims,
 /**
  * Memoises plans by (wire tuple, variant salt) so every operation on the
  * same wires of one register shares one set of tables (gate, gate errors,
- * Kraus operators). The salt is part of the cache CONTRACT: callers
- * compiling under a runtime-toggleable setting (the fusion stage keys its
- * fused-group plans by the fusion cost cap) must key by that setting, so
- * a shared cache can never hand back a plan variant built under a
- * different one. Today a plan is a pure function of (dims, wires) — the
- * salt buys aliasing-freedom for the day plan construction becomes
- * settings-dependent (e.g. cap-scaled base-table materialisation), at the
- * cost of an occasional duplicate table for wire tuples hosting both
- * fused and plain ops. Plain per-op geometry uses salt 0.
+ * Kraus operators). Plain per-op geometry uses salt 0; fused-group plans
+ * use kFusedPlanSalt (fusion.h), so the two variants never alias. Today a
+ * plan is a pure function of (dims, wires), so the split costs an
+ * occasional duplicate table for wire tuples hosting both fused and plain
+ * ops.
  * The map is guarded by a mutex, so concurrent compilation (e.g. ops
  * compiled under OpenMP, or several engines sharing one cache) is safe;
  * the plans themselves are immutable and freely shareable. Copying a

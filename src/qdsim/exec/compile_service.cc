@@ -115,13 +115,15 @@ CompileService::admission_report(const Circuit& circuit,
                                  Admission admission,
                                  const FusionOptions& fusion)
 {
-    // Fence exactly as the noisy engines fence, so the fusion audit sees
-    // the partition the compile below will actually produce.
-    std::vector<std::uint8_t> fences =
-        noise::error_fences(noise::enumerate_error_sites(circuit, model));
-    verify::Report report = verify::analyze(
-        circuit,
-        admission_options(admission, fusion, std::move(fences)));
+    // Lay out and fence exactly as the noisy engines do, so the plan and
+    // fusion audits see the partition the compile will actually produce.
+    noise::NoisyLayout layout = noise::noisy_layout(
+        circuit, model, noise::enumerate_error_sites(circuit, model),
+        fusion.enabled);
+    verify::Options options =
+        admission_options(admission, fusion, std::move(layout.fences));
+    options.order = std::move(layout.order);
+    verify::Report report = verify::analyze(circuit, options);
     report.merge(verify::analyze_noise(model, circuit.dims()));
     return report;
 }
@@ -191,7 +193,7 @@ CompileService::compile_impl(const Circuit& circuit,
 
     std::vector<std::uint8_t> bytes = ir::canonical_bytes(circuit);
     const Key key{engine, ir::fnv1a(bytes.data(), bytes.size()),
-                  fusion.plan_salt(),
+                  fusion.enabled,
                   model != nullptr ? noise_model_hash(*model) : 0};
 
     std::shared_ptr<const CompiledArtifact> artifact;
@@ -233,7 +235,6 @@ CompileService::compile_impl(const Circuit& circuit,
     built->engine = engine;
     built->circuit_hash = key.circuit_hash;
     built->noise_hash = key.noise_hash;
-    built->plan_salt = key.plan_salt;
     built->circuit = circuit;
     built->fusion = fusion;
     switch (engine) {

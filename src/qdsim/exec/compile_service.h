@@ -3,8 +3,7 @@
  * The single compile path behind every execution entry point: a
  * cross-request artifact cache keyed by
  *
- *     (engine kind, ir::circuit_hash, FusionOptions::plan_salt(),
- *      noise-model hash)
+ *     (engine kind, ir::circuit_hash, fusion on/off, noise-model hash)
  *
  * that verifies circuits at admission (verify::analyze as the gate,
  * structured rejection carrying the verify Report) and hands out shared
@@ -66,7 +65,6 @@ struct CompiledArtifact {
     EngineKind engine = EngineKind::kState;
     std::uint64_t circuit_hash = 0;
     std::uint64_t noise_hash = 0;
-    Index plan_salt = 0;
     Circuit circuit;            ///< the admitted source circuit
     FusionOptions fusion;
 
@@ -127,8 +125,9 @@ class CompileService {
     /**
      * Runs the admission analysis without compiling or caching: circuit
      * legality + plan/fusion audits, plus the noise audit when a model is
-     * given (with its error fences applied, exactly as the noisy engines
-     * fence). This is the report a rejected compile() throws with.
+     * given (over the op order and fences the noisy engines compile in,
+     * noise::noisy_layout). This is the report a rejected compile()
+     * throws with.
      */
     static verify::Report admission_report(const Circuit& circuit,
                                            Admission admission =
@@ -147,7 +146,7 @@ class CompileService {
     struct Key {
         EngineKind engine;
         std::uint64_t circuit_hash;
-        Index plan_salt;
+        bool fusion;
         std::uint64_t noise_hash;
 
         bool operator<(const Key& o) const
@@ -155,7 +154,7 @@ class CompileService {
             if (engine != o.engine) return engine < o.engine;
             if (circuit_hash != o.circuit_hash)
                 return circuit_hash < o.circuit_hash;
-            if (plan_salt != o.plan_salt) return plan_salt < o.plan_salt;
+            if (fusion != o.fusion) return fusion < o.fusion;
             return noise_hash < o.noise_hash;
         }
     };

@@ -62,13 +62,8 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
             const Gate fused(
                 "fused[" + std::to_string(group.members.size()) + "]",
                 std::move(gate_dims), fused_matrix(dims_, ops, group));
-            // Fused-group plans are keyed by the full option salt (see
-            // FusionOptions::plan_salt) so a shared cache across
-            // compilations with different fusion settings — cap, cost
-            // model, ratio, per-class caps — can never hand back a stale
-            // variant.
             ops_.push_back(compile_op(dims_, fused, group.wires, &use,
-                                      options.plan_salt()));
+                                      kFusedPlanSalt));
             ++num_fused_groups_;
         }
         ops_.back().source_ops = group.members;

@@ -1,7 +1,6 @@
 #include "qdsim/exec/fusion.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -10,13 +9,6 @@
 namespace qd::exec {
 
 namespace {
-
-/** A per-class cap of 0 inherits the global max_block. */
-Index
-effective_cap(Index specific, Index fallback)
-{
-    return specific != 0 ? specific : fallback;
-}
 
 /**
  * Coarse cost class used by the fusion decision (the real kernel is chosen
@@ -143,16 +135,15 @@ block_of(const WireDims& dims, const std::vector<int>& wires)
  *    inner operators multiply and the product stays controlled.
  *
  * Every multi-wire merge — light ones included — is bounded by
- * FusionOptions::max_block: fused_matrix() pays O(block^3) per member
- * whatever the runtime kernel ends up being, so an uncapped chain of
- * nested light ops (X; CX; CCX; ... — multi-controlled permutations are
- * permutations) would compile full-register dense products, O(D^3) time
- * and O(D^2) memory per member.
+ * kFusionMaxBlock: fused_matrix() pays O(block^3) per member whatever the
+ * runtime kernel ends up being, so an uncapped chain of nested light ops
+ * (X; CX; CCX; ... — multi-controlled permutations are permutations) would
+ * compile full-register dense products, O(D^3) time and O(D^2) memory per
+ * member.
  */
 bool
 try_merge_class(OpenGroup& g, FuseClass cls, const CtrlSig& sig, SetRel rel,
-                Index fused_block, std::size_t fused_wires,
-                const FusionOptions& options)
+                Index fused_block, std::size_t fused_wires)
 {
     if (fused_wires == 1) {
         // Single-wire runs collapse onto the unrolled kernels whatever
@@ -165,47 +156,33 @@ try_merge_class(OpenGroup& g, FuseClass cls, const CtrlSig& sig, SetRel rel,
         }
         return true;
     }
-    // Each merge-eligible branch is bounded by the cap of the class the
-    // MERGED block lands in (0 inherits max_block); the caps bound
-    // runtime degradation AND the O(block^3)-per-member compile cost.
-    const auto capped = [&](Index cap) {
-        if (fused_block > cap) {
-            obs::count(obs::Counter::kFusionCapTruncations);
-            return true;
-        }
-        return false;
-    };
-    if (g.cls == FuseClass::kLight && cls == FuseClass::kLight) {
-        // Closed under products, O(block) kernels.
-        return !capped(effective_cap(options.max_block_light,
-                                     options.max_block));
-    }
     const bool group_dense =
         g.cls == FuseClass::kHeavy && g.wires.size() > 1;
-    if (group_dense && rel != SetRel::kSecondSuper) {
+    // The op's own dense block subsumes the group's operands.
+    const bool absorbs =
+        cls == FuseClass::kHeavy && rel == SetRel::kSecondSuper;
+    const bool eligible =
+        // Closed under products, O(block) kernels.
+        (g.cls == FuseClass::kLight && cls == FuseClass::kLight) ||
         // Ride along in the existing dense block.
-        return !capped(effective_cap(options.max_block_dense,
-                                     options.max_block));
-    }
-    if (cls == FuseClass::kHeavy && rel == SetRel::kSecondSuper) {
-        // The op's own dense block subsumes the group's operands.
-        if (capped(effective_cap(options.max_block_dense,
-                                 options.max_block))) {
-            return false;
-        }
-        g.cls = FuseClass::kHeavy;
-        g.ctrl_sig.clear();
-        return true;
-    }
-    if (g.cls == FuseClass::kControlled && cls == FuseClass::kControlled &&
-        rel == SetRel::kEqual && g.ctrl_sig == sig) {
+        (group_dense && rel != SetRel::kSecondSuper) || absorbs ||
         // Same control signature: the product stays controlled (inner
         // operators multiply). Different signatures would densify two
         // cheap subspace passes into one full dense pass — a loss.
-        return !capped(effective_cap(options.max_block_controlled,
-                                     options.max_block));
+        (g.cls == FuseClass::kControlled && cls == FuseClass::kControlled &&
+         rel == SetRel::kEqual && g.ctrl_sig == sig);
+    if (!eligible) {
+        return false;
     }
-    return false;
+    if (fused_block > kFusionMaxBlock) {
+        obs::count(obs::Counter::kFusionCapTruncations);
+        return false;
+    }
+    if (absorbs) {
+        g.cls = FuseClass::kHeavy;
+        g.ctrl_sig.clear();
+    }
+    return true;
 }
 
 std::vector<int>
@@ -217,61 +194,6 @@ gate_dims_of(const WireDims& dims, const std::vector<int>& wires)
         gd.push_back(dims.dim(w));
     }
     return gd;
-}
-
-/** estimate_block_cost plus the coarse class the block lands in (for the
- *  per-class caps of the stage-2 look-ahead). */
-std::uint64_t
-est_class_cost(const WireDims& dims, std::span<const int> wires,
-               const Gate& gate, Index total, FuseClass& cls)
-{
-    const std::uint64_t t = total;
-    const std::uint64_t block = gate.block_size();
-    const std::uint64_t traffic_all = t * 2;
-    // Mirrors compile_op's dispatch order on the gate's cached structure,
-    // with the op_flop_estimate formula of the kernel each branch lands
-    // on, plus 2 per amplitude the kernel actually touches (the traffic
-    // term is what makes pass-count reduction count for zero-flop
-    // permutation merges).
-    if (wires.size() == 1 && !gate.is_permutation() &&
-        !gate.is_diagonal_gate() &&
-        (dims.dim(wires[0]) == 2 || dims.dim(wires[0]) == 3)) {
-        cls = FuseClass::kHeavy;  // unrolled dense d2/d3 kernel
-        return t * static_cast<std::uint64_t>(dims.dim(wires[0])) * 8 +
-               traffic_all;
-    }
-    if (gate.is_permutation()) {
-        cls = FuseClass::kLight;
-        return traffic_all;  // pure index moves, zero flops
-    }
-    if (gate.is_diagonal_gate()) {
-        cls = FuseClass::kLight;
-        return t * 6 + traffic_all;
-    }
-    std::vector<Index> perm;
-    std::vector<Complex> phase;
-    if (monomial_action(gate.matrix(), perm, phase)) {
-        cls = FuseClass::kLight;
-        // Slots the cycle walk visits: every member of a non-trivial
-        // cycle plus non-unit fixed points (build_monomial_cycles).
-        std::uint64_t slots = 0;
-        for (std::size_t i = 0; i < perm.size(); ++i) {
-            if (perm[i] != static_cast<Index>(i) ||
-                std::abs(phase[i] - Complex(1, 0)) > kTol) {
-                ++slots;
-            }
-        }
-        return (t / block) * slots * 6 + traffic_all;
-    }
-    if (gate.has_controlled_structure()) {
-        cls = FuseClass::kControlled;
-        const auto nb = static_cast<std::uint64_t>(
-            gate.controlled_structure().inner.rows());
-        const std::uint64_t outer = t / block;
-        return outer * nb * nb * 8 + outer * nb * 2;
-    }
-    cls = FuseClass::kHeavy;
-    return (t / block) * block * block * 8 + traffic_all;
 }
 
 /**
@@ -383,25 +305,22 @@ struct WindowCand {
  * Enumeration: from each start group, keep extending the window over
  * the next groups — maintaining the running product over the UNION of
  * their wires — and record every window the cost model admits
- * (est(union block) <= cost_ratio * sum of the parts, block within its
- * class's cap). The look-ahead matters: every proper prefix of a
+ * (est(union block) <= sum of the parts). The look-ahead matters: every proper prefix of a
  * decomposed doubly-controlled-U run multiplies to a dense block and is
  * inadmissible, while the full run collapses to one cheap block — which
  * is exactly the overlapping two-qutrit shape the paper's gen-Toffoli
  * trees are made of. Growth stops at a fence (no window may place
  * members on both sides of one: a fenced op stays the last member of
- * its merged group) or when the union block exceeds every per-class cap
+ * its merged group) or when the union block exceeds kFusionMaxBlock
  * (which also bounds the look-ahead's O(union^3)-per-member compile
  * cost).
  *
  * Selection: a backwards dynamic program picks the partition of the
  * group sequence into admissible windows (and singletons) minimizing
- * the summed estimated cost. Greedy longest-window commits are NOT
- * monotone in the thresholds (an early tie-merge can shadow a better
- * later window); with the DP, raising cost_ratio or a cap only ENLARGES
- * the admissible set while the objective stays fixed, so the chosen
- * partition's estimated total is monotonically non-increasing in every
- * threshold — the property the tests pin.
+ * the summed estimated cost. Leaving every group unmerged is one such
+ * partition, so the chosen total never exceeds the stage-1 total — the
+ * property the tests pin. (Greedy longest-window commits give no such
+ * bound: an early tie-merge can shadow a better later window.)
  *
  * Merging CONSECUTIVE groups is always order-safe: the stage-1
  * partition executes group-major, so collapsing a contiguous run of
@@ -412,18 +331,10 @@ struct WindowCand {
  * wire set, so the two commute and ascending order is equivalent.
  */
 std::vector<Stage2Group>
-cost_model_lookahead(const WireDims& dims, std::span<const Operation> ops,
-                     std::span<const std::uint8_t> fence_after,
-                     const FusionOptions& options,
-                     std::vector<Stage2Group> in)
+stage2_lookahead(const WireDims& dims, std::span<const Operation> ops,
+                 std::span<const std::uint8_t> fence_after,
+                 std::vector<Stage2Group> in)
 {
-    const Index cap_light =
-        effective_cap(options.max_block_light, options.max_block);
-    const Index cap_ctrl =
-        effective_cap(options.max_block_controlled, options.max_block);
-    const Index cap_dense =
-        effective_cap(options.max_block_dense, options.max_block);
-    const Index growth_cap = std::max({cap_light, cap_ctrl, cap_dense});
     const Index total = dims.size();
     const std::size_t n = in.size();
 
@@ -458,7 +369,7 @@ cost_model_lookahead(const WireDims& dims, std::span<const Operation> ops,
                 }
             }
             const Index nb = block_of(dims, nw);
-            if (nb > growth_cap) {
+            if (nb > kFusionMaxBlock) {
                 obs::count(obs::Counter::kFusionCapTruncations);
                 break;
             }
@@ -500,20 +411,9 @@ cost_model_lookahead(const WireDims& dims, std::span<const Operation> ops,
             const Gate probe(
                 "s2", gate_dims_of(dims, ord),
                 ord == uw ? m : embed_into_block(dims, ord, uw, m));
-            FuseClass ccls = FuseClass::kHeavy;
             const std::uint64_t cand =
-                est_class_cost(dims, ord, probe, total, ccls);
-            const Index cap = ccls == FuseClass::kLight       ? cap_light
-                              : ccls == FuseClass::kControlled ? cap_ctrl
-                                                               : cap_dense;
-            if (nb > cap) {
-                // Over this class's cap (a later, cheaper-class extension
-                // may still fit its own).
-                obs::count(obs::Counter::kFusionCapTruncations);
-                continue;
-            }
-            if (static_cast<double>(cand) <=
-                options.cost_ratio * static_cast<double>(sum)) {
+                estimate_block_cost(dims, ord, probe, total);
+            if (cand <= sum) {
                 cands[i].push_back(WindowCand{j, cand, std::move(ord)});
             } else {
                 obs::count(obs::Counter::kFusionCostRejected);
@@ -575,17 +475,21 @@ cost_model_lookahead(const WireDims& dims, std::span<const Operation> ops,
     return out;
 }
 
-}  // namespace
-
-std::vector<FusedGroup>
-fuse_sites(const WireDims& dims, std::span<const Operation> ops,
-           std::span<const std::uint8_t> fence_after,
-           const FusionOptions& options)
+void
+check_fence_size(std::span<const Operation> ops,
+                 std::span<const std::uint8_t> fence_after)
 {
     if (!fence_after.empty() && fence_after.size() != ops.size()) {
         throw std::invalid_argument(
             "fuse_sites: fence_after size does not match ops");
     }
+}
+
+/** Stage 1: the greedy class-algebra partition (fusion enabled). */
+std::vector<OpenGroup>
+stage1_groups(const WireDims& dims, std::span<const Operation> ops,
+              std::span<const std::uint8_t> fence_after)
+{
     std::vector<OpenGroup> groups;
     groups.reserve(ops.size());
     std::size_t first_open = 0;
@@ -594,35 +498,33 @@ fuse_sites(const WireDims& dims, std::span<const Operation> ops,
         std::vector<int> set(op.wires);
         std::sort(set.begin(), set.end());
         bool merged = false;
-        if (options.enabled) {
-            CtrlSig sig;
-            const FuseClass cls = classify(op, sig);
-            for (std::size_t k = groups.size(); k-- > first_open;) {
-                OpenGroup& g = groups[k];
-                const SetRel rel = relation(g.wire_set, set);
-                if (rel == SetRel::kDisjoint) {
-                    continue;  // commutes: slide past
-                }
-                if (rel == SetRel::kOverlap) {
-                    break;  // shares wires without nesting: hard boundary
-                }
-                const bool op_super = rel == SetRel::kSecondSuper;
-                const Index fused_block =
-                    op_super ? block_of(dims, op.wires) : g.block;
-                const std::size_t fused_wires =
-                    op_super ? op.wires.size() : g.wires.size();
-                if (try_merge_class(g, cls, sig, rel, fused_block,
-                                    fused_wires, options)) {
-                    if (op_super) {
-                        g.wires = op.wires;
-                        g.wire_set = std::move(set);
-                        g.block = fused_block;
-                    }
-                    g.members.push_back(j);
-                    merged = true;
-                }
-                break;  // fused or not, can't slide past shared wires
+        CtrlSig sig;
+        const FuseClass cls = classify(op, sig);
+        for (std::size_t k = groups.size(); k-- > first_open;) {
+            OpenGroup& g = groups[k];
+            const SetRel rel = relation(g.wire_set, set);
+            if (rel == SetRel::kDisjoint) {
+                continue;  // commutes: slide past
             }
+            if (rel == SetRel::kOverlap) {
+                break;  // shares wires without nesting: hard boundary
+            }
+            const bool op_super = rel == SetRel::kSecondSuper;
+            const Index fused_block =
+                op_super ? block_of(dims, op.wires) : g.block;
+            const std::size_t fused_wires =
+                op_super ? op.wires.size() : g.wires.size();
+            if (try_merge_class(g, cls, sig, rel, fused_block,
+                                fused_wires)) {
+                if (op_super) {
+                    g.wires = op.wires;
+                    g.wire_set = std::move(set);
+                    g.block = fused_block;
+                }
+                g.members.push_back(j);
+                merged = true;
+            }
+            break;  // fused or not, can't slide past shared wires
         }
         if (!merged) {
             OpenGroup g;
@@ -630,19 +532,46 @@ fuse_sites(const WireDims& dims, std::span<const Operation> ops,
             g.wire_set = std::move(set);
             g.members.push_back(j);
             g.block = block_of(dims, op.wires);
-            if (options.enabled) {
-                g.cls = classify(op, g.ctrl_sig);
-            }
+            g.cls = cls;
+            g.ctrl_sig = std::move(sig);
             groups.push_back(std::move(g));
         }
         if (!fence_after.empty() && fence_after[j] != 0) {
             first_open = groups.size();
         }
     }
+    return groups;
+}
 
+}  // namespace
+
+std::vector<FusedGroup>
+fuse_stage1(const WireDims& dims, std::span<const Operation> ops,
+            std::span<const std::uint8_t> fence_after)
+{
+    check_fence_size(ops, fence_after);
     std::vector<FusedGroup> out;
-    out.reserve(groups.size());
-    if (options.enabled && options.cost_model && groups.size() > 1) {
+    for (OpenGroup& g : stage1_groups(dims, ops, fence_after)) {
+        out.push_back(FusedGroup{std::move(g.wires), std::move(g.members)});
+    }
+    return out;
+}
+
+std::vector<FusedGroup>
+fuse_sites(const WireDims& dims, std::span<const Operation> ops,
+           std::span<const std::uint8_t> fence_after,
+           const FusionOptions& options)
+{
+    check_fence_size(ops, fence_after);
+    std::vector<FusedGroup> out;
+    if (!options.enabled) {
+        out.reserve(ops.size());
+        for (std::uint32_t j = 0; j < ops.size(); ++j) {
+            out.push_back(FusedGroup{ops[j].wires, {j}});
+        }
+    } else {
+        std::vector<OpenGroup> groups = stage1_groups(dims, ops, fence_after);
+        out.reserve(groups.size());
         std::vector<Stage2Group> s2;
         s2.reserve(groups.size());
         for (OpenGroup& g : groups) {
@@ -653,14 +582,10 @@ fuse_sites(const WireDims& dims, std::span<const Operation> ops,
             s.block = g.block;
             s2.push_back(std::move(s));
         }
-        s2 = cost_model_lookahead(dims, ops, fence_after, options,
-                                  std::move(s2));
-        for (Stage2Group& g : s2) {
-            out.push_back(
-                FusedGroup{std::move(g.wires), std::move(g.members)});
+        if (s2.size() > 1) {
+            s2 = stage2_lookahead(dims, ops, fence_after, std::move(s2));
         }
-    } else {
-        for (OpenGroup& g : groups) {
+        for (Stage2Group& g : s2) {
             out.push_back(
                 FusedGroup{std::move(g.wires), std::move(g.members)});
         }
@@ -677,39 +602,52 @@ fuse_sites(const WireDims& dims, std::span<const Operation> ops,
     return out;
 }
 
-Index
-FusionOptions::plan_salt() const
-{
-    // FNV-1a over the bit patterns of every option field: any distinct
-    // option combination yields a distinct salt (up to hash collision),
-    // so fused-group plans compiled under different knobs never alias in
-    // a shared PlanCache.
-    std::uint64_t h = 1469598103934665603ull;
-    const auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xffu;
-            h *= 1099511628211ull;
-        }
-    };
-    mix(enabled ? 1 : 0);
-    mix(max_block);
-    mix(cost_model ? 1 : 0);
-    std::uint64_t ratio_bits = 0;
-    static_assert(sizeof(ratio_bits) == sizeof(cost_ratio));
-    std::memcpy(&ratio_bits, &cost_ratio, sizeof(ratio_bits));
-    mix(ratio_bits);
-    mix(max_block_light);
-    mix(max_block_controlled);
-    mix(max_block_dense);
-    return h;
-}
-
 std::uint64_t
 estimate_block_cost(const WireDims& dims, std::span<const int> wires,
                     const Gate& gate, Index total)
 {
-    FuseClass cls = FuseClass::kHeavy;
-    return est_class_cost(dims, wires, gate, total, cls);
+    const std::uint64_t t = total;
+    const std::uint64_t block = gate.block_size();
+    const std::uint64_t traffic_all = t * 2;
+    // Mirrors compile_op's dispatch order on the gate's cached structure,
+    // with the op_flop_estimate formula of the kernel each branch lands
+    // on, plus 2 per amplitude the kernel actually touches (the traffic
+    // term is what makes pass-count reduction count for zero-flop
+    // permutation merges).
+    if (wires.size() == 1 && !gate.is_permutation() &&
+        !gate.is_diagonal_gate() &&
+        (dims.dim(wires[0]) == 2 || dims.dim(wires[0]) == 3)) {
+        // unrolled dense d2/d3 kernel
+        return t * static_cast<std::uint64_t>(dims.dim(wires[0])) * 8 +
+               traffic_all;
+    }
+    if (gate.is_permutation()) {
+        return traffic_all;  // pure index moves, zero flops
+    }
+    if (gate.is_diagonal_gate()) {
+        return t * 6 + traffic_all;
+    }
+    std::vector<Index> perm;
+    std::vector<Complex> phase;
+    if (monomial_action(gate.matrix(), perm, phase)) {
+        // Slots the cycle walk visits: every member of a non-trivial
+        // cycle plus non-unit fixed points (build_monomial_cycles).
+        std::uint64_t slots = 0;
+        for (std::size_t i = 0; i < perm.size(); ++i) {
+            if (perm[i] != static_cast<Index>(i) ||
+                std::abs(phase[i] - Complex(1, 0)) > kTol) {
+                ++slots;
+            }
+        }
+        return (t / block) * slots * 6 + traffic_all;
+    }
+    if (gate.has_controlled_structure()) {
+        const auto nb = static_cast<std::uint64_t>(
+            gate.controlled_structure().inner.rows());
+        const std::uint64_t outer = t / block;
+        return outer * nb * nb * 8 + outer * nb * 2;
+    }
+    return (t / block) * block * block * 8 + traffic_all;
 }
 
 Matrix

@@ -28,33 +28,29 @@
  *    control signatures, and only existing dense blocks absorb nested
  *    ops, so stage 1 never densifies a cheaper kernel.
  *
- * Stage 2 — cost-model look-ahead over OVERLAPPING wire sets
- * (FusionOptions::cost_model): the paper's log-depth gen-Toffoli trees
- * are built from short runs on overlapping-but-not-nested pairs
- * ({b,t};{a,b};{b,t};...), which stage 1 cannot touch. Stage 2 slides a
- * window over consecutive stage-1 groups, maintains the running product
- * over the UNION of their wires (via embed_into_block), classifies the
- * candidate block exactly the way compile_op will (permutation /
- * diagonal / monomial / controlled-subspace — control wires are
- * reordered to the front so controlled structure is recognised), and
- * admits a window when its estimated per-pass cost (op_flop_estimate
- * formulas + a memory-traffic term) is no more than cost_ratio × the
+ * Stage 2 — cost-model look-ahead over OVERLAPPING wire sets: the
+ * paper's log-depth gen-Toffoli trees are built from short runs on
+ * overlapping-but-not-nested pairs ({b,t};{a,b};{b,t};...), which stage 1
+ * cannot touch. Stage 2 slides a window over consecutive stage-1 groups,
+ * maintains the running product over the UNION of their wires (via
+ * embed_into_block), classifies the candidate block exactly the way
+ * compile_op will (permutation / diagonal / monomial / controlled-subspace
+ * — control wires are reordered to the front so controlled structure is
+ * recognised), and admits a window when its estimated per-pass cost
+ * (op_flop_estimate formulas + a memory-traffic term) is no more than the
  * summed cost of its parts. A backwards dynamic program then picks the
- * minimum-total-cost partition into admissible windows, so raising
- * cost_ratio or a cap (which only enlarges the admissible set) never
- * increases the estimated total. The look-ahead matters: every prefix
- * of a decomposed doubly-controlled-U run is dense and inadmissible,
- * while the full seven-gate run collapses to ONE cheap block (a
- * permutation block for X-type targets, a controlled-subspace block
+ * minimum-total-cost partition into admissible windows, so the stage-2
+ * estimated total never exceeds the stage-1 one. The look-ahead matters:
+ * every prefix of a decomposed doubly-controlled-U run is dense and
+ * inadmissible, while the full seven-gate run collapses to ONE cheap block
+ * (a permutation block for X-type targets, a controlled-subspace block
  * otherwise). Merges accepted / rejected-by-cost / rejected-by-cap are
  * observable via obs:: counters (fusion_cost_accepted /
  * fusion_cost_rejected / fusion_cap_truncations).
  *
- * Caps are per kernel class (max_block_light / _controlled / _dense, 0 =
- * inherit max_block), so a workload can e.g. let permutation unions grow
- * past the dense cap. Every option field folds into plan_salt(), the
- * PlanCache salt for fused-group plans: toggling any knob at runtime on a
- * shared cache can never alias plan variants.
+ * Every multi-wire merge, in either stage, is bounded by kFusionMaxBlock.
+ * Fused-group plans live in the PlanCache under kFusedPlanSalt, apart
+ * from the plain per-op geometry (salt 0).
  *
  *  - Fences pin operation boundaries that noise must observe: the
  *    trajectory and density-matrix engines fence every operation that
@@ -80,60 +76,28 @@
 
 namespace qd::exec {
 
+/**
+ * Largest block any multi-wire fused group may reach: 27 admits
+ * three-qutrit and up-to-four-qubit blocks. The cap bounds both the
+ * runtime dense blowup (a dense matvec costs O(block) multiplies per
+ * amplitude) and the compile-time cost of building the fused matrix
+ * (O(block^3) per member — an uncapped chain of nested permutations like
+ * X; CX; CCX; ... would otherwise compile full-register products). Only
+ * single-wire collapses are exempt (their block is the wire dimension).
+ * It is also why a moment of QUTRIT's 4-wire unions (81 entries) stays
+ * separate kernels: changing it moves every fused partition.
+ */
+inline constexpr Index kFusionMaxBlock = 27;
+
+/** PlanCache salt of fused-group plans, keeping them apart from the
+ *  plain per-op geometry under salt 0 (see PlanCache). */
+inline constexpr Index kFusedPlanSalt = 1;
+
 /** Settings for the compile-time fusion stage. */
 struct FusionOptions {
     /** Master switch; disabled compiles every operation separately
      *  (bitwise identical to the pre-fusion engines). */
     bool enabled = true;
-    /**
-     * Largest block any multi-wire fused group may reach: 27 admits
-     * three-qutrit and up-to-four-qubit blocks. The cap bounds both the
-     * runtime dense-blowup (a dense matvec costs O(block) multiplies per
-     * amplitude) and the compile-time cost of building the fused matrix
-     * (O(block^3) per member — an uncapped chain of nested permutations
-     * like X; CX; CCX; ... would otherwise compile full-register
-     * products). Only single-wire collapses are exempt (their block is
-     * the wire dimension). Runtime-toggleable and shapes the partition,
-     * so it folds into plan_salt() by contract (see PlanCache) even
-     * though plan geometry itself is cap-independent today.
-     */
-    Index max_block = 27;
-    /**
-     * Stage 2: merge consecutive groups on overlapping (or disjoint) wire
-     * sets into union blocks when the flop-count cost model says the
-     * union pass is cheaper than the separate passes. Disabling leaves
-     * exactly the stage-1 identical/nested partition.
-     */
-    bool cost_model = true;
-    /**
-     * Acceptance threshold for a stage-2 merge: commit when
-     * est(union block) <= cost_ratio * sum(est(parts)). 1.0 accepts only
-     * merges the model says never lose; values < 1 demand a strict win,
-     * values > 1 trade flops for fewer passes (may increase estimated
-     * work).
-     */
-    double cost_ratio = 1.0;
-    /**
-     * Per-class block caps for the class the MERGED block lands in
-     * (light = permutation/diagonal/monomial, controlled = one active
-     * control subspace, dense = everything else); 0 inherits max_block.
-     * These replace the single global cap for per-workload tuning: e.g.
-     * max_block_light = 81 lets permutation unions grow to four qutrits
-     * while dense blocks stay capped at 27. The largest of the three
-     * (effective) caps bounds stage-2 compile cost: the look-ahead pays
-     * O(union^3) per member considered.
-     */
-    Index max_block_light = 0;
-    Index max_block_controlled = 0;
-    Index max_block_dense = 0;
-
-    /**
-     * PlanCache salt folding EVERY field above (FNV-1a over their bit
-     * patterns). Engines compiling fused groups against a shared cache
-     * must key plans by this value so runtime option toggles can never
-     * alias cached plan variants (see PlanCache's salt contract).
-     */
-    Index plan_salt() const;
 };
 
 /** One fused group: operations `members` (indices into the compiled
@@ -161,6 +125,12 @@ std::vector<FusedGroup> fuse_sites(const WireDims& dims,
                                    std::span<const Operation> ops,
                                    std::span<const std::uint8_t> fence_after,
                                    const FusionOptions& options);
+
+/** Stage 1 of fuse_sites alone (fusion enabled): the class-algebra
+ *  partition over identical/nested wire sets that stage 2 coarsens. */
+std::vector<FusedGroup> fuse_stage1(const WireDims& dims,
+                                    std::span<const Operation> ops,
+                                    std::span<const std::uint8_t> fence_after);
 
 /**
  * Embeds a k-local operator `m` over `op_wires` into the block over

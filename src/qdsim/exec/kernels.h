@@ -127,8 +127,8 @@ bool monomial_action(const Matrix& op, std::vector<Index>& perm,
  * Compiles one (gate, wires) application site against `dims`, choosing the
  * kernel from the gate's cached structure. `cache` (optional) shares
  * ApplyPlans between operations on the same wires; `plan_salt`
- * distinguishes plan variants in the cache (the fusion stage keys fused
- * groups by its cost cap — see PlanCache).
+ * distinguishes plan variants in the cache (fused groups use
+ * kFusedPlanSalt — see PlanCache).
  *
  * @throws std::invalid_argument on wire/dimension mismatches (same
  *         contract as Circuit::append / StateVector::apply).

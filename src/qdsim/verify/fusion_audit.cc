@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,14 +14,6 @@ namespace qd::verify {
 namespace {
 
 using exec::FusedGroup;
-using exec::FusionOptions;
-
-/** A per-class cap of 0 inherits the global max_block (fusion.cc rule). */
-Index
-effective_cap(Index specific, Index fallback)
-{
-    return specific != 0 ? specific : fallback;
-}
 
 /** Coarse kernel class of a gate, mirroring fusion.cc's classify():
  *  0 = light (permutation/diagonal/monomial), 1 = controlled, 2 = heavy. */
@@ -151,27 +142,6 @@ check_wires(const WireDims& dims, std::span<const Operation> ops,
     }
 }
 
-/** Cap bound for a block of final class `cls`: the builder may have
- *  assigned any class at least as heavy while merging (products only get
- *  lighter), so the sound bound is the max cap over those classes. */
-Index
-cap_bound(int cls, const FusionOptions& options)
-{
-    const Index light =
-        effective_cap(options.max_block_light, options.max_block);
-    const Index ctrl =
-        effective_cap(options.max_block_controlled, options.max_block);
-    const Index dense =
-        effective_cap(options.max_block_dense, options.max_block);
-    if (cls == 2) {
-        return dense;
-    }
-    if (cls == 1) {
-        return std::max(ctrl, dense);
-    }
-    return std::max({light, ctrl, dense});
-}
-
 struct GroupEval {
     Gate probe;
     int cls = 2;
@@ -206,16 +176,15 @@ member_cost_sum(const WireDims& dims, std::span<const Operation> ops,
 
 /** Admission slack absorbing float noise in fused-matrix products. */
 bool
-cost_within(std::uint64_t cand, double ratio, std::uint64_t parts)
+cost_within(std::uint64_t cand, std::uint64_t parts)
 {
     return static_cast<double>(cand) <=
-           ratio * static_cast<double>(parts) * (1.0 + 1e-9) + 1.0;
+           static_cast<double>(parts) * (1.0 + 1e-9) + 1.0;
 }
 
 void
 check_caps_and_cost(const WireDims& dims, std::span<const Operation> ops,
-                    std::span<const FusedGroup> groups,
-                    const FusionOptions& options, bool check_cost,
+                    std::span<const FusedGroup> groups, bool check_cost,
                     Report& report)
 {
     for (const FusedGroup& g : groups) {
@@ -228,13 +197,11 @@ check_caps_and_cost(const WireDims& dims, std::span<const Operation> ops,
         const GroupEval e = eval_group(dims, ops, g);
         const std::ptrdiff_t anchor =
             static_cast<std::ptrdiff_t>(g.members.front());
-        const Index cap = cap_bound(e.cls, options);
-        if (e.block > cap) {
+        if (e.block > exec::kFusionMaxBlock) {
             report.add("fusion.cap", Severity::kError, anchor,
                        members_str(g) + ": fused block " +
-                           std::to_string(e.block) +
-                           " exceeds the per-class cap " +
-                           std::to_string(cap));
+                           std::to_string(e.block) + " exceeds the cap " +
+                           std::to_string(exec::kFusionMaxBlock));
         }
 
         // Class algebra: a group built purely from light members must
@@ -251,8 +218,7 @@ check_caps_and_cost(const WireDims& dims, std::span<const Operation> ops,
 
         if (check_cost) {
             const std::uint64_t parts = member_cost_sum(dims, ops, g);
-            const double ratio = std::max(1.0, options.cost_ratio);
-            if (!cost_within(e.cost, ratio, parts)) {
+            if (!cost_within(e.cost, parts)) {
                 report.add("fusion.cost-regression", Severity::kError,
                            anchor,
                            members_str(g) + ": fused cost " +
@@ -366,8 +332,7 @@ check_order_and_fences(std::span<const Operation> ops,
 void
 audit_partition_impl(const WireDims& dims, std::span<const Operation> ops,
                      std::span<const std::uint8_t> fence_after,
-                     std::span<const FusedGroup> groups,
-                     const FusionOptions& options, bool check_cost,
+                     std::span<const FusedGroup> groups, bool check_cost,
                      Report& report)
 {
     if (!fence_after.empty() && fence_after.size() != ops.size()) {
@@ -382,7 +347,7 @@ audit_partition_impl(const WireDims& dims, std::span<const Operation> ops,
         check_wires(dims, ops, g, report);
     }
     check_order_and_fences(ops, fence_after, groups, report);
-    check_caps_and_cost(dims, ops, groups, options, check_cost, report);
+    check_caps_and_cost(dims, ops, groups, check_cost, report);
 }
 
 }  // namespace
@@ -390,33 +355,33 @@ audit_partition_impl(const WireDims& dims, std::span<const Operation> ops,
 void
 audit_partition(const WireDims& dims, std::span<const Operation> ops,
                 std::span<const std::uint8_t> fence_after,
-                std::span<const FusedGroup> groups,
-                const FusionOptions& options, Report& report)
+                std::span<const FusedGroup> groups, Report& report)
 {
-    audit_partition_impl(dims, ops, fence_after, groups, options,
+    audit_partition_impl(dims, ops, fence_after, groups,
                          /*check_cost=*/true, report);
 }
 
 void
 audit_fusion(const WireDims& dims, std::span<const Operation> ops,
              std::span<const std::uint8_t> fence_after,
-             const FusionOptions& options, Report& report)
+             const exec::FusionOptions& options, Report& report)
 {
     const std::vector<FusedGroup> groups =
         exec::fuse_sites(dims, ops, fence_after, options);
     // Structural invariants; the singleton-sum cost bound is replaced by
     // the exact two-level contract below (stage-1 single-wire collapses
     // may legitimately exceed it — the builder's documented exemption).
-    audit_partition_impl(dims, ops, fence_after, groups, options,
+    audit_partition_impl(dims, ops, fence_after, groups,
                          /*check_cost=*/false, report);
     if (report.has_errors()) {
         return;  // cover/order broken; cost accounting is meaningless
     }
 
-    FusionOptions stage1_options = options;
-    stage1_options.cost_model = false;
+    if (!options.enabled) {
+        return;  // every op its own group: no merge to account for
+    }
     const std::vector<FusedGroup> stage1 =
-        exec::fuse_sites(dims, ops, fence_after, stage1_options);
+        exec::fuse_stage1(dims, ops, fence_after);
 
     // Stage-1 contract: a multi-wire class-algebra merge never exceeds
     // the summed cost of its members (light stays light, controlled
@@ -431,7 +396,7 @@ audit_fusion(const WireDims& dims, std::span<const Operation> ops,
         const GroupEval e = eval_group(dims, ops, g);
         stage1_cost[s] = e.cost;
         if (g.wires.size() > 1 && g.members.size() > 1 &&
-            !cost_within(e.cost, 1.0, member_cost_sum(dims, ops, g))) {
+            !cost_within(e.cost, member_cost_sum(dims, ops, g))) {
             report.add("fusion.cost-regression", Severity::kError,
                        static_cast<std::ptrdiff_t>(g.members.front()),
                        members_str(g) +
@@ -440,10 +405,7 @@ audit_fusion(const WireDims& dims, std::span<const Operation> ops,
     }
 
     // Stage-2 contract: a union merge of whole stage-1 groups was
-    // admitted at est(union) <= cost_ratio * sum(est(stage-1 parts)).
-    if (!options.cost_model) {
-        return;
-    }
+    // admitted at est(union) <= sum(est(stage-1 parts)).
     for (const FusedGroup& g : groups) {
         std::set<std::size_t> parts;
         for (const std::uint32_t m : g.members) {
@@ -466,7 +428,7 @@ audit_fusion(const WireDims& dims, std::span<const Operation> ops,
             continue;  // not a coarsening; structural checks already ran
         }
         const GroupEval e = eval_group(dims, ops, g);
-        if (!cost_within(e.cost, options.cost_ratio, part_sum)) {
+        if (!cost_within(e.cost, part_sum)) {
             report.add("fusion.cost-regression", Severity::kError,
                        static_cast<std::ptrdiff_t>(g.members.front()),
                        members_str(g) + ": union cost " +
@@ -476,83 +438,6 @@ audit_fusion(const WireDims& dims, std::span<const Operation> ops,
                            std::to_string(part_sum) + ")");
         }
     }
-}
-
-namespace {
-
-/**
- * Field-count pin for the salt contract: decomposing FusionOptions into
- * exactly this many bindings fails to compile the moment a field is
- * added or removed, forcing plan_salt() and kSaltFields below to be
- * revisited together.
- */
-[[maybe_unused]] void
-salt_field_count_pin()
-{
-    constexpr exec::FusionOptions o{};
-    const auto& [enabled, max_block, cost_model, cost_ratio,
-                 max_block_light, max_block_controlled, max_block_dense] = o;
-    static_cast<void>(enabled);
-    static_cast<void>(max_block);
-    static_cast<void>(cost_model);
-    static_cast<void>(cost_ratio);
-    static_cast<void>(max_block_light);
-    static_cast<void>(max_block_controlled);
-    static_cast<void>(max_block_dense);
-}
-
-struct SaltField {
-    const char* name;
-    void (*mutate)(exec::FusionOptions&);
-};
-
-constexpr SaltField kSaltFields[] = {
-    {"enabled", [](exec::FusionOptions& o) { o.enabled = !o.enabled; }},
-    {"max_block", [](exec::FusionOptions& o) { o.max_block += 1; }},
-    {"cost_model",
-     [](exec::FusionOptions& o) { o.cost_model = !o.cost_model; }},
-    {"cost_ratio", [](exec::FusionOptions& o) { o.cost_ratio += 0.5; }},
-    {"max_block_light",
-     [](exec::FusionOptions& o) { o.max_block_light += 1; }},
-    {"max_block_controlled",
-     [](exec::FusionOptions& o) { o.max_block_controlled += 1; }},
-    {"max_block_dense",
-     [](exec::FusionOptions& o) { o.max_block_dense += 1; }},
-};
-static_assert(std::size(kSaltFields) == 7,
-              "keep the mutator list in step with FusionOptions (see "
-              "salt_field_count_pin)");
-
-}  // namespace
-
-std::size_t
-check_salt_coverage(
-    const std::function<Index(const exec::FusionOptions&)>& salt,
-    Report& report)
-{
-    const exec::FusionOptions base{};
-    const Index base_salt = salt(base);
-    std::size_t covered = 0;
-    for (const SaltField& field : kSaltFields) {
-        exec::FusionOptions mutated = base;
-        field.mutate(mutated);
-        if (salt(mutated) == base_salt) {
-            report.add("fusion.salt-coverage", Severity::kError, -1,
-                       std::string("FusionOptions::") + field.name +
-                           " does not reach the plan salt: toggling it on "
-                           "a shared PlanCache would alias plan variants");
-        } else {
-            ++covered;
-        }
-    }
-    return covered;
-}
-
-std::size_t
-check_salt_coverage(Report& report)
-{
-    return check_salt_coverage(
-        [](const exec::FusionOptions& o) { return o.plan_salt(); }, report);
 }
 
 }  // namespace qd::verify

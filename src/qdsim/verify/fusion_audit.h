@@ -3,27 +3,18 @@
  * Static audit of compile-time fusion partitions (exec/fusion.h).
  *
  * audit_partition proves the structural invariants of ANY partition
- * (exact cover, commute-safe reordering, fences never spanned, per-class
- * caps >= block sizes, no cost regression against the parts);
+ * (exact cover, commute-safe reordering, fences never spanned, multi-wire
+ * blocks within kFusionMaxBlock, no cost regression against the parts);
  * audit_fusion re-derives the stage-1 and stage-2 partitions with
- * fuse_sites and additionally checks the class-algebra cost contract at
- * both levels — stage-1 merges must never exceed the summed cost of
- * their members, stage-2 union merges never exceed cost_ratio x the
- * summed cost of the stage-1 groups they replaced (exactly the admission
- * bound the look-ahead DP committed to).
- *
- * check_salt_coverage closes the FusionOptions::plan_salt() contract: it
- * mutates every option field and reports any whose change leaves the
- * salt value untouched (a stale salt would alias fused-plan variants in
- * a shared PlanCache). The field list is pinned to the struct layout by
- * a structured-binding decomposition in fusion_audit.cc that fails to
- * compile the moment a field is added to FusionOptions without updating
- * the salt and the mutator list.
+ * fuse_stage1 / fuse_sites and additionally checks the class-algebra cost
+ * contract at both levels — stage-1 merges must never exceed the summed
+ * cost of their members, stage-2 union merges never exceed the summed
+ * cost of the stage-1 groups they replaced (exactly the admission bound
+ * the look-ahead DP committed to).
  */
 #ifndef QDSIM_VERIFY_FUSION_AUDIT_H
 #define QDSIM_VERIFY_FUSION_AUDIT_H
 
-#include <functional>
 #include <span>
 
 #include "qdsim/exec/fusion.h"
@@ -39,15 +30,15 @@ namespace qd::verify {
  *    in the concatenated execution order;
  *  - fusion.fence-span: no op crosses a fence_after boundary in either
  *    direction, and no group spans one internally;
- *  - fusion.cap: multi-wire blocks within the per-class caps;
+ *  - fusion.cap: multi-wire blocks within kFusionMaxBlock;
  *  - fusion.cost-regression: multi-wire merged blocks no costlier than
- *    max(1, cost_ratio) x the summed member costs (single-wire collapses
- *    are exempt, mirroring the builder's documented exemption).
+ *    the summed member costs (single-wire collapses are exempt,
+ *    mirroring the builder's documented exemption).
  */
 void audit_partition(const WireDims& dims, std::span<const Operation> ops,
                      std::span<const std::uint8_t> fence_after,
                      std::span<const exec::FusedGroup> groups,
-                     const exec::FusionOptions& options, Report& report);
+                     Report& report);
 
 /**
  * Re-derives the partition with fuse_sites(dims, ops, fence_after,
@@ -58,18 +49,6 @@ void audit_partition(const WireDims& dims, std::span<const Operation> ops,
 void audit_fusion(const WireDims& dims, std::span<const Operation> ops,
                   std::span<const std::uint8_t> fence_after,
                   const exec::FusionOptions& options, Report& report);
-
-/**
- * Checks that every FusionOptions field reaches the given salt function:
- * mutating any single field from the defaults must change its value.
- * Reports fusion.salt-coverage per missed field; returns the number of
- * covered fields. The overload audits the real plan_salt().
- */
-std::size_t check_salt_coverage(
-    const std::function<Index(const exec::FusionOptions&)>& salt,
-    Report& report);
-
-std::size_t check_salt_coverage(Report& report);
 
 }  // namespace qd::verify
 

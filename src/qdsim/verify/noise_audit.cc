@@ -200,13 +200,15 @@ enforce_noisy(const Circuit& circuit, const noise::NoiseModel& model,
     if (!strict()) {
         return;
     }
-    const std::vector<std::uint8_t> fences =
-        noise::error_fences(noise::enumerate_error_sites(circuit, model));
+    noise::NoisyLayout layout = noise::noisy_layout(
+        circuit, model, noise::enumerate_error_sites(circuit, model),
+        fusion.enabled);
     Options options;
     options.dead_code = false;
     options.allow_nonunitary = true;
     options.fusion = fusion;
-    options.fences = fences;
+    options.fences = std::move(layout.fences);
+    options.order = std::move(layout.order);
     Report report = analyze(circuit, options);
     report.merge(analyze_noise(model, circuit.dims()));
     if (report.has_errors()) {

@@ -52,9 +52,9 @@ void audit_mixed_unitary(const noise::MixedUnitaryChannel& channel,
 
 /**
  * Strict-mode gate for the noisy entry points: no-op unless strict();
- * otherwise runs enforce's circuit analysis with the model's error
- * fences plus analyze_noise on the model, and throws VerificationError
- * on any error finding.
+ * otherwise runs enforce's circuit analysis over the layout the noisy
+ * engine compiles (noise::noisy_layout) plus analyze_noise on the model,
+ * and throws VerificationError on any error finding.
  */
 void enforce_noisy(const Circuit& circuit, const noise::NoiseModel& model,
                    const exec::FusionOptions& fusion = {});

@@ -323,6 +323,23 @@ analyze_core(const WireDims& dims, std::span<const Operation> ops,
                        std::to_string(ops.size()));
         structural_ok = false;
     }
+    if (!options.order.empty()) {
+        std::vector<std::uint8_t> seen(ops.size(), 0);
+        bool permutation = options.order.size() == ops.size();
+        for (const std::uint32_t i : options.order) {
+            permutation = permutation && i < ops.size() && seen[i] == 0;
+            if (!permutation) {
+                break;
+            }
+            seen[i] = 1;
+        }
+        if (!permutation) {
+            report.add("verify.options", Severity::kError, -1,
+                       "op order is not a permutation of the " +
+                           std::to_string(ops.size()) + " ops");
+            structural_ok = false;
+        }
+    }
     return structural_ok;
 }
 
@@ -330,10 +347,32 @@ void
 audit_artifacts(const Circuit& circuit, const Options& options,
                 Report& report)
 {
+    if (!options.order.empty()) {
+        // Audit the laid-out sequence, then name the circuit's ops.
+        Circuit laid_out(circuit.dims());
+        for (const std::uint32_t i : options.order) {
+            const Operation& op = circuit.ops()[i];
+            laid_out.append(op.gate, op.wires);
+        }
+        Options in_order = options;
+        in_order.order.clear();
+        Report positions;
+        audit_artifacts(laid_out, in_order, positions);
+        for (const Finding& f : positions.findings()) {
+            const bool names_op = f.op_index >= 0 &&
+                                  static_cast<std::size_t>(f.op_index) <
+                                      options.order.size();
+            report.add(f.rule, f.severity,
+                       names_op ? options.order[static_cast<std::size_t>(
+                                      f.op_index)]
+                                : f.op_index,
+                       f.message);
+        }
+        return;
+    }
     if (options.fusion_audit) {
         audit_fusion(circuit.dims(), circuit.ops(), options.fences,
                      options.fusion, report);
-        check_salt_coverage(report);
     }
     if (options.plan_audit) {
         const exec::CompiledCircuit compiled(circuit, options.fusion,

@@ -59,6 +59,12 @@ struct Options {
     exec::FusionOptions fusion{};
     /** fence_after flags for the fusion audit (empty or one per op). */
     std::vector<std::uint8_t> fences{};
+    /** Op order the plan and fusion audits see: position p holds op
+     *  order[p] (empty keeps circuit order, else a permutation of the op
+     *  indices). `fences` then index positions, and findings' op_index
+     *  still names circuit ops. The noisy engines compile in such an
+     *  order (noise::noisy_layout). */
+    std::vector<std::uint32_t> order{};
 
     /** Wires that must return to their input value on every qubit-subspace
      *  basis input (clean ancilla enter as |0>; dirty borrows restore any

@@ -9,8 +9,9 @@
  * connection gets a reader thread that decodes frames and admits jobs
  * onto ONE bounded global queue; a fixed-size worker pool pops jobs and
  * runs them through the shared serve::execute facade against the global
- * CompileService — so repeated submissions of the same circuit_hash /
- * plan_salt, from any client, land on the same warm CompiledArtifact.
+ * CompileService — so repeated submissions of the same circuit_hash and
+ * fusion setting, from any client, land on the same warm
+ * CompiledArtifact.
  * Results stream back incrementally the moment each job finishes
  * (workers write the result frame directly; a slow job never blocks
  * another client's results).

@@ -166,7 +166,7 @@ TEST(DensityMatrix, EveryKernelKindMatchesOracleOnMixedRadix) {
 
 TEST(DensityMatrix, FusedGroupMatchesOracleOnMixedRadix) {
     // A fused group compiles like the exact engine compiles it (the
-    // product wrapped in a Gate, plan keyed by the fusion salt) and must
+    // product wrapped in a Gate, plan keyed by kFusedPlanSalt) and must
     // match the oracle applying its members one by one.
     Rng rng(312);
     const WireDims dims({2, 3, 3});
@@ -194,7 +194,7 @@ TEST(DensityMatrix, FusedGroupMatchesOracleOnMixedRadix) {
         DensityMatrix compiled(dims, rho);
         const CompiledSuperOp sop =
             compile_superop(dims, g, group.wires, &compiled.plan_cache(),
-                            fusion.plan_salt());
+                            exec::kFusedPlanSalt);
         EXPECT_EQ(sop.k_conj.kind, sop.k.kind);
         compiled.apply(sop);
         Matrix dense = rho;

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "constructions/gen_toffoli.h"
 #include "noise/density_matrix.h"
 #include "noise/models.h"
 #include "noise/trajectory.h"
@@ -21,6 +22,7 @@
 #include "qdsim/obs/counters.h"
 #include "qdsim/simulator.h"
 #include "qdsim/verify/verify.h"
+#include "serve/run.h"
 
 namespace qd {
 namespace {
@@ -80,7 +82,7 @@ TEST(CompileService, ResubmissionSharesTheArtifact)
     EXPECT_EQ(snap[obs::Counter::kServiceRejects], 0u);
 }
 
-TEST(CompileService, KeyingSeparatesEnginePlanAndNoise)
+TEST(CompileService, KeyingSeparatesEngineFusionAndNoise)
 {
     exec::CompileService service;
     const Circuit circuit = qutrit_workload();
@@ -96,11 +98,35 @@ TEST(CompileService, KeyingSeparatesEnginePlanAndNoise)
     EXPECT_NE(traj.get(), dens.get());
     EXPECT_EQ(service.size(), 3u);
 
-    // A different fusion plan is a different artifact...
-    exec::FusionOptions narrow;
-    narrow.max_block = 9;
-    ASSERT_NE(narrow.plan_salt(), exec::FusionOptions{}.plan_salt());
-    EXPECT_NE(service.compile(circuit, narrow).get(), state.get());
+    // Fusion off is a different artifact for every engine kind...
+    exec::FusionOptions off;
+    off.enabled = false;
+    const auto state_off = service.compile(circuit, off);
+    const auto traj_off =
+        service.compile(circuit, sc, exec::EngineKind::kTrajectory, off);
+    const auto dens_off =
+        service.compile(circuit, sc, exec::EngineKind::kDensity, off);
+    EXPECT_NE(state_off.get(), state.get());
+    EXPECT_NE(traj_off.get(), traj.get());
+    EXPECT_NE(dens_off.get(), dens.get());
+    EXPECT_EQ(service.size(), 6u);
+    // ...and every resubmission hits its own artifact.
+    EXPECT_EQ(service.compile(circuit).get(), state.get());
+    EXPECT_EQ(service.compile(circuit, off).get(), state_off.get());
+    EXPECT_EQ(
+        service.compile(circuit, sc, exec::EngineKind::kTrajectory).get(),
+        traj.get());
+    EXPECT_EQ(service.compile(circuit, sc, exec::EngineKind::kTrajectory,
+                              off)
+                  .get(),
+              traj_off.get());
+    EXPECT_EQ(
+        service.compile(circuit, sc, exec::EngineKind::kDensity).get(),
+        dens.get());
+    EXPECT_EQ(
+        service.compile(circuit, sc, exec::EngineKind::kDensity, off).get(),
+        dens_off.get());
+    EXPECT_EQ(service.size(), 6u);
 
     // ...and so is a different noise model.
     EXPECT_NE(
@@ -127,13 +153,13 @@ TEST(CompileService, ArtifactRecordsItsKeyAndPayload)
     exec::CompileService service;
     const Circuit circuit = qutrit_workload();
     exec::FusionOptions fusion;
-    fusion.max_block = 9;
+    fusion.enabled = false;
     const noise::NoiseModel model = noise::sc();
 
     const auto state = service.compile(circuit, fusion);
     EXPECT_EQ(state->engine, exec::EngineKind::kState);
     EXPECT_EQ(state->circuit_hash, ir::circuit_hash(circuit));
-    EXPECT_EQ(state->plan_salt, fusion.plan_salt());
+    EXPECT_FALSE(state->fusion.enabled);
     EXPECT_EQ(state->noise_hash, 0u);
     EXPECT_NE(state->state, nullptr);
     EXPECT_EQ(state->trajectory, nullptr);
@@ -149,6 +175,72 @@ TEST(CompileService, ArtifactRecordsItsKeyAndPayload)
     const auto dens = service.compile(circuit, model,
                                       exec::EngineKind::kDensity, fusion);
     EXPECT_NE(dens->density, nullptr);
+}
+
+TEST(CompileService, QdjFusionFlagKeysTwoArtifacts)
+{
+    // The .qdj "fusion" bool is the one fusion setting a job carries: the
+    // same job with it off and on lands in two cache entries, and each
+    // resubmission hits its own.
+    exec::CompileService service;
+    ir::Job job;
+    job.name = "fusion-key";
+    job.engine = "state";
+    job.circuit = qutrit_workload();
+    job.fusion = false;
+    const std::string unfused = ir::to_qdj(job);
+    job.fusion = true;
+    const std::string fused = ir::to_qdj(job);
+    for (const std::string& text : {unfused, fused}) {
+        const serve::RunResult r =
+            serve::execute(serve::RunRequest::from_qdj(text), service);
+        ASSERT_TRUE(r.ok()) << r.message;
+        EXPECT_FALSE(r.warm);
+    }
+    EXPECT_EQ(service.size(), 2u);
+    for (const std::string& text : {unfused, fused}) {
+        const serve::RunResult r =
+            serve::execute(serve::RunRequest::from_qdj(text), service);
+        ASSERT_TRUE(r.ok()) << r.message;
+        EXPECT_TRUE(r.warm);
+    }
+    EXPECT_EQ(service.size(), 2u);
+}
+
+TEST(CompileService, AdmissionAuditsTheNoisyPartitionTheEngineCompiles)
+{
+    // Admission must audit the partition the trajectory engine compiles:
+    // under idle noise (SC) the ASAP-moment layout whose moments merge
+    // into moment kernels, without it (TI_QUBIT) circuit order fenced by
+    // the gate errors. Every fuse_sites call counts its ops in and blocks
+    // out, so each partition the audit derives is compared block for
+    // block with the engine's noisy compile.
+    const Circuit circuit =
+        ctor::build_gen_toffoli(ctor::Method::kQubitNoAncilla, 7).circuit;
+    const std::uint64_t n = circuit.num_ops();
+    const std::uint64_t ideal =
+        exec::CompiledCircuit(circuit, exec::FusionOptions{}).num_ops();
+    for (const noise::NoiseModel& model :
+         {noise::sc(), noise::ti_qubit()}) {
+        ScopedObs obs;
+        const noise::TrajectoryCompilation engine(circuit, model);
+        auto snap = obs::counters_snapshot();
+        ASSERT_EQ(snap[obs::Counter::kFusionOpsIn], 2 * n)
+            << "ideal + noisy compile";
+        const std::uint64_t noisy =
+            snap[obs::Counter::kFusionBlocksOut] - ideal;
+        if (model.has_damping()) {
+            EXPECT_LT(noisy, n) << "no moment kernel merged";
+        }
+        obs::reset_counters();
+        (void)exec::CompileService::admission_report(circuit, model);
+        snap = obs::counters_snapshot();
+        const std::uint64_t passes = snap[obs::Counter::kFusionOpsIn] / n;
+        ASSERT_GE(passes, 1u);
+        ASSERT_EQ(snap[obs::Counter::kFusionOpsIn], passes * n);
+        EXPECT_EQ(snap[obs::Counter::kFusionBlocksOut], passes * noisy)
+            << model.name;
+    }
 }
 
 TEST(CompileService, LruEvictionPastCapacity)

@@ -23,6 +23,7 @@
 #include "qdsim/exec/batched_state.h"
 #include "qdsim/exec/compiled_circuit.h"
 #include "qdsim/gate_library.h"
+#include "qdsim/obs/counters.h"
 #include "qdsim/random_state.h"
 #include "qdsim/simulator.h"
 
@@ -323,16 +324,14 @@ TEST(Fusion, KernelClassAlgebraKeepsFastPaths) {
 
 TEST(Fusion, DependencyAdjacencySlidesPastDisjointOps) {
     // T(0) ... X(2) ... CNOT(1,0): the X on wire 2 commutes with both, so
-    // T and CNOT still fuse across it. cost_model off pins the stage-1
+    // T and CNOT still fuse across it. fuse_stage1 pins the stage-1
     // partition (stage 2 would go on to union-merge the two groups).
     const WireDims dims({2, 2, 2});
     Circuit c(dims);
     c.append(gates::T(), {0});
     c.append(gates::X(), {2});
     c.append(gates::CNOT(), {1, 0});
-    FusionOptions stage1;
-    stage1.cost_model = false;
-    const auto groups = exec::fuse_sites(dims, c.ops(), {}, stage1);
+    const auto groups = exec::fuse_stage1(dims, c.ops(), {});
     ASSERT_EQ(groups.size(), 2u);
     EXPECT_EQ(groups[0].members, (std::vector<std::uint32_t>{0, 2}));
     EXPECT_EQ(groups[1].members, (std::vector<std::uint32_t>{1}));
@@ -353,20 +352,39 @@ TEST(Fusion, ExistingDenseBlocksAbsorbNestedOps) {
 TEST(Fusion, CostCapBoundsEveryMultiWireMerge) {
     // The cap bounds the block of every multi-wire merge — a merged
     // group pays O(block^3) matrix-product compile cost per member
-    // whatever its runtime kernel, so neither dense growth nor riding
-    // along in an over-cap block is allowed.
+    // whatever its runtime kernel, so neither union growth past the cap
+    // nor riding along in an over-cap block is allowed.
     Rng rng(406);
-    const WireDims dims({3, 3, 3});
+    const WireDims dims = WireDims::uniform(4, 3);
     Circuit c(dims);
+    // Controlled shifts on overlapping pairs: their permutation union
+    // would reach all four qutrits (an 81-entry block).
+    c.append(gates::Xplus1().controlled(3, 1), {0, 1});
+    c.append(gates::Xplus1().controlled(3, 2), {1, 2});
+    c.append(gates::Xplus1().controlled(3, 1), {2, 3});
+    // An 81-entry dense block, then a nested op that may not ride along.
+    c.append(Gate("rand", {3, 3, 3, 3}, random_unitaryish(81, rng)),
+             {0, 1, 2, 3});
     c.append(gates::X01(), {1});
-    c.append(Gate("rand", {3, 3}, random_unitaryish(9, rng)), {0, 1});
-    c.append(gates::X01(), {1});
-    FusionOptions capped;
-    capped.max_block = 8;  // below the 9-entry two-qutrit block
-    const CompiledCircuit blocked(c, capped);
-    EXPECT_EQ(blocked.num_ops(), 3u);
+    const bool was = obs::enabled();
+    obs::set_enabled(true);
+    obs::reset_counters();
     const CompiledCircuit fused(c, FusionOptions{});
-    EXPECT_EQ(fused.num_ops(), 1u);
+    const std::uint64_t truncations =
+        obs::counters_snapshot()[obs::Counter::kFusionCapTruncations];
+    obs::set_enabled(was);
+#if QD_OBS_BUILD
+    EXPECT_GT(truncations, 0u);
+#else
+    static_cast<void>(truncations);
+#endif
+    for (const auto& op : fused.ops()) {
+        if (op.source_ops.size() > 1) {
+            EXPECT_LE(op.gate.block_size(), exec::kFusionMaxBlock);
+        }
+    }
+    EXPECT_LT(fused.num_ops(), c.num_ops()) << "no in-cap union formed";
+    EXPECT_LE(fused_unfused_deviation(c, FusionOptions{}, rng), 1e-12);
 }
 
 TEST(Fusion, NestedLightChainsStayCompileBounded) {
@@ -386,11 +404,10 @@ TEST(Fusion, NestedLightChainsStayCompileBounded) {
                                        std::vector<int>(wires.size() - 1, 1)),
                  wires);
     }
-    const FusionOptions options;
-    const CompiledCircuit fused(c, options);  // must return promptly
+    const CompiledCircuit fused(c, FusionOptions{});  // must return promptly
     for (const auto& op : fused.ops()) {
         if (op.source_ops.size() > 1) {
-            EXPECT_LE(op.gate.block_size(), options.max_block);
+            EXPECT_LE(op.gate.block_size(), exec::kFusionMaxBlock);
         }
     }
     EXPECT_EQ(fused.num_source_ops(), c.num_ops());
@@ -441,11 +458,11 @@ TEST(Fusion, DisabledFusionMatchesPlainCompilationBitwise) {
     }
 }
 
-TEST(Fusion, PlanCacheSaltSeparatesFusionCapVariants) {
-    // Regression: fused-group plans are cached under the fusion cap as
-    // salt. A shared cache serving compilations with different caps (the
-    // cap is runtime-toggleable) must never alias their plan variants,
-    // and salted entries must not shadow the plain (salt-0) geometry.
+TEST(Fusion, PlanCacheSaltSeparatesPlanVariants) {
+    // Fused-group plans are cached under kFusedPlanSalt. A shared cache
+    // must never alias plan variants of different salts, and salted
+    // entries must not shadow the plain (salt-0) geometry.
+    ASSERT_NE(exec::kFusedPlanSalt, 0u);
     const WireDims dims({3, 3, 3});
     exec::PlanCache cache(dims);
     const std::vector<int> wires = {0, 2};
@@ -466,19 +483,19 @@ TEST(Fusion, PlanCacheSaltSeparatesFusionCapVariants) {
     EXPECT_NE(cache2.get(wires), cap9);
 }
 
-TEST(Fusion, SharedCacheAcrossDifferentCapsStaysCorrect) {
-    // Toggling the fusion cap at runtime against one shared PlanCache
-    // must keep every compilation correct (regression for stale-plan
-    // aliasing across fusion settings).
+TEST(Fusion, SharedCacheAcrossFusionOnAndOffStaysCorrect) {
+    // Fused and unfused compilations against one shared PlanCache must
+    // both stay correct (regression for stale-plan aliasing between the
+    // fused and per-op plan variants).
     Rng rng(409);
     const WireDims dims({3, 3, 3});
     const Circuit c = random_circuit(dims, 40, rng, false);
     exec::PlanCache cache(dims);
-    FusionOptions a;  // default cap
-    FusionOptions b;
-    b.max_block = 3;
-    const CompiledCircuit fa(c, a, {}, &cache);
-    const CompiledCircuit fb(c, b, {}, &cache);
+    FusionOptions off;
+    off.enabled = false;
+    const CompiledCircuit fa(c, FusionOptions{}, {}, &cache);
+    const CompiledCircuit fb(c, off, {}, &cache);
+    ASSERT_LT(fa.num_ops(), fb.num_ops());
     const CompiledCircuit plain(c);
     StateVector ra = haar_random_state(dims, rng);
     StateVector rb = ra, rp = ra;
@@ -492,12 +509,12 @@ TEST(Fusion, SharedCacheAcrossDifferentCapsStaysCorrect) {
 }
 
 /** Estimated per-pass cost (exec::estimate_block_cost totals) of running
- *  the whole partition fuse_sites produces under `options`. */
+ *  the partition `groups` of `c`. */
 std::uint64_t
-estimated_partition_cost(const Circuit& c, const FusionOptions& options)
+estimated_partition_cost(const Circuit& c,
+                         const std::vector<FusedGroup>& groups)
 {
     const WireDims& dims = c.dims();
-    const auto groups = exec::fuse_sites(dims, c.ops(), {}, options);
     std::uint64_t total = 0;
     for (const auto& g : groups) {
         if (g.members.size() == 1) {
@@ -597,7 +614,7 @@ TEST(Fusion, OverlappingPermutationUnionStaysBitwise) {
 TEST(Fusion, OverlapFusionMatchesOnDensityEngine) {
     // Random mixed-radix circuits (naturally overlapping operand pairs)
     // through the density-matrix engine: union fusion on the superop
-    // path must agree with stage-1-only and fully-unfused compilations.
+    // path must agree with the fully-unfused compilation.
     Rng rng(503);
     const WireDims dims({3, 2, 3});
     const Circuit c = random_circuit(dims, 25, rng, false);
@@ -608,16 +625,12 @@ TEST(Fusion, OverlapFusionMatchesOnDensityEngine) {
     m.dt_1q = 100e-9;
     m.dt_2q = 300e-9;
     const StateVector init = haar_random_state(dims, rng);
-    FusionOptions stage1;
-    stage1.cost_model = false;
     FusionOptions off;
     off.enabled = false;
     const Real full =
         noise::density_matrix_fidelity(c, m, init, FusionOptions{});
-    const Real s1 = noise::density_matrix_fidelity(c, m, init, stage1);
     const Real ref = noise::density_matrix_fidelity(c, m, init, off);
     EXPECT_NEAR(full, ref, 1e-10);
-    EXPECT_NEAR(s1, ref, 1e-10);
 }
 
 TEST(Fusion, OverlapFusionPreservesTrajectoryPerTrialFidelities) {
@@ -661,9 +674,9 @@ TEST(Fusion, OverlapFusionPreservesTrajectoryPerTrialFidelities) {
 
 TEST(Fusion, CostModelNeverIncreasesEstimatedCost) {
     // The model only accepts a union whose estimated pass cost is within
-    // cost_ratio of the summed parts, so at any ratio <= 1 the stage-2
-    // partition can never cost more than the stage-1 one, and raising
-    // the acceptance threshold toward 1 never increases the total.
+    // the summed cost of its parts, and leaving every stage-1 group
+    // unmerged is one partition the DP may pick, so the stage-2 partition
+    // can never cost more than the stage-1 one.
     Rng rng(504);
     const std::vector<std::vector<int>> registers = {
         {3, 3, 3}, {2, 3, 2}, {3, 2, 2, 3}};
@@ -671,80 +684,19 @@ TEST(Fusion, CostModelNeverIncreasesEstimatedCost) {
         const WireDims dims(reg);
         for (int rep = 0; rep < 3; ++rep) {
             const Circuit c = random_circuit(dims, 40, rng, false);
-            FusionOptions off;
-            off.cost_model = false;
-            const std::uint64_t base = estimated_partition_cost(c, off);
-            std::uint64_t prev = base;
-            for (const double ratio : {0.25, 0.5, 1.0}) {
-                FusionOptions on;
-                on.cost_ratio = ratio;
-                const std::uint64_t cost = estimated_partition_cost(c, on);
-                EXPECT_LE(cost, base) << "ratio " << ratio;
-                EXPECT_LE(cost, prev) << "ratio " << ratio;
-                prev = cost;
-            }
+            EXPECT_LE(estimated_partition_cost(
+                          c, exec::fuse_sites(dims, c.ops(), {}, {})),
+                      estimated_partition_cost(
+                          c, exec::fuse_stage1(dims, c.ops(), {})));
         }
     }
     // The decomposed tree node shows a strict win.
     const auto tree = ctor::build_gen_toffoli(ctor::Method::kQutrit, 2);
-    FusionOptions off;
-    off.cost_model = false;
-    EXPECT_LT(estimated_partition_cost(tree.circuit, FusionOptions{}),
-              estimated_partition_cost(tree.circuit, off));
-}
-
-TEST(Fusion, PlanSaltSeparatesEveryOptionField) {
-    // Regression for the PlanCache salt contract: every FusionOptions
-    // field folds into plan_salt(), so toggling ANY knob at runtime on a
-    // shared cache yields a distinct salt (no plan-variant aliasing).
-    std::vector<FusionOptions> variants(8);
-    variants[1].enabled = false;
-    variants[2].max_block = 9;
-    variants[3].cost_model = false;
-    variants[4].cost_ratio = 0.5;
-    variants[5].max_block_light = 81;
-    variants[6].max_block_controlled = 9;
-    variants[7].max_block_dense = 9;
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-        for (std::size_t j = i + 1; j < variants.size(); ++j) {
-            EXPECT_NE(variants[i].plan_salt(), variants[j].plan_salt())
-                << "variants " << i << " and " << j << " alias";
-        }
-    }
-    EXPECT_EQ(FusionOptions{}.plan_salt(), FusionOptions{}.plan_salt());
-    EXPECT_NE(FusionOptions{}.plan_salt(), 0u)
-        << "default salt must not collide with the unfused salt 0";
-}
-
-TEST(Fusion, SharedCacheAcrossCostModelVariantsStaysCorrect) {
-    // Toggling the stage-2 knobs at runtime against one shared PlanCache
-    // must keep every compilation correct (stale-plan aliasing
-    // regression for the new option fields).
-    Rng rng(505);
-    const WireDims dims({3, 3, 3});
-    const Circuit c = random_circuit(dims, 40, rng, false);
-    exec::PlanCache cache(dims);
-    FusionOptions a;  // cost model on, defaults
-    FusionOptions b;
-    b.cost_model = false;
-    FusionOptions d;
-    d.cost_ratio = 2.0;
-    d.max_block_light = 81;
-    const CompiledCircuit fa(c, a, {}, &cache);
-    const CompiledCircuit fb(c, b, {}, &cache);
-    const CompiledCircuit fd(c, d, {}, &cache);
-    const CompiledCircuit plain(c);
-    StateVector ra = haar_random_state(dims, rng);
-    StateVector rb = ra, rd = ra, rp = ra;
-    fa.run(ra);
-    fb.run(rb);
-    fd.run(rd);
-    plain.run(rp);
-    for (Index i = 0; i < rp.size(); ++i) {
-        EXPECT_NEAR(std::abs(ra[i] - rp[i]), 0.0, 1e-12);
-        EXPECT_NEAR(std::abs(rb[i] - rp[i]), 0.0, 1e-12);
-        EXPECT_NEAR(std::abs(rd[i] - rp[i]), 0.0, 1e-12);
-    }
+    const Circuit& c = tree.circuit;
+    EXPECT_LT(estimated_partition_cost(
+                  c, exec::fuse_sites(c.dims(), c.ops(), {}, {})),
+              estimated_partition_cost(
+                  c, exec::fuse_stage1(c.dims(), c.ops(), {})));
 }
 
 TEST(Fusion, UnionPartitionsRespectFences) {
@@ -773,26 +725,6 @@ TEST(Fusion, UnionPartitionsRespectFences) {
                                          FusionOptions{});
     expect_valid_partition(tree.circuit, groups, fences);
     ASSERT_GE(groups.size(), 2u);
-}
-
-TEST(Fusion, PerClassCapsGateTheirOwnClasses) {
-    // max_block_light below the union block forbids the permutation
-    // union; inheriting (0) allows it. The dense cap does not gate a
-    // light merge.
-    const WireDims dims({3, 3, 3});
-    Circuit c(dims);
-    c.append(gates::Xplus1().controlled(3, 1), {0, 1});
-    c.append(gates::Xplus1().controlled(3, 2), {1, 2});
-    FusionOptions tight;
-    tight.max_block_light = 9;  // union needs 27
-    EXPECT_EQ(exec::fuse_sites(dims, c.ops(), {}, tight).size(), 2u);
-    FusionOptions dense_tight;
-    dense_tight.max_block_dense = 9;
-    EXPECT_EQ(exec::fuse_sites(dims, c.ops(), {}, dense_tight).size(), 1u);
-    FusionOptions wide;
-    wide.max_block = 9;
-    wide.max_block_light = 27;  // light class may exceed the global cap
-    EXPECT_EQ(exec::fuse_sites(dims, c.ops(), {}, wide).size(), 1u);
 }
 
 TEST(Fusion, MonomialKernelMatchesReference) {

@@ -3,9 +3,9 @@
  * legality rule fires on a malformed construct built for it, the whole
  * construction corpus reports zero findings (the regression tests for the
  * dead-code fixes the analyzers surfaced), compiled artifacts audit clean
- * across the fusion option grid while corrupted artifacts are caught, the
- * plan_salt coverage contract holds, and strict mode round-trips the
- * state-vector, trajectory/batched, and density-matrix engines.
+ * with fusion on and off while corrupted artifacts are caught, and strict
+ * mode round-trips the state-vector, trajectory/batched, and
+ * density-matrix engines.
  */
 #include "qdsim/verify/verify.h"
 
@@ -264,14 +264,9 @@ TEST(VerifyPlan, KernelClassAndControlledMaskMismatchesAreCaught) {
 
 // --------------------------------------------------------- fusion audit
 
-TEST(VerifyFusion, BuilderPartitionsAuditCleanAcrossOptionGrid) {
+TEST(VerifyFusion, BuilderPartitionsAuditCleanWithFusionOnAndOff) {
     const Circuit c = small_mixed_circuit();
-    std::vector<exec::FusionOptions> grid;
-    grid.push_back({});
-    grid.push_back({.enabled = false});
-    grid.push_back({.cost_model = false});
-    grid.push_back({.max_block = 9, .cost_ratio = 0.5});
-    grid.push_back({.max_block_light = 27, .max_block_dense = 9});
+    const std::vector<exec::FusionOptions> grid = {{}, {.enabled = false}};
     const std::vector<std::uint8_t> no_fences;
     std::vector<std::uint8_t> fences(c.num_ops(), 0);
     fences[2] = 1;
@@ -295,7 +290,7 @@ TEST(VerifyFusion, SeededPartitionViolationsAreCaught) {
         const std::vector<exec::FusedGroup> groups = {{{0}, {0, 1}},
                                                       {{1}, {2}}};
         Report r;
-        verify::audit_partition(dims, ops, fences, groups, {}, r);
+        verify::audit_partition(dims, ops, fences, groups, r);
         EXPECT_TRUE(r.has_rule("fusion.fence-span")) << r.to_string();
     }
     {
@@ -304,7 +299,7 @@ TEST(VerifyFusion, SeededPartitionViolationsAreCaught) {
                                                       {{0}, {0}},
                                                       {{1}, {2}}};
         Report r;
-        verify::audit_partition(dims, ops, {}, groups, {}, r);
+        verify::audit_partition(dims, ops, {}, groups, r);
         EXPECT_TRUE(r.has_rule("fusion.commute")) << r.to_string();
     }
     {
@@ -312,25 +307,26 @@ TEST(VerifyFusion, SeededPartitionViolationsAreCaught) {
         const std::vector<exec::FusedGroup> groups = {{{0}, {0}},
                                                       {{1}, {2}}};
         Report r;
-        verify::audit_partition(dims, ops, {}, groups, {}, r);
+        verify::audit_partition(dims, ops, {}, groups, r);
         EXPECT_TRUE(r.has_rule("fusion.cover")) << r.to_string();
     }
 }
 
-TEST(VerifyFusion, SaltCoversEveryOptionField) {
-    Report real;
-    EXPECT_EQ(verify::check_salt_coverage(real), 7u);
-    EXPECT_TRUE(real.clean()) << real.to_string();
-
-    Report crippled;
-    verify::check_salt_coverage(
-        [](const exec::FusionOptions& o) {
-            return Index{o.enabled} * 2 + Index{o.cost_model};
-        },
-        crippled);
-    EXPECT_TRUE(crippled.has_rule("fusion.salt-coverage"));
-    EXPECT_EQ(crippled.count(Severity::kError), 5u)
-        << crippled.to_string();
+TEST(VerifyFusion, AuditOrderMustBeAPermutation) {
+    // Ops 0 and 1 act on disjoint wires, so swapping them lays out the
+    // same circuit: the artifact audits run over the reordered sequence
+    // (fences indexing its positions) and stay clean.
+    const Circuit c = small_mixed_circuit();
+    verify::Options options;
+    options.dead_code = false;
+    options.order = {1, 0, 2, 3, 4};
+    options.fences = {0, 1, 0, 0, 1};
+    EXPECT_TRUE(verify::analyze(c, options).clean());
+    options.order = {1, 0, 2, 2, 3};  // op 4 missing, op 2 twice
+    const Report bad = verify::analyze(c, options);
+    EXPECT_TRUE(bad.has_rule("verify.options")) << bad.to_string();
+    options.order = {0, 1};  // wrong length
+    EXPECT_TRUE(verify::analyze(c, options).has_rule("verify.options"));
 }
 
 // ----------------------------------------------------------- noise audit

@@ -10,7 +10,7 @@
  *                           any .qdj files through the CompileService's
  *                           untrusted-IR admission gate (the exact path
  *                           qd_run admits jobs through)
- *   qd_lint --all           corpus + noise + salt coverage + self-test
+ *   qd_lint --all           corpus + noise + self-test
  *   qd_lint --self-test     seed known-bad artifacts, require detection
  *   qd_lint --classify      add per-gate classification info findings
  *   qd_lint --json FILE     write the combined report as JSON
@@ -335,31 +335,22 @@ build_seeds()
         const std::vector<std::uint8_t> fences = {1, 0};
         const std::vector<qd::exec::FusedGroup> groups = {{{0}, {0, 1}}};
         Report report;
-        qd::verify::audit_partition(dims, ops, fences, groups, {}, report);
-        return report;
-    }});
-    seeds.push_back({"salt-incomplete options", "fusion.salt-coverage", [=] {
-        Report report;
-        // A salt that forgets max_block: coverage must flag that field.
-        qd::verify::check_salt_coverage(
-            [](const qd::exec::FusionOptions& o) {
-                return Index{o.enabled} * 2 + Index{o.cost_model};
-            },
-            report);
+        qd::verify::audit_partition(dims, ops, fences, groups, report);
         return report;
     }});
     seeds.push_back({"cap-violating fused block", "fusion.cap", [=] {
-        const WireDims dims = WireDims::uniform(3, 2);
-        const std::vector<Operation> ops = {{qd::gates::X(), {0}},
-                                            {qd::gates::X(), {1}},
-                                            {qd::gates::X(), {2}}};
-        const std::vector<qd::exec::FusedGroup> groups = {
-            {{0, 1, 2}, {0, 1, 2}}};
-        qd::exec::FusionOptions options;
-        options.max_block = 4;  // block size 8 exceeds the cap
+        // Five qubits: block size 32 exceeds the 27-entry cap.
+        const WireDims dims = WireDims::uniform(5, 2);
+        std::vector<Operation> ops;
+        qd::exec::FusedGroup group;
+        for (int w = 0; w < 5; ++w) {
+            ops.push_back({qd::gates::X(), {w}});
+            group.wires.push_back(w);
+            group.members.push_back(static_cast<std::uint32_t>(w));
+        }
         Report report;
-        qd::verify::audit_partition(dims, ops, {}, groups, options,
-                                    report);
+        const std::vector<qd::exec::FusedGroup> groups = {group};
+        qd::verify::audit_partition(dims, ops, {}, groups, report);
         return report;
     }});
     seeds.push_back({"commute-violating reorder", "fusion.commute", [=] {
@@ -369,7 +360,7 @@ build_seeds()
         const std::vector<qd::exec::FusedGroup> groups = {{{0}, {1}},
                                                           {{0}, {0}}};
         Report report;
-        qd::verify::audit_partition(dims, ops, {}, groups, {}, report);
+        qd::verify::audit_partition(dims, ops, {}, groups, report);
         return report;
     }});
     return seeds;
@@ -412,7 +403,6 @@ main(int argc, char** argv)
 {
     bool classify = false;
     bool self_test = false;
-    bool everything = false;
     bool list_only = false;
     std::string json_path;
     std::vector<std::string> qdj_files;
@@ -420,10 +410,8 @@ main(int argc, char** argv)
         const std::string_view arg = argv[i];
         if (arg == "--classify") {
             classify = true;
-        } else if (arg == "--self-test") {
+        } else if (arg == "--self-test" || arg == "--all") {
             self_test = true;
-        } else if (arg == "--all") {
-            everything = true;
         } else if (arg == "--list") {
             list_only = true;
         } else if (arg == "--json" && i + 1 < argc) {
@@ -486,16 +474,8 @@ main(int argc, char** argv)
         text << in.rdbuf();
         record("qdj/" + file, lint_qdj(text.str()));
     }
-    if (everything) {
-        Report salt;
-        const std::size_t covered = qd::verify::check_salt_coverage(salt);
-        std::printf("%-34s %zu field(s) salted\n", "fusion/plan-salt",
-                    covered);
-        record("fusion/plan-salt", salt);
-    }
-
     int self_test_failures = 0;
-    if (self_test || everything) {
+    if (self_test) {
         std::puts("self-test: seeded defects must be detected");
         self_test_failures = run_self_test();
     }
