@@ -1,5 +1,6 @@
 #include "constructions/qubit_toffoli.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "qdsim/eigen.h"
@@ -24,14 +25,26 @@ cu(Circuit& c, int ctrl, int tgt, const Gate& u)
 }
 
 /**
+ * The square root V of the level-`level` operator u = root^(2^-level) of
+ * the sqrt recursion, named u.name() + "^1/2". V is taken from `root`
+ * directly, root^(2^-(level+1)): rooting the previous root again
+ * compounds the eigendecomposition error of nearly degenerate
+ * eigenvalues, and at 11 controls it left gates visibly non-unitary.
+ */
+Gate
+half_root(const Gate& u, const Matrix& root, int level)
+{
+    return gates::from_matrix(u.name() + "^1/2", u.dims(),
+                              unitary_power(root, std::ldexp(1.0, -level - 1)));
+}
+
+/**
  * CC(U) with 5 two-qubit gates (Barenco Lemma 6.1):
  * CV(b,t) CNOT(a,b) CV+(b,t) CNOT(a,b) CV(a,t), V = sqrt(U).
  */
 void
-ccu_5gate(Circuit& c, int a, int b, int t, const Gate& u)
+ccu_5gate(Circuit& c, int a, int b, int t, const Gate& v)
 {
-    const Matrix v_m = unitary_power(u.matrix(), 0.5);
-    const Gate v = gates::from_matrix(u.name() + "^1/2", u.dims(), v_m);
     const Gate v_dag = v.inverse();
     cu(c, b, t, v);
     cnot(c, a, b);
@@ -157,11 +170,15 @@ append_mcx_single_borrow(Circuit& circuit, const std::vector<int>& controls,
     append_mcx_vchain(circuit, cb_plus, target, ca, options);
 }
 
+namespace {
+
+/** append_mcu_no_ancilla at recursion depth `level`: u is
+ *  root^(2^-level). */
 void
-append_mcu_no_ancilla(Circuit& circuit, const std::vector<int>& controls,
-                      int target, const Gate& u,
-                      const QubitDecompOptions& options,
-                      const std::vector<int>& extra_borrows)
+mcu_no_ancilla(Circuit& circuit, const std::vector<int>& controls,
+               int target, const Gate& u, const Matrix& root, int level,
+               const QubitDecompOptions& options,
+               const std::vector<int>& extra_borrows)
 {
     const std::size_t n = controls.size();
     if (n == 0) {
@@ -178,7 +195,8 @@ append_mcu_no_ancilla(Circuit& circuit, const std::vector<int>& controls,
             append_toffoli(circuit, controls[0], controls[1], target,
                            options);
         } else {
-            ccu_5gate(circuit, controls[0], controls[1], target, u);
+            ccu_5gate(circuit, controls[0], controls[1], target,
+                      half_root(u, root, level));
         }
         return;
     }
@@ -186,8 +204,7 @@ append_mcu_no_ancilla(Circuit& circuit, const std::vector<int>& controls,
     const int pivot = controls[n - 1];
     const std::vector<int> rest(controls.begin(), controls.end() - 1);
 
-    const Matrix v_m = unitary_power(u.matrix(), 0.5);
-    const Gate v = gates::from_matrix(u.name() + "^1/2", u.dims(), v_m);
+    const Gate v = half_root(u, root, level);
     const Gate v_dag = v.inverse();
 
     // Borrow pool for the inner multi-controlled NOTs: the target plus any
@@ -213,7 +230,20 @@ append_mcu_no_ancilla(Circuit& circuit, const std::vector<int>& controls,
 
     std::vector<int> deeper = extra_borrows;
     deeper.push_back(pivot);
-    append_mcu_no_ancilla(circuit, rest, target, v, options, deeper);
+    mcu_no_ancilla(circuit, rest, target, v, root, level + 1, options,
+                   deeper);
+}
+
+}  // namespace
+
+void
+append_mcu_no_ancilla(Circuit& circuit, const std::vector<int>& controls,
+                      int target, const Gate& u,
+                      const QubitDecompOptions& options,
+                      const std::vector<int>& extra_borrows)
+{
+    mcu_no_ancilla(circuit, controls, target, u, u.matrix(), 0, options,
+                   extra_borrows);
 }
 
 }  // namespace qd::ctor

@@ -396,8 +396,8 @@ fused_rare_branch(StateVector& psi, const NoiseModel& model, Real dt,
 
 // --------------------------------------------------------------------------
 // The engine: B trajectory lanes advance through one compiled-circuit pass
-// (B = 1 for a single trajectory). Shared, deterministic work (gates,
-// no-jump scaling, dephasing) runs on all lanes at once; divergent
+// (B = 1 for a single trajectory). Shared work (gates, no-jump scaling,
+// dephasing angles) runs on all lanes at once; divergent
 // per-lane events (gate-error draws, damping jumps, the fused rare branch)
 // extract the lane, run the StateVector code above, and write the lane
 // back — which is what keeps every lane's result a function of its own RNG
@@ -421,11 +421,20 @@ fused_rare_branch(StateVector& psi, const NoiseModel& model, Real dt,
 // last fold) nears underflow, and the final fidelity divides by the
 // lane's norm.
 //
+// Coherent dephasing runs in a phase frame (exec::BatchedStateVector::
+// phase_frame): a dephased moment draws its per-(lane, wire) angles as
+// before and only adds them to the frame's n x B angles; the gate kernels
+// conjugate each op by the phases of its own wires, and the final
+// fidelity applies the frame. The lane accessors see the true state, so
+// gate errors, the rare branch and the sequential damping engine run
+// unchanged, and every draw happens in the order an engine that kicks the
+// lanes each moment would take it.
+//
 // Determinism: results are bitwise independent of the batch width and of
-// the thread count. Without fused damping there is no frame, so results
-// are bitwise those of an engine that normalises every moment; with it,
-// the frame and the deferred normalisation move per-trial fidelities by
-// rounding only (within 1e-12, tested).
+// the thread count. Without fused damping or dephasing there is no frame,
+// so results are bitwise those of an engine that normalises and dephases
+// every moment; with them, the frames and the deferred normalisation move
+// per-trial fidelities by rounding only (within 1e-12, tested).
 // --------------------------------------------------------------------------
 
 /** One gate error drawn for one lane: the lane and the unitary it takes. */
@@ -647,37 +656,23 @@ apply_idle_damping_sequential_batched(exec::BatchedStateVector& psi,
     }
 }
 
-/** Reusable per-batch buffers of the dephasing kick: factors[lane][wire],
- *  sized on first use and refilled in place after that (avoids a handful
- *  of heap allocations per moment). */
-using DephasingFactors = std::vector<std::vector<std::vector<Complex>>>;
-
-/** Batched coherent dephasing kick: per-lane per-wire phase walks fused
- *  into one product-diagonal pass over all lanes. */
+/** Coherent dephasing kick of one moment, carried in the batch's phase
+ *  frame: lane j draws one angle per wire, in wire order, and each wire's
+ *  frame angle grows by it. No amplitude is touched. */
 void
 apply_idle_dephasing_batched(exec::BatchedStateVector& psi,
                              const NoiseModel& model, Real dt,
-                             std::vector<Rng>& rngs,
-                             DephasingFactors& factors)
+                             std::vector<Rng>& rngs)
 {
-    const WireDims& dims = psi.dims();
-    const int lanes = psi.lanes();
+    const std::size_t B = static_cast<std::size_t>(psi.lanes());
+    const std::size_t n = static_cast<std::size_t>(psi.dims().num_wires());
     const Real s = model.dephasing_sigma * std::sqrt(dt);
-    factors.resize(static_cast<std::size_t>(lanes));
-    for (int j = 0; j < lanes; ++j) {
-        auto& lane_factors = factors[static_cast<std::size_t>(j)];
-        lane_factors.resize(static_cast<std::size_t>(dims.num_wires()));
-        for (int w = 0; w < dims.num_wires(); ++w) {
-            const Real theta = rngs[static_cast<std::size_t>(j)].gaussian() * s;
-            auto& f = lane_factors[static_cast<std::size_t>(w)];
-            f.resize(static_cast<std::size_t>(dims.dim(w)));
-            for (int m = 0; m < dims.dim(w); ++m) {
-                f[static_cast<std::size_t>(m)] =
-                    std::polar(1.0, static_cast<Real>(m) * theta);
-            }
+    Real* theta = psi.phase_frame();
+    for (std::size_t j = 0; j < B; ++j) {
+        for (std::size_t w = 0; w < n; ++w) {
+            theta[w * B + j] += rngs[j].gaussian() * s;
         }
     }
-    psi.apply_product_diag_lanes(factors);
 }
 
 /**
@@ -707,12 +702,14 @@ run_lanes(const EngineContext& ctx, exec::BatchedStateVector& psi,
         tables_2q = damping_tables(model, model.dt_2q, ctx);
         psi.start_frame();
     }
+    if (model.has_dephasing()) {
+        psi.start_phase_frame();
+    }
 
     StateVector lane(psi.dims());  // reused for per-lane divergent fallbacks
     std::vector<Real> u, norm_sq, scaled;
     Real frame_floor = 1;  // lower bound on the frame's factors
     std::vector<FiredError> fired;
-    DephasingFactors factors;
     for (const Moment& moment : ctx.moments) {
         obs::ScopedSpan mspan("traj", "moment");
         mspan.arg("ops",
@@ -735,7 +732,7 @@ run_lanes(const EngineContext& ctx, exec::BatchedStateVector& psi,
             apply_idle_damping_sequential_batched(psi, model, dt, rngs, lane);
         }
         if (model.has_dephasing()) {
-            apply_idle_dephasing_batched(psi, model, dt, rngs, factors);
+            apply_idle_dephasing_batched(psi, model, dt, rngs);
         }
     }
     if (!framed) {

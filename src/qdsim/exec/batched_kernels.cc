@@ -191,7 +191,7 @@ copy_lanes(Complex* dst, const Complex* src, const Lanes B)
  * accumulation runs 0 + row[0]*in[0] + row[1]*in[1] + ... in column
  * order, whatever the lane count.
  */
-template <bool kFramed, class Lanes>
+template <bool kFramed, bool kPhased, class Lanes>
 void
 matvec_block_b(Complex* amps, Index base, const Index* off, Index nb,
                const Complex* m, const Lanes B, Complex* in, Real* frame)
@@ -218,6 +218,29 @@ matvec_block_b(Complex* amps, Index base, const Index* off, Index nb,
     // restrict/hoist the compiler re-loads every operand per lane against
     // possible aliasing with the output stores.
     const Real* __restrict din = as_reals(in);
+    if constexpr (kPhased) {
+        // One matrix per lane: entry (r, c) of lane l is m[(r nb + c) B + l].
+        for (Index r = 0; r < nb; ++r) {
+            const Real* __restrict row =
+                as_reals(m + static_cast<std::size_t>(r * nb) * B);
+            Real* __restrict dst = as_reals(amps + (base + off[r]) * B);
+            QD_SIMD
+            for (std::size_t l = 0; l < B; ++l) {
+                Real accr = 0.0, acci = 0.0;
+                for (Index c = 0; c < nb; ++c) {
+                    const std::size_t at =
+                        static_cast<std::size_t>(c) * 2 * B + 2 * l;
+                    const Real cr = row[at], ci = row[at + 1];
+                    const Real sr = din[at], si = din[at + 1];
+                    accr += cr * sr - ci * si;
+                    acci += cr * si + ci * sr;
+                }
+                dst[2 * l] = accr;
+                dst[2 * l + 1] = acci;
+            }
+        }
+        return;
+    }
     constexpr Index kUnrollCap = 8;
     Real fr[kUnrollCap], fi[kUnrollCap];
     for (Index r = 0; r < nb; ++r) {
@@ -262,6 +285,126 @@ matvec_block_b(Complex* amps, Index base, const Index* off, Index nb,
     }
 }
 
+/** dst[l] = src[l] * f[l] over one row of B lanes, f a row of per-lane
+ *  factors (dst may equal src). */
+inline void
+move_lanes_scaled(Complex* dst, const Complex* src, const Complex* f,
+                  std::size_t B)
+{
+    Real* d = as_reals(dst);
+    const Real* s = as_reals(src);
+    const Real* g = as_reals(f);
+    QD_SIMD
+    for (std::size_t l = 0; l < B; ++l) {
+        const Real ar = s[2 * l], ai = s[2 * l + 1];
+        const Real fr = g[2 * l], fi = g[2 * l + 1];
+        d[2 * l] = ar * fr - ai * fi;
+        d[2 * l + 1] = ar * fi + ai * fr;
+    }
+}
+
+/**
+ * The per-lane tables a pass over a phase-framed batch runs on
+ * (batched_state.h: lane l's state is P_l (f (.) x_l), P_l the product
+ * over wires w of diag(e^{i m theta[w][l]})). Conjugating the op by P
+ * leaves the phases of its own wires S: ph_l(k) = e^{i phi_l(k)}, with
+ * phi_l(k) = sum over w in S of digit_w(k) theta[w][l] for a local
+ * offset k, and the stored lanes take P_S^dagger U P_S:
+ *  - permutation / monomial: slot i of a cycle moves its value to the
+ *    next slot with factor phase_i ph_l(src) / ph_l(dst) (phase_i = 1 for
+ *    a permutation; a fixed point keeps its phase), laid out
+ *    [slot][lane] along cycle_offsets;
+ *  - single-wire, controlled, dense: the block matrix, entry (r, c) times
+ *    ph_l(c) / ph_l(r), laid out [r][c][lane]. The controlled kernel's
+ *    control digits are fixed in its active block, so only the target
+ *    wires' phases survive.
+ * Diagonal ops commute with P and take no table. Built into `out` once
+ * per call, before any OpenMP region reads it.
+ */
+const Complex*
+phase_table(const CompiledOp& op, const WireDims& dims, const Real* theta,
+            std::size_t B, std::vector<Complex>& out)
+{
+    const Index d1 =
+        op.stride1 != 0 ? op.period1 / op.stride1 : 0;  // single-wire dim
+    const Index wire_off[3] = {0, op.stride1, 2 * op.stride1};
+    const Index* off = nullptr;
+    std::size_t count = 0;
+    const Complex* m = nullptr;
+    switch (op.kind) {
+        case KernelKind::kPermutation:
+        case KernelKind::kMonomial:
+            off = op.cycle_offsets.data();
+            count = op.cycle_offsets.size();
+            break;
+        case KernelKind::kSingleWireD2:
+        case KernelKind::kSingleWireD3:
+            off = wire_off;
+            count = static_cast<std::size_t>(d1);
+            m = op.u;
+            break;
+        case KernelKind::kControlled:
+            off = op.inner_offset.data();
+            count = op.inner_offset.size();
+            m = op.inner.data().data();
+            break;
+        case KernelKind::kDense:
+            off = op.plan->local_offset.data();
+            count = static_cast<std::size_t>(op.plan->block);
+            m = op.gate.matrix().data().data();
+            break;
+        case KernelKind::kDiagonal:
+            return nullptr;
+    }
+    // ph[k B + l] = ph_l(off[k]), after the table proper in `out`.
+    const std::size_t table =
+        m != nullptr ? count * count * B : count * B;
+    out.resize(table + count * B);
+    Complex* ph = out.data() + table;
+    for (std::size_t k = 0; k < count; ++k) {
+        for (std::size_t l = 0; l < B; ++l) {
+            Real phi = 0;
+            for (const int w : op.wires) {
+                const Index digit = off[k] / dims.stride(w) % dims.dim(w);
+                phi += static_cast<Real>(digit) *
+                       theta[static_cast<std::size_t>(w) * B + l];
+            }
+            ph[k * B + l] = std::polar(1.0, phi);
+        }
+    }
+    Complex* t = out.data();
+    if (m == nullptr) {
+        const Complex* phase = op.kind == KernelKind::kMonomial
+                                   ? op.cycle_phases.data()
+                                   : nullptr;
+        std::size_t at = 0;
+        for (const std::uint32_t len : op.cycle_lengths) {
+            for (std::size_t i = 0; i < len; ++i) {
+                const std::size_t src = at + i, dst = at + (i + 1) % len;
+                const Complex v = phase != nullptr ? phase[src] : 1.0;
+                for (std::size_t l = 0; l < B; ++l) {
+                    t[src * B + l] =
+                        len == 1 ? v
+                                 : v * ph[src * B + l] *
+                                       std::conj(ph[dst * B + l]);
+                }
+            }
+            at += len;
+        }
+        return t;
+    }
+    for (std::size_t r = 0; r < count; ++r) {
+        for (std::size_t c = 0; c < count; ++c) {
+            for (std::size_t l = 0; l < B; ++l) {
+                t[(r * count + c) * B + l] = m[r * count + c] *
+                                             ph[c * B + l] *
+                                             std::conj(ph[r * B + l]);
+            }
+        }
+    }
+    return t;
+}
+
 /**
  * Runs `op` over the B lanes of the `total`-amplitude register at `amps`
  * through run_blocks. Each case supplies the kernel's outer-block
@@ -271,12 +414,15 @@ matvec_block_b(Complex* amps, Index base, const Index* off, Index nb,
  * blocks move f[idx] along their cycles with the amplitudes, diagonal
  * blocks leave it alone (real diagonals commute), and the matvec kernels
  * (single-wire, controlled, dense) multiply the amplitudes they read by
- * f and reset those entries to 1.
+ * f and reset those entries to 1. With `kPhased` the lanes carry a phase
+ * frame and `lane_tab` is the op's phase_table: cycle moves take a
+ * per-lane factor, and the single-wire kernels run as per-lane matvecs
+ * like the controlled and dense ones. Diagonal ops never run phased.
  */
-template <bool kFramed, class Lanes>
+template <bool kFramed, bool kPhased, class Lanes>
 void
 run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
-       ExecScratch& scratch, Real* frame)
+       ExecScratch& scratch, Real* frame, const Complex* lane_tab)
 {
     auto run = [&](const auto& blocks, std::size_t tmp_elems, auto kernel) {
         run_blocks(blocks, tmp_elems, scratch, kernel);
@@ -294,8 +440,54 @@ run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
             frame[base + c[0]] = last;
         }
     };
+    // Cycle walk of a phased permutation or monomial: every move takes
+    // its slot's per-lane factor; fixed points scale in place.
+    auto run_phased_cycles = [&]() {
+        const Index* cyc = op.cycle_offsets.data();
+        const std::uint32_t* lens = op.cycle_lengths.data();
+        const std::size_t ncycles = op.cycle_lengths.size();
+        run(PlanBlocks{*op.plan}, B,
+            [=](Index base, Complex* tmp) QD_BLOCK_BODY {
+                const Index* c = cyc;
+                const Complex* t = lane_tab;
+                for (std::size_t j = 0; j < ncycles; ++j) {
+                    const std::uint32_t len = lens[j];
+                    if (len == 1) {
+                        Complex* p = amps + (base + c[0]) * B;
+                        move_lanes_scaled(p, p, t, B);
+                    } else {
+                        move_lanes_scaled(tmp,
+                                          amps + (base + c[len - 1]) * B,
+                                          t + (len - 1) * B, B);
+                        for (std::uint32_t i = len - 1; i >= 1; --i) {
+                            move_lanes_scaled(amps + (base + c[i]) * B,
+                                              amps + (base + c[i - 1]) * B,
+                                              t + (i - 1) * B, B);
+                        }
+                        copy_lanes(amps + (base + c[0]) * B, tmp, B);
+                        cycle_frame(base, c, len);
+                    }
+                    c += len;
+                    t += len * B;
+                }
+            });
+    };
+    // A phased single-wire op: the wire's d rows as a per-lane matvec.
+    auto run_phased_wire = [&]() {
+        const WireBlocks blocks(op.stride1, op.period1, total);
+        run(blocks, static_cast<std::size_t>(blocks.d) * B,
+            [=](Index base, Complex* in) QD_BLOCK_BODY {
+                matvec_block_b<kFramed, true>(amps, base, blocks.off,
+                                              blocks.d, lane_tab, B, in,
+                                              frame);
+            });
+    };
     switch (op.kind) {
         case KernelKind::kPermutation: {
+            if constexpr (kPhased) {
+                run_phased_cycles();
+                return;
+            }
             const Index* cyc = op.cycle_offsets.data();
             const std::uint32_t* lens = op.cycle_lengths.data();
             const std::size_t ncycles = op.cycle_lengths.size();
@@ -319,6 +511,10 @@ run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
             return;
         }
         case KernelKind::kMonomial: {
+            if constexpr (kPhased) {
+                run_phased_cycles();
+                return;
+            }
             const Index* cyc = op.cycle_offsets.data();
             const Complex* ph = op.cycle_phases.data();
             const std::uint32_t* lens = op.cycle_lengths.data();
@@ -386,6 +582,10 @@ run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
             return;
         }
         case KernelKind::kSingleWireD2: {
+            if constexpr (kPhased) {
+                run_phased_wire();
+                return;
+            }
             const Real u00r = op.u[0].real(), u00i = op.u[0].imag();
             const Real u01r = op.u[1].real(), u01i = op.u[1].imag();
             const Real u10r = op.u[2].real(), u10i = op.u[2].imag();
@@ -425,6 +625,10 @@ run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
             return;
         }
         case KernelKind::kSingleWireD3: {
+            if constexpr (kPhased) {
+                run_phased_wire();
+                return;
+            }
             const Complex u00 = op.u[0], u01 = op.u[1], u02 = op.u[2];
             const Complex u10 = op.u[3], u11 = op.u[4], u12 = op.u[5];
             const Complex u20 = op.u[6], u21 = op.u[7], u22 = op.u[8];
@@ -485,23 +689,24 @@ run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
             // Only the active-control target block is read and written.
             const Index* off = op.inner_offset.data();
             const Index nb = static_cast<Index>(op.inner_offset.size());
-            const Complex* m = op.inner.data().data();
+            const Complex* m = kPhased ? lane_tab : op.inner.data().data();
             const Index ctrl = op.ctrl_offset;
             run(PlanBlocks{*op.plan}, static_cast<std::size_t>(nb) * B,
                 [=](Index base, Complex* in) QD_BLOCK_BODY {
-                    matvec_block_b<kFramed>(amps, base + ctrl, off, nb, m, B,
-                                            in, frame);
+                    matvec_block_b<kFramed, kPhased>(amps, base + ctrl, off,
+                                                     nb, m, B, in, frame);
                 });
             return;
         }
         case KernelKind::kDense: {
             const Index* off = op.plan->local_offset.data();
             const Index nb = op.plan->block;
-            const Complex* m = op.gate.matrix().data().data();
+            const Complex* m =
+                kPhased ? lane_tab : op.gate.matrix().data().data();
             run(PlanBlocks{*op.plan}, static_cast<std::size_t>(nb) * B,
                 [=](Index base, Complex* in) QD_BLOCK_BODY {
-                    matvec_block_b<kFramed>(amps, base, off, nb, m, B, in,
-                                            frame);
+                    matvec_block_b<kFramed, kPhased>(amps, base, off, nb, m,
+                                                     B, in, frame);
                 });
             return;
         }
@@ -551,8 +756,8 @@ void
 apply_op(const CompiledOp& op, StateVector& psi, ExecScratch& scratch)
 {
     count_single(op, psi.size(), 1);
-    run_op<false>(op, psi.amplitudes().data(), psi.size(), OneLane{},
-                  scratch, nullptr);
+    run_op<false, false>(op, psi.amplitudes().data(), psi.size(), OneLane{},
+                         scratch, nullptr, nullptr);
 }
 
 void
@@ -560,12 +765,26 @@ apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
                  ExecScratch& scratch)
 {
     count_dispatch(op, psi.size(), lanes_of(psi));
-    if (Real* frame = psi.frame()) {
-        run_op<true>(op, psi.data(), psi.size(), lanes_of(psi), scratch,
-                     frame);
+    Real* frame = psi.frame();
+    const Real* theta = psi.phase_frame();
+    if (theta != nullptr && op.kind != KernelKind::kDiagonal) {
+        const Complex* tab = phase_table(op, psi.dims(), theta,
+                                         lanes_of(psi), scratch.lane_table);
+        if (frame != nullptr) {
+            run_op<true, true>(op, psi.data(), psi.size(), lanes_of(psi),
+                               scratch, frame, tab);
+        } else {
+            run_op<false, true>(op, psi.data(), psi.size(), lanes_of(psi),
+                                scratch, nullptr, tab);
+        }
+        return;
+    }
+    if (frame != nullptr) {
+        run_op<true, false>(op, psi.data(), psi.size(), lanes_of(psi),
+                            scratch, frame, nullptr);
     } else {
-        run_op<false>(op, psi.data(), psi.size(), lanes_of(psi), scratch,
-                      nullptr);
+        run_op<false, false>(op, psi.data(), psi.size(), lanes_of(psi),
+                             scratch, nullptr, nullptr);
     }
 }
 
@@ -585,14 +804,14 @@ conjugate_op(const CompiledOp& k, const CompiledOp& k_conj, Matrix& rho,
     // Left pass, rho -> K rho: row-major rho is a batch of D lanes (the
     // column index) over a D-amplitude register (the row index).
     count_dispatch(k, dim, dim);
-    run_op<false>(k, a, dim, static_cast<std::size_t>(dim), scratch,
-                  nullptr);
+    run_op<false, false>(k, a, dim, static_cast<std::size_t>(dim), scratch,
+                         nullptr, nullptr);
     // Right pass, rho -> rho K^dagger: row r of rho K^dagger is conj(K)
     // applied to row r, so each row is one single-shot pass, no transpose.
     count_single(k_conj, dim, dim);
     for (Index r = 0; r < dim; ++r) {
-        run_op<false>(k_conj, a + r * dim, dim, OneLane{}, scratch,
-                      nullptr);
+        run_op<false, false>(k_conj, a + r * dim, dim, OneLane{}, scratch,
+                             nullptr, nullptr);
     }
 }
 

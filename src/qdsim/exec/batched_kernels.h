@@ -31,6 +31,17 @@
  * rounding (property-tested). The trajectory engine's no-jump damping
  * then costs one pass over f per moment instead of a sweep of the batch.
  *
+ * A batch that carries a phase frame (BatchedStateVector::phase_frame:
+ * lane b's state is P_b (f (.) x_b), P_b a product of per-wire phase
+ * diagonals) runs P_S^dagger U P_S on the op's wires S from per-lane
+ * tables built once per call, before any OpenMP region: diagonal ops
+ * are unchanged, cycle moves take a per-lane ratio ph(src) / ph(dst),
+ * and single-wire, controlled and dense ops multiply by per-lane block
+ * matrices. A phased pass followed by fold_phase_frame() equals the fold
+ * followed by the plain pass to rounding, and lanes stay bitwise
+ * independent of the batch width (property-tested). Coherent dephasing
+ * then costs the trajectory engine no sweep of the batch.
+ *
  * `conjugate_op` runs the exact density-matrix engine on the same bodies:
  * a row-major D x D rho is a lane-interleaved batch of D lanes, so
  * rho -> K rho is one batched pass, and rho -> rho K^dagger is one

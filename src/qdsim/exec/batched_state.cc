@@ -82,6 +82,82 @@ frame_slots(Index n)
     return (static_cast<std::size_t>(n) + 1) / 2;
 }
 
+/**
+ * One odometer walk of the register carrying L per-lane running products
+ * of per-wire diagonals: calls visit(idx, c) for idx = 0 .. size - 1 in
+ * order, where (c[2l], c[2l+1]) is lane l's factor
+ * prod_w factor(l, w)[digit_w(idx)]. `factor(l, w)` gives lane l's
+ * dim(w) unit-modulus entries of wire w. The (wire, level, lane) step
+ * ratios (diag_step_ratio) are computed once per call; each lane starts
+ * from prod_w factor(l, w)[0] and takes one step-ratio multiply per digit
+ * step (per lane, bitwise the single-shot odometer in
+ * tests/qdsim/product_diag_reference.h). The multiplies are std::complex
+ * products written on re/im doubles.
+ */
+template <class Factor, class Visit>
+void
+walk_product_diag(const WireDims& dims, std::size_t L, Factor factor,
+                  Visit visit)
+{
+    const int n = dims.num_wires();
+    // Step-ratio table as re/im lane rows: row (first[w] + v) holds every
+    // lane's ratio for wire w's digit stepping to v.
+    std::vector<std::size_t> first(static_cast<std::size_t>(n));
+    std::size_t rows = 0;
+    for (int w = 0; w < n; ++w) {
+        first[static_cast<std::size_t>(w)] = rows;
+        rows += static_cast<std::size_t>(dims.dim(w));
+    }
+    std::vector<Real> ratio(rows * 2 * L);
+    std::vector<Real> cur(2 * L);
+    for (std::size_t l = 0; l < L; ++l) {
+        Complex c(1, 0);
+        for (int w = 0; w < n; ++w) {
+            const std::size_t uw = static_cast<std::size_t>(w);
+            const auto& f = factor(l, w);
+            c *= f[0];
+            for (int v = 0; v < dims.dim(w); ++v) {
+                const Complex r = diag_step_ratio(f, v);
+                Real* row = ratio.data() +
+                            (first[uw] + static_cast<std::size_t>(v)) * 2 * L;
+                row[2 * l] = r.real();
+                row[2 * l + 1] = r.imag();
+            }
+        }
+        cur[2 * l] = c.real();
+        cur[2 * l + 1] = c.imag();
+    }
+    // One odometer drives all lanes (the digit sequence only depends on
+    // the dims).
+    std::vector<int> odo(static_cast<std::size_t>(n), 0);
+    Real* __restrict c = cur.data();
+    auto step = [&](std::size_t row) {
+        const Real* __restrict r = ratio.data() + row * 2 * L;
+        QD_SIMD
+        for (std::size_t l = 0; l < L; ++l) {
+            const Real cr = c[2 * l], ci = c[2 * l + 1];
+            c[2 * l] = cr * r[2 * l] - ci * r[2 * l + 1];
+            c[2 * l + 1] = cr * r[2 * l + 1] + ci * r[2 * l];
+        }
+    };
+    const Index total = dims.size();
+    for (Index idx = 0;; ++idx) {
+        visit(idx, static_cast<const Real*>(c));
+        if (idx + 1 >= total) {
+            break;
+        }
+        for (int w = n - 1;; --w) {
+            const std::size_t uw = static_cast<std::size_t>(w);
+            if (++odo[uw] < dims.dim(w)) {
+                step(first[uw] + static_cast<std::size_t>(odo[uw]));
+                break;
+            }
+            step(first[uw]);
+            odo[uw] = 0;
+        }
+    }
+}
+
 }  // namespace
 
 BatchedStateVector::BatchedStateVector(WireDims dims, int lanes,
@@ -108,7 +184,21 @@ BatchedStateVector::set_lane(int lane, const StateVector& src)
     const std::size_t B = static_cast<std::size_t>(lanes_);
     const std::size_t n = static_cast<std::size_t>(dims_.size());
     Complex* a = amps_.data() + static_cast<std::size_t>(lane);
-    if (const Real* f = frame()) {
+    const Real* f = frame();
+    if (phased_) {
+        // x = P^dagger src / f, P's factor from a one-lane walk.
+        walk_product_diag(
+            dims_, 1,
+            [&](std::size_t, int w) { return phase_factors(lane, w); },
+            [&](Index i, const Real* c) {
+                const Complex v = s[i] * Complex(c[0], -c[1]);
+                a[i * B] = f != nullptr ? Complex(v.real() / f[i],
+                                                  v.imag() / f[i])
+                                        : v;
+            });
+        return;
+    }
+    if (f != nullptr) {
         for (std::size_t i = 0; i < n; ++i) {
             a[i * B] = Complex(s[i].real() / f[i], s[i].imag() / f[i]);
         }
@@ -134,7 +224,21 @@ BatchedStateVector::copy_lane_out(int lane, Complex* d) const
     const std::size_t B = static_cast<std::size_t>(lanes_);
     const std::size_t n = static_cast<std::size_t>(dims_.size());
     const Complex* a = amps_.data() + static_cast<std::size_t>(lane);
-    if (const Real* f = frame()) {
+    const Real* f = frame();
+    if (phased_) {
+        walk_product_diag(
+            dims_, 1,
+            [&](std::size_t, int w) { return phase_factors(lane, w); },
+            [&](Index i, const Real* c) {
+                const Complex x = a[i * B];
+                d[i] = (f != nullptr ? Complex(x.real() * f[i],
+                                               x.imag() * f[i])
+                                     : x) *
+                       Complex(c[0], c[1]);
+            });
+        return;
+    }
+    if (f != nullptr) {
         for (std::size_t i = 0; i < n; ++i) {
             d[i] = Complex(a[i * B].real() * f[i], a[i * B].imag() * f[i]);
         }
@@ -200,6 +304,46 @@ BatchedStateVector::fold_frame()
         }
     }
     std::fill_n(f, n, 1.0);
+}
+
+void
+BatchedStateVector::start_phase_frame()
+{
+    theta_.assign(static_cast<std::size_t>(dims_.num_wires()) *
+                      static_cast<std::size_t>(lanes_),
+                  0.0);
+    phased_ = true;
+}
+
+std::vector<Complex>
+BatchedStateVector::phase_factors(int lane, int wire) const
+{
+    const Real theta = theta_[static_cast<std::size_t>(wire) *
+                                  static_cast<std::size_t>(lanes_) +
+                              static_cast<std::size_t>(lane)];
+    std::vector<Complex> f(static_cast<std::size_t>(dims_.dim(wire)));
+    for (std::size_t m = 0; m < f.size(); ++m) {
+        f[m] = std::polar(1.0, static_cast<Real>(m) * theta);
+    }
+    return f;
+}
+
+void
+BatchedStateVector::fold_phase_frame()
+{
+    if (!phased_) {
+        return;
+    }
+    std::vector<std::vector<std::vector<Complex>>> factors(
+        static_cast<std::size_t>(lanes_));
+    for (int b = 0; b < lanes_; ++b) {
+        for (int w = 0; w < dims_.num_wires(); ++w) {
+            factors[static_cast<std::size_t>(b)].push_back(
+                phase_factors(b, w));
+        }
+    }
+    apply_product_diag_lanes(factors);
+    std::fill(theta_.begin(), theta_.end(), 0.0);
 }
 
 void
@@ -429,70 +573,21 @@ BatchedStateVector::apply_product_diag_lanes(
             }
         }
     }
-    // Step-ratio table as re/im lane rows: row (first[w] + v) holds every
-    // lane's diag_step_ratio(factors[lane][w], v) — the quotient the lane's
-    // running product multiplies in when wire w's digit steps to v.
-    std::vector<std::size_t> first(static_cast<std::size_t>(n));
-    std::size_t rows = 0;
-    for (int w = 0; w < n; ++w) {
-        first[static_cast<std::size_t>(w)] = rows;
-        rows += static_cast<std::size_t>(dims_.dim(w));
-    }
-    std::vector<Real> ratio(rows * 2 * B);
-    std::vector<Real> cur(2 * B);
-    for (std::size_t b = 0; b < B; ++b) {
-        Complex c(1, 0);
-        for (int w = 0; w < n; ++w) {
-            const std::size_t uw = static_cast<std::size_t>(w);
-            const auto& f = factors[b][uw];
-            c *= f[0];
-            for (int v = 0; v < dims_.dim(w); ++v) {
-                const Complex r = diag_step_ratio(f, v);
-                Real* row = ratio.data() +
-                            (first[uw] + static_cast<std::size_t>(v)) * 2 * B;
-                row[2 * b] = r.real();
-                row[2 * b + 1] = r.imag();
-            }
-        }
-        cur[2 * b] = c.real();
-        cur[2 * b + 1] = c.imag();
-    }
-    // One odometer drives all lanes (the digit sequence only depends on
-    // the dims). Both multiplies are std::complex products written on
-    // re/im doubles.
-    std::vector<int> odo(static_cast<std::size_t>(n), 0);
-    Real* __restrict c = cur.data();
-    auto step = [&](std::size_t row) {
-        const Real* __restrict r = ratio.data() + row * 2 * B;
-        QD_SIMD
-        for (std::size_t b = 0; b < B; ++b) {
-            const Real cr = c[2 * b], ci = c[2 * b + 1];
-            c[2 * b] = cr * r[2 * b] - ci * r[2 * b + 1];
-            c[2 * b + 1] = cr * r[2 * b + 1] + ci * r[2 * b];
-        }
-    };
-    const Index total = dims_.size();
     Real* __restrict d = as_reals(amps_.data());
-    for (Index idx = 0;; ++idx, d += 2 * B) {
-        QD_SIMD
-        for (std::size_t b = 0; b < B; ++b) {
-            const Real ar = d[2 * b], ai = d[2 * b + 1];
-            d[2 * b] = ar * c[2 * b] - ai * c[2 * b + 1];
-            d[2 * b + 1] = ar * c[2 * b + 1] + ai * c[2 * b];
-        }
-        if (idx + 1 >= total) {
-            break;
-        }
-        for (int w = n - 1;; --w) {
-            const std::size_t uw = static_cast<std::size_t>(w);
-            if (++odo[uw] < dims_.dim(w)) {
-                step(first[uw] + static_cast<std::size_t>(odo[uw]));
-                break;
+    walk_product_diag(
+        dims_, B,
+        [&](std::size_t b, int w) -> const std::vector<Complex>& {
+            return factors[b][static_cast<std::size_t>(w)];
+        },
+        [&](Index idx, const Real* __restrict c) {
+            Real* __restrict p = d + static_cast<std::size_t>(idx) * 2 * B;
+            QD_SIMD
+            for (std::size_t b = 0; b < B; ++b) {
+                const Real ar = p[2 * b], ai = p[2 * b + 1];
+                p[2 * b] = ar * c[2 * b] - ai * c[2 * b + 1];
+                p[2 * b + 1] = ar * c[2 * b + 1] + ai * c[2 * b];
             }
-            step(first[uw]);
-            odo[uw] = 0;
-        }
-    }
+        });
 }
 
 std::vector<Real>
@@ -500,7 +595,7 @@ BatchedStateVector::fidelity_lanes(const BatchedStateVector& other,
                                    std::vector<Real>* norm_sq) const
 {
     if (!(dims_ == other.dims_) || lanes_ != other.lanes_ ||
-        other.framed_ || (norm_sq != nullptr && !framed_)) {
+        other.framed_ || other.phased_ || (norm_sq != nullptr && !framed_)) {
         throw std::invalid_argument(
             "fidelity_lanes: shape mismatch, framed `other`, or norms "
             "asked of an unframed batch");
@@ -509,14 +604,36 @@ BatchedStateVector::fidelity_lanes(const BatchedStateVector& other,
     const std::size_t B = static_cast<std::size_t>(lanes_);
     // Per lane the overlap accumulates in amplitude-index order and
     // (conj(a) * o) == (ar*or + ai*oi, ar*oi - ai*or) bitwise, matching
-    // StateVector::inner. Under a frame a = f x, formed first.
+    // StateVector::inner. Under a frame a = f x, formed first; under a
+    // phase frame, a = P (f x), P's factor from an all-lane walk.
     struct Overlap {
         Real re = 0, im = 0, nsq = 0;
     };
     std::vector<Overlap> acc(B);
     const Real* __restrict a = as_reals(amps_.data());
     const Real* __restrict o = as_reals(other.amps_.data());
-    if (const Real* __restrict f = frame()) {
+    if (phased_) {
+        const Real* f = frame();
+        walk_product_diag(
+            dims_, B,
+            [&](std::size_t b, int w) {
+                return phase_factors(static_cast<int>(b), w);
+            },
+            [&](Index idx, const Real* __restrict c) {
+                const std::size_t i = static_cast<std::size_t>(idx);
+                const Real g = f != nullptr ? f[i] : 1.0;
+                for (std::size_t b = 0; b < B; ++b) {
+                    const std::size_t at = 2 * (i * B + b);
+                    const Real xr = a[at] * g, xi = a[at + 1] * g;
+                    const Real ar = xr * c[2 * b] - xi * c[2 * b + 1];
+                    const Real ai = xr * c[2 * b + 1] + xi * c[2 * b];
+                    Overlap& v = acc[b];
+                    v.re += ar * o[at] + ai * o[at + 1];
+                    v.im += ar * o[at + 1] - ai * o[at];
+                    v.nsq += ar * ar + ai * ai;
+                }
+            });
+    } else if (const Real* __restrict f = frame()) {
         sweep_lanes(n, B, acc.data(),
                     [=](std::size_t i, std::size_t b, Overlap& v) {
                         const std::size_t at = 2 * (i * B + b);

@@ -28,14 +28,26 @@
  * amplitudes. A damped moment then costs `scale_frame` (one pass over f,
  * 1/(2B) of the batch) instead of a sweep over the batch; the gate
  * kernels carry f (batched_kernels.h); normalisation is deferred to the
- * final fidelity. The lane accessors and the fidelity (set_lane,
- * extract_lane, lane_state, fidelity_lanes) work on the framed state
- * f (.) x_b. Diagonal per-lane passes (apply_diag1_masked,
- * apply_product_diag_lanes: the dephasing kick) commute with f and run
- * on x_b unchanged; scale_by_table_lanes, norm_sq_lanes,
- * normalize_lanes and populations_lanes need a batch without a frame.
- * Dephasing is one read+write sweep driven by a precomputed step-ratio
- * table with no per-amplitude division.
+ * final fidelity. scale_by_table_lanes, norm_sq_lanes, normalize_lanes
+ * and populations_lanes need a batch without a damping frame.
+ *
+ * Phase frame: coherent idle dephasing is a per-lane diagonal that
+ * factors over the wires, P_b = (x)_w diag(e^{i m Theta[w][b]}) over the
+ * wire's levels m, so it is kept out of the lanes as n x B accumulated
+ * angles: while a phase frame is set, lane b's state is P_b (f (.) x_b).
+ * A dephased moment only adds its angles to Theta (phase_frame()); the
+ * gate kernels run P_S^dagger U P_S on the wires S they act on
+ * (batched_kernels.h), so the phase costs arithmetic on the amplitudes a
+ * kernel already touches and never a sweep of the batch. P is applied
+ * once per batch, inside the fidelity sweep; fold_phase_frame folds it
+ * into the lanes with apply_product_diag_lanes.
+ *
+ * Both frames are diagonal, so every diagonal pass (apply_diag1_masked,
+ * apply_product_diag_lanes, the damping frame's passes) commutes with
+ * them and runs on the stored amplitudes, and P leaves norms and
+ * populations alone. The lane accessors and the fidelity (set_lane,
+ * extract_lane, lane_state, fidelity_lanes) work on the true state
+ * P_b (f (.) x_b).
  *
  * Divergent per-lane events (damping jumps, gate-error draws) are handled
  * by extracting the lane to a StateVector, running the existing
@@ -81,12 +93,12 @@ class BatchedStateVector {
                      static_cast<std::size_t>(lane)];
     }
 
-    /** Overwrites one lane with `src` (dims must match); under a frame
-     *  the stored amplitudes are src / f. */
+    /** Overwrites one lane with `src` (dims must match); under the
+     *  frames the stored amplitudes are P^dagger src / f. */
     void set_lane(int lane, const StateVector& src);
 
-    /** Copies one lane into `dst` (dims must match); under a frame,
-     *  f (.) x_lane. */
+    /** Copies one lane into `dst` (dims must match); under the frames,
+     *  P (f (.) x_lane). */
     void extract_lane(int lane, StateVector& dst) const;
 
     /** Starts a damping frame of all ones (no-op on the lanes' states).
@@ -123,6 +135,21 @@ class BatchedStateVector {
                               const std::vector<Real>& scale,
                               std::vector<Real>& norm_sq,
                               std::vector<Real>& scaled) const;
+
+    /** Starts a phase frame of zero angles (a no-op on the lanes'
+     *  states). */
+    void start_phase_frame();
+
+    /** The phase frame's angles, theta[wire * lanes() + lane]; null when
+     *  none is set. */
+    Real* phase_frame() { return phased_ ? theta_.data() : nullptr; }
+    const Real* phase_frame() const {
+        return phased_ ? theta_.data() : nullptr;
+    }
+
+    /** Multiplies P into every lane (apply_product_diag_lanes) and resets
+     *  the angles to zero. */
+    void fold_phase_frame();
 
     /** Materialises one lane as a standalone StateVector. */
     StateVector lane_state(int lane) const;
@@ -164,9 +191,8 @@ class BatchedStateVector {
                             const std::vector<std::uint8_t>& mask = {});
 
     /**
-     * Per-lane product-of-per-wire-diagonals pass (batched coherent
-     * dephasing kick): factors[lane][wire] has dim(wire) unit-modulus
-     * entries. The (wire, level, lane) step ratios (diag_step_ratio) are
+     * Per-lane product-of-per-wire-diagonals pass (the phase frame's
+     * fold): factors[lane][wire] has dim(wire) unit-modulus entries. The (wire, level, lane) step ratios (diag_step_ratio) are
      * computed once per call; then one incremental odometer drives every
      * lane in a single read+write sweep; each lane's running factor takes
      * one step-ratio multiply per digit step (per lane, bitwise the
@@ -176,16 +202,21 @@ class BatchedStateVector {
         const std::vector<std::vector<std::vector<Complex>>>& factors);
 
     /** Per-lane squared overlap |<this_b|other_b>|^2 (pure-state fidelity),
-     *  lane b against lane b; `other` must have no frame. Registers and
-     *  lane counts must match. With `norm_sq` (framed batches only), the
-     *  same sweep also stores each lane's squared norm there. */
+     *  lane b against lane b; `other` must have no frame of either kind.
+     *  Registers and lane counts must match. With `norm_sq` (damping-framed
+     *  batches only), the same sweep also stores each lane's squared norm
+     *  there. A phase frame is applied in the same sweep. */
     std::vector<Real> fidelity_lanes(const BatchedStateVector& other,
                                      std::vector<Real>* norm_sq =
                                          nullptr) const;
 
   private:
-    /** Writes lane `lane` (times the frame, if any) to d[0..size()). */
+    /** Writes lane `lane` (under its frames, if any) to d[0..size()). */
     void copy_lane_out(int lane, Complex* d) const;
+
+    /** Lane `lane`'s phase-frame factors of `wire`: e^{i m Theta}, one per
+     *  level m. */
+    std::vector<Complex> phase_factors(int lane, int wire) const;
 
     /** Complex slots of the lanes; a frame's reals follow them. */
     std::size_t lane_amps() const {
@@ -200,6 +231,9 @@ class BatchedStateVector {
      *  allocator between batches. */
     std::vector<Complex> amps_;
     bool framed_ = false;
+    /** The phase frame's n x B angles (while phased_). */
+    std::vector<Real> theta_;
+    bool phased_ = false;
 };
 
 }  // namespace qd::exec

@@ -63,10 +63,13 @@ const char* kernel_name(KernelKind kind);
 /** Reusable buffer, one per executing thread, grown on demand: `tmp`
  *  gathers operand blocks for the matvec kernels (outputs store straight
  *  back to the state, so there is no scatter buffer) or holds one lane
- *  row during permutation cycle walks. Kernels never allocate once the
- *  scratch has grown to the largest block they have run. */
+ *  row during permutation cycle walks; `lane_table` holds the per-lane
+ *  operator table of a pass over a phase-framed batch (batched_kernels.h).
+ *  Kernels never allocate once the scratch has grown to the largest block
+ *  they have run. */
 struct ExecScratch {
     std::vector<Complex> tmp;
+    std::vector<Complex> lane_table;
 };
 
 /**

@@ -109,8 +109,9 @@ class StateVector {
 };
 
 /**
- * The factor a product-of-per-wire-diagonals odometer (the batched
- * dephasing pass, BatchedStateVector::apply_product_diag_lanes) multiplies
+ * The factor a product-of-per-wire-diagonals odometer (the fold of the
+ * batched phase frame, BatchedStateVector::apply_product_diag_lanes, and
+ * the walk its lane accessors and fidelity apply the frame with) multiplies
  * into its running product when a wire's digit steps to `v`: f[v] /
  * f[v - 1], or f[0] / f[d - 1] when the digit rolls over to 0
  * (d = f.size()). Shared with the tests' single-shot reference so both

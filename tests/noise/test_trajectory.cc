@@ -203,6 +203,36 @@ TEST(Trajectory, ConvergesToDensityMatrixWithDephasing) {
     EXPECT_NEAR(mean, exact, 0.015);
 }
 
+TEST(Trajectory, DephasedControlledPermutationsMatchDensityMatrix) {
+    // Three qutrits under strong dephasing through controlled
+    // permutations and a controlled single-wire gate: the phase frame's
+    // permutation and controlled kernel paths against the exact
+    // density-matrix evolution.
+    Circuit c(WireDims::uniform(3, 3));
+    c.append(gates::H3(), {0});
+    c.append(gates::Xplus1().controlled(3, 1), {0, 1});
+    c.append(gates::Xplus1().controlled(3, 2), {1, 2});
+    c.append(gates::H3().controlled(3, 1), {2, 0});
+    c.append(gates::Xminus1().controlled(3, 1), {0, 1});
+    NoiseModel m = noiseless();
+    m.dephasing_sigma = 300.0;
+    m.dt_1q = 1e-6;
+    m.dt_2q = 4e-6;
+    Rng rng(9);
+    const StateVector init = haar_random_state(c.dims(), rng);
+    const Real exact = density_matrix_fidelity(c, m, init);
+    const StateVector ideal = simulate(c, init);
+    Real mean = 0;
+    const int trials = 4000;
+    for (int t = 0; t < trials; ++t) {
+        Rng child = rng.child(static_cast<std::uint64_t>(t));
+        mean += run_single_trajectory(c, m, init, ideal, child);
+    }
+    mean /= trials;
+    EXPECT_LT(exact, 0.9);  // the dephasing moves the fidelity
+    EXPECT_NEAR(mean, exact, 0.015);
+}
+
 TEST(Trajectory, QubitSubspaceInputsStayQubit) {
     // With qubit-subspace inputs the ideal output of a binary-logic
     // circuit has no |2> population (paper: inputs/outputs are qubits).
@@ -274,6 +304,16 @@ hot_noise()
     return m;
 }
 
+/** Gate errors and strong dephasing, no damping: the phase frame alone
+ *  (the shape of BARE_QUTRIT). */
+NoiseModel
+hot_dephasing()
+{
+    NoiseModel m = hot_noise();
+    m.t1 = 0;
+    return m;
+}
+
 /** Runs the same trial set at several batch widths / thread counts and
  *  expects BITWISE identical per-trial fidelities: lane t must reproduce
  *  the trajectory on stream root.child(t) exactly at every width. */
@@ -316,6 +356,7 @@ TEST(Trajectory, BatchedLanesMatchSingleShotUniformQutrit) {
     // Uniform qutrit register: batched gates + fused damping + dephasing
     // against one lane per pass, bitwise.
     expect_batch_invariant(small_qutrit_circuit(), hot_noise(), 21);
+    expect_batch_invariant(small_qutrit_circuit(), hot_dephasing(), 21);
 }
 
 /** Mixed-radix register: runs the sequential damping engine (per-wire
@@ -356,6 +397,7 @@ TEST(Trajectory, FullSpaceInputsBatchInvariantAndNoiselessExact) {
 
 TEST(Trajectory, BatchedLanesMatchSingleShotMixedRadix) {
     expect_batch_invariant(mixed_radix_circuit(), hot_noise(), 13);
+    expect_batch_invariant(mixed_radix_circuit(), hot_dephasing(), 13);
 }
 
 TEST(Trajectory, BatchedLanesMatchSingleShotOnRandomCircuits) {
@@ -791,6 +833,9 @@ TEST(Trajectory, DeferredNormalisationMatchesPerMomentNormalisation) {
         {three_qutrit_circuit(), hot_noise()},
         {three_qutrit_circuit(), errors_and_damping},
         {qubits, hot_noise()},
+        {small_qutrit_circuit(), hot_dephasing()},
+        {three_qutrit_circuit(), hot_dephasing()},
+        {qubits, hot_dephasing()},
     };
     ReferenceStats stats;
     const bool was_enabled = obs::enabled();

@@ -445,6 +445,123 @@ TEST(Batched, FrameAccessorsSeeTheFramedState) {
     EXPECT_THROW(batch.scale_frame({0, 1}, kScale), std::invalid_argument);
 }
 
+/** Starts a phase frame on `batch` with random angles. */
+void
+start_random_phase_frame(BatchedStateVector& batch, Rng& rng)
+{
+    batch.start_phase_frame();
+    const std::size_t n = static_cast<std::size_t>(batch.dims().num_wires()) *
+                          static_cast<std::size_t>(batch.lanes());
+    for (std::size_t i = 0; i < n; ++i) {
+        batch.phase_frame()[i] = rng.uniform() * 6.28 - 3.14;
+    }
+}
+
+/** A phased pass followed by fold_phase_frame() must equal the fold
+ *  followed by the plain pass, within 1e-13 per amplitude, with and
+ *  without a damping frame. */
+void
+check_phased_op(const WireDims& dims, const CompiledOp& op, int lanes,
+                bool damped, Rng& rng)
+{
+    SCOPED_TRACE(::testing::Message()
+                 << exec::kernel_name(op.kind) << ", lanes " << lanes
+                 << (damped ? ", damped" : ""));
+    BatchedStateVector phased(dims, lanes);
+    random_lanes(phased, rng);
+    if (damped) {
+        start_varied_frame(phased);
+    }
+    start_random_phase_frame(phased, rng);
+    BatchedStateVector folded = phased;
+    ExecScratch bscratch;
+    exec::apply_op_batched(op, phased, bscratch);
+    phased.fold_phase_frame();
+    phased.fold_frame();
+    folded.fold_phase_frame();
+    folded.fold_frame();
+    exec::apply_op_batched(op, folded, bscratch);
+    const std::size_t n = static_cast<std::size_t>(dims.size()) *
+                          static_cast<std::size_t>(lanes);
+    for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_NEAR(std::abs(phased.data()[i] - folded.data()[i]), 0.0,
+                    1e-13)
+            << "slot " << i;
+    }
+}
+
+TEST(Batched, PhasedOpThenFoldMatchesFoldThenPlainOp) {
+    // Uniform-qutrit and mixed-radix registers, every kernel class.
+    Rng rng(308);
+    for (const auto& reg :
+         std::vector<std::vector<int>>{{3, 3, 3, 3}, {3, 2, 3, 3}}) {
+        const WireDims dims(reg);
+        const int qubit = reg[1] == 2 ? 1 : -1;
+        for (const CompiledOp& op : every_kernel_class(dims, qubit, rng)) {
+            for (const int lanes : {1, 3, 12}) {
+                for (const bool damped : {false, true}) {
+                    check_phased_op(dims, op, lanes, damped, rng);
+                }
+            }
+        }
+    }
+}
+
+TEST(Batched, PhasedLanesIndependentOfBatchWidth) {
+    // Lane b of a phased pass depends on lane b alone: a 12-lane pass and
+    // 1-lane passes over the same lanes and angles agree bitwise.
+    Rng rng(309);
+    const WireDims dims({3, 2, 3, 3});
+    for (const CompiledOp& op : every_kernel_class(dims, 1, rng)) {
+        SCOPED_TRACE(exec::kernel_name(op.kind));
+        BatchedStateVector wide(dims, 12);
+        const std::vector<StateVector> lanes = random_lanes(wide, rng);
+        start_random_phase_frame(wide, rng);
+        ExecScratch bscratch;
+        exec::apply_op_batched(op, wide, bscratch);
+        for (int b = 0; b < 12; ++b) {
+            BatchedStateVector one(dims, 1);
+            one.set_lane(0, lanes[static_cast<std::size_t>(b)]);
+            one.start_phase_frame();
+            for (int w = 0; w < dims.num_wires(); ++w) {
+                one.phase_frame()[w] = wide.phase_frame()[w * 12 + b];
+            }
+            exec::apply_op_batched(op, one, bscratch);
+            for (Index i = 0; i < dims.size(); ++i) {
+                ASSERT_EQ(one.at(i, 0), wide.at(i, b))
+                    << "lane " << b << " index " << i;
+            }
+        }
+    }
+}
+
+TEST(Batched, PhaseAccessorsSeeTheTrueState) {
+    // set_lane / extract_lane / fidelity_lanes act on P (f (.) x).
+    Rng rng(310);
+    const WireDims dims({3, 2, 3});
+    BatchedStateVector batch(dims, 3);
+    const std::vector<StateVector> lanes = random_lanes(batch, rng);
+    const BatchedStateVector other = batch;
+    start_varied_frame(batch);
+    start_random_phase_frame(batch, rng);
+    for (int b = 0; b < 3; ++b) {
+        batch.set_lane(b, lanes[static_cast<std::size_t>(b)]);
+    }
+    std::vector<Real> norms;
+    const std::vector<Real> fid = batch.fidelity_lanes(other, &norms);
+    StateVector lane(dims);
+    for (int b = 0; b < 3; ++b) {
+        const std::size_t ub = static_cast<std::size_t>(b);
+        batch.extract_lane(b, lane);
+        for (Index i = 0; i < dims.size(); ++i) {
+            EXPECT_NEAR(std::abs(lane[i] - lanes[ub][i]), 0.0, 1e-15);
+        }
+        EXPECT_NEAR(fid[ub], 1.0, 1e-13);
+        EXPECT_NEAR(norms[ub], 1.0, 1e-13);
+    }
+    EXPECT_THROW(other.fidelity_lanes(batch), std::invalid_argument);
+}
+
 #ifdef _OPENMP
 TEST(Batched, FramedKernelsIndependentOfThreadCount) {
     // Width-11 qutrit register: every kernel class clears the outer-block
@@ -456,13 +573,18 @@ TEST(Batched, FramedKernelsIndependentOfThreadCount) {
     BatchedStateVector start(dims, lanes);
     random_lanes(start, rng);
     start_varied_frame(start);
+    BatchedStateVector phased = start;
+    start_random_phase_frame(phased, rng);
     const int saved = omp_get_max_threads();
     for (const CompiledOp& op : every_kernel_class(dims, -1, rng)) {
-        SCOPED_TRACE(exec::kernel_name(op.kind));
+      for (const BatchedStateVector* in : {&start, &phased}) {
+        SCOPED_TRACE(::testing::Message()
+                     << exec::kernel_name(op.kind)
+                     << (in == &phased ? ", phased" : ""));
         std::vector<BatchedStateVector> out;
         for (const int threads : {1, 4}) {
             omp_set_num_threads(threads);
-            out.push_back(start);
+            out.push_back(*in);
             ExecScratch bscratch;
             exec::apply_op_batched(op, out.back(), bscratch);
         }
@@ -475,6 +597,12 @@ TEST(Batched, FramedKernelsIndependentOfThreadCount) {
         ASSERT_EQ(std::memcmp(out[0].frame(), out[1].frame(),
                               n * sizeof(Real)),
                   0);
+      }
+    }
+    // Phased passes take the same OpenMP branch as the plain ones and
+    // match the fold-then-plain pass there too.
+    for (const CompiledOp& op : every_kernel_class(dims, -1, rng)) {
+        check_phased_op(dims, op, lanes, true, rng);
     }
 }
 #endif

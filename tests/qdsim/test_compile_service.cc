@@ -317,6 +317,33 @@ TEST(CompileService, StrictModeGatesDefaultAdmission)
     verify::clear_strict();
 }
 
+TEST(CompileService, PaperWidthQubitGenToffoliIsUnitary)
+{
+    // The ancilla-free sqrt recursion takes every level's root from the
+    // level-0 operator; rooting roots compounded to |UU^dagger - I| of
+    // 7e-5 at 11 controls and 6.5e-2 at 13.
+    for (const int controls : {11, 13}) {
+        const auto g =
+            ctor::build_gen_toffoli(ctor::Method::kQubitNoAncilla, controls);
+        for (const Operation& op : g.circuit.ops()) {
+            const Matrix& u = op.gate.matrix();
+            const Matrix p = u * u.dagger();
+            for (std::size_t r = 0; r < p.rows(); ++r) {
+                for (std::size_t c = 0; c < p.cols(); ++c) {
+                    ASSERT_NEAR(std::abs(p(r, c) - (r == c ? 1.0 : 0.0)),
+                                0.0, 1e-12)
+                        << controls << " controls, " << op.gate.name();
+                }
+            }
+        }
+    }
+    const auto w12 = ctor::build_gen_toffoli(ctor::Method::kQubitNoAncilla,
+                                             11);
+    EXPECT_FALSE(exec::CompileService::admission_report(
+                     w12.circuit, noise::sc(), exec::Admission::kAlways)
+                     .has_rule("circuit.non-unitary"));
+}
+
 TEST(CompileService, AdmissionReportMatchesRejection)
 {
     const Circuit bad = non_unitary_circuit();

@@ -113,6 +113,14 @@ build_corpus(bool classify)
         }
         add("gen-toffoli/" + gt.label, gt.circuit, options);
     }
+    // The paper's Figure 11 widths: numerical defects of the recursive
+    // constructions (e.g. the ancilla-free sqrt recursion) show up only
+    // at many controls.
+    for (const auto method :
+         {qd::ctor::Method::kQubitNoAncilla, qd::ctor::Method::kQutrit}) {
+        const auto gt = qd::ctor::build_gen_toffoli(method, 13);
+        add("gen-toffoli/" + gt.label + "-c13", gt.circuit);
+    }
 
     {
         qd::verify::Options options;
