@@ -13,14 +13,12 @@
 #include "qdsim/moments.h"
 #include "qdsim/obs/trace.h"
 #include "qdsim/simulator.h"
-#include "qdsim/verify/noise_audit.h"
 
 namespace qd::noise {
 
 CompiledSuperOp
 compile_superop(const WireDims& dims, const Gate& gate,
-                std::span<const int> wires, exec::PlanCache* cache,
-                Index plan_salt)
+                std::span<const int> wires, exec::PlanCache* cache)
 {
     if (gate.empty()) {
         throw std::invalid_argument("compile_superop: empty gate");
@@ -31,8 +29,8 @@ compile_superop(const WireDims& dims, const Gate& gate,
     }
     const Gate gate_conj(gate.name() + "*", gate.dims(), std::move(conj));
     CompiledSuperOp out{
-        exec::compile_op(dims, gate, wires, cache, plan_salt),
-        exec::compile_op(dims, gate_conj, wires, cache, plan_salt)};
+        exec::compile_op(dims, gate, wires, cache),
+        exec::compile_op(dims, gate_conj, wires, cache)};
     // Only the dense kernel reads the matrix through CompiledOp::gate.
     // Dropping it elsewhere keeps a channel's Kraus operators from holding
     // two b x b payloads each (a cached density program keeps them all).
@@ -45,8 +43,7 @@ compile_superop(const WireDims& dims, const Gate& gate,
 
 CompiledSuperOp
 compile_superop(const WireDims& dims, const Matrix& op,
-                std::span<const int> wires, exec::PlanCache* cache,
-                Index plan_salt)
+                std::span<const int> wires, exec::PlanCache* cache)
 {
     std::vector<int> gate_dims;
     for (const int w : wires) {
@@ -56,7 +53,7 @@ compile_superop(const WireDims& dims, const Matrix& op,
         gate_dims.push_back(dims.dim(w));
     }
     return compile_superop(dims, Gate("kraus", std::move(gate_dims), op),
-                           wires, cache, plan_salt);
+                           wires, cache);
 }
 
 CompiledChannel
@@ -294,8 +291,7 @@ struct DensityCompilation::Impl {
                         std::move(gate_dims),
                         exec::fused_matrix(dims, circuit.ops(), group));
                     superops.push_back(compile_superop(
-                        dims, fused_gate, group.wires, &cache,
-                        exec::kFusedPlanSalt));
+                        dims, fused_gate, group.wires, &cache));
                 }
                 steps.push_back(
                     {Step::Kind::kSuperOp, superops.size() - 1, 0, 0});
@@ -388,8 +384,7 @@ density_matrix_fidelity(const Circuit& circuit, const NoiseModel& model,
                         const exec::FusionOptions& fusion)
 {
     // The compile service verifies at admission under QD_VERIFY=strict
-    // (same analysis verify::enforce_noisy ran here before the service
-    // existed) and caches the compilation across calls.
+    // and caches the compilation across calls.
     const std::shared_ptr<const exec::CompiledArtifact> artifact =
         exec::CompileService::global().compile(circuit, model,
                                                exec::EngineKind::kDensity,

@@ -44,21 +44,18 @@ struct CompiledSuperOp {
 /**
  * Compiles `gate` on `wires` of `dims` for density-matrix application.
  * `cache` (optional) shares ApplyPlans with other operators on the same
- * wires; `plan_salt` distinguishes plan variants in the cache (fused
- * groups use exec::kFusedPlanSalt — see PlanCache).
+ * wires.
  * @throws std::invalid_argument on wire/dimension mismatches.
  */
 CompiledSuperOp compile_superop(const WireDims& dims, const Gate& gate,
                                 std::span<const int> wires,
-                                exec::PlanCache* cache = nullptr,
-                                Index plan_salt = 0);
+                                exec::PlanCache* cache = nullptr);
 
 /** Matrix overload: wraps a k-local operator (Kraus operators welcome;
  *  wires[0] most significant) in a Gate over the wires' dimensions. */
 CompiledSuperOp compile_superop(const WireDims& dims, const Matrix& op,
                                 std::span<const int> wires,
-                                exec::PlanCache* cache = nullptr,
-                                Index plan_salt = 0);
+                                exec::PlanCache* cache = nullptr);
 
 /**
  * A Kraus channel compiled once per (channel, wires, dims): every operator
@@ -139,8 +136,8 @@ class DensityMatrix {
  * construction and safe to share across threads — the CompileService
  * caches these across requests so repeated submissions of the same
  * (circuit, model, fusion) skip compilation entirely. Construction does
- * NOT verify; admission is the CompileService's job (or
- * verify::enforce_noisy for direct callers).
+ * NOT verify; admission is the CompileService's job
+ * (CompileService::admission_report for direct callers).
  */
 class DensityCompilation {
  public:

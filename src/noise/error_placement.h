@@ -72,8 +72,8 @@ struct NoisyLayout {
  * of one moment; otherwise circuit order fenced by the gate errors
  * (`sites`, from enumerate_error_sites). Single source of truth for the
  * trajectory and density compiles (the density engine runs a by-moment
- * layout one op at a time), CompileService admission and
- * verify::enforce_noisy, so the audited partition is the compiled one.
+ * layout one op at a time) and CompileService admission, so the audited
+ * partition is the compiled one.
  */
 NoisyLayout noisy_layout(const Circuit& circuit, const NoiseModel& model,
                          const std::vector<std::vector<ErrorSite>>& sites,

@@ -18,7 +18,6 @@
 #include "qdsim/obs/counters.h"
 #include "qdsim/obs/trace.h"
 #include "qdsim/random_state.h"
-#include "qdsim/verify/noise_audit.h"
 
 namespace qd::noise {
 
@@ -840,16 +839,6 @@ run_trajectory_batch(const EngineContext& ctx,
 }  // namespace
 
 Real
-run_single_trajectory(const Circuit& circuit, const NoiseModel& model,
-                      const StateVector& initial,
-                      const StateVector& ideal_out, Rng& rng)
-{
-    verify::enforce_noisy(circuit, model);
-    const TrajectoryCompilation compiled(circuit, model, {});
-    return run_single_trajectory(compiled, initial, ideal_out, rng);
-}
-
-Real
 run_single_trajectory(const TrajectoryCompilation& compiled,
                       const StateVector& initial,
                       const StateVector& ideal_out, Rng& rng)
@@ -881,8 +870,7 @@ run_noisy_trials(const Circuit& circuit, const NoiseModel& model,
             "run_noisy_trials: options.batch must be >= 0");
     }
     // The compile service verifies at admission under QD_VERIFY=strict
-    // (same analysis verify::enforce_noisy ran here before the service
-    // existed) and caches the compilation across calls. After the cheap
+    // and caches the compilation across calls. After the cheap
     // argument checks so the documented invalid_argument contract wins.
     const std::shared_ptr<const exec::CompiledArtifact> artifact =
         exec::CompileService::global().compile(circuit, model,

@@ -105,8 +105,9 @@ struct TrajectoryResult {
  * selects fused or sequential idle damping. Immutable after construction
  * and safe to share across threads — the CompileService caches these
  * across requests so repeated submissions of the same (circuit, model,
- * fusion) skip compilation entirely. Construction does NOT verify; admission is the
- * CompileService's job (or verify::enforce_noisy for direct callers).
+ * fusion) skip compilation entirely. Construction does NOT verify;
+ * admission is the CompileService's job (CompileService::admission_report
+ * for direct callers).
  */
 class TrajectoryCompilation {
  public:
@@ -127,20 +128,15 @@ class TrajectoryCompilation {
 };
 
 /**
- * Runs one noisy trajectory of `circuit` from `initial`, comparing against
- * `ideal_out` (the noiseless output for the same input), as a 1-lane
- * batch through the same moment loop as run_noisy_trials. Draws from
- * `rng` and leaves it advanced past them. Given the RNG stream, initial
- * state and ideal output of run_noisy_trials' trial t, it returns that
- * trial's fidelity bitwise.
+ * Runs one noisy trajectory of `compiled` from `initial`, comparing
+ * against `ideal_out` (the noiseless output for the same input), as a
+ * 1-lane batch through the same moment loop as run_noisy_trials (no
+ * verification, no recompilation). Draws from `rng` and leaves it
+ * advanced past them. Given the RNG stream, initial state and ideal
+ * output of run_noisy_trials' trial t, it returns that trial's fidelity
+ * bitwise.
  * Exposed for tests; most callers use run_noisy_trials.
  */
-Real run_single_trajectory(const Circuit& circuit, const NoiseModel& model,
-                           const StateVector& initial,
-                           const StateVector& ideal_out, Rng& rng);
-
-/** Precompiled variant: runs one trajectory on an existing compilation
- *  (no verification, no recompilation). */
 Real run_single_trajectory(const TrajectoryCompilation& compiled,
                            const StateVector& initial,
                            const StateVector& ideal_out, Rng& rng);

@@ -123,10 +123,9 @@ PlanCache::operator=(const PlanCache& other)
 }
 
 std::shared_ptr<const ApplyPlan>
-PlanCache::get(std::span<const int> wires, Index salt)
+PlanCache::get(std::span<const int> wires)
 {
-    auto key = std::make_pair(std::vector<int>(wires.begin(), wires.end()),
-                              salt);
+    std::vector<int> key(wires.begin(), wires.end());
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = plans_.find(key);
     if (it == plans_.end()) {
@@ -143,15 +142,14 @@ PlanCache::get(std::span<const int> wires, Index salt)
 
 void
 PlanCache::put(std::span<const int> wires,
-               std::shared_ptr<const ApplyPlan> plan, Index salt)
+               std::shared_ptr<const ApplyPlan> plan)
 {
     if (plan == nullptr) {
         return;
     }
     obs::count(obs::Counter::kPlanCacheInserts);
     std::lock_guard<std::mutex> lock(mutex_);
-    plans_.emplace(std::make_pair(
-                       std::vector<int>(wires.begin(), wires.end()), salt),
+    plans_.emplace(std::vector<int>(wires.begin(), wires.end()),
                    std::move(plan));
 }
 

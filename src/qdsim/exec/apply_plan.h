@@ -90,13 +90,9 @@ std::shared_ptr<const ApplyPlan> make_apply_plan(const WireDims& dims,
                                                  std::span<const int> wires);
 
 /**
- * Memoises plans by (wire tuple, variant salt) so every operation on the
- * same wires of one register shares one set of tables (gate, gate errors,
- * Kraus operators). Plain per-op geometry uses salt 0; fused-group plans
- * use kFusedPlanSalt (fusion.h), so the two variants never alias. Today a
- * plan is a pure function of (dims, wires), so the split costs an
- * occasional duplicate table for wire tuples hosting both fused and plain
- * ops.
+ * Memoises plans by wire tuple so every operation on the same wires of one
+ * register shares one set of tables (gate, fused blocks, gate errors,
+ * Kraus operators): a plan is a pure function of (dims, wires).
  * The map is guarded by a mutex, so concurrent compilation (e.g. ops
  * compiled under OpenMP, or several engines sharing one cache) is safe;
  * the plans themselves are immutable and freely shareable. Copying a
@@ -111,24 +107,21 @@ class PlanCache {
 
     const WireDims& dims() const { return dims_; }
 
-    /** Returns the cached plan for (`wires`, `salt`), building it on first
-     *  use. Concurrent callers asking for the same key all receive the
-     *  same plan (one thread builds, the rest wait on the lock). */
-    std::shared_ptr<const ApplyPlan> get(std::span<const int> wires,
-                                         Index salt = 0);
+    /** Returns the cached plan for `wires`, building it on first use.
+     *  Concurrent callers asking for the same wires all receive the same
+     *  plan (one thread builds, the rest wait on the lock). */
+    std::shared_ptr<const ApplyPlan> get(std::span<const int> wires);
 
     /** Seeds the cache with an existing plan (e.g. one built by a
      *  CompiledCircuit) so later compilations on the same wires share its
      *  tables instead of rebuilding them. */
     void put(std::span<const int> wires,
-             std::shared_ptr<const ApplyPlan> plan, Index salt = 0);
+             std::shared_ptr<const ApplyPlan> plan);
 
   private:
     WireDims dims_;
     mutable std::mutex mutex_;
-    std::map<std::pair<std::vector<int>, Index>,
-             std::shared_ptr<const ApplyPlan>>
-        plans_;
+    std::map<std::vector<int>, std::shared_ptr<const ApplyPlan>> plans_;
 };
 
 }  // namespace qd::exec

@@ -14,11 +14,11 @@
  * through the obs counters service_hits / service_misses /
  * service_evictions / service_rejects.
  *
- * Admission levels:
+ * Admission (admission_report) is the one strict-mode gate: the engines
+ * do not verify on their own. Levels:
  *   kDefault  trusted in-process circuits: verify only under strict mode
- *             (QD_VERIFY=strict), with the same options `verify::enforce`
- *             uses — behavior-compatible with the pre-service entry
- *             points.
+ *             (QD_VERIFY=strict), with dead-code lint off and non-unitary
+ *             gates downgraded to warnings.
  *   kAlways   untrusted IR (qd_run / service front-ends): always verify,
  *             with dead-code lint on and non-unitary gates rejected.
  *   kNever    never verify (precompiled-trust escape hatch).
@@ -115,19 +115,21 @@ class CompileService {
      * The verify options the admission gate analyzes under, exposed so
      * tools (qd_lint) lint untrusted IR through the exact same path the
      * service admits it. kAlways lints dead code and rejects non-unitary
-     * gates; kDefault/kNever mirror verify::enforce (dead-code off,
-     * non-unitary downgraded to a warning).
+     * gates; kDefault/kNever leave dead code to the transpiler and
+     * downgrade non-unitary gates to a warning.
      */
     static verify::Options admission_options(
         Admission admission, const FusionOptions& fusion = {},
         std::vector<std::uint8_t> fences = {});
 
     /**
-     * Runs the admission analysis without compiling or caching: circuit
-     * legality + plan/fusion audits, plus the noise audit when a model is
-     * given (over the op order and fences the noisy engines compile in,
-     * noise::noisy_layout). This is the report a rejected compile()
-     * throws with.
+     * Runs the admission analysis without caching: circuit legality plus
+     * the plan/fusion audits of one compilation of the circuit, and the
+     * noise audit when a model is given (that compilation then takes the
+     * op order and fences the noisy engines compile in,
+     * noise::noisy_layout, so the fused partition is derived once, as the
+     * engine derives it). This is the report a rejected compile() throws
+     * with.
      */
     static verify::Report admission_report(const Circuit& circuit,
                                            Admission admission =

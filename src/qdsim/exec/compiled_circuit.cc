@@ -62,8 +62,7 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit,
             const Gate fused(
                 "fused[" + std::to_string(group.members.size()) + "]",
                 std::move(gate_dims), fused_matrix(dims_, ops, group));
-            ops_.push_back(compile_op(dims_, fused, group.wires, &use,
-                                      kFusedPlanSalt));
+            ops_.push_back(compile_op(dims_, fused, group.wires, &use));
             ++num_fused_groups_;
         }
         ops_.back().source_ops = group.members;

@@ -40,8 +40,7 @@ class CompiledCircuit {
      * on identical or nested wire sets merge into one block before kernel
      * classification. `fence_after` (empty, or circuit.num_ops() flags)
      * pins op boundaries noise channels attach to. `cache` (optional)
-     * shares ApplyPlans with other compilations over the same register;
-     * fused-group plans are keyed by the fusion cap inside it.
+     * shares ApplyPlans with other compilations over the same register.
      */
     CompiledCircuit(const Circuit& circuit, const FusionOptions& options,
                     std::span<const std::uint8_t> fence_after = {},

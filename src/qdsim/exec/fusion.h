@@ -49,8 +49,6 @@
  * fusion_cost_rejected / fusion_cap_truncations).
  *
  * Every multi-wire merge, in either stage, is bounded by kFusionMaxBlock.
- * Fused-group plans live in the PlanCache under kFusedPlanSalt, apart
- * from the plain per-op geometry (salt 0).
  *
  *  - Fences pin operation boundaries that noise must observe: the
  *    trajectory and density-matrix engines fence every operation that
@@ -88,10 +86,6 @@ namespace qd::exec {
  * separate kernels: changing it moves every fused partition.
  */
 inline constexpr Index kFusionMaxBlock = 27;
-
-/** PlanCache salt of fused-group plans, keeping them apart from the
- *  plain per-op geometry under salt 0 (see PlanCache). */
-inline constexpr Index kFusedPlanSalt = 1;
 
 /** Settings for the compile-time fusion stage. */
 struct FusionOptions {

@@ -221,7 +221,7 @@ kernel_name(KernelKind kind)
 
 CompiledOp
 compile_op(const WireDims& dims, const Gate& gate,
-           std::span<const int> wires, PlanCache* cache, Index plan_salt)
+           std::span<const int> wires, PlanCache* cache)
 {
     if (gate.empty()) {
         throw std::invalid_argument("compile_op: empty gate");
@@ -263,7 +263,7 @@ compile_op(const WireDims& dims, const Gate& gate,
         return op;
     }
 
-    op.plan = cache != nullptr ? cache->get(wires, plan_salt)
+    op.plan = cache != nullptr ? cache->get(wires)
                                : make_apply_plan(dims, wires);
     if (gate.is_permutation()) {
         op.kind = KernelKind::kPermutation;

@@ -129,16 +129,13 @@ bool monomial_action(const Matrix& op, std::vector<Index>& perm,
 /**
  * Compiles one (gate, wires) application site against `dims`, choosing the
  * kernel from the gate's cached structure. `cache` (optional) shares
- * ApplyPlans between operations on the same wires; `plan_salt`
- * distinguishes plan variants in the cache (fused groups use
- * kFusedPlanSalt — see PlanCache).
+ * ApplyPlans between operations on the same wires.
  *
  * @throws std::invalid_argument on wire/dimension mismatches (same
  *         contract as Circuit::append / StateVector::apply).
  */
 CompiledOp compile_op(const WireDims& dims, const Gate& gate,
-                      std::span<const int> wires, PlanCache* cache = nullptr,
-                      Index plan_salt = 0);
+                      std::span<const int> wires, PlanCache* cache = nullptr);
 
 /** Executes a compiled operation in place: the batched kernel bodies at a
  *  compile-time lane count of 1 (defined in batched_kernels.cc). `psi`

@@ -31,8 +31,9 @@ coarse_class(const Gate& gate)
     return gate.has_controlled_structure() ? 1 : 2;
 }
 
-/** The fused operator of a group as a Gate, so its cached structure
- *  classifies exactly the way compile_op will. */
+/** The fused operator of a group the audit has no compiled gate for, as
+ *  a Gate, so its cached structure classifies exactly the way compile_op
+ *  will. */
 Gate
 probe_gate(const WireDims& dims, std::span<const Operation> ops,
            const FusedGroup& group)
@@ -142,23 +143,10 @@ check_wires(const WireDims& dims, std::span<const Operation> ops,
     }
 }
 
-struct GroupEval {
-    Gate probe;
-    int cls = 2;
-    Index block = 1;
-    std::uint64_t cost = 0;
-};
-
-GroupEval
-eval_group(const WireDims& dims, std::span<const Operation> ops,
-           const FusedGroup& g)
+std::uint64_t
+group_cost(const WireDims& dims, const FusedGroup& g, const Gate& fused)
 {
-    GroupEval e;
-    e.probe = probe_gate(dims, ops, g);
-    e.cls = coarse_class(e.probe);
-    e.block = e.probe.block_size();
-    e.cost = exec::estimate_block_cost(dims, g.wires, e.probe, dims.size());
-    return e;
+    return exec::estimate_block_cost(dims, g.wires, fused, dims.size());
 }
 
 std::uint64_t
@@ -182,25 +170,32 @@ cost_within(std::uint64_t cand, std::uint64_t parts)
            static_cast<double>(parts) * (1.0 + 1e-9) + 1.0;
 }
 
+/** Cap, class-algebra and (check_cost) cost checks of every fused
+ *  multi-wire group. `fused[k]` is groups[k]'s fused operator when the
+ *  partition comes from a compilation; empty builds each from its
+ *  members. */
 void
 check_caps_and_cost(const WireDims& dims, std::span<const Operation> ops,
-                    std::span<const FusedGroup> groups, bool check_cost,
+                    std::span<const FusedGroup> groups,
+                    std::span<const Gate> fused, bool check_cost,
                     Report& report)
 {
-    for (const FusedGroup& g : groups) {
+    for (std::size_t k = 0; k < groups.size(); ++k) {
+        const FusedGroup& g = groups[k];
         if (g.wires.size() <= 1) {
             continue;  // single-wire collapses run the unrolled kernels
         }
         if (g.members.size() < 2) {
             continue;  // nothing fused; compiled exactly like a plain op
         }
-        const GroupEval e = eval_group(dims, ops, g);
+        const Gate gate = fused.empty() ? probe_gate(dims, ops, g) : fused[k];
         const std::ptrdiff_t anchor =
             static_cast<std::ptrdiff_t>(g.members.front());
-        if (e.block > exec::kFusionMaxBlock) {
+        if (gate.block_size() > exec::kFusionMaxBlock) {
             report.add("fusion.cap", Severity::kError, anchor,
                        members_str(g) + ": fused block " +
-                           std::to_string(e.block) + " exceeds the cap " +
+                           std::to_string(gate.block_size()) +
+                           " exceeds the cap " +
                            std::to_string(exec::kFusionMaxBlock));
         }
 
@@ -210,19 +205,20 @@ check_caps_and_cost(const WireDims& dims, std::span<const Operation> ops,
         for (const std::uint32_t m : g.members) {
             all_light = all_light && coarse_class(ops[m].gate) == 0;
         }
-        if (all_light && e.cls != 0) {
+        if (all_light && coarse_class(gate) != 0) {
             report.add("fusion.class-algebra", Severity::kError, anchor,
                        members_str(g) +
                            ": light members fused into a non-light block");
         }
 
         if (check_cost) {
+            const std::uint64_t cost = group_cost(dims, g, gate);
             const std::uint64_t parts = member_cost_sum(dims, ops, g);
-            if (!cost_within(e.cost, parts)) {
+            if (!cost_within(cost, parts)) {
                 report.add("fusion.cost-regression", Severity::kError,
                            anchor,
                            members_str(g) + ": fused cost " +
-                               std::to_string(e.cost) +
+                               std::to_string(cost) +
                                " exceeds bound over member costs " +
                                std::to_string(parts));
             }
@@ -332,7 +328,8 @@ check_order_and_fences(std::span<const Operation> ops,
 void
 audit_partition_impl(const WireDims& dims, std::span<const Operation> ops,
                      std::span<const std::uint8_t> fence_after,
-                     std::span<const FusedGroup> groups, bool check_cost,
+                     std::span<const FusedGroup> groups,
+                     std::span<const Gate> fused, bool check_cost,
                      Report& report)
 {
     if (!fence_after.empty() && fence_after.size() != ops.size()) {
@@ -347,7 +344,7 @@ audit_partition_impl(const WireDims& dims, std::span<const Operation> ops,
         check_wires(dims, ops, g, report);
     }
     check_order_and_fences(ops, fence_after, groups, report);
-    check_caps_and_cost(dims, ops, groups, check_cost, report);
+    check_caps_and_cost(dims, ops, groups, fused, check_cost, report);
 }
 
 }  // namespace
@@ -357,21 +354,32 @@ audit_partition(const WireDims& dims, std::span<const Operation> ops,
                 std::span<const std::uint8_t> fence_after,
                 std::span<const FusedGroup> groups, Report& report)
 {
-    audit_partition_impl(dims, ops, fence_after, groups,
+    audit_partition_impl(dims, ops, fence_after, groups, {},
                          /*check_cost=*/true, report);
 }
 
 void
-audit_fusion(const WireDims& dims, std::span<const Operation> ops,
+audit_fusion(const exec::CompiledCircuit& compiled,
+             std::span<const Operation> ops,
              std::span<const std::uint8_t> fence_after,
              const exec::FusionOptions& options, Report& report)
 {
-    const std::vector<FusedGroup> groups =
-        exec::fuse_sites(dims, ops, fence_after, options);
+    const WireDims& dims = compiled.dims();
+    std::vector<FusedGroup> groups;
+    std::vector<Gate> fused;
+    groups.reserve(compiled.num_ops());
+    fused.reserve(compiled.num_ops());
+    for (const exec::CompiledOp& op : compiled.ops()) {
+        if (op.gate.empty()) {
+            return;  // released payload; audit_compiled reports it
+        }
+        groups.push_back(FusedGroup{op.wires, op.source_ops});
+        fused.push_back(op.gate);
+    }
     // Structural invariants; the singleton-sum cost bound is replaced by
     // the exact two-level contract below (stage-1 single-wire collapses
     // may legitimately exceed it — the builder's documented exemption).
-    audit_partition_impl(dims, ops, fence_after, groups,
+    audit_partition_impl(dims, ops, fence_after, groups, fused,
                          /*check_cost=*/false, report);
     if (report.has_errors()) {
         return;  // cover/order broken; cost accounting is meaningless
@@ -382,21 +390,47 @@ audit_fusion(const WireDims& dims, std::span<const Operation> ops,
     }
     const std::vector<FusedGroup> stage1 =
         exec::fuse_stage1(dims, ops, fence_after);
+    std::vector<std::size_t> op_to_group(ops.size(), 0);
+    for (std::size_t k = 0; k < groups.size(); ++k) {
+        for (const std::uint32_t m : groups[k].members) {
+            op_to_group[m] = k;
+        }
+    }
+    // A stage-1 group's cost, evaluated on first use: a lone op is its own
+    // operator, a group stage 2 kept whole is the compiled op's gate, and
+    // only groups merged on into a stage-2 union need their product.
+    std::vector<std::uint64_t> stage1_cost(stage1.size(), 0);
+    std::vector<std::uint8_t> costed(stage1.size(), 0);
+    const auto cost_of = [&](std::size_t s) {
+        const FusedGroup& g = stage1[s];
+        if (!costed[s]) {
+            const std::size_t k = op_to_group[g.members.front()];
+            Gate gate;
+            if (g.members.size() == 1) {
+                gate = ops[g.members.front()].gate;
+            } else if (groups[k].members == g.members &&
+                       groups[k].wires == g.wires) {
+                gate = fused[k];
+            } else {
+                gate = probe_gate(dims, ops, g);
+            }
+            stage1_cost[s] = group_cost(dims, g, gate);
+            costed[s] = 1;
+        }
+        return stage1_cost[s];
+    };
 
     // Stage-1 contract: a multi-wire class-algebra merge never exceeds
     // the summed cost of its members (light stays light, controlled
     // merges share one pass, dense blocks only absorb).
-    std::vector<std::uint64_t> stage1_cost(stage1.size(), 0);
     std::vector<std::size_t> op_to_stage1(ops.size(), 0);
     for (std::size_t s = 0; s < stage1.size(); ++s) {
         const FusedGroup& g = stage1[s];
         for (const std::uint32_t m : g.members) {
             op_to_stage1[m] = s;
         }
-        const GroupEval e = eval_group(dims, ops, g);
-        stage1_cost[s] = e.cost;
         if (g.wires.size() > 1 && g.members.size() > 1 &&
-            !cost_within(e.cost, member_cost_sum(dims, ops, g))) {
+            !cost_within(cost_of(s), member_cost_sum(dims, ops, g))) {
             report.add("fusion.cost-regression", Severity::kError,
                        static_cast<std::ptrdiff_t>(g.members.front()),
                        members_str(g) +
@@ -406,7 +440,8 @@ audit_fusion(const WireDims& dims, std::span<const Operation> ops,
 
     // Stage-2 contract: a union merge of whole stage-1 groups was
     // admitted at est(union) <= sum(est(stage-1 parts)).
-    for (const FusedGroup& g : groups) {
+    for (std::size_t k = 0; k < groups.size(); ++k) {
+        const FusedGroup& g = groups[k];
         std::set<std::size_t> parts;
         for (const std::uint32_t m : g.members) {
             parts.insert(op_to_stage1[m]);
@@ -415,10 +450,8 @@ audit_fusion(const WireDims& dims, std::span<const Operation> ops,
             continue;  // identical to a stage-1 group (or finer; stage 2
                        // only coarsens, so finer would fail the cover)
         }
-        std::uint64_t part_sum = 0;
         bool whole = true;
         for (const std::size_t s : parts) {
-            part_sum += stage1_cost[s];
             whole = whole && std::includes(g.members.begin(),
                                            g.members.end(),
                                            stage1[s].members.begin(),
@@ -427,12 +460,16 @@ audit_fusion(const WireDims& dims, std::span<const Operation> ops,
         if (!whole) {
             continue;  // not a coarsening; structural checks already ran
         }
-        const GroupEval e = eval_group(dims, ops, g);
-        if (!cost_within(e.cost, part_sum)) {
+        std::uint64_t part_sum = 0;
+        for (const std::size_t s : parts) {
+            part_sum += cost_of(s);
+        }
+        const std::uint64_t cost = group_cost(dims, g, fused[k]);
+        if (!cost_within(cost, part_sum)) {
             report.add("fusion.cost-regression", Severity::kError,
                        static_cast<std::ptrdiff_t>(g.members.front()),
                        members_str(g) + ": union cost " +
-                           std::to_string(e.cost) +
+                           std::to_string(cost) +
                            " exceeds the admission bound over its stage-1 "
                            "parts (" +
                            std::to_string(part_sum) + ")");

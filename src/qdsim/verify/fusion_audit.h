@@ -5,19 +5,20 @@
  * audit_partition proves the structural invariants of ANY partition
  * (exact cover, commute-safe reordering, fences never spanned, multi-wire
  * blocks within kFusionMaxBlock, no cost regression against the parts);
- * audit_fusion re-derives the stage-1 and stage-2 partitions with
- * fuse_stage1 / fuse_sites and additionally checks the class-algebra cost
- * contract at both levels — stage-1 merges must never exceed the summed
- * cost of their members, stage-2 union merges never exceed the summed
- * cost of the stage-1 groups they replaced (exactly the admission bound
- * the look-ahead DP committed to).
+ * audit_fusion audits the partition a CompiledCircuit realises, reading
+ * each fused group's class, cap and cost off the compiled op's own fused
+ * gate, and additionally checks the class-algebra cost contract at both
+ * levels — stage-1 merges (fuse_stage1) must never exceed the summed cost
+ * of their members, stage-2 union merges never exceed the summed cost of
+ * the stage-1 groups they replaced (exactly the admission bound the
+ * look-ahead DP committed to).
  */
 #ifndef QDSIM_VERIFY_FUSION_AUDIT_H
 #define QDSIM_VERIFY_FUSION_AUDIT_H
 
 #include <span>
 
-#include "qdsim/exec/fusion.h"
+#include "qdsim/exec/compiled_circuit.h"
 #include "qdsim/verify/report.h"
 
 namespace qd::verify {
@@ -41,12 +42,17 @@ void audit_partition(const WireDims& dims, std::span<const Operation> ops,
                      Report& report);
 
 /**
- * Re-derives the partition with fuse_sites(dims, ops, fence_after,
- * options) and audits it: structural invariants via audit_partition plus
- * the exact two-level cost contract (stage-1 merges vs member sums,
- * stage-2 union merges vs the stage-1 groups they replaced).
+ * Audits the partition `compiled` realises over `ops`, the sequence it was
+ * compiled from under `fence_after`/`options`; each compiled op's
+ * source_ops and wires form one group, and its gate is the group's fused
+ * operator. Checks the structural invariants of audit_partition plus the
+ * exact two-level cost contract (stage-1 merges vs member sums, stage-2
+ * union merges vs the stage-1 groups they replaced). The compilation must
+ * still hold its fused gates (not release_fused_payloads'd); one that does
+ * not is left to audit_compiled, which reports the empty gates.
  */
-void audit_fusion(const WireDims& dims, std::span<const Operation> ops,
+void audit_fusion(const exec::CompiledCircuit& compiled,
+                  std::span<const Operation> ops,
                   std::span<const std::uint8_t> fence_after,
                   const exec::FusionOptions& options, Report& report);
 

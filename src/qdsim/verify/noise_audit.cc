@@ -4,11 +4,9 @@
 #include <cmath>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "noise/channels.h"
-#include "noise/error_placement.h"
 
 namespace qd::verify {
 
@@ -191,29 +189,6 @@ analyze_noise(const noise::NoiseModel& model, const WireDims& dims,
         }
     }
     return report;
-}
-
-void
-enforce_noisy(const Circuit& circuit, const noise::NoiseModel& model,
-              const exec::FusionOptions& fusion)
-{
-    if (!strict()) {
-        return;
-    }
-    noise::NoisyLayout layout = noise::noisy_layout(
-        circuit, model, noise::enumerate_error_sites(circuit, model),
-        fusion.enabled);
-    Options options;
-    options.dead_code = false;
-    options.allow_nonunitary = true;
-    options.fusion = fusion;
-    options.fences = std::move(layout.fences);
-    options.order = std::move(layout.order);
-    Report report = analyze(circuit, options);
-    report.merge(analyze_noise(model, circuit.dims()));
-    if (report.has_errors()) {
-        throw VerificationError(std::move(report));
-    }
 }
 
 }  // namespace qd::verify

@@ -153,7 +153,7 @@ audit_plan(const WireDims& dims, std::span<const int> wires,
 
 void
 audit_compiled_op(const WireDims& dims, const CompiledOp& op, Report& report,
-                  std::ptrdiff_t op_index)
+                  std::ptrdiff_t op_index, exec::PlanCache* cache)
 {
     const std::string where =
         std::string(exec::kernel_name(op.kind)) + " op on wires " +
@@ -172,7 +172,7 @@ audit_compiled_op(const WireDims& dims, const CompiledOp& op, Report& report,
     // must land on the same kernel with the same precomputed data.
     CompiledOp fresh;
     try {
-        fresh = exec::compile_op(dims, op.gate, op.wires);
+        fresh = exec::compile_op(dims, op.gate, op.wires, cache);
     } catch (const std::exception& e) {
         report.add("plan.kernel-class", Severity::kError, op_index,
                    where + ": compile_op rejects this site: " + e.what());
@@ -305,6 +305,7 @@ void
 audit_compiled(const exec::CompiledCircuit& compiled, Report& report)
 {
     const WireDims& dims = compiled.dims();
+    exec::PlanCache cache(dims);
     std::vector<std::uint8_t> seen(compiled.num_source_ops(), 0);
     bool cover_ok = true;
 
@@ -314,7 +315,7 @@ audit_compiled(const exec::CompiledCircuit& compiled, Report& report)
             op.source_ops.empty()
                 ? -1
                 : static_cast<std::ptrdiff_t>(op.source_ops.front());
-        audit_compiled_op(dims, op, report, anchor);
+        audit_compiled_op(dims, op, report, anchor, &cache);
 
         std::uint32_t prev = 0;
         for (std::size_t j = 0; j < op.source_ops.size(); ++j) {

@@ -37,15 +37,19 @@ void audit_plan(const WireDims& dims, std::span<const int> wires,
  * assignment against a fresh compile_op dispatch (plan.kernel-class), and
  * per-kernel data consistency — controlled masks/offsets re-derived from
  * the gate's ControlledStructure (plan.ctrl-mask), single-wire run
- * geometry, and the diagonal table (plan.kernel-data).
+ * geometry, and the diagonal table (plan.kernel-data). `cache` (optional,
+ * over `dims`) shares the re-derivation's offset tables across ops; it
+ * must not hold the audited op's own plan, which is checked, not trusted.
  */
 void audit_compiled_op(const WireDims& dims, const exec::CompiledOp& op,
-                       Report& report, std::ptrdiff_t op_index = -1);
+                       Report& report, std::ptrdiff_t op_index = -1,
+                       exec::PlanCache* cache = nullptr);
 
 /**
- * Audits a whole compiled circuit: every op via audit_compiled_op plus
- * the source-op cover — each source index in exactly one compiled op,
- * ascending within an op (plan.source-cover).
+ * Audits a whole compiled circuit: every op via audit_compiled_op (one
+ * PlanCache shared by all re-derivations) plus the source-op cover —
+ * each source index in exactly one compiled op, ascending within an op
+ * (plan.source-cover).
  */
 void audit_compiled(const exec::CompiledCircuit& compiled, Report& report);
 

@@ -370,15 +370,13 @@ audit_artifacts(const Circuit& circuit, const Options& options,
         }
         return;
     }
-    if (options.fusion_audit) {
-        audit_fusion(circuit.dims(), circuit.ops(), options.fences,
-                     options.fusion, report);
-    }
-    if (options.plan_audit) {
-        const exec::CompiledCircuit compiled(circuit, options.fusion,
-                                             options.fences);
-        audit_compiled(compiled, report);
-    }
+    // One compilation, exactly as an engine builds it: the fusion audit
+    // reads its partition and fused gates, the plan audit its kernels.
+    const exec::CompiledCircuit compiled(circuit, options.fusion,
+                                         options.fences);
+    audit_fusion(compiled, circuit.ops(), options.fences, options.fusion,
+                 report);
+    audit_compiled(compiled, report);
 }
 
 }  // namespace
@@ -389,7 +387,7 @@ analyze(const Circuit& circuit, const Options& options)
     Report report;
     const bool structural_ok =
         analyze_core(circuit.dims(), circuit.ops(), options, report);
-    if (structural_ok && (options.plan_audit || options.fusion_audit)) {
+    if (structural_ok) {
         audit_artifacts(circuit, options, report);
     }
     return report;
@@ -401,7 +399,7 @@ analyze_ops(const WireDims& dims, std::span<const Operation> ops,
 {
     Report report;
     const bool structural_ok = analyze_core(dims, ops, options, report);
-    if (structural_ok && (options.plan_audit || options.fusion_audit)) {
+    if (structural_ok) {
         // Structurally sound, so the validating append cannot throw.
         Circuit rebuilt{dims};
         for (const Operation& op : ops) {
@@ -455,24 +453,6 @@ VerificationError::VerificationError(Report report)
                          report.to_string()),
       report_(std::move(report))
 {
-}
-
-void
-enforce(const Circuit& circuit, const exec::FusionOptions& fusion,
-        std::span<const std::uint8_t> fences)
-{
-    if (!strict()) {
-        return;
-    }
-    Options options;
-    options.dead_code = false;
-    options.allow_nonunitary = true;
-    options.fusion = fusion;
-    options.fences.assign(fences.begin(), fences.end());
-    Report report = analyze(circuit, options);
-    if (report.has_errors()) {
-        throw VerificationError(std::move(report));
-    }
 }
 
 }  // namespace qd::verify

@@ -15,17 +15,19 @@
  *    that declared ancilla wires return to their input value and that no
  *    |2> population survives to the output — mid-circuit |2> occupancy is
  *    the paper's mechanism (lifted regions) and stays legal;
- *  - compiled-artifact audits (plan_audit.h, fusion_audit.h) re-derive
- *    kernel dispatch and fusion partitions and prove their offset tables
- *    and class algebra.
+ *  - compiled-artifact audits (plan_audit.h, fusion_audit.h): the
+ *    circuit is compiled once under Options::fusion/fences, and that
+ *    compilation's fusion partition, offset tables and kernel dispatch
+ *    are proven without running a kernel.
  *
  * Strict mode: `strict()` reads QD_VERIFY=strict (overridable with
- * set_strict), and the simulation entry points (`simulate`,
- * `apply_circuit`, `circuit_unitary`, `run_noisy_trials`,
- * `density_matrix_fidelity`) call `enforce` before executing, so a Debug
- * CI leg exporting QD_VERIFY=strict turns the whole test suite into a
- * verifier fuzz corpus. Off by default; precompiled-circuit overloads
- * (the per-shot hot paths) are never re-verified.
+ * set_strict). Under it the CompileService admits every in-process
+ * circuit through this analysis before compiling (exec/compile_service.h),
+ * so the simulation entry points (`simulate`, `apply_circuit`,
+ * `circuit_unitary`, `run_noisy_trials`, `density_matrix_fidelity`) are
+ * verified and a Debug CI leg exporting QD_VERIFY=strict turns the whole
+ * test suite into a verifier fuzz corpus. Off by default; precompiled-
+ * circuit overloads (the per-shot hot paths) are never re-verified.
  */
 #ifndef QDSIM_VERIFY_VERIFY_H
 #define QDSIM_VERIFY_VERIFY_H
@@ -49,15 +51,13 @@ struct Options {
     /** Emit an info finding classifying each distinct gate matrix
      *  (unitary/hermitian/diagonal/permutation/monomial). */
     bool classify = false;
-    /** Compile the circuit and audit every plan/kernel assignment
-     *  (plan_audit.h). Skipped when legality found structural errors. */
-    bool plan_audit = true;
-    /** Re-derive the fusion partition under `fusion`/`fences` and audit
-     *  its invariants (fusion_audit.h). Skipped like plan_audit. */
-    bool fusion_audit = true;
-    /** Fusion settings the audited compilation would run under. */
+    /** Fusion settings the audited compilation runs under. The circuit is
+     *  compiled once and its fusion partition (fusion_audit.h) and every
+     *  plan/kernel assignment (plan_audit.h) are audited; skipped when
+     *  legality found structural errors. */
     exec::FusionOptions fusion{};
-    /** fence_after flags for the fusion audit (empty or one per op). */
+    /** fence_after flags for the audited compilation (empty or one per
+     *  op). */
     std::vector<std::uint8_t> fences{};
     /** Op order the plan and fusion audits see: position p holds op
      *  order[p] (empty keeps circuit order, else a permutation of the op
@@ -86,7 +86,7 @@ struct Options {
     Real tol = kLooseTol;
 };
 
-/** Analyzes a circuit; never throws on findings (see enforce). */
+/** Analyzes a circuit; never throws on findings. */
 [[nodiscard]] Report analyze(const Circuit& circuit,
                              const Options& options = {});
 
@@ -111,7 +111,7 @@ struct Options {
 void set_strict(bool on);
 void clear_strict();
 
-/** Thrown by enforce when strict analysis finds errors. */
+/** Thrown by the CompileService when admission analysis finds errors. */
 class VerificationError : public std::runtime_error {
   public:
     explicit VerificationError(Report report);
@@ -120,16 +120,6 @@ class VerificationError : public std::runtime_error {
   private:
     Report report_;
 };
-
-/**
- * No-op unless strict(); otherwise analyzes `circuit` (legality + plan +
- * fusion audits under `fusion`/`fences`; dead-code/domain heuristics and
- * the unitarity error are excluded — the simulator applies non-unitary
- * matrices by design) and throws VerificationError if any error finding
- * survives. Called by the circuit-taking simulation entry points.
- */
-void enforce(const Circuit& circuit, const exec::FusionOptions& fusion = {},
-             std::span<const std::uint8_t> fences = {});
 
 }  // namespace qd::verify
 

@@ -166,7 +166,7 @@ TEST(DensityMatrix, EveryKernelKindMatchesOracleOnMixedRadix) {
 
 TEST(DensityMatrix, FusedGroupMatchesOracleOnMixedRadix) {
     // A fused group compiles like the exact engine compiles it (the
-    // product wrapped in a Gate, plan keyed by kFusedPlanSalt) and must
+    // product wrapped in a Gate, sharing the register's plan cache) and must
     // match the oracle applying its members one by one.
     Rng rng(312);
     const WireDims dims({2, 3, 3});
@@ -193,8 +193,7 @@ TEST(DensityMatrix, FusedGroupMatchesOracleOnMixedRadix) {
         const Matrix rho = random_mixed_rho(dims, rng);
         DensityMatrix compiled(dims, rho);
         const CompiledSuperOp sop =
-            compile_superop(dims, g, group.wires, &compiled.plan_cache(),
-                            exec::kFusedPlanSalt);
+            compile_superop(dims, g, group.wires, &compiled.plan_cache());
         EXPECT_EQ(sop.k_conj.kind, sop.k.kind);
         compiled.apply(sop);
         Matrix dense = rho;
@@ -365,9 +364,10 @@ TEST(DensityMatrix, TrajectoryConvergesToCompiledExactDepolarizing) {
     const StateVector ideal = simulate(c, init);
     Real mean = 0;
     const int trials = 3000;
+    const TrajectoryCompilation compiled(c, m);
     for (int t = 0; t < trials; ++t) {
         Rng child = rng.child(static_cast<std::uint64_t>(t));
-        mean += run_single_trajectory(c, m, init, ideal, child);
+        mean += run_single_trajectory(compiled, init, ideal, child);
     }
     mean /= trials;
     EXPECT_NEAR(mean, exact, 0.01);

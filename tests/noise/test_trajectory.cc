@@ -108,9 +108,10 @@ TEST(Trajectory, DampingDrivesExcitedStateDown) {
     Real mean = 0;
     const int trials = 600;
     const StateVector ideal = simulate(c, one);
+    const TrajectoryCompilation compiled(c, m);
     for (int t = 0; t < trials; ++t) {
         Rng child = rng.child(static_cast<std::uint64_t>(t));
-        mean += run_single_trajectory(c, m, one, ideal, child);
+        mean += run_single_trajectory(compiled, one, ideal, child);
     }
     mean /= trials;
     EXPECT_NEAR(mean, std::exp(-1.0), 0.06);
@@ -127,13 +128,14 @@ TEST(Trajectory, QutritLevel2DampsFasterThanLevel1) {
     m.t1 = 20 * m.dt_1q;
     const StateVector one(c.dims(), {1});
     const StateVector two(c.dims(), {2});
+    const TrajectoryCompilation compiled(c, m);
     auto mean_fid = [&](const StateVector& init) {
         Rng rng(17);
         Real mean = 0;
         const StateVector ideal = simulate(c, init);
         for (int t = 0; t < 400; ++t) {
             Rng child = rng.child(static_cast<std::uint64_t>(t));
-            mean += run_single_trajectory(c, m, init, ideal, child);
+            mean += run_single_trajectory(compiled, init, ideal, child);
         }
         return mean / 400;
     };
@@ -153,9 +155,10 @@ TEST(Trajectory, ConvergesToDensityMatrixDepolarizing) {
     const StateVector ideal = simulate(c, init);
     Real mean = 0;
     const int trials = 4000;
+    const TrajectoryCompilation compiled(c, m);
     for (int t = 0; t < trials; ++t) {
         Rng child = rng.child(static_cast<std::uint64_t>(t));
-        mean += run_single_trajectory(c, m, init, ideal, child);
+        mean += run_single_trajectory(compiled, init, ideal, child);
     }
     mean /= trials;
     EXPECT_NEAR(mean, exact, 0.01);
@@ -173,9 +176,10 @@ TEST(Trajectory, ConvergesToDensityMatrixWithDamping) {
     const StateVector ideal = simulate(c, init);
     Real mean = 0;
     const int trials = 4000;
+    const TrajectoryCompilation compiled(c, m);
     for (int t = 0; t < trials; ++t) {
         Rng child = rng.child(static_cast<std::uint64_t>(t));
-        mean += run_single_trajectory(c, m, init, ideal, child);
+        mean += run_single_trajectory(compiled, init, ideal, child);
     }
     mean /= trials;
     EXPECT_NEAR(mean, exact, 0.01);
@@ -195,9 +199,10 @@ TEST(Trajectory, ConvergesToDensityMatrixWithDephasing) {
     const StateVector ideal = simulate(c, init);
     Real mean = 0;
     const int trials = 6000;
+    const TrajectoryCompilation compiled(c, m);
     for (int t = 0; t < trials; ++t) {
         Rng child = rng.child(static_cast<std::uint64_t>(t));
-        mean += run_single_trajectory(c, m, init, ideal, child);
+        mean += run_single_trajectory(compiled, init, ideal, child);
     }
     mean /= trials;
     EXPECT_NEAR(mean, exact, 0.015);
@@ -224,9 +229,10 @@ TEST(Trajectory, DephasedControlledPermutationsMatchDensityMatrix) {
     const StateVector ideal = simulate(c, init);
     Real mean = 0;
     const int trials = 4000;
+    const TrajectoryCompilation compiled(c, m);
     for (int t = 0; t < trials; ++t) {
         Rng child = rng.child(static_cast<std::uint64_t>(t));
-        mean += run_single_trajectory(c, m, init, ideal, child);
+        mean += run_single_trajectory(compiled, init, ideal, child);
     }
     mean /= trials;
     EXPECT_LT(exact, 0.9);  // the dephasing moves the fidelity
@@ -275,9 +281,10 @@ TEST(Trajectory, MixedRadixDampingSequentialPath) {
     const StateVector ideal = simulate(c, init);
     Real mean = 0;
     const int trials = 4000;
+    const TrajectoryCompilation compiled(c, m);
     for (int t = 0; t < trials; ++t) {
         Rng child = rng.child(static_cast<std::uint64_t>(t));
-        mean += run_single_trajectory(c, m, init, ideal, child);
+        mean += run_single_trajectory(compiled, init, ideal, child);
     }
     mean /= trials;
     EXPECT_NEAR(mean, exact, 0.012);
@@ -497,9 +504,10 @@ TEST(Trajectory, DampingEnginesAgreeUnderLevel2OnlyDecay) {
         Rng rng(21);
         Real mean = 0;
         const int trials = 3000;
+        const TrajectoryCompilation compiled(c, m);
         for (int t = 0; t < trials; ++t) {
             Rng child = rng.child(static_cast<std::uint64_t>(t));
-            mean += run_single_trajectory(c, m, init, ideal, child);
+            mean += run_single_trajectory(compiled, init, ideal, child);
         }
         EXPECT_NEAR(mean / trials, exact, 0.01)
             << "wires " << dims.num_wires();

@@ -458,31 +458,6 @@ TEST(Fusion, DisabledFusionMatchesPlainCompilationBitwise) {
     }
 }
 
-TEST(Fusion, PlanCacheSaltSeparatesPlanVariants) {
-    // Fused-group plans are cached under kFusedPlanSalt. A shared cache
-    // must never alias plan variants of different salts, and salted
-    // entries must not shadow the plain (salt-0) geometry.
-    ASSERT_NE(exec::kFusedPlanSalt, 0u);
-    const WireDims dims({3, 3, 3});
-    exec::PlanCache cache(dims);
-    const std::vector<int> wires = {0, 2};
-    const auto plain = cache.get(wires);
-    const auto cap9 = cache.get(wires, 9);
-    const auto cap27 = cache.get(wires, 27);
-    EXPECT_NE(plain, cap9);
-    EXPECT_NE(cap9, cap27);
-    // Same key → same shared tables.
-    EXPECT_EQ(cache.get(wires, 9), cap9);
-    EXPECT_EQ(cache.get(wires), plain);
-    // put() under one salt must not leak into another.
-    const WireDims dims2({3, 3, 3});
-    exec::PlanCache cache2(dims2);
-    cache2.put(wires, cap9, 9);
-    EXPECT_EQ(cache2.get(wires, 9), cap9);
-    EXPECT_NE(cache2.get(wires, 27), cap9);
-    EXPECT_NE(cache2.get(wires), cap9);
-}
-
 TEST(Fusion, SharedCacheAcrossFusionOnAndOffStaysCorrect) {
     // Fused and unfused compilations against one shared PlanCache must
     // both stay correct (regression for stale-plan aliasing between the

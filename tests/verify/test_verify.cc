@@ -20,6 +20,7 @@
 #include "noise/density_matrix.h"
 #include "noise/models.h"
 #include "noise/trajectory.h"
+#include "qdsim/exec/compile_service.h"
 #include "qdsim/exec/kernels.h"
 #include "qdsim/gate_library.h"
 #include "qdsim/random_state.h"
@@ -272,8 +273,9 @@ TEST(VerifyFusion, BuilderPartitionsAuditCleanWithFusionOnAndOff) {
     fences[2] = 1;
     for (const auto& options : grid) {
         for (const auto& f : {no_fences, fences}) {
+            const exec::CompiledCircuit compiled(c, options, f);
             Report r;
-            verify::audit_fusion(c.dims(), c.ops(), f, options, r);
+            verify::audit_fusion(compiled, c.ops(), f, options, r);
             EXPECT_TRUE(r.clean()) << r.to_string();
         }
     }
@@ -395,21 +397,26 @@ TEST(VerifyStrict, RoundTripsAllEngines) {
     EXPECT_GT(f, 0.0);
 }
 
-TEST(VerifyStrict, EnforceThrowsWithReportOnBadArtifacts) {
+TEST(VerifyStrict, BadArtifactsAreReportedAndRejected) {
     StrictGuard strict(true);
     const Circuit c = small_mixed_circuit();
-    const std::vector<std::uint8_t> short_fences = {1};  // wrong length
-    try {
-        verify::enforce(c, exec::FusionOptions{}, short_fences);
-        FAIL() << "expected VerificationError";
-    } catch (const verify::VerificationError& e) {
-        EXPECT_TRUE(e.report().has_rule("verify.options"));
-    }
+    // Strict in-process admission options, wrong-length fences.
+    const Report report = verify::analyze(
+        c, exec::CompileService::admission_options(exec::Admission::kDefault,
+                                                   exec::FusionOptions{},
+                                                   {1}));
+    EXPECT_TRUE(report.has_errors());
+    EXPECT_TRUE(report.has_rule("verify.options")) << report.to_string();
 
     noise::NoiseModel negative = noise::sc();
     negative.p2 = -1.0;
-    EXPECT_THROW(noise::run_noisy_trials(c, negative, {}),
-                 verify::VerificationError);
+    try {
+        (void)noise::run_noisy_trials(c, negative, {});
+        FAIL() << "expected VerificationError";
+    } catch (const verify::VerificationError& e) {
+        EXPECT_TRUE(e.report().has_rule("noise.probability"))
+            << e.report().to_string();
+    }
 }
 
 TEST(VerifyStrict, OffByDefaultAndOverridable) {
