@@ -21,16 +21,32 @@
  * reports its fastest rep — per-run wall times are ~10 ms, so min-of-reps
  * is what filters scheduler noise out of the gated ratio.
  *
+ * Support walk (gated on "speedup_sparse"): the QUTRIT Generalized
+ * Toffoli at width 10 (9 controls, 3^10 amplitudes) from the Figure 11
+ * qubit-subspace inputs, B-lane batches walking only their occupied
+ * support (the default) against the same trials forced dense
+ * (exec::DenseSupportScope), each on one trajectory worker. Fails
+ * loudly if a per-trial fidelity differs by more than 1e-12 (the damped
+ * runs differ by rounding: a tracked batch scales its lanes, not a
+ * damping frame).
+ * "sparse_support_frac" is the fraction of the dense walk's amplitude
+ * slots the tracked run visits (obs bat_walked_slots).
+ *
  * Knobs: QD_BATCH_CONTROLS (default 4), QD_BATCH_TRIALS (default 512),
- * QD_BATCH_LANES (default 12), QD_BATCH_REPS (default 5).
+ * QD_BATCH_LANES (default 12), QD_BATCH_REPS (default 5),
+ * QD_BATCH_SPARSE_CONTROLS (default 9), QD_BATCH_SPARSE_TRIALS
+ * (default 24).
  */
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <optional>
 
 #include "bench_util.h"
 #include "constructions/gen_toffoli.h"
 #include "noise/models.h"
 #include "noise/trajectory.h"
+#include "qdsim/exec/batched_state.h"
 
 namespace {
 
@@ -115,6 +131,78 @@ main(int argc, char** argv)
                 lane_equivalent ? "bitwise identical" : "MISMATCH",
                 batched.mean_fidelity);
 
+    // 3. Support walk: tracked batches against the same trials forced
+    // dense, on the width-10 QUTRIT circuit.
+    const int sparse_controls = bench::env_int("QD_BATCH_SPARSE_CONTROLS", 9);
+    const int sparse_trials = bench::env_int("QD_BATCH_SPARSE_TRIALS", 24);
+    const auto wide =
+        ctor::build_gen_toffoli(ctor::Method::kQutrit, sparse_controls);
+    std::printf("\n%s\n", wide.circuit.summary("support walk").c_str());
+    noise::TrajectoryOptions sparse_opts = options;
+    sparse_opts.trials = sparse_trials;
+    sparse_opts.batch = lanes;
+    auto time_support = [&](bool dense, noise::TrajectoryResult& result) {
+        std::optional<exec::DenseSupportScope> scope;
+        if (dense) {
+            scope.emplace();
+        }
+        double best = 0;
+        for (int r = 0; r < reps; ++r) {
+            const double t0 = now_ms();
+            result = noise::run_noisy_trials(wide.circuit, model, sparse_opts);
+            const double elapsed = now_ms() - t0;
+            if (r == 0 || elapsed < best) {
+                best = elapsed;
+            }
+        }
+        return best;
+    };
+    noise::TrajectoryResult tracked_res, dense_res;
+    const double sparse_dense_ms = time_support(true, dense_res);
+    const double sparse_ms = time_support(false, tracked_res);
+    bool sparse_equivalent =
+        tracked_res.per_trial.size() == dense_res.per_trial.size();
+    for (std::size_t t = 0; sparse_equivalent && t < dense_res.per_trial.size();
+         ++t) {
+        sparse_equivalent = std::abs(tracked_res.per_trial[t] -
+                                     dense_res.per_trial[t]) <= 1e-12;
+    }
+    // The walked fraction, from one counted tracked run.
+    double support_frac = 0;
+    {
+        const bool was_enabled = obs::enabled();
+        obs::set_enabled(true);
+        obs::reset_counters();
+        noise::run_noisy_trials(wide.circuit, model, sparse_opts);
+        const obs::SimReport counted = obs::report_snapshot();
+        obs::set_enabled(was_enabled);
+        // The dense walk: every batched lane dispatched over the register.
+        double dense_slots = 0;
+        for (const obs::Counter k :
+             {obs::Counter::kBatPermutation, obs::Counter::kBatDiagonal,
+              obs::Counter::kBatMonomial, obs::Counter::kBatSingleWire,
+              obs::Counter::kBatControlled, obs::Counter::kBatDense}) {
+            dense_slots += static_cast<double>(counted.counters[k]);
+        }
+        dense_slots *= static_cast<double>(wide.circuit.dims().size());
+        if (dense_slots > 0) {
+            support_frac =
+                static_cast<double>(
+                    counted.counters[obs::Counter::kBatWalkedSlots]) /
+                dense_slots;
+        }
+    }
+    const double speedup_sparse = sparse_dense_ms / sparse_ms;
+    std::printf("dense walk:   %d trials in %8.1f ms\n", sparse_trials,
+                sparse_dense_ms);
+    std::printf("support walk: %d trials in %8.1f ms (%.2f%% of the dense "
+                "walk's slots)\n",
+                sparse_trials, sparse_ms, 100.0 * support_frac);
+    std::printf("speedup:      %8.2fx\n", speedup_sparse);
+    std::printf("support equivalence: %s (mean fidelity %.6f)\n",
+                sparse_equivalent ? "within 1e-12" : "MISMATCH",
+                tracked_res.mean_fidelity);
+
     // Instrumented section: a small batched run with counters on
     // (trajectory divergence events, batched kernel classes) and optional
     // --trace spans.
@@ -138,12 +226,26 @@ main(int argc, char** argv)
         .num("speedup", speedup, "%.4f")
         .boolean("lane_equivalent", lane_equivalent)
         .num("mean_fidelity", batched.mean_fidelity)
+        .integer("sparse_controls", sparse_controls)
+        .integer("sparse_trials", sparse_trials)
+        .num("sparse_dense_ms", sparse_dense_ms, "%.3f")
+        .num("sparse_ms", sparse_ms, "%.3f")
+        .num("speedup_sparse", speedup_sparse, "%.4f")
+        .num("sparse_support_frac", support_frac, "%.5f")
+        .boolean("sparse_equivalent", sparse_equivalent)
         .report(rep);
     jw.write("BENCH_batch.json");
     if (!lane_equivalent) {
         std::fprintf(stderr,
                      "bench_batch: 1-lane and B-lane trajectories "
                      "diverged; the speedup is meaningless\n");
+        return 1;
+    }
+    if (!sparse_equivalent) {
+        std::fprintf(stderr,
+                     "bench_batch: support-walk and dense-walk "
+                     "trajectories diverged; speedup_sparse is "
+                     "meaningless\n");
         return 1;
     }
     return 0;

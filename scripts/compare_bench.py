@@ -61,7 +61,9 @@ TRACKED = {
         {"metric": "obs_cache_hit_rate", "mode": "min"},
     ],
     "BENCH_density.json": ["speedup"],
-    "BENCH_batch.json": ["speedup"],
+    # speedup_sparse gates the support walk: width-10 qutrit trajectories
+    # from qubit-subspace inputs, tracked against forced dense.
+    "BENCH_batch.json": ["speedup", "speedup_sparse"],
     # speedup_tree gates the stage-2 cost-model look-ahead (overlapping
     # wire-set unions: the qutrit gen-Toffoli tree fuses ONLY through
     # it), and obs_fusion_cost_rejected pins the model's decisions on

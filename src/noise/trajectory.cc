@@ -24,14 +24,18 @@ namespace qd::noise {
 namespace {
 
 /** Default lanes per batched circuit pass (TrajectoryOptions::batch == 0).
- *  A batch of a Figure 11 sized register does not stay cache-resident (one
- *  12-lane batch of a width-12 qutrit register is 102 MB, about the whole
- *  LLC); lanes pay off because every lane of a pass shares one read of the
+ *  Lanes pay off because every lane of a pass shares one read of the
  *  plan's offset tables and the gate payload, and B lanes take one kernel
- *  dispatch instead of B. On QUTRIT x SC at width 12 (48 trials, 4
- *  threads, 4-core Xeon) batch widths 4 to 12 measure within noise of each
- *  other (1.6-2.0 s) and 2 lanes take 2.4 s; 12 was fastest on the
- *  5-qutrit bench_batch workload, with the curve flat between 8 and 16. */
+ *  dispatch instead of B. A 12-lane batch of a width-12 qutrit register
+ *  spans 102 MB, but from qubit-subspace inputs it is tracked
+ *  (exec::Support::kTracked): a pass walks the lanes' occupied support,
+ *  about 2% of it, and pages outside the support are never faulted, so
+ *  the batch's cache footprint is a few MB; a wider batch walks a larger
+ *  union of supports. Measured on QUTRIT x SC and DRESSED_QUTRIT at
+ *  width 12 (48 trials, 4 threads, 4-core Xeon, tracked), widths 4 to 16
+ *  were within the host's noise of each other and 2 lanes were slowest;
+ *  12 was fastest on the 5-qutrit bench_batch workload, with the curve
+ *  flat between 8 and 16. */
 constexpr int kDefaultBatchLanes = 12;
 
 }  // namespace
@@ -86,6 +90,9 @@ struct TrajectoryCompilation::Impl {
     int width = 0;
     int dim = 0;
     std::vector<std::uint16_t> count_key;  ///< n1 * (width+1) + n2
+    /** Damping jumps |m> -> |0>, jumps[wire][m - 1], for lanes of a
+     *  tracked batch (apply_jump). */
+    std::vector<std::vector<exec::CompiledOp>> jumps;
 
     // Non-copyable: `errors` holds raw pointers into this object's
     // error_memo_; a copy would leave them dangling into the source.
@@ -124,6 +131,9 @@ struct TrajectoryCompilation::Impl {
         }
         build_error_draws(circuit, sites, layout.order);
         const WireDims& dims = circuit.dims();
+        if (model.has_damping()) {
+            build_jumps(dims);
+        }
         width = dims.num_wires();
         dim = dims.dim(0);
         for (int w = 0; w < width; ++w) {
@@ -246,6 +256,24 @@ struct TrajectoryCompilation::Impl {
         }
     }
 
+    /** Compiles every wire's damping jumps |m> -> |0>. */
+    void build_jumps(const WireDims& dims) {
+        jumps.resize(static_cast<std::size_t>(dims.num_wires()));
+        for (int w = 0; w < dims.num_wires(); ++w) {
+            const int d = dims.dim(w);
+            for (int m = 1; m < d; ++m) {
+                Matrix km(static_cast<std::size_t>(d),
+                          static_cast<std::size_t>(d));
+                km(0, static_cast<std::size_t>(m)) = Complex(1, 0);
+                const int wires[1] = {w};
+                jumps[static_cast<std::size_t>(w)].push_back(
+                    exec::compile_op(dims, Gate("jump", {d}, km),
+                                     std::span<const int>(wires, 1),
+                                     &cache));
+            }
+        }
+    }
+
     /** Owns the deduplicated draws; node-based map keeps pointers stable. */
     std::map<std::pair<std::vector<int>, Real>, ErrorDraw> error_memo_;
 };
@@ -276,28 +304,136 @@ namespace {
 using EngineContext = TrajectoryCompilation::Impl;
 using ErrorDraw = EngineContext::ErrorDraw;
 
-/** Applies a damping jump |level> -> |0> on `wire` and renormalises.
- *  A jump is only ever drawn with probability proportional to the level's
- *  population, so a zero-norm result means the engine's bookkeeping and
- *  the state disagree — fail loudly instead of propagating NaNs. */
-void
-apply_jump(StateVector& psi, int wire, int level)
+// Divergent per-lane events run on the lane extracted to a StateVector
+// (a dense batch: the single-shot code) or to a one-lane tracked batch (a
+// tracked batch: the same kernels and per-lane primitives, walking the
+// lane's support). Per lane the two are bitwise equal up to the sign of
+// zeros; these overloads give the rare branch and the jumps one body.
+
+Real
+scale_by_table(StateVector& psi, const std::vector<std::uint16_t>& key,
+               const std::vector<Real>& scale)
 {
-    obs::count(obs::Counter::kTrajDampingJumps);
+    return psi.scale_by_table(key, scale);
+}
+
+Real
+scale_by_table(exec::BatchedStateVector& psi,
+               const std::vector<std::uint16_t>& key,
+               const std::vector<Real>& scale)
+{
+    return psi.scale_by_table_lanes(key, scale)[0];
+}
+
+std::vector<Real>
+populations(const StateVector& psi, int wire)
+{
+    return psi.populations(wire);
+}
+
+std::vector<Real>
+populations(const exec::BatchedStateVector& psi, int wire)
+{
+    return psi.populations_lanes(wire);
+}
+
+bool
+normalize(StateVector& psi)
+{
+    return psi.normalize();
+}
+
+bool
+normalize(exec::BatchedStateVector& psi)
+{
+    return psi.normalize_lanes()[0] != 0;
+}
+
+void
+apply_diag1(StateVector& psi, const std::vector<Complex>& diag, int wire)
+{
+    psi.apply_diag1(diag, wire);
+}
+
+void
+apply_diag1(exec::BatchedStateVector& psi, const std::vector<Complex>& diag,
+            int wire)
+{
+    psi.apply_diag1_masked(diag, wire);
+}
+
+void
+apply_unitary(const exec::CompiledOp& op, StateVector& psi,
+              exec::ExecScratch& scratch)
+{
+    exec::apply_op(op, psi, scratch);
+}
+
+void
+apply_unitary(const exec::CompiledOp& op, exec::BatchedStateVector& psi,
+              exec::ExecScratch& scratch)
+{
+    exec::apply_op_batched(op, psi, scratch);
+}
+
+/** Multiplies the lane by a real factor. */
+void
+scale_lane(StateVector& psi, Real r)
+{
+    for (Complex& a : psi.amplitudes()) {
+        a *= r;
+    }
+}
+
+void
+scale_lane(exec::BatchedStateVector& psi, Real r)
+{
+    psi.for_each_occupied([&](Index i) { psi.at(i, 0) *= r; });
+}
+
+/** The |level> -> |0> jump on `wire`. */
+void
+jump(StateVector& psi, const EngineContext&, int wire, int level,
+     exec::ExecScratch&)
+{
     const int d = psi.dims().dim(wire);
     Matrix km(static_cast<std::size_t>(d), static_cast<std::size_t>(d));
     km(0, static_cast<std::size_t>(level)) = Complex(1, 0);
     const int wires[1] = {wire};
     psi.apply(km, std::span<const int>(wires, 1));
-    if (!psi.normalize()) {
+}
+
+void
+jump(exec::BatchedStateVector& psi, const EngineContext& ctx, int wire,
+     int level, exec::ExecScratch& scratch)
+{
+    exec::apply_op_batched(
+        ctx.jumps[static_cast<std::size_t>(wire)]
+                 [static_cast<std::size_t>(level - 1)],
+        psi, scratch);
+}
+
+/** Applies a damping jump |level> -> |0> on `wire` and renormalises.
+ *  A jump is only ever drawn with probability proportional to the level's
+ *  population, so a zero-norm result means the engine's bookkeeping and
+ *  the state disagree — fail loudly instead of propagating NaNs. */
+template <class Lane>
+void
+apply_jump(Lane& psi, const EngineContext& ctx, int wire, int level,
+           exec::ExecScratch& scratch)
+{
+    obs::count(obs::Counter::kTrajDampingJumps);
+    jump(psi, ctx, wire, level, scratch);
+    if (!normalize(psi)) {
         throw std::runtime_error(
             "trajectory: damping jump produced a zero-norm state");
     }
 }
 
 /** Applies the no-jump K0 diagonal of a single wire (no renormalise). */
+template <class Lane>
 void
-apply_k0(StateVector& psi, const NoiseModel& model, Real dt, int wire)
+apply_k0(Lane& psi, const NoiseModel& model, Real dt, int wire)
 {
     const int d = psi.dims().dim(wire);
     std::vector<Complex> diag(static_cast<std::size_t>(d));
@@ -306,7 +442,7 @@ apply_k0(StateVector& psi, const NoiseModel& model, Real dt, int wire)
         diag[static_cast<std::size_t>(m)] =
             Complex(std::sqrt(1.0 - model.lambda(m, dt)), 0);
     }
-    psi.apply_diag1(diag, wire);
+    apply_diag1(psi, diag, wire);
 }
 
 /** True iff any excited level of a d-dimensional wire decays at all over
@@ -350,18 +486,19 @@ build_damping_tables(const NoiseModel& model, Real dt,
  * per-(wire, level) populations. The engine calls it on an extracted
  * lane.
  */
+template <class Lane>
 void
-fused_rare_branch(StateVector& psi, const NoiseModel& model, Real dt,
+fused_rare_branch(Lane& psi, const NoiseModel& model, Real dt,
                   const EngineContext& ctx, Rng& rng,
                   const std::vector<Real>& scale,
-                  const std::vector<Real>& inv)
+                  const std::vector<Real>& inv, exec::ExecScratch& scratch)
 {
     obs::count(obs::Counter::kTrajRareBranches);
-    psi.scale_by_table(ctx.count_key, inv);
+    scale_by_table(psi, ctx.count_key, inv);
     std::vector<Real> weights;
     std::vector<std::pair<int, int>> arms;  // (wire, level)
     for (int w = 0; w < ctx.width; ++w) {
-        const auto pops = psi.populations(w);
+        const auto pops = populations(psi, w);
         for (int m = 1; m < ctx.dim; ++m) {
             weights.push_back(model.lambda(m, dt) *
                               pops[static_cast<std::size_t>(m)]);
@@ -374,20 +511,20 @@ fused_rare_branch(StateVector& psi, const NoiseModel& model, Real dt,
         // acceptance draw lost to rounding). Fall back to the no-jump
         // evolution instead of forcing a zero-population jump, which
         // used to die renormalising a zero state.
-        psi.scale_by_table(ctx.count_key, scale);
-        if (!psi.normalize()) {
+        scale_by_table(psi, ctx.count_key, scale);
+        if (!normalize(psi)) {
             throw std::runtime_error(
                 "trajectory: no-jump evolution produced a zero-norm state");
         }
         return;
     }
-    apply_jump(psi, arms[*pick].first, arms[*pick].second);
+    apply_jump(psi, ctx, arms[*pick].first, arms[*pick].second, scratch);
     for (int w = 0; w < ctx.width; ++w) {
         if (w != arms[*pick].first) {
             apply_k0(psi, model, dt, w);
         }
     }
-    if (!psi.normalize()) {
+    if (!normalize(psi)) {
         throw std::runtime_error(
             "trajectory: no-jump evolution produced a zero-norm state");
     }
@@ -429,11 +566,25 @@ fused_rare_branch(StateVector& psi, const NoiseModel& model, Real dt,
 // unchanged, and every draw happens in the order an engine that kicks the
 // lanes each moment would take it.
 //
+// Support tracking: a batch whose inputs occupy at most half the register
+// (qubit-subspace inputs on qutrits) is tracked (exec::Support::kTracked):
+// every pass walks the union of the lanes' supports, and divergent events
+// run on a one-lane tracked batch instead of a StateVector. Per lane this
+// is bitwise the dense walk up to the sign of zeros, with one exception:
+// a tracked batch carries no damping frame, since a frame entry at an
+// index outside the support is neither reset nor scaled, so a set_lane
+// there would divide by a factor that depends on the other lanes. Its
+// fused damping scales the occupied rows each moment instead, which
+// yields N_b and M_b in the same sweep; its lanes are renormalised where
+// a frame would be folded.
+//
 // Determinism: results are bitwise independent of the batch width and of
 // the thread count. Without fused damping or dephasing there is no frame,
 // so results are bitwise those of an engine that normalises and dephases
 // every moment; with them, the frames and the deferred normalisation move
-// per-trial fidelities by rounding only (within 1e-12, tested).
+// per-trial fidelities by rounding only (within 1e-12, tested), and a
+// tracked batch's per-moment scaling agrees with a dense batch's frame
+// within 1e-12 (tested).
 // --------------------------------------------------------------------------
 
 /** One gate error drawn for one lane: the lane and the unitary it takes. */
@@ -469,18 +620,50 @@ draw_gate_errors(const std::vector<const ErrorDraw*>& draws,
     }
 }
 
+/** Where divergent per-lane events run: a StateVector for a dense batch,
+ *  a one-lane tracked batch for a tracked one; each built on first use
+ *  and reused for the rest of the batch. */
+struct LaneSpill {
+    std::optional<StateVector> dense;
+    std::optional<exec::BatchedStateVector> tracked;
+};
+
+/** Extracts lane `j` of `psi`, runs event(lane) on it, and writes it
+ *  back. */
+template <class Event>
+void
+on_lane(exec::BatchedStateVector& psi, int j, LaneSpill& spill, Event event)
+{
+    obs::count(obs::Counter::kTrajLaneExtracts);
+    if (psi.tracked()) {
+        if (!spill.tracked.has_value()) {
+            spill.tracked.emplace(psi.dims(), 1, false,
+                                  exec::Support::kTracked);
+        }
+        psi.extract_lane(j, *spill.tracked);
+        event(*spill.tracked);
+        psi.set_lane(j, *spill.tracked);
+        return;
+    }
+    if (!spill.dense.has_value()) {
+        spill.dense.emplace(psi.dims());
+    }
+    psi.extract_lane(j, *spill.dense);
+    event(*spill.dense);
+    psi.set_lane(j, *spill.dense);
+}
+
 /** Applies drawn gate errors in draw order, each on its extracted lane. */
 void
 apply_gate_errors(exec::BatchedStateVector& psi,
-                  const std::vector<FiredError>& fired, StateVector& lane,
+                  const std::vector<FiredError>& fired, LaneSpill& spill,
                   exec::ExecScratch& scratch)
 {
     for (const FiredError& f : fired) {
         obs::count(obs::Counter::kTrajGateErrorsFired);
-        obs::count(obs::Counter::kTrajLaneExtracts);
-        psi.extract_lane(f.lane, lane);
-        exec::apply_op(*f.unitary, lane, scratch);
-        psi.set_lane(f.lane, lane);
+        on_lane(psi, f.lane, spill, [&](auto& lane) {
+            apply_unitary(*f.unitary, lane, scratch);
+        });
     }
 }
 
@@ -517,24 +700,29 @@ damping_tables(const NoiseModel& model, Real dt, const EngineContext& ctx)
 }
 
 /**
- * Fused idle damping of one moment on a framed batch: draws every lane's
- * acceptance u, takes one read sweep for N_b and M_b only if some draw
- * is not below tables.accept_below, applies the no-jump scaling to the
- * frame, and runs the rare branch on each rejected lane (extracted as
- * the scaled state, renormalised by 1/sqrt(N_b), as fused_rare_branch
- * expects). `frame_floor` bounds every frame factor from below: the scaling
- * multiplies it by s_min (kernels only move factors or reset them to 1),
- * and the frame is folded when it nears underflow — a function of the
- * circuit alone, so every lane sees the same folds.
+ * Fused idle damping of one moment: draws every lane's acceptance u,
+ * applies the no-jump scaling, and runs the rare branch on each rejected
+ * lane (extracted as the scaled state, renormalised by 1/sqrt(N_b), as
+ * fused_rare_branch expects). A framed batch takes one read sweep for
+ * N_b and M_b only if some draw is not below tables.accept_below and
+ * scales the frame. A tracked batch carries no damping frame (its frame
+ * entries at unoccupied indices would depend on the other lanes): it
+ * scales its occupied rows, which yields N_b and M_b in the same sweep.
+ * `frame_floor` bounds every frame factor (a tracked batch: every
+ * amplitude's accumulated scaling) from below: the scaling multiplies it
+ * by s_min (kernels only move factors or reset them to 1), and the frame
+ * is folded (a tracked batch's lanes renormalised) when it nears
+ * underflow — a function of the circuit alone, so every lane sees the
+ * same folds.
  */
 void
-apply_idle_damping_framed(exec::BatchedStateVector& psi,
-                          const NoiseModel& model, Real dt,
-                          const EngineContext& ctx,
-                          const DampingTables& tables,
-                          std::vector<Rng>& rngs, StateVector& lane,
-                          std::vector<Real>& u, std::vector<Real>& norm_sq,
-                          std::vector<Real>& scaled, Real& frame_floor)
+apply_idle_damping_fused(exec::BatchedStateVector& psi,
+                         const NoiseModel& model, Real dt,
+                         const EngineContext& ctx,
+                         const DampingTables& tables, std::vector<Rng>& rngs,
+                         LaneSpill& spill, exec::ExecScratch& scratch,
+                         std::vector<Real>& u, std::vector<Real>& norm_sq,
+                         std::vector<Real>& scaled, Real& frame_floor)
 {
     const std::size_t B = static_cast<std::size_t>(psi.lanes());
     u.resize(B);
@@ -543,11 +731,16 @@ apply_idle_damping_framed(exec::BatchedStateVector& psi,
         u[j] = rngs[j].uniform();
         sweep = sweep || u[j] >= tables.accept_below;
     }
-    if (sweep) {
-        psi.damped_norm_sq_lanes(ctx.count_key, tables.scale, norm_sq,
-                                 scaled);
+    if (psi.frame() == nullptr) {
+        scaled =
+            psi.scale_by_table_lanes(ctx.count_key, tables.scale, &norm_sq);
+    } else {
+        if (sweep) {
+            psi.damped_norm_sq_lanes(ctx.count_key, tables.scale, norm_sq,
+                                     scaled);
+        }
+        psi.scale_frame(ctx.count_key, tables.scale);
     }
-    psi.scale_frame(ctx.count_key, tables.scale);
     for (std::size_t j = 0; sweep && j < B; ++j) {
         if (u[j] < tables.accept_below) {
             continue;
@@ -559,21 +752,26 @@ apply_idle_damping_framed(exec::BatchedStateVector& psi,
         if (u[j] * norm_sq[j] < scaled[j]) {
             continue;
         }
-        obs::count(obs::Counter::kTrajLaneExtracts);
-        const int jj = static_cast<int>(j);
-        psi.extract_lane(jj, lane);
-        const Real r = 1.0 / std::sqrt(norm_sq[j]);
-        for (Complex& a : lane.amplitudes()) {
-            a *= r;
-        }
-        fused_rare_branch(lane, model, dt, ctx, rngs[j], tables.scale,
-                          tables.inv);
-        psi.set_lane(jj, lane);
+        on_lane(psi, static_cast<int>(j), spill, [&](auto& lane) {
+            scale_lane(lane, 1.0 / std::sqrt(norm_sq[j]));
+            fused_rare_branch(lane, model, dt, ctx, rngs[j], tables.scale,
+                              tables.inv, scratch);
+        });
     }
     frame_floor *= tables.s_min;
     if (frame_floor < kFrameFoldBelow) {
         obs::count(obs::Counter::kTrajFrameFolds);
-        psi.fold_frame();
+        if (psi.frame() != nullptr) {
+            psi.fold_frame();
+        } else {
+            for (const std::uint8_t ok : psi.normalize_lanes()) {
+                if (ok == 0) {
+                    throw std::runtime_error(
+                        "trajectory: no-jump evolution produced a "
+                        "zero-norm state");
+                }
+            }
+        }
         frame_floor = 1;
     }
 }
@@ -583,10 +781,12 @@ apply_idle_damping_framed(exec::BatchedStateVector& psi,
  *  take apply_jump on the extracted lane. */
 void
 apply_idle_damping_sequential_batched(exec::BatchedStateVector& psi,
-                                      const NoiseModel& model, Real dt,
+                                      const EngineContext& ctx, Real dt,
                                       std::vector<Rng>& rngs,
-                                      StateVector& lane)
+                                      LaneSpill& spill,
+                                      exec::ExecScratch& scratch)
 {
+    const NoiseModel& model = ctx.model;
     const WireDims& dims = psi.dims();
     const int lanes = psi.lanes();
     const std::size_t B = static_cast<std::size_t>(lanes);
@@ -618,10 +818,9 @@ apply_idle_damping_sequential_batched(exec::BatchedStateVector& psi,
                         break;
                     }
                 }
-                obs::count(obs::Counter::kTrajLaneExtracts);
-                psi.extract_lane(j, lane);
-                apply_jump(lane, w, level);
-                psi.set_lane(j, lane);
+                on_lane(psi, j, spill, [&](auto& lane) {
+                    apply_jump(lane, ctx, w, level, scratch);
+                });
             } else if (nontrivial_k0) {
                 k0_mask[uj] = 1;
             }
@@ -694,18 +893,21 @@ run_lanes(const EngineContext& ctx, exec::BatchedStateVector& psi,
 
     // The fused no-jump tables depend only on the moment duration, which
     // takes exactly two values — build each once per batch, not per moment.
-    const bool framed = uses_frame(ctx);
+    // A tracked batch runs fused damping without a frame.
+    const bool fused = uses_frame(ctx);
     DampingTables tables_1q, tables_2q;
-    if (framed) {
+    if (fused) {
         tables_1q = damping_tables(model, model.dt_1q, ctx);
         tables_2q = damping_tables(model, model.dt_2q, ctx);
-        psi.start_frame();
+        if (!psi.tracked()) {
+            psi.start_frame();
+        }
     }
     if (model.has_dephasing()) {
         psi.start_phase_frame();
     }
 
-    StateVector lane(psi.dims());  // reused for per-lane divergent fallbacks
+    LaneSpill spill;  // reused for per-lane divergent fallbacks
     std::vector<Real> u, norm_sq, scaled;
     Real frame_floor = 1;  // lower bound on the frame's factors
     std::vector<FiredError> fired;
@@ -720,24 +922,31 @@ run_lanes(const EngineContext& ctx, exec::BatchedStateVector& psi,
             // state) commute with the other members and run after it.
             draw_gate_errors(ctx.errors[idx], rngs, fired);
             exec::apply_op_batched(ctx.noisy.ops()[idx], psi, scratch);
-            apply_gate_errors(psi, fired, lane, scratch);
+            apply_gate_errors(psi, fired, spill, scratch);
         }
-        if (framed) {
-            apply_idle_damping_framed(
+        if (fused) {
+            apply_idle_damping_fused(
                 psi, model, dt, ctx,
-                moment.has_multi_qudit ? tables_2q : tables_1q, rngs, lane,
-                u, norm_sq, scaled, frame_floor);
+                moment.has_multi_qudit ? tables_2q : tables_1q, rngs, spill,
+                scratch, u, norm_sq, scaled, frame_floor);
         } else if (model.has_damping()) {
-            apply_idle_damping_sequential_batched(psi, model, dt, rngs, lane);
+            apply_idle_damping_sequential_batched(psi, ctx, dt, rngs, spill,
+                                                  scratch);
         }
         if (model.has_dephasing()) {
             apply_idle_dephasing_batched(psi, model, dt, rngs);
         }
     }
-    if (!framed) {
+    if (!fused) {
         return psi.fidelity_lanes(ideal);
     }
-    std::vector<Real> fid = psi.fidelity_lanes(ideal, &norm_sq);
+    std::vector<Real> fid;
+    if (psi.frame() != nullptr) {
+        fid = psi.fidelity_lanes(ideal, &norm_sq);
+    } else {
+        norm_sq = psi.norm_sq_lanes();
+        fid = psi.fidelity_lanes(ideal);
+    }
     for (std::size_t j = 0; j < fid.size(); ++j) {
         fid[j] /= norm_sq[j];
     }
@@ -745,9 +954,37 @@ run_lanes(const EngineContext& ctx, exec::BatchedStateVector& psi,
 }
 
 /**
+ * The support trajectories starting on `occupied` basis indices (nonzero
+ * in some lane) run on: tracked when that is at most half the register,
+ * e.g. qubit-subspace inputs on qutrits, whose walks then visit a few
+ * percent of the 3^n register; dense otherwise (qubit registers, inputs
+ * over the whole register), which keeps the dense walk and the damping
+ * frame. A function of the inputs' support alone, so every lane of a run
+ * and run_single_trajectory agree on it.
+ */
+exec::Support
+support_for(const WireDims& dims, Index occupied)
+{
+    return 2 * occupied <= dims.size() ? exec::Support::kTracked
+                                       : exec::Support::kDense;
+}
+
+/** Number of basis indices whose digits are all 0 or 1. */
+Index
+qubit_subspace_size(const WireDims& dims)
+{
+    Index n = 1;
+    for (int w = 0; w < dims.num_wires(); ++w) {
+        n *= static_cast<Index>(std::min(dims.dim(w), 2));
+    }
+    return n;
+}
+
+/**
  * Draws every lane's initial state straight into the batch: Haar-random
  * over the whole register, or over its qubit subspace (every digit < 2;
- * the other amplitudes stay zero). Lane j draws its amplitudes from
+ * the other amplitudes stay zero, and a tracked batch's support is
+ * that subspace). Lane j draws its amplitudes from
  * rngs[j] in index order and is then normalised — bitwise
  * haar_random_state / haar_random_qubit_subspace_state followed by
  * set_lane, without the per-lane temporaries.
@@ -781,6 +1018,7 @@ draw_initial_states(exec::BatchedStateVector& psi, std::vector<Rng>& rngs,
     std::vector<Real> norm_sq(B, 0.0);
     for_each_qubit_subspace_index(dims, [&](Index idx) {
         support.push_back(idx);
+        psi.occupy(idx);
         for (std::size_t j = 0; j < B; ++j) {
             const Complex a = rngs[j].complex_gaussian();
             psi.at(idx, static_cast<int>(j)) = a;
@@ -823,7 +1061,12 @@ run_trajectory_batch(const EngineContext& ctx,
     for (int j = 0; j < lanes; ++j) {
         rngs.push_back(root.child(static_cast<std::uint64_t>(start + j)));
     }
-    exec::BatchedStateVector psi(ctx.noisy.dims(), lanes, uses_frame(ctx));
+    const WireDims& dims = ctx.noisy.dims();
+    const exec::Support support =
+        options.qubit_subspace_inputs
+            ? support_for(dims, qubit_subspace_size(dims))
+            : exec::Support::kDense;
+    exec::BatchedStateVector psi(dims, lanes, uses_frame(ctx), support);
     draw_initial_states(psi, rngs, options.qubit_subspace_inputs);
     exec::BatchedStateVector ideal = psi;
     exec::run_batched(ctx.ideal, ideal, scratch);
@@ -843,8 +1086,13 @@ run_single_trajectory(const TrajectoryCompilation& compiled,
                       const StateVector& initial,
                       const StateVector& ideal_out, Rng& rng)
 {
-    exec::BatchedStateVector psi(compiled.dims(), 1);
-    exec::BatchedStateVector ideal(compiled.dims(), 1);
+    Index occupied = 0;
+    for (const Complex& a : initial.amplitudes()) {
+        occupied += a != Complex(0, 0) ? 1 : 0;
+    }
+    const exec::Support support = support_for(compiled.dims(), occupied);
+    exec::BatchedStateVector psi(compiled.dims(), 1, false, support);
+    exec::BatchedStateVector ideal(compiled.dims(), 1, false, support);
     psi.set_lane(0, initial);
     ideal.set_lane(0, ideal_out);
     std::vector<Rng> rngs{rng};

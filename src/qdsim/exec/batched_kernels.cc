@@ -1,6 +1,7 @@
 #include "qdsim/exec/batched_kernels.h"
 
 #include "qdsim/exec/simd.h"
+#include "qdsim/verify/verify.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -18,6 +19,19 @@ namespace {
  *  4-core Xeon: forcing one kernel thread per worker made a QUTRIT x SC
  *  width-12 cell slower, 1.23-1.48 s against 1.15-1.25 s). */
 constexpr Index kParallelOuter = Index{1} << 13;
+
+/** Amplitude slots (amplitudes times lanes) a pass over a tracked
+ *  batch's occupied blocks must walk to parallelise with OpenMP: 32 MB
+ *  of lanes, a few milliseconds of work. Its work measure is the
+ *  support, not the register: a width-12 qutrit trajectory batch walks
+ *  10^5 to 10^6 slots per kernel and stays serial on its trajectory
+ *  worker, while the dense walk of the same register (6.4 x 10^6 slots)
+ *  clears kParallelOuter. At 2^18 and 2^20 slots the kernels of a
+ *  QUTRIT x SC width-12 batch whose gate errors had widened the support
+ *  opened teams nested in the trajectory workers, and one worker's
+ *  48 trials took 1.46 s and 0.38 s, against 0.34 s with one OpenMP
+ *  thread (4-core Xeon). */
+constexpr std::size_t kParallelSlots = std::size_t{1} << 21;
 
 /** Amplitudes per chunk of outer blocks: the unit of OpenMP work. */
 constexpr Index kChunkAmps = Index{1} << 10;
@@ -114,6 +128,186 @@ struct WireBlocks {
         }
     }
 };
+
+/**
+ * The outer blocks of one kernel over a tracked batch
+ * (BatchedStateVector::support): the bases of the blocks holding an
+ * occupied index the kernel reads, each block covering `block`
+ * amplitudes, and the offsets from a base of the amplitudes the kernel
+ * writes (`marks`), whose occupancy flags are recomputed after the
+ * block. Built by collect_support into the scratch.
+ */
+struct SupportWalk {
+    const Index* bases = nullptr;
+    std::int64_t count = 0;
+    Index block = 1;
+    const Index* marks = nullptr;
+    std::size_t nmarks = 0;
+    std::uint8_t* flags = nullptr;
+};
+
+/** Outer blocks of a kernel over a tracked batch: the blocks of a
+ *  SupportWalk, each followed by flagging the written amplitudes that are
+ *  nonzero in some lane and clearing the flags of the rest. Blocks are
+ *  disjoint, so every flag is written by the thread that owns its
+ *  block. */
+template <class Lanes>
+struct SupportBlocks {
+    const SupportWalk& w;
+    const Complex* amps;
+    Lanes B;
+
+    std::int64_t count() const { return w.count; }
+    bool parallel() const {
+        return static_cast<std::size_t>(w.count) *
+                   static_cast<std::size_t>(w.block) * B >=
+               kParallelSlots;
+    }
+    Index size() const { return w.block; }
+
+    /** Calls visit(base, tmp) for blocks [lo, hi), in order. */
+    template <class Visit>
+    void walk(std::int64_t lo, std::int64_t hi, const Visit& visit,
+              Complex* tmp) const {
+        for (std::int64_t o = lo; o < hi; ++o) {
+            const Index base = w.bases[o];
+            visit(base, tmp);
+            for (std::size_t k = 0; k < w.nmarks; ++k) {
+                const Index i = base + w.marks[k];
+                const Real* d = as_reals(amps + i * B);
+                bool nz = false;
+                for (std::size_t l = 0; l < 2 * B; ++l) {
+                    nz = nz || d[l] != 0;
+                }
+                w.flags[i] = nz ? 1 : 0;
+            }
+        }
+    }
+};
+
+/** Exact n / d for n, d < 2^32 with one multiply-high (Lemire et al.,
+ *  "Faster remainder by direct computation", 2019). */
+struct FastDiv {
+    std::uint64_t m = 0;
+    std::uint32_t d = 1;
+
+    FastDiv() = default;
+    explicit FastDiv(Index divisor)
+        : m(divisor == 1 ? 0 : ~std::uint64_t{0} / divisor + 1),
+          d(static_cast<std::uint32_t>(divisor)) {}
+
+    std::uint32_t div(std::uint32_t n) const {
+        return d == 1 ? n
+                      : static_cast<std::uint32_t>(
+                            (static_cast<unsigned __int128>(m) * n) >> 64);
+    }
+};
+
+/**
+ * Fills `scratch` with the SupportWalk of `op` over the tracked batch
+ * `psi`. Each occupied index i splits over the op's wires into a block
+ * base (those digits zeroed) and a local ordinal (those digits, wires[0]
+ * most significant); the block is walked when the kernel reads that
+ * ordinal: every one for diagonal, single-wire and dense ops, the cycle
+ * slots of a permutation or monomial, the active-control target block
+ * of a controlled op. Bases keep the order of their first occupied index
+ * (kernels on disjoint blocks commute).
+ */
+SupportWalk
+collect_support(const CompiledOp& op, BatchedStateVector& psi,
+                ExecScratch& scratch)
+{
+    const WireDims& dims = psi.dims();
+    // The op's wires, most significant local digit first. A tracked
+    // register has fewer than 2^32 amplitudes, so at most 32 wires.
+    constexpr std::size_t kMaxWires = 32;
+    const std::size_t nw = op.wires.size();
+    if (nw > kMaxWires) {
+        throw std::invalid_argument("collect_support: too many wires");
+    }
+    FastDiv by_stride[kMaxWires], by_dim[kMaxWires];
+    Index strides[kMaxWires];
+    Index block = 1;
+    for (std::size_t j = 0; j < nw; ++j) {
+        const int w = op.wires[j];
+        by_stride[j] = FastDiv(dims.stride(w));
+        by_dim[j] = FastDiv(static_cast<Index>(dims.dim(w)));
+        strides[j] = dims.stride(w);
+        block *= static_cast<Index>(dims.dim(w));
+    }
+    auto split = [&](std::uint32_t i, Index& base) {
+        Index ordinal = 0;
+        base = i;
+        for (std::size_t j = 0; j < nw; ++j) {
+            const std::uint32_t q = by_stride[j].div(i);
+            const std::uint32_t digit = q - by_dim[j].div(q) * by_dim[j].d;
+            base -= digit * strides[j];
+            ordinal = ordinal * by_dim[j].d + digit;
+        }
+        return ordinal;
+    };
+    // Written offsets, and which local ordinals the kernel reads.
+    std::vector<Index>& marks = scratch.support_marks;
+    std::vector<std::uint8_t>& reads = scratch.support_reads;
+    marks.clear();
+    reads.assign(static_cast<std::size_t>(block), 0);
+    auto mark_all = [&](const Index* off, std::size_t n) {
+        for (std::size_t k = 0; k < n; ++k) {
+            Index base = 0;
+            reads[split(static_cast<std::uint32_t>(off[k]), base)] = 1;
+            marks.push_back(off[k]);
+        }
+    };
+    switch (op.kind) {
+        case KernelKind::kPermutation:
+        case KernelKind::kMonomial:
+            mark_all(op.cycle_offsets.data(), op.cycle_offsets.size());
+            break;
+        case KernelKind::kDiagonal:
+            // Scales in place: reads every slot, creates no nonzero.
+            std::fill(reads.begin(), reads.end(), 1);
+            break;
+        case KernelKind::kSingleWireD2:
+        case KernelKind::kSingleWireD3: {
+            const Index off[3] = {0, op.stride1, 2 * op.stride1};
+            mark_all(off, static_cast<std::size_t>(block));
+            break;
+        }
+        case KernelKind::kControlled:
+            for (const Index t : op.inner_offset) {
+                const Index off = op.ctrl_offset + t;
+                mark_all(&off, 1);
+            }
+            break;
+        case KernelKind::kDense:
+            mark_all(op.plan->local_offset.data(),
+                     op.plan->local_offset.size());
+            break;
+    }
+    std::vector<Index>& bases = scratch.support_bases;
+    std::vector<std::uint8_t>& seen = scratch.support_seen;
+    bases.clear();
+    seen.resize(static_cast<std::size_t>(dims.size()), 0);
+    psi.for_each_occupied([&](Index i) {
+        Index base = 0;
+        if (reads[split(static_cast<std::uint32_t>(i), base)] != 0 &&
+            seen[static_cast<std::size_t>(base)] == 0) {
+            seen[static_cast<std::size_t>(base)] = 1;
+            bases.push_back(base);
+        }
+    });
+    for (const Index base : bases) {
+        seen[static_cast<std::size_t>(base)] = 0;
+    }
+    SupportWalk w;
+    w.bases = bases.data();
+    w.count = static_cast<std::int64_t>(bases.size());
+    w.block = block;
+    w.marks = marks.data();
+    w.nmarks = marks.size();
+    w.flags = psi.support();
+    return w;
+}
 
 /**
  * The one pass driver every kernel runs through, single-shot and batched:
@@ -418,13 +612,23 @@ phase_table(const CompiledOp& op, const WireDims& dims, const Real* theta,
  * frame and `lane_tab` is the op's phase_table: cycle moves take a
  * per-lane factor, and the single-wire kernels run as per-lane matvecs
  * like the controlled and dense ones. Diagonal ops never run phased.
+ * With `walk` (a tracked batch) every kernel runs over the walk's blocks
+ * instead of its own dense geometry.
  */
 template <bool kFramed, bool kPhased, class Lanes>
 void
 run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
-       ExecScratch& scratch, Real* frame, const Complex* lane_tab)
+       ExecScratch& scratch, Real* frame, const Complex* lane_tab,
+       const SupportWalk* walk = nullptr)
 {
     auto run = [&](const auto& blocks, std::size_t tmp_elems, auto kernel) {
+        if constexpr (!std::is_same_v<Lanes, OneLane>) {
+            if (walk != nullptr) {
+                run_blocks(SupportBlocks<Lanes>{*walk, amps, B}, tmp_elems,
+                           scratch, kernel);
+                return;
+            }
+        }
         run_blocks(blocks, tmp_elems, scratch, kernel);
     };
     // Moves frame entries along one cycle of local offsets c[0..len), the
@@ -727,10 +931,11 @@ count_single(const CompiledOp& op, Index total, std::uint64_t n)
     }
 }
 
-/** Counts one batched dispatch of `op` over `lanes` lanes of a
- *  `total`-amplitude register. */
+/** Counts one batched dispatch of `op` over `lanes` lanes that walks
+ *  `walked` amplitudes per lane (the register, or a tracked batch's
+ *  occupied blocks). */
 void
-count_dispatch(const CompiledOp& op, Index total, std::uint64_t lanes)
+count_dispatch(const CompiledOp& op, Index walked, std::uint64_t lanes)
 {
     // The class counter advances by the lane count so per-class totals
     // across the two zoos are invariant under the batch width (each lane
@@ -739,8 +944,9 @@ count_dispatch(const CompiledOp& op, Index total, std::uint64_t lanes)
         obs::count_unchecked(kernel_counter(op.kind, /*batched=*/true),
                              lanes);
         obs::count_unchecked(obs::Counter::kBatDispatches);
+        obs::count_unchecked(obs::Counter::kBatWalkedSlots, walked * lanes);
         obs::count_unchecked(obs::Counter::kEstimatedFlops,
-                             op_flop_estimate(op, total) * lanes);
+                             op_flop_estimate(op, walked) * lanes);
     }
 }
 
@@ -764,7 +970,15 @@ void
 apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
                  ExecScratch& scratch)
 {
-    count_dispatch(op, psi.size(), lanes_of(psi));
+    SupportWalk support;
+    const SupportWalk* walk = nullptr;
+    Index walked = psi.size();
+    if (psi.tracked()) {
+        support = collect_support(op, psi, scratch);
+        walk = &support;
+        walked = static_cast<Index>(support.count) * support.block;
+    }
+    count_dispatch(op, walked, lanes_of(psi));
     Real* frame = psi.frame();
     const Real* theta = psi.phase_frame();
     if (theta != nullptr && op.kind != KernelKind::kDiagonal) {
@@ -772,19 +986,20 @@ apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
                                          lanes_of(psi), scratch.lane_table);
         if (frame != nullptr) {
             run_op<true, true>(op, psi.data(), psi.size(), lanes_of(psi),
-                               scratch, frame, tab);
+                               scratch, frame, tab, walk);
         } else {
             run_op<false, true>(op, psi.data(), psi.size(), lanes_of(psi),
-                                scratch, nullptr, tab);
+                                scratch, nullptr, tab, walk);
         }
-        return;
-    }
-    if (frame != nullptr) {
+    } else if (frame != nullptr) {
         run_op<true, false>(op, psi.data(), psi.size(), lanes_of(psi),
-                            scratch, frame, nullptr);
+                            scratch, frame, nullptr, walk);
     } else {
         run_op<false, false>(op, psi.data(), psi.size(), lanes_of(psi),
-                             scratch, nullptr, nullptr);
+                             scratch, nullptr, nullptr, walk);
+    }
+    if (walk != nullptr && verify::strict()) {
+        psi.check_support();
     }
 }
 

@@ -42,6 +42,22 @@
  * independent of the batch width (property-tested). Coherent dephasing
  * then costs the trajectory engine no sweep of the batch.
  *
+ * A tracked batch (BatchedStateVector::tracked: an occupancy set over
+ * the basis indices) runs the same bodies over a third block source
+ * beside the plan and wire walks: only the outer blocks holding an
+ * occupied index the kernel reads (for a controlled op, one in its
+ * active-control block; for a permutation, one on a cycle). After each
+ * block the walk flags the amplitudes the kernel wrote that are nonzero
+ * in some lane and clears the rest, so the set stays a superset of the
+ * nonzeros, and QD_VERIFY=strict checks that after every pass. A skipped
+ * block holds exact zeros, which every kernel maps to zeros, so lanes are
+ * bitwise the dense walk's up to the sign of zeros; frame entries in
+ * skipped blocks are left alone. The work measure of that walk's OpenMP
+ * threshold is its amplitude slots (amplitudes times lanes), not the
+ * register size, and obs::Counter::kBatWalkedSlots and kEstimatedFlops
+ * count the amplitudes a pass walks. A dense batch takes the plan and
+ * wire walks after one branch.
+ *
  * `conjugate_op` runs the exact density-matrix engine on the same bodies:
  * a row-major D x D rho is a lane-interleaved batch of D lanes, so
  * rho -> K rho is one batched pass, and rho -> rho K^dagger is one

@@ -52,11 +52,41 @@
  * Divergent per-lane events (damping jumps, gate-error draws) are handled
  * by extracting the lane to a StateVector, running the existing
  * single-shot code, and writing the lane back.
+ *
+ * Support tracking: a batch built with Support::kTracked keeps an
+ * occupancy set, one flag per basis index, holding every index that may
+ * be nonzero in some lane (the union over lanes; cf. the state-sparsity
+ * simulations of Jaques & Haener, arXiv:2105.01533). The paper's qutrit
+ * constructions use |2> only as transient storage and Figure 11 draws
+ * its inputs from the qubit subspace, so such a trajectory occupies a
+ * few percent of the 3^n register. The gate kernels then visit only the
+ * outer blocks holding an occupied index (batched_kernels.h) and flag
+ * the outputs they write, dropping those that are exactly zero in every
+ * lane; set_lane, extract_lane, fidelity_lanes, the frames' passes and
+ * the per-lane reductions walk the set in increasing index order (the
+ * phase frame's odometer still steps through every index, touching the
+ * amplitudes of the occupied ones only). A skipped amplitude is an exact
+ * zero, so per lane every pass is bitwise its dense counterpart, except
+ * possibly for the sign of a zero. Tracked frame entries at unoccupied
+ * indices are neither reset by the kernels nor scaled, so a tracked
+ * damping frame differs from the dense one there, and a set_lane at such
+ * an index divides by a factor that depends on the other lanes; the
+ * trajectory engine therefore runs tracked batches without a damping
+ * frame. The buffer comes from calloc, so pages no lane ever touches
+ * stay unfaulted.
+ *
+ * A dense batch (the default) walks every index: each pass tests for a
+ * support once and then runs its dense loop. Writes through data() or
+ * at() to a tracked batch must flag the indices they make nonzero with
+ * occupy().
  */
 #ifndef QDSIM_EXEC_BATCHED_STATE_H
 #define QDSIM_EXEC_BATCHED_STATE_H
 
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <vector>
 
 #include "qdsim/basis.h"
@@ -64,42 +94,116 @@
 
 namespace qd::exec {
 
+/** Which amplitudes the passes over a batch walk. */
+enum class Support : std::uint8_t {
+    kDense,    ///< every basis index
+    kTracked,  ///< the occupancy set (see the file comment)
+};
+
+/**
+ * While at least one DenseSupportScope is alive, batches asked for
+ * Support::kTracked are built dense. This gives parity tests and
+ * benchmarks the dense reference of a tracked run.
+ */
+class DenseSupportScope {
+  public:
+    DenseSupportScope();
+    ~DenseSupportScope();
+    DenseSupportScope(const DenseSupportScope&) = delete;
+    DenseSupportScope& operator=(const DenseSupportScope&) = delete;
+};
+
 /** B trajectory states over one register, lane-interleaved. */
 class BatchedStateVector {
   public:
     /** All lanes initialised to |00...0>. `lanes` must be >= 1. With
      *  `frame_room`, the buffer is sized for a later start_frame() (which
      *  then allocates nothing); a copy taken before the frame starts does
-     *  not carry the room. */
-    BatchedStateVector(WireDims dims, int lanes, bool frame_room = false);
+     *  not carry the room. A tracked batch starts with support {0}. */
+    BatchedStateVector(WireDims dims, int lanes, bool frame_room = false,
+                       Support support = Support::kDense);
+
+    BatchedStateVector(const BatchedStateVector& other);
+    BatchedStateVector(BatchedStateVector&& other) noexcept = default;
+    BatchedStateVector& operator=(const BatchedStateVector& other);
+    BatchedStateVector& operator=(BatchedStateVector&& other) noexcept =
+        default;
 
     const WireDims& dims() const { return dims_; }
     int lanes() const { return lanes_; }
     /** Amplitudes per lane (the register size, not the storage size). */
     Index size() const { return dims_.size(); }
 
-    Complex* data() { return amps_.data(); }
-    const Complex* data() const { return amps_.data(); }
+    Complex* data() { return amps_.get(); }
+    const Complex* data() const { return amps_.get(); }
 
     /** Amplitude `idx` of lane `lane`. */
     Complex& at(Index idx, int lane) {
-        return amps_[static_cast<std::size_t>(idx) *
-                         static_cast<std::size_t>(lanes_) +
-                     static_cast<std::size_t>(lane)];
+        return amps_.get()[static_cast<std::size_t>(idx) *
+                               static_cast<std::size_t>(lanes_) +
+                           static_cast<std::size_t>(lane)];
     }
     const Complex& at(Index idx, int lane) const {
-        return amps_[static_cast<std::size_t>(idx) *
-                         static_cast<std::size_t>(lanes_) +
-                     static_cast<std::size_t>(lane)];
+        return amps_.get()[static_cast<std::size_t>(idx) *
+                               static_cast<std::size_t>(lanes_) +
+                           static_cast<std::size_t>(lane)];
     }
 
+    /** True iff the batch keeps an occupancy set. */
+    bool tracked() const { return !support_.empty(); }
+
+    /** The occupancy flags, one per basis index (nonzero = may be
+     *  nonzero in some lane); null for a dense batch. */
+    std::uint8_t* support() {
+        return support_.empty() ? nullptr : support_.data();
+    }
+    const std::uint8_t* support() const {
+        return support_.empty() ? nullptr : support_.data();
+    }
+
+    /** Flags `idx` as possibly nonzero (after a write through data() or
+     *  at()); a no-op on a dense batch. */
+    void occupy(Index idx) {
+        if (!support_.empty()) {
+            support_[static_cast<std::size_t>(idx)] = 1;
+        }
+    }
+
+    /** Calls visit(idx) for every occupied index in increasing order;
+     *  every index of a dense batch. */
+    template <class Visit>
+    void for_each_occupied(Visit visit) const;
+
+    /** The occupied indices in increasing order; every index for a dense
+     *  batch. */
+    std::vector<Index> support_indices() const;
+
+    /** The strict-mode check: throws std::logic_error if some lane is
+     *  nonzero at an index outside the occupancy set (a no-op on a dense
+     *  batch). Reads the whole batch. */
+    void check_support() const;
+
     /** Overwrites one lane with `src` (dims must match); under the
-     *  frames the stored amplitudes are P^dagger src / f. */
+     *  frames the stored amplitudes are P^dagger src / f. A tracked batch
+     *  writes the occupied indices and src's nonzeros, and flags the
+     *  latter. */
     void set_lane(int lane, const StateVector& src);
 
     /** Copies one lane into `dst` (dims must match); under the frames,
      *  P (f (.) x_lane). */
     void extract_lane(int lane, StateVector& dst) const;
+
+    /** Copies one lane into lane 0 of `dst`, a one-lane batch over the
+     *  same register without frames, tracked iff this batch is; a tracked
+     *  `dst` takes this batch's support, and only its occupied rows are
+     *  written. The lane's state is the same as extract_lane's. */
+    void extract_lane(int lane, BatchedStateVector& dst) const;
+
+    /** Overwrites one lane with lane 0 of `src` (a one-lane batch as for
+     *  extract_lane), like set_lane(int, const StateVector&); a tracked
+     *  batch writes its occupied indices and src's, and flags the
+     *  latter. */
+    void set_lane(int lane, const BatchedStateVector& src);
 
     /** Starts a damping frame of all ones (no-op on the lanes' states).
      *  The frame lives in the batch's own buffer, after the lanes. */
@@ -107,18 +211,18 @@ class BatchedStateVector {
 
     /** The frame, one factor per amplitude; null when none is set. */
     Real* frame() {
-        return framed_ ? reinterpret_cast<Real*>(amps_.data() + lane_amps())
+        return framed_ ? reinterpret_cast<Real*>(amps_.get() + lane_amps())
                        : nullptr;
     }
     const Real* frame() const {
-        return framed_ ? reinterpret_cast<const Real*>(amps_.data() +
+        return framed_ ? reinterpret_cast<const Real*>(amps_.get() +
                                                        lane_amps())
                        : nullptr;
     }
 
     /** f[idx] *= scale[key[idx]] (every lane's state takes the real
-     *  diagonal scale[key[.]]). Requires a frame; key.size() must equal
-     *  size(). */
+     *  diagonal scale[key[.]]), on the occupied indices of a tracked
+     *  batch. Requires a frame; key.size() must equal size(). */
     void scale_frame(const std::vector<std::uint16_t>& key,
                      const std::vector<Real>& scale);
 
@@ -158,11 +262,13 @@ class BatchedStateVector {
      * amps[idx] *= scale[key[idx]] on every lane in one read+write sweep;
      * returns the per-lane squared norms (same accumulation order as
      * StateVector::scale_by_table, so the values match an unbatched shot
-     * bitwise). key.size() must equal size().
+     * bitwise). With `before`, the same sweep stores each lane's squared
+     * norm ahead of the scaling there. key.size() must equal size().
      */
     std::vector<Real> scale_by_table_lanes(
         const std::vector<std::uint16_t>& key,
-        const std::vector<Real>& scale);
+        const std::vector<Real>& scale,
+        std::vector<Real>* before = nullptr);
 
     /** Per-lane squared norms, accumulated in amplitude-index order.
      *  Needs a batch without a frame (fidelity_lanes gives a framed
@@ -192,27 +298,49 @@ class BatchedStateVector {
 
     /**
      * Per-lane product-of-per-wire-diagonals pass (the phase frame's
-     * fold): factors[lane][wire] has dim(wire) unit-modulus entries. The (wire, level, lane) step ratios (diag_step_ratio) are
-     * computed once per call; then one incremental odometer drives every
-     * lane in a single read+write sweep; each lane's running factor takes
-     * one step-ratio multiply per digit step (per lane, bitwise the
-     * single-shot odometer in tests/qdsim/product_diag_reference.h).
+     * fold): factors[lane][wire] has dim(wire) unit-modulus entries. On a
+     * dense batch the (wire, level, lane) step ratios (diag_step_ratio)
+     * are computed once per call; then one incremental odometer drives
+     * every lane in a single read+write sweep; each lane's running factor
+     * takes one step-ratio multiply per digit step (per lane, bitwise the
+     * single-shot odometer in tests/qdsim/product_diag_reference.h). A
+     * tracked batch multiplies its occupied rows only.
      */
     void apply_product_diag_lanes(
         const std::vector<std::vector<std::vector<Complex>>>& factors);
 
     /** Per-lane squared overlap |<this_b|other_b>|^2 (pure-state fidelity),
-     *  lane b against lane b; `other` must have no frame of either kind.
-     *  Registers and lane counts must match. With `norm_sq` (damping-framed
-     *  batches only), the same sweep also stores each lane's squared norm
+     *  lane b against lane b, walking this batch's support; `other` must
+     *  have no frame of either kind. Registers and lane counts must match.
+     *  With `norm_sq`, the same sweep also stores each lane's squared norm
      *  there. A phase frame is applied in the same sweep. */
     std::vector<Real> fidelity_lanes(const BatchedStateVector& other,
                                      std::vector<Real>* norm_sq =
                                          nullptr) const;
 
   private:
-    /** Writes lane `lane` (under its frames, if any) to d[0..size()). */
-    void copy_lane_out(int lane, Complex* d) const;
+    struct FreeDeleter {
+        void operator()(Complex* p) const { std::free(p); }
+    };
+
+    /** Allocates `slots` zeroed complexes (pages stay unfaulted until
+     *  written). */
+    static std::unique_ptr<Complex, FreeDeleter> allocate(std::size_t slots);
+
+    /** Writes lane `lane` (under its frames, if any) to d[0..size()); a
+     *  tracked batch writes its occupied indices, and zeros the others
+     *  when `zero_fill`. */
+    void copy_lane_out(int lane, Complex* d, bool zero_fill = true) const;
+
+    /** Writes src[i] (P^dagger src[i] / f under the frames) to lane
+     *  `lane`; a tracked batch writes its occupied indices and those
+     *  where present(i), which it flags. */
+    template <class Present>
+    void store_lane(int lane, const Complex* src, Present present);
+
+    /** Throws unless `other` is a one-lane, frameless batch over this
+     *  register, tracked iff this batch is. */
+    void check_lane_batch(const BatchedStateVector& other) const;
 
     /** Lane `lane`'s phase-frame factors of `wire`: e^{i m Theta}, one per
      *  level m. */
@@ -226,15 +354,49 @@ class BatchedStateVector {
 
     WireDims dims_;
     int lanes_ = 1;
-    /** The lanes, then (while framed_) the frame: one allocation, so a
-     *  frame is freed with its batch instead of being parked by the
-     *  allocator between batches. */
-    std::vector<Complex> amps_;
+    /** The lanes, then (while framed_) the frame: one allocation of
+     *  `slots_` complexes, so a frame is freed with its batch instead of
+     *  being parked by the allocator between batches. */
+    std::unique_ptr<Complex, FreeDeleter> amps_;
+    std::size_t slots_ = 0;
     bool framed_ = false;
+    /** The occupancy flags of a tracked batch; empty when dense. */
+    std::vector<std::uint8_t> support_;
     /** The phase frame's n x B angles (while phased_). */
     std::vector<Real> theta_;
     bool phased_ = false;
 };
+
+template <class Visit>
+void
+BatchedStateVector::for_each_occupied(Visit visit) const
+{
+    const Index n = dims_.size();
+    if (support_.empty()) {
+        for (Index i = 0; i < n; ++i) {
+            visit(i);
+        }
+        return;
+    }
+    // Eight flags per word: the empty words of a sparse set cost one
+    // load each.
+    const std::uint8_t* f = support_.data();
+    Index i = 0;
+    for (; i + 8 <= n; i += 8) {
+        std::uint64_t w;
+        std::memcpy(&w, f + i, sizeof w);
+        while (w != 0) {
+            const int byte = __builtin_ctzll(w) / 8;
+            visit(i + static_cast<Index>(byte));
+            w &= ~(std::uint64_t{0xff} << (8 * byte));
+        }
+    }
+    for (; i < n; ++i) {
+        if (f[i] != 0) {
+            visit(i);
+        }
+    }
+}
 
 }  // namespace qd::exec
 

@@ -163,18 +163,18 @@ kernel_counter(KernelKind kind, bool batched) noexcept
 std::uint64_t
 op_flop_estimate(const CompiledOp& op, Index total) noexcept
 {
+    // Blocks of the plan-based kernels among `total` amplitudes: the
+    // register's outer blocks, or the ones a tracked batch's pass visits.
+    const std::uint64_t outer =
+        op.plan == nullptr ? 0 : total / op.plan->block;
     switch (op.kind) {
         case KernelKind::kPermutation:
             return 0;
         case KernelKind::kDiagonal:
             return total * 6;  // one complex multiply per amplitude
         case KernelKind::kMonomial:
-            return op.plan == nullptr
-                       ? 0
-                       : op.plan->outer_count() *
-                             static_cast<std::uint64_t>(
-                                 op.cycle_offsets.size()) *
-                             6;
+            return outer *
+                   static_cast<std::uint64_t>(op.cycle_offsets.size()) * 6;
         case KernelKind::kSingleWireD2:
             return total * 2 * 8;
         case KernelKind::kSingleWireD3:
@@ -182,16 +182,12 @@ op_flop_estimate(const CompiledOp& op, Index total) noexcept
         case KernelKind::kControlled: {
             const auto nb =
                 static_cast<std::uint64_t>(op.inner_offset.size());
-            return op.plan == nullptr
-                       ? 0
-                       : op.plan->outer_count() * nb * nb * 8;
+            return outer * nb * nb * 8;
         }
         case KernelKind::kDense: {
-            if (op.plan == nullptr) {
-                return 0;
-            }
-            const std::uint64_t block = op.plan->block;
-            return op.plan->outer_count() * block * block * 8;
+            const std::uint64_t block =
+                op.plan == nullptr ? 0 : op.plan->block;
+            return outer * block * block * 8;
         }
     }
     return 0;

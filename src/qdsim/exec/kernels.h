@@ -64,12 +64,19 @@ const char* kernel_name(KernelKind kind);
  *  gathers operand blocks for the matvec kernels (outputs store straight
  *  back to the state, so there is no scatter buffer) or holds one lane
  *  row during permutation cycle walks; `lane_table` holds the per-lane
- *  operator table of a pass over a phase-framed batch (batched_kernels.h).
+ *  operator table of a pass over a phase-framed batch (batched_kernels.h);
+ *  the support_* buffers hold a pass over a tracked batch: the block
+ *  bases it walks, the offsets it flags, which local ordinals it reads,
+ *  and one all-zero byte per index that deduplicates the bases.
  *  Kernels never allocate once the scratch has grown to the largest block
  *  they have run. */
 struct ExecScratch {
     std::vector<Complex> tmp;
     std::vector<Complex> lane_table;
+    std::vector<Index> support_bases;
+    std::vector<Index> support_marks;
+    std::vector<std::uint8_t> support_reads;
+    std::vector<std::uint8_t> support_seen;
 };
 
 /**
@@ -148,9 +155,10 @@ void apply_op(const CompiledOp& op, StateVector& psi, ExecScratch& scratch);
  *  "single_wire" class. */
 obs::Counter kernel_counter(KernelKind kind, bool batched) noexcept;
 
-/** Rough work estimate for one application of `op` over a register of
- *  `total` amplitudes, in real flops (a complex multiply-add counted as
- *  8). Pure index moves (permutations) count 0. */
+/** Rough work estimate for one application of `op` that walks `total`
+ *  amplitudes (the register, or a tracked batch's occupied blocks), in
+ *  real flops (a complex multiply-add counted as 8). Pure index moves
+ *  (permutations) count 0. */
 std::uint64_t op_flop_estimate(const CompiledOp& op, Index total) noexcept;
 
 }  // namespace qd::exec

@@ -24,6 +24,7 @@ counter_name(Counter c) noexcept
         "bat_controlled",
         "bat_dense",
         "bat_dispatches",
+        "bat_walked_slots",
         "plan_cache_hits",
         "plan_cache_misses",
         "plan_cache_inserts",

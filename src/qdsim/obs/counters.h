@@ -65,6 +65,11 @@ enum class Counter : unsigned {
     kBatControlled,
     kBatDense,
     kBatDispatches,  ///< apply_op_batched calls (NOT batch-invariant)
+    /** Amplitude slots (amplitudes x lanes) the batched passes walk: the
+     *  register, or a tracked batch's occupied blocks. Over one register
+     *  of N amplitudes, bat_walked_slots / (N x sum of the bat_<class>
+     *  counters) is the fraction of the dense walk a run visited. */
+    kBatWalkedSlots,
     // PlanCache (exec/apply_plan.cc).
     kPlanCacheHits,
     kPlanCacheMisses,

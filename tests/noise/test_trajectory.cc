@@ -4,14 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include "constructions/gen_toffoli.h"
 #include "noise/density_matrix.h"
 #include "noise/error_placement.h"
 #include "noise/channels.h"
 #include "noise/models.h"
+#include "qdsim/exec/batched_state.h"
 #include "qdsim/exec/compiled_circuit.h"
 #include "qdsim/gate_library.h"
 #include "qdsim/moments.h"
 #include "qdsim/obs/counters.h"
+#include "qdsim/obs/report.h"
 #include "qdsim/random_state.h"
 #include "qdsim/simulator.h"
 
@@ -933,6 +936,169 @@ TEST(Trajectory, DampingFrameFoldsBeforeUnderflow) {
             << "trial " << t;
     }
     EXPECT_GT(stats.gate_errors, 0);
+}
+
+/** Per-trial fidelities of run_noisy_trials, and the counted walk: the
+ *  batched passes' walked slots and their dense equivalent (register
+ *  size times the lanes dispatched), zero when counters are compiled
+ *  out. */
+struct CountedRun {
+    std::vector<Real> fid;
+    std::uint64_t walked = 0;
+    std::uint64_t dense = 0;
+};
+
+CountedRun
+counted_run(const Circuit& c, const NoiseModel& m,
+            const TrajectoryOptions& opts)
+{
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    obs::reset_counters();
+    CountedRun out;
+    out.fid = run_noisy_trials(c, m, opts).per_trial;
+    const obs::SimReport rep = obs::report_snapshot();
+    obs::set_enabled(was_enabled);
+    out.walked = rep.counters[obs::Counter::kBatWalkedSlots];
+    for (const obs::Counter k :
+         {obs::Counter::kBatPermutation, obs::Counter::kBatDiagonal,
+          obs::Counter::kBatMonomial, obs::Counter::kBatSingleWire,
+          obs::Counter::kBatControlled, obs::Counter::kBatDense}) {
+        out.dense += rep.counters[k] * c.dims().size();
+    }
+    return out;
+}
+
+TEST(Trajectory, SupportWalkMatchesDenseWalkOnFigure11Cells) {
+    // All 16 Figure 11 cells at width 6, tracked (the default) against
+    // the same runs forced dense (DenseSupportScope). Qubit registers
+    // stay dense, so the QUBIT and QUBIT+ANCILLA cells agree bitwise; so
+    // do the QUTRIT cells without damping, DRESSED_QUTRIT and the
+    // phase-framed BARE_QUTRIT, because a tracked walk skips exact zeros
+    // only and the phase frame's odometer steps through every index. The
+    // damped QUTRIT cells agree within 1e-12: a tracked batch carries no
+    // damping frame (its frame entries at unoccupied indices would not be
+    // reset or scaled, so a later set_lane there would divide by a factor
+    // that depends on the other lanes), and scaling the lanes each moment
+    // instead of the frame rounds differently.
+    const int n_controls = 5;
+    const auto qutrit =
+        ctor::build_gen_toffoli(ctor::Method::kQutrit, n_controls);
+    const auto qubit =
+        ctor::build_gen_toffoli(ctor::Method::kQubitNoAncilla, n_controls);
+    const auto borrow = ctor::build_gen_toffoli(
+        ctor::Method::kQubitDirtyAncilla, n_controls);
+    struct Cell {
+        const ctor::GenToffoli* circuit;
+        NoiseModel model;
+    };
+    std::vector<Cell> cells;
+    for (const auto* c : {&qubit, &borrow, &qutrit}) {
+        for (const NoiseModel& m : superconducting_models()) {
+            cells.push_back({c, m});
+        }
+    }
+    cells.push_back({&qubit, ti_qubit()});
+    cells.push_back({&borrow, ti_qubit()});
+    cells.push_back({&qutrit, bare_qutrit()});
+    cells.push_back({&qutrit, dressed_qutrit()});
+    ASSERT_EQ(cells.size(), 16u);
+    TrajectoryOptions opts;
+    opts.trials = 16;
+    opts.seed = 20190622;
+    opts.threads = 2;
+    opts.keep_per_trial = true;
+    for (const Cell& cell : cells) {
+        SCOPED_TRACE(cell.circuit->label + " x " + cell.model.name);
+        const Circuit& c = cell.circuit->circuit;
+        const CountedRun tracked = counted_run(c, cell.model, opts);
+        CountedRun dense;
+        {
+            const exec::DenseSupportScope scope;
+            dense = counted_run(c, cell.model, opts);
+        }
+        const bool qutrits = c.dims().dim(0) == 3;
+        const bool damped = qutrits && cell.model.has_damping();
+        for (int t = 0; t < opts.trials; ++t) {
+            const std::size_t ut = static_cast<std::size_t>(t);
+            if (damped) {
+                EXPECT_NEAR(tracked.fid[ut], dense.fid[ut], 1e-12)
+                    << "trial " << t;
+            } else {
+                EXPECT_EQ(tracked.fid[ut], dense.fid[ut]) << "trial " << t;
+            }
+        }
+        EXPECT_EQ(dense.walked, dense.dense);
+        if (qutrits && tracked.dense > 0) {
+            // 2^6 of 3^6 inputs: the tracked walk visits a fraction.
+            EXPECT_LT(tracked.walked, tracked.dense / 4);
+        } else {
+            EXPECT_EQ(tracked.walked, tracked.dense);
+        }
+    }
+}
+
+TEST(Trajectory, SupportWalkSequentialDampingMatchesDense) {
+    // A mixed-radix register whose qubit subspace is under half of it
+    // runs the sequential damping engine on a tracked batch (populations,
+    // masked K0 and jumps on its support); it has no frame, so it agrees
+    // with the forced-dense run bitwise, and stays batch invariant.
+    Circuit c(WireDims({3, 3, 2, 3}));
+    c.append(gates::H3(), {0});
+    c.append(gates::Xplus1().controlled(3, 1), {0, 1});
+    c.append(gates::X().controlled(3, 2), {1, 2});
+    c.append(gates::H(), {2});
+    c.append(gates::Xplus1().controlled(2, 1), {2, 3});
+    TrajectoryOptions opts;
+    opts.trials = 13;
+    opts.seed = 8;
+    opts.threads = 2;
+    opts.keep_per_trial = true;
+    const CountedRun tracked = counted_run(c, hot_noise(), opts);
+    CountedRun dense;
+    {
+        const exec::DenseSupportScope scope;
+        dense = counted_run(c, hot_noise(), opts);
+    }
+    EXPECT_EQ(tracked.fid, dense.fid);
+    if (tracked.dense > 0) {
+        EXPECT_LT(tracked.walked, tracked.dense);
+    }
+    expect_batch_invariant(c, hot_noise(), 13);
+}
+
+TEST(Trajectory, FullSpaceInputsWalkDense) {
+    // qubit_subspace_inputs = false fills the whole register: the batch
+    // walks dense, bitwise the forced-dense run, damped or not.
+    const auto qutrit = ctor::build_gen_toffoli(ctor::Method::kQutrit, 3);
+    TrajectoryOptions opts;
+    opts.trials = 13;
+    opts.seed = 5;
+    opts.threads = 2;
+    opts.keep_per_trial = true;
+    opts.qubit_subspace_inputs = false;
+    for (const NoiseModel& m : {sc(), bare_qutrit(), hot_noise()}) {
+        SCOPED_TRACE(m.name);
+        const CountedRun got = counted_run(qutrit.circuit, m, opts);
+        CountedRun dense;
+        {
+            const exec::DenseSupportScope scope;
+            dense = counted_run(qutrit.circuit, m, opts);
+        }
+        EXPECT_EQ(got.fid, dense.fid);
+        EXPECT_EQ(got.walked, got.dense);
+    }
+}
+
+TEST(Trajectory, SupportWalkBatchInvariantUnderHotNoise) {
+    // The tracked engine's divergent events (gate errors, jumps, rare
+    // branches) run on one-lane tracked batches; lanes must stay bitwise
+    // independent of the batch width although the support is the union
+    // over the batch's lanes.
+    const auto qutrit = ctor::build_gen_toffoli(ctor::Method::kQutrit, 3);
+    expect_batch_invariant(qutrit.circuit, hot_noise(), 13);
+    expect_batch_invariant(qutrit.circuit, hot_dephasing(), 13);
+    expect_batch_invariant(qutrit.circuit, sc(), 13);
 }
 
 TEST(Trajectory, PerChannelConventionPenalisesQutrits) {

@@ -607,6 +607,282 @@ TEST(Batched, FramedKernelsIndependentOfThreadCount) {
 }
 #endif
 
+// ---------------------------------------------------------------- support
+
+/** Fills lane b of both batches with the same qubit-subspace Haar state
+ *  (digits 0 and 1 only): the sparse inputs of the Figure 11 runs. */
+void
+sparse_lanes(BatchedStateVector& tracked, BatchedStateVector& dense,
+             Rng& rng)
+{
+    for (int b = 0; b < tracked.lanes(); ++b) {
+        const StateVector s =
+            haar_random_qubit_subspace_state(tracked.dims(), rng);
+        tracked.set_lane(b, s);
+        dense.set_lane(b, s);
+    }
+}
+
+/** EXPECT the occupancy flags of `batch` to cover every nonzero slot. */
+void
+expect_support_covers_nonzeros(const BatchedStateVector& batch)
+{
+    ASSERT_TRUE(batch.tracked());
+    const std::size_t B = static_cast<std::size_t>(batch.lanes());
+    for (Index i = 0; i < batch.size(); ++i) {
+        if (batch.support()[i] != 0) {
+            continue;
+        }
+        for (std::size_t b = 0; b < B; ++b) {
+            ASSERT_EQ(batch.data()[i * B + b], Complex(0, 0))
+                << "index " << i << " lane " << b
+                << " is outside the support";
+        }
+    }
+    EXPECT_NO_THROW(batch.check_support());
+}
+
+/** EXPECT the stored lanes of two batches to agree bitwise up to the sign
+ *  of zeros (== on each real), and their damping frames at the tracked
+ *  batch's occupied indices (elsewhere a tracked frame is stale). */
+void
+expect_same_lanes(const BatchedStateVector& tracked,
+                  const BatchedStateVector& dense)
+{
+    const std::size_t B = static_cast<std::size_t>(tracked.lanes());
+    for (Index i = 0; i < tracked.size(); ++i) {
+        for (std::size_t b = 0; b < B; ++b) {
+            const Complex x = tracked.data()[i * B + b];
+            const Complex y = dense.data()[i * B + b];
+            ASSERT_EQ(x.real(), y.real()) << "index " << i << " lane " << b;
+            ASSERT_EQ(x.imag(), y.imag()) << "index " << i << " lane " << b;
+        }
+        if (tracked.frame() != nullptr && tracked.support()[i] != 0) {
+            ASSERT_EQ(tracked.frame()[i], dense.frame()[i]) << "index " << i;
+        }
+    }
+}
+
+/** Runs every kernel class in turn over a sparse-input tracked batch and
+ *  the same lanes in a dense batch, plain, damping-framed, phase-framed
+ *  or both. After every op the stored lanes agree bitwise (up to zero
+ *  signs), the support covers the nonzeros, and the true states and the
+ *  fidelities agree bitwise. */
+void
+check_support_walk(const WireDims& dims, int qubit, bool damped,
+                   bool phased, int lanes, Rng& rng)
+{
+    SCOPED_TRACE(::testing::Message()
+                 << "wires " << dims.num_wires() << ", lanes " << lanes
+                 << (damped ? ", damped" : "") << (phased ? ", phased" : ""));
+    BatchedStateVector tracked(dims, lanes, false, exec::Support::kTracked);
+    BatchedStateVector dense(dims, lanes);
+    ASSERT_TRUE(tracked.tracked());
+    ASSERT_FALSE(dense.tracked());
+    sparse_lanes(tracked, dense, rng);
+    const BatchedStateVector start = dense;
+    if (damped) {
+        start_varied_frame(tracked);
+        start_varied_frame(dense);
+    }
+    if (phased) {
+        start_random_phase_frame(dense, rng);
+        tracked.start_phase_frame();
+        std::copy_n(dense.phase_frame(),
+                    static_cast<std::size_t>(dims.num_wires()) *
+                        static_cast<std::size_t>(lanes),
+                    tracked.phase_frame());
+    }
+    ExecScratch ts, ds;
+    for (const CompiledOp& op : every_kernel_class(dims, qubit, rng)) {
+        SCOPED_TRACE(exec::kernel_name(op.kind));
+        exec::apply_op_batched(op, tracked, ts);
+        exec::apply_op_batched(op, dense, ds);
+        expect_same_lanes(tracked, dense);
+        expect_support_covers_nonzeros(tracked);
+        for (int b = 0; b < lanes; ++b) {
+            const StateVector got = tracked.lane_state(b);
+            const StateVector want = dense.lane_state(b);
+            for (Index i = 0; i < dims.size(); ++i) {
+                ASSERT_EQ(got[i], want[i]) << "lane " << b << " index " << i;
+            }
+        }
+        if (damped) {
+            std::vector<Real> tn, dn;
+            EXPECT_EQ(tracked.fidelity_lanes(start, &tn),
+                      dense.fidelity_lanes(start, &dn));
+            EXPECT_EQ(tn, dn);
+        } else {
+            EXPECT_EQ(tracked.fidelity_lanes(start),
+                      dense.fidelity_lanes(start));
+        }
+    }
+    // A sparse input walks a fraction of the register.
+    EXPECT_LT(tracked.support_indices().size(),
+              static_cast<std::size_t>(dims.size()));
+}
+
+TEST(Batched, SupportWalkMatchesDenseWalkBitwise) {
+    Rng rng(311);
+    for (const auto& reg :
+         std::vector<std::vector<int>>{{3, 3, 3, 3}, {3, 2, 3, 3}}) {
+        const WireDims dims(reg);
+        const int qubit = reg[1] == 2 ? 1 : -1;
+        for (const bool damped : {false, true}) {
+            for (const bool phased : {false, true}) {
+                for (const int lanes : {1, 5, 12}) {
+                    check_support_walk(dims, qubit, damped, phased, lanes,
+                                       rng);
+                }
+            }
+        }
+    }
+}
+
+TEST(Batched, SupportTracksWritesAndDrops) {
+    // A fresh tracked batch holds |0...0> on support {0}; set_lane flags
+    // the lane's nonzeros, a kernel flags the outputs it moves amplitude
+    // to and drops the ones it empties, and copies keep the support.
+    const WireDims dims = WireDims::uniform(3, 3);
+    BatchedStateVector batch(dims, 2, false, exec::Support::kTracked);
+    EXPECT_EQ(batch.support_indices(), std::vector<Index>{0});
+    EXPECT_EQ(batch.lane_state(1)[0], Complex(1, 0));
+    StateVector s(dims);
+    s.amplitudes()[0] = 0;
+    s.amplitudes()[1] = Complex(0.6, 0);
+    s.amplitudes()[3] = Complex(0, 0.8);
+    batch.set_lane(0, s);
+    EXPECT_EQ(batch.support_indices(), (std::vector<Index>{0, 1, 3}));
+    // X+1 on wire 2 maps digit 0 -> 1 -> 2: lane 1's index 0 moves to 1,
+    // lane 0's 1 to 2 and 3 to 4; index 0 empties in both lanes and is
+    // dropped.
+    const CompiledOp x =
+        exec::compile_op(dims, gates::Xplus1(), std::vector<int>{2});
+    ExecScratch scratch;
+    exec::apply_op_batched(x, batch, scratch);
+    EXPECT_EQ(batch.support_indices(), (std::vector<Index>{1, 2, 4}));
+    EXPECT_EQ(batch.at(2, 0), Complex(0.6, 0));
+    EXPECT_EQ(batch.at(1, 1), Complex(1, 0));
+    const BatchedStateVector copy = batch;
+    EXPECT_TRUE(copy.tracked());
+    EXPECT_EQ(copy.support_indices(), batch.support_indices());
+    EXPECT_EQ(copy.lane_state(0)[4], Complex(0, 0.8));
+    // A write through at() must be flagged with occupy().
+    batch.at(26, 1) = Complex(0.5, 0);
+    EXPECT_THROW(batch.check_support(), std::logic_error);
+    batch.occupy(26);
+    EXPECT_NO_THROW(batch.check_support());
+    // A one-lane batch carries a lane out and back.
+    BatchedStateVector one(dims, 1, false, exec::Support::kTracked);
+    batch.extract_lane(1, one);
+    EXPECT_EQ(one.support_indices(), (std::vector<Index>{1, 2, 4, 26}));
+    exec::apply_op_batched(x, one, scratch);
+    batch.set_lane(0, one);
+    EXPECT_EQ(batch.at(2, 0), Complex(1, 0));
+    EXPECT_EQ(batch.at(24, 0), Complex(0.5, 0));
+    EXPECT_EQ(batch.at(4, 0), Complex(0, 0));
+    EXPECT_NO_THROW(batch.check_support());
+    BatchedStateVector dense_one(dims, 1);
+    EXPECT_THROW(batch.extract_lane(0, dense_one), std::invalid_argument);
+    // Under a DenseSupportScope a tracked request is built dense.
+    {
+        const exec::DenseSupportScope scope;
+        EXPECT_FALSE(BatchedStateVector(dims, 2, false,
+                                        exec::Support::kTracked)
+                         .tracked());
+    }
+    EXPECT_TRUE(
+        BatchedStateVector(dims, 2, false, exec::Support::kTracked).tracked());
+}
+
+TEST(Batched, SupportReductionsMatchDenseBitwise) {
+    // The per-lane reductions and the diagonal and frame passes of a
+    // tracked batch walk its support and agree bitwise with the dense
+    // batch.
+    Rng rng(313);
+    const WireDims dims({3, 2, 3, 3});
+    BatchedStateVector tracked(dims, 5, false, exec::Support::kTracked);
+    BatchedStateVector dense(dims, 5);
+    sparse_lanes(tracked, dense, rng);
+    EXPECT_EQ(tracked.norm_sq_lanes(), dense.norm_sq_lanes());
+    for (int w = 0; w < dims.num_wires(); ++w) {
+        EXPECT_EQ(tracked.populations_lanes(w), dense.populations_lanes(w));
+    }
+    const std::vector<std::uint16_t> key = cycling_key(dims);
+    std::vector<Real> tb, db;
+    EXPECT_EQ(tracked.scale_by_table_lanes(key, kScale, &tb),
+              dense.scale_by_table_lanes(key, kScale, &db));
+    EXPECT_EQ(tb, db);
+    const std::vector<Complex> diag = {Complex(1, 0), Complex(0.8, 0),
+                                       Complex(0.3, 0.1)};
+    tracked.apply_diag1_masked(diag, 0, {1, 0, 1, 1, 0});
+    dense.apply_diag1_masked(diag, 0, {1, 0, 1, 1, 0});
+    EXPECT_EQ(tracked.normalize_lanes(), dense.normalize_lanes());
+    expect_same_lanes(tracked, dense);
+    start_random_phase_frame(dense, rng);
+    tracked.start_phase_frame();
+    std::copy_n(dense.phase_frame(), 4 * 5, tracked.phase_frame());
+    tracked.fold_phase_frame();
+    dense.fold_phase_frame();
+    expect_same_lanes(tracked, dense);
+    start_varied_frame(tracked);
+    start_varied_frame(dense);
+    std::vector<Real> tn, tm, dn, dm;
+    tracked.damped_norm_sq_lanes(key, kScale, tn, tm);
+    dense.damped_norm_sq_lanes(key, kScale, dn, dm);
+    EXPECT_EQ(tn, dn);
+    EXPECT_EQ(tm, dm);
+    tracked.fold_frame();
+    dense.fold_frame();
+    expect_same_lanes(tracked, dense);
+    expect_support_covers_nonzeros(tracked);
+}
+
+#ifdef _OPENMP
+TEST(Batched, SupportWalkIndependentOfThreadCount) {
+    // Width-11 qutrit register, 12 lanes over the whole register: the
+    // tracked walk (every block occupied) clears its slot threshold, so
+    // the OpenMP branch runs; amplitudes, support flags and frame must be
+    // bitwise equal at 1 and 4 threads, plain and framed.
+    Rng rng(314);
+    const WireDims dims = WireDims::uniform(11, 3);
+    const int lanes = 12;
+    BatchedStateVector start(dims, lanes, false, exec::Support::kTracked);
+    random_lanes(start, rng);
+    BatchedStateVector framed = start;
+    start_varied_frame(framed);
+    start_random_phase_frame(framed, rng);
+    const int saved = omp_get_max_threads();
+    const std::size_t n = static_cast<std::size_t>(dims.size());
+    for (const CompiledOp& op : every_kernel_class(dims, -1, rng)) {
+        for (const BatchedStateVector* in : {&start, &framed}) {
+            SCOPED_TRACE(::testing::Message()
+                         << exec::kernel_name(op.kind)
+                         << (in == &framed ? ", framed" : ""));
+            std::vector<BatchedStateVector> out;
+            for (const int threads : {1, 4}) {
+                omp_set_num_threads(threads);
+                out.push_back(*in);
+                ExecScratch bscratch;
+                exec::apply_op_batched(op, out.back(), bscratch);
+            }
+            omp_set_num_threads(saved);
+            ASSERT_EQ(std::memcmp(out[0].data(), out[1].data(),
+                                  n * static_cast<std::size_t>(lanes) *
+                                      sizeof(Complex)),
+                      0);
+            ASSERT_EQ(std::memcmp(out[0].support(), out[1].support(), n),
+                      0);
+            if (in == &framed) {
+                ASSERT_EQ(std::memcmp(out[0].frame(), out[1].frame(),
+                                      n * sizeof(Real)),
+                          0);
+            }
+        }
+    }
+}
+#endif
+
 TEST(Batched, ZeroNormLaneSignalledAndLeftUntouched) {
     const WireDims dims({3, 3});
     BatchedStateVector batch(dims, 2);
