@@ -22,31 +22,30 @@
  * is what filters scheduler noise out of the gated ratio.
  *
  * Support walk (gated on "speedup_sparse"): the QUTRIT Generalized
- * Toffoli at width 10 (9 controls, 3^10 amplitudes) from the Figure 11
- * qubit-subspace inputs, B-lane batches walking only their occupied
- * support (the default) against the same trials forced dense
- * (exec::DenseSupportScope), each on one trajectory worker. Fails
- * loudly if a per-trial fidelity differs by more than 1e-12 (the damped
- * runs differ by rounding: a tracked batch scales its lanes, not a
- * damping frame).
+ * Toffoli at width 10 (9 controls, 3^10 amplitudes; fixed, so the gated
+ * ratio always measures the same workload) from the Figure 11
+ * qubit-subspace inputs, 24 trials in B-lane batches walking only their
+ * occupied support (the default) against the same trials forced dense
+ * (noise::testing::DenseSupportScope), each on one trajectory worker.
+ * The two sides alternate within each rep, so a slow phase of the host
+ * falls on both, and each reports its fastest rep. Fails loudly if a
+ * per-trial fidelity differs by more than 1e-12 (the damped runs differ
+ * by rounding: a tracked batch scales its lanes, not a damping frame).
  * "sparse_support_frac" is the fraction of the dense walk's amplitude
  * slots the tracked run visits (obs bat_walked_slots).
  *
  * Knobs: QD_BATCH_CONTROLS (default 4), QD_BATCH_TRIALS (default 512),
- * QD_BATCH_LANES (default 12), QD_BATCH_REPS (default 5),
- * QD_BATCH_SPARSE_CONTROLS (default 9), QD_BATCH_SPARSE_TRIALS
- * (default 24).
+ * QD_BATCH_LANES (default 12), QD_BATCH_REPS (default 5).
  */
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <optional>
 
 #include "bench_util.h"
 #include "constructions/gen_toffoli.h"
 #include "noise/models.h"
 #include "noise/trajectory.h"
-#include "qdsim/exec/batched_state.h"
+#include "noise/trajectory_testing.h"
 
 namespace {
 
@@ -133,33 +132,39 @@ main(int argc, char** argv)
 
     // 3. Support walk: tracked batches against the same trials forced
     // dense, on the width-10 QUTRIT circuit.
-    const int sparse_controls = bench::env_int("QD_BATCH_SPARSE_CONTROLS", 9);
-    const int sparse_trials = bench::env_int("QD_BATCH_SPARSE_TRIALS", 24);
+    const int sparse_controls = 9;
+    const int sparse_trials = 24;
     const auto wide =
         ctor::build_gen_toffoli(ctor::Method::kQutrit, sparse_controls);
     std::printf("\n%s\n", wide.circuit.summary("support walk").c_str());
     noise::TrajectoryOptions sparse_opts = options;
     sparse_opts.trials = sparse_trials;
     sparse_opts.batch = lanes;
-    auto time_support = [&](bool dense, noise::TrajectoryResult& result) {
-        std::optional<exec::DenseSupportScope> scope;
-        if (dense) {
-            scope.emplace();
-        }
-        double best = 0;
-        for (int r = 0; r < reps; ++r) {
-            const double t0 = now_ms();
-            result = noise::run_noisy_trials(wide.circuit, model, sparse_opts);
-            const double elapsed = now_ms() - t0;
-            if (r == 0 || elapsed < best) {
-                best = elapsed;
-            }
-        }
-        return best;
+    auto run_wide = [&] {
+        return noise::run_noisy_trials(wide.circuit, model, sparse_opts);
     };
-    noise::TrajectoryResult tracked_res, dense_res;
-    const double sparse_dense_ms = time_support(true, dense_res);
-    const double sparse_ms = time_support(false, tracked_res);
+    auto run_dense = [&] {
+        const noise::testing::DenseSupportScope scope;
+        return run_wide();
+    };
+    // Warmup, as above.
+    noise::TrajectoryResult dense_res = run_dense();
+    noise::TrajectoryResult tracked_res = run_wide();
+    double sparse_dense_ms = 0, sparse_ms = 0;
+    for (int r = 0; r < reps; ++r) {
+        double t0 = now_ms();
+        dense_res = run_dense();
+        const double dense_elapsed = now_ms() - t0;
+        t0 = now_ms();
+        tracked_res = run_wide();
+        const double tracked_elapsed = now_ms() - t0;
+        if (r == 0 || dense_elapsed < sparse_dense_ms) {
+            sparse_dense_ms = dense_elapsed;
+        }
+        if (r == 0 || tracked_elapsed < sparse_ms) {
+            sparse_ms = tracked_elapsed;
+        }
+    }
     bool sparse_equivalent =
         tracked_res.per_trial.size() == dense_res.per_trial.size();
     for (std::size_t t = 0; sparse_equivalent && t < dense_res.per_trial.size();
@@ -173,7 +178,7 @@ main(int argc, char** argv)
         const bool was_enabled = obs::enabled();
         obs::set_enabled(true);
         obs::reset_counters();
-        noise::run_noisy_trials(wide.circuit, model, sparse_opts);
+        run_wide();
         const obs::SimReport counted = obs::report_snapshot();
         obs::set_enabled(was_enabled);
         // The dense walk: every batched lane dispatched over the register.

@@ -10,6 +10,7 @@
 
 #include "noise/channels.h"
 #include "noise/error_placement.h"
+#include "noise/trajectory_testing.h"
 #include "qdsim/exec/batched_kernels.h"
 #include "qdsim/exec/batched_state.h"
 #include "qdsim/exec/compile_service.h"
@@ -38,7 +39,20 @@ namespace {
  *  flat between 8 and 16. */
 constexpr int kDefaultBatchLanes = 12;
 
+/** Live testing::DenseSupportScope count. */
+std::atomic<int> g_dense_scopes{0};
+
 }  // namespace
+
+testing::DenseSupportScope::DenseSupportScope()
+{
+    g_dense_scopes.fetch_add(1);
+}
+
+testing::DenseSupportScope::~DenseSupportScope()
+{
+    g_dense_scopes.fetch_sub(1);
+}
 
 /**
  * Precomputed per-circuit state shared by all trajectories (the payload
@@ -90,8 +104,8 @@ struct TrajectoryCompilation::Impl {
     int width = 0;
     int dim = 0;
     std::vector<std::uint16_t> count_key;  ///< n1 * (width+1) + n2
-    /** Damping jumps |m> -> |0>, jumps[wire][m - 1], for lanes of a
-     *  tracked batch (apply_jump). */
+    /** Damping jumps |m> -> |0>, jumps[wire][m - 1], applied to the
+     *  one-lane batch a jumping lane is copied into (apply_jump). */
     std::vector<std::vector<exec::CompiledOp>> jumps;
 
     // Non-copyable: `errors` holds raw pointers into this object's
@@ -304,136 +318,36 @@ namespace {
 using EngineContext = TrajectoryCompilation::Impl;
 using ErrorDraw = EngineContext::ErrorDraw;
 
-// Divergent per-lane events run on the lane extracted to a StateVector
-// (a dense batch: the single-shot code) or to a one-lane tracked batch (a
-// tracked batch: the same kernels and per-lane primitives, walking the
-// lane's support). Per lane the two are bitwise equal up to the sign of
-// zeros; these overloads give the rare branch and the jumps one body.
+// Divergent per-lane events (fired gate errors, damping jumps, the fused
+// rare branch) run on the lane copied into a one-lane batch, dense or
+// tracked as its batch is (on_lane below): the same kernels and per-lane
+// primitives as the batch, each bitwise the single-shot StateVector code
+// on that lane up to the sign of zeros.
 
-Real
-scale_by_table(StateVector& psi, const std::vector<std::uint16_t>& key,
-               const std::vector<Real>& scale)
-{
-    return psi.scale_by_table(key, scale);
-}
-
-Real
-scale_by_table(exec::BatchedStateVector& psi,
-               const std::vector<std::uint16_t>& key,
-               const std::vector<Real>& scale)
-{
-    return psi.scale_by_table_lanes(key, scale)[0];
-}
-
-std::vector<Real>
-populations(const StateVector& psi, int wire)
-{
-    return psi.populations(wire);
-}
-
-std::vector<Real>
-populations(const exec::BatchedStateVector& psi, int wire)
-{
-    return psi.populations_lanes(wire);
-}
-
-bool
-normalize(StateVector& psi)
-{
-    return psi.normalize();
-}
-
-bool
-normalize(exec::BatchedStateVector& psi)
-{
-    return psi.normalize_lanes()[0] != 0;
-}
-
+/** Applies a damping jump |level> -> |0> on `wire` to a one-lane batch
+ *  and renormalises. A jump is only ever drawn with probability
+ *  proportional to the level's population, so a zero-norm result means
+ *  the engine's bookkeeping and the state disagree — fail loudly instead
+ *  of propagating NaNs. */
 void
-apply_diag1(StateVector& psi, const std::vector<Complex>& diag, int wire)
-{
-    psi.apply_diag1(diag, wire);
-}
-
-void
-apply_diag1(exec::BatchedStateVector& psi, const std::vector<Complex>& diag,
-            int wire)
-{
-    psi.apply_diag1_masked(diag, wire);
-}
-
-void
-apply_unitary(const exec::CompiledOp& op, StateVector& psi,
-              exec::ExecScratch& scratch)
-{
-    exec::apply_op(op, psi, scratch);
-}
-
-void
-apply_unitary(const exec::CompiledOp& op, exec::BatchedStateVector& psi,
-              exec::ExecScratch& scratch)
-{
-    exec::apply_op_batched(op, psi, scratch);
-}
-
-/** Multiplies the lane by a real factor. */
-void
-scale_lane(StateVector& psi, Real r)
-{
-    for (Complex& a : psi.amplitudes()) {
-        a *= r;
-    }
-}
-
-void
-scale_lane(exec::BatchedStateVector& psi, Real r)
-{
-    psi.for_each_occupied([&](Index i) { psi.at(i, 0) *= r; });
-}
-
-/** The |level> -> |0> jump on `wire`. */
-void
-jump(StateVector& psi, const EngineContext&, int wire, int level,
-     exec::ExecScratch&)
-{
-    const int d = psi.dims().dim(wire);
-    Matrix km(static_cast<std::size_t>(d), static_cast<std::size_t>(d));
-    km(0, static_cast<std::size_t>(level)) = Complex(1, 0);
-    const int wires[1] = {wire};
-    psi.apply(km, std::span<const int>(wires, 1));
-}
-
-void
-jump(exec::BatchedStateVector& psi, const EngineContext& ctx, int wire,
-     int level, exec::ExecScratch& scratch)
-{
-    exec::apply_op_batched(
-        ctx.jumps[static_cast<std::size_t>(wire)]
-                 [static_cast<std::size_t>(level - 1)],
-        psi, scratch);
-}
-
-/** Applies a damping jump |level> -> |0> on `wire` and renormalises.
- *  A jump is only ever drawn with probability proportional to the level's
- *  population, so a zero-norm result means the engine's bookkeeping and
- *  the state disagree — fail loudly instead of propagating NaNs. */
-template <class Lane>
-void
-apply_jump(Lane& psi, const EngineContext& ctx, int wire, int level,
-           exec::ExecScratch& scratch)
+apply_jump(exec::BatchedStateVector& psi, const EngineContext& ctx, int wire,
+           int level, exec::ExecScratch& scratch)
 {
     obs::count(obs::Counter::kTrajDampingJumps);
-    jump(psi, ctx, wire, level, scratch);
-    if (!normalize(psi)) {
+    exec::apply_op_batched(ctx.jumps[static_cast<std::size_t>(wire)]
+                                    [static_cast<std::size_t>(level - 1)],
+                           psi, scratch);
+    if (psi.normalize_lanes()[0] == 0) {
         throw std::runtime_error(
             "trajectory: damping jump produced a zero-norm state");
     }
 }
 
-/** Applies the no-jump K0 diagonal of a single wire (no renormalise). */
-template <class Lane>
+/** Applies the no-jump K0 diagonal of a single wire to a one-lane batch
+ *  (no renormalise). */
 void
-apply_k0(Lane& psi, const NoiseModel& model, Real dt, int wire)
+apply_k0(exec::BatchedStateVector& psi, const NoiseModel& model, Real dt,
+         int wire)
 {
     const int d = psi.dims().dim(wire);
     std::vector<Complex> diag(static_cast<std::size_t>(d));
@@ -442,7 +356,7 @@ apply_k0(Lane& psi, const NoiseModel& model, Real dt, int wire)
         diag[static_cast<std::size_t>(m)] =
             Complex(std::sqrt(1.0 - model.lambda(m, dt)), 0);
     }
-    apply_diag1(psi, diag, wire);
+    psi.apply_diag1_masked(diag, wire);
 }
 
 /** True iff any excited level of a d-dimensional wire decays at all over
@@ -483,22 +397,21 @@ build_damping_tables(const NoiseModel& model, Real dt,
 /**
  * The fused path's rejected branch, entered with the joint no-jump
  * operator still applied to `psi`: undo it, then draw the jump from the
- * per-(wire, level) populations. The engine calls it on an extracted
- * lane.
+ * per-(wire, level) populations. The engine calls it on a lane copied
+ * into a one-lane batch.
  */
-template <class Lane>
 void
-fused_rare_branch(Lane& psi, const NoiseModel& model, Real dt,
-                  const EngineContext& ctx, Rng& rng,
+fused_rare_branch(exec::BatchedStateVector& psi, const NoiseModel& model,
+                  Real dt, const EngineContext& ctx, Rng& rng,
                   const std::vector<Real>& scale,
                   const std::vector<Real>& inv, exec::ExecScratch& scratch)
 {
     obs::count(obs::Counter::kTrajRareBranches);
-    scale_by_table(psi, ctx.count_key, inv);
+    psi.scale_by_table_lanes(ctx.count_key, inv);
     std::vector<Real> weights;
     std::vector<std::pair<int, int>> arms;  // (wire, level)
     for (int w = 0; w < ctx.width; ++w) {
-        const auto pops = populations(psi, w);
+        const std::vector<Real> pops = psi.populations_lanes(w);
         for (int m = 1; m < ctx.dim; ++m) {
             weights.push_back(model.lambda(m, dt) *
                               pops[static_cast<std::size_t>(m)]);
@@ -511,8 +424,8 @@ fused_rare_branch(Lane& psi, const NoiseModel& model, Real dt,
         // acceptance draw lost to rounding). Fall back to the no-jump
         // evolution instead of forcing a zero-population jump, which
         // used to die renormalising a zero state.
-        scale_by_table(psi, ctx.count_key, scale);
-        if (!normalize(psi)) {
+        psi.scale_by_table_lanes(ctx.count_key, scale);
+        if (psi.normalize_lanes()[0] == 0) {
             throw std::runtime_error(
                 "trajectory: no-jump evolution produced a zero-norm state");
         }
@@ -524,7 +437,7 @@ fused_rare_branch(Lane& psi, const NoiseModel& model, Real dt,
             apply_k0(psi, model, dt, w);
         }
     }
-    if (!normalize(psi)) {
+    if (psi.normalize_lanes()[0] == 0) {
         throw std::runtime_error(
             "trajectory: no-jump evolution produced a zero-norm state");
     }
@@ -535,9 +448,9 @@ fused_rare_branch(Lane& psi, const NoiseModel& model, Real dt,
 // (B = 1 for a single trajectory). Shared work (gates, no-jump scaling,
 // dephasing angles) runs on all lanes at once; divergent
 // per-lane events (gate-error draws, damping jumps, the fused rare branch)
-// extract the lane, run the StateVector code above, and write the lane
-// back — which is what keeps every lane's result a function of its own RNG
-// stream alone, bitwise independent of the batch width.
+// copy the lane into a one-lane batch, run the code above on it, and write
+// the lane back — which is what keeps every lane's result a function of
+// its own RNG stream alone, bitwise independent of the batch width.
 //
 // Fused idle damping runs in a damping frame (exec::BatchedStateVector::
 // frame): the joint no-jump operator of a moment is a real diagonal that
@@ -569,8 +482,8 @@ fused_rare_branch(Lane& psi, const NoiseModel& model, Real dt,
 // Support tracking: a batch whose inputs occupy at most half the register
 // (qubit-subspace inputs on qutrits) is tracked (exec::Support::kTracked):
 // every pass walks the union of the lanes' supports, and divergent events
-// run on a one-lane tracked batch instead of a StateVector. Per lane this
-// is bitwise the dense walk up to the sign of zeros, with one exception:
+// run on a one-lane tracked batch. Per lane this is bitwise the dense
+// walk up to the sign of zeros, with one exception:
 // a tracked batch carries no damping frame, since a frame entry at an
 // index outside the support is neither reset nor scaled, so a set_lane
 // there would divide by a factor that depends on the other lanes. Its
@@ -620,37 +533,26 @@ draw_gate_errors(const std::vector<const ErrorDraw*>& draws,
     }
 }
 
-/** Where divergent per-lane events run: a StateVector for a dense batch,
- *  a one-lane tracked batch for a tracked one; each built on first use
- *  and reused for the rest of the batch. */
-struct LaneSpill {
-    std::optional<StateVector> dense;
-    std::optional<exec::BatchedStateVector> tracked;
-};
+/** Where divergent per-lane events run: a one-lane batch, dense or
+ *  tracked as the engine's batch is, built on first use and reused for
+ *  the rest of the batch. */
+using LaneSpill = std::optional<exec::BatchedStateVector>;
 
-/** Extracts lane `j` of `psi`, runs event(lane) on it, and writes it
- *  back. */
+/** Copies lane `j` of `psi` into the spill, runs event(lane) on it, and
+ *  writes it back. */
 template <class Event>
 void
 on_lane(exec::BatchedStateVector& psi, int j, LaneSpill& spill, Event event)
 {
     obs::count(obs::Counter::kTrajLaneExtracts);
-    if (psi.tracked()) {
-        if (!spill.tracked.has_value()) {
-            spill.tracked.emplace(psi.dims(), 1, false,
-                                  exec::Support::kTracked);
-        }
-        psi.extract_lane(j, *spill.tracked);
-        event(*spill.tracked);
-        psi.set_lane(j, *spill.tracked);
-        return;
+    if (!spill.has_value()) {
+        spill.emplace(psi.dims(), 1, false,
+                      psi.tracked() ? exec::Support::kTracked
+                                    : exec::Support::kDense);
     }
-    if (!spill.dense.has_value()) {
-        spill.dense.emplace(psi.dims());
-    }
-    psi.extract_lane(j, *spill.dense);
-    event(*spill.dense);
-    psi.set_lane(j, *spill.dense);
+    psi.extract_lane(j, *spill);
+    event(*spill);
+    psi.set_lane(j, *spill);
 }
 
 /** Applies drawn gate errors in draw order, each on its extracted lane. */
@@ -661,8 +563,8 @@ apply_gate_errors(exec::BatchedStateVector& psi,
 {
     for (const FiredError& f : fired) {
         obs::count(obs::Counter::kTrajGateErrorsFired);
-        on_lane(psi, f.lane, spill, [&](auto& lane) {
-            apply_unitary(*f.unitary, lane, scratch);
+        on_lane(psi, f.lane, spill, [&](exec::BatchedStateVector& lane) {
+            exec::apply_op_batched(*f.unitary, lane, scratch);
         });
     }
 }
@@ -752,8 +654,10 @@ apply_idle_damping_fused(exec::BatchedStateVector& psi,
         if (u[j] * norm_sq[j] < scaled[j]) {
             continue;
         }
-        on_lane(psi, static_cast<int>(j), spill, [&](auto& lane) {
-            scale_lane(lane, 1.0 / std::sqrt(norm_sq[j]));
+        on_lane(psi, static_cast<int>(j), spill,
+                [&](exec::BatchedStateVector& lane) {
+            const Real r = 1.0 / std::sqrt(norm_sq[j]);
+            lane.for_each_occupied([&](Index i) { lane.at(i, 0) *= r; });
             fused_rare_branch(lane, model, dt, ctx, rngs[j], tables.scale,
                               tables.inv, scratch);
         });
@@ -818,7 +722,7 @@ apply_idle_damping_sequential_batched(exec::BatchedStateVector& psi,
                         break;
                     }
                 }
-                on_lane(psi, j, spill, [&](auto& lane) {
+                on_lane(psi, j, spill, [&](exec::BatchedStateVector& lane) {
                     apply_jump(lane, ctx, w, level, scratch);
                 });
             } else if (nontrivial_k0) {
@@ -959,14 +863,16 @@ run_lanes(const EngineContext& ctx, exec::BatchedStateVector& psi,
  * e.g. qubit-subspace inputs on qutrits, whose walks then visit a few
  * percent of the 3^n register; dense otherwise (qubit registers, inputs
  * over the whole register), which keeps the dense walk and the damping
- * frame. A function of the inputs' support alone, so every lane of a run
- * and run_single_trajectory agree on it.
+ * frame. A function of the inputs' support alone (and of a live
+ * testing::DenseSupportScope, which forces dense), so every lane of a
+ * run and run_single_trajectory agree on it.
  */
 exec::Support
 support_for(const WireDims& dims, Index occupied)
 {
-    return 2 * occupied <= dims.size() ? exec::Support::kTracked
-                                       : exec::Support::kDense;
+    return 2 * occupied <= dims.size() && g_dense_scopes.load() == 0
+               ? exec::Support::kTracked
+               : exec::Support::kDense;
 }
 
 /** Number of basis indices whose digits are all 0 or 1. */

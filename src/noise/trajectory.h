@@ -26,7 +26,7 @@
  * table read across the batch; a single trajectory is a 1-lane batch
  * through the same moment loop. Each trial keeps its own RNG stream
  * (root.child(t)) and divergent per-lane events (damping jumps, gate-error
- * draws) run StateVector code on the extracted lane, so results are
+ * draws) run on the lane copied into a one-lane batch, so results are
  * BITWISE independent of the batch width and thread count.
  *
  * Idle damping picks its implementation from the register: uniform

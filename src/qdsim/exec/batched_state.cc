@@ -3,7 +3,6 @@
 #include "qdsim/exec/simd.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <new>
@@ -86,9 +85,6 @@ frame_slots(Index n)
 {
     return (static_cast<std::size_t>(n) + 1) / 2;
 }
-
-/** Live DenseSupportScope count. */
-std::atomic<int> g_dense_scopes{0};
 
 /**
  * sweep_lanes over the amplitudes of `occ` (a tracked batch's occupied
@@ -200,16 +196,6 @@ walk_product_diag(const WireDims& dims, std::size_t L, Factor factor,
 
 }  // namespace
 
-DenseSupportScope::DenseSupportScope()
-{
-    g_dense_scopes.fetch_add(1);
-}
-
-DenseSupportScope::~DenseSupportScope()
-{
-    g_dense_scopes.fetch_sub(1);
-}
-
 std::unique_ptr<Complex, BatchedStateVector::FreeDeleter>
 BatchedStateVector::allocate(std::size_t slots)
 {
@@ -234,7 +220,7 @@ BatchedStateVector::BatchedStateVector(WireDims dims, int lanes,
     }
     // Support walks index with 32-bit digit arithmetic
     // (batched_kernels.cc).
-    if (support == Support::kTracked && g_dense_scopes.load() == 0 &&
+    if (support == Support::kTracked &&
         dims_.size() <= std::numeric_limits<std::uint32_t>::max()) {
         support_.assign(static_cast<std::size_t>(dims_.size()), 0);
         support_[0] = 1;

@@ -50,8 +50,8 @@
  * P_b (f (.) x_b).
  *
  * Divergent per-lane events (damping jumps, gate-error draws) are handled
- * by extracting the lane to a StateVector, running the existing
- * single-shot code, and writing the lane back.
+ * by copying the lane into a one-lane batch (extract_lane), running the
+ * same kernels and per-lane primitives on it, and writing it back.
  *
  * Support tracking: a batch built with Support::kTracked keeps an
  * occupancy set, one flag per basis index, holding every index that may
@@ -98,19 +98,6 @@ namespace qd::exec {
 enum class Support : std::uint8_t {
     kDense,    ///< every basis index
     kTracked,  ///< the occupancy set (see the file comment)
-};
-
-/**
- * While at least one DenseSupportScope is alive, batches asked for
- * Support::kTracked are built dense. This gives parity tests and
- * benchmarks the dense reference of a tracked run.
- */
-class DenseSupportScope {
-  public:
-    DenseSupportScope();
-    ~DenseSupportScope();
-    DenseSupportScope(const DenseSupportScope&) = delete;
-    DenseSupportScope& operator=(const DenseSupportScope&) = delete;
 };
 
 /** B trajectory states over one register, lane-interleaved. */

@@ -9,7 +9,7 @@
 #include "noise/error_placement.h"
 #include "noise/channels.h"
 #include "noise/models.h"
-#include "qdsim/exec/batched_state.h"
+#include "noise/trajectory_testing.h"
 #include "qdsim/exec/compiled_circuit.h"
 #include "qdsim/gate_library.h"
 #include "qdsim/moments.h"
@@ -1014,7 +1014,7 @@ TEST(Trajectory, SupportWalkMatchesDenseWalkOnFigure11Cells) {
         const CountedRun tracked = counted_run(c, cell.model, opts);
         CountedRun dense;
         {
-            const exec::DenseSupportScope scope;
+            const noise::testing::DenseSupportScope scope;
             dense = counted_run(c, cell.model, opts);
         }
         const bool qutrits = c.dims().dim(0) == 3;
@@ -1057,7 +1057,7 @@ TEST(Trajectory, SupportWalkSequentialDampingMatchesDense) {
     const CountedRun tracked = counted_run(c, hot_noise(), opts);
     CountedRun dense;
     {
-        const exec::DenseSupportScope scope;
+        const noise::testing::DenseSupportScope scope;
         dense = counted_run(c, hot_noise(), opts);
     }
     EXPECT_EQ(tracked.fid, dense.fid);
@@ -1082,7 +1082,7 @@ TEST(Trajectory, FullSpaceInputsWalkDense) {
         const CountedRun got = counted_run(qutrit.circuit, m, opts);
         CountedRun dense;
         {
-            const exec::DenseSupportScope scope;
+            const noise::testing::DenseSupportScope scope;
             dense = counted_run(qutrit.circuit, m, opts);
         }
         EXPECT_EQ(got.fid, dense.fid);

@@ -784,15 +784,7 @@ TEST(Batched, SupportTracksWritesAndDrops) {
     EXPECT_NO_THROW(batch.check_support());
     BatchedStateVector dense_one(dims, 1);
     EXPECT_THROW(batch.extract_lane(0, dense_one), std::invalid_argument);
-    // Under a DenseSupportScope a tracked request is built dense.
-    {
-        const exec::DenseSupportScope scope;
-        EXPECT_FALSE(BatchedStateVector(dims, 2, false,
-                                        exec::Support::kTracked)
-                         .tracked());
-    }
-    EXPECT_TRUE(
-        BatchedStateVector(dims, 2, false, exec::Support::kTracked).tracked());
+    EXPECT_THROW(batch.set_lane(0, dense_one), std::invalid_argument);
 }
 
 TEST(Batched, SupportReductionsMatchDenseBitwise) {
