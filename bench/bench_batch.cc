@@ -19,16 +19,16 @@
  *
  * Timing: each width runs QD_BATCH_REPS times after a shared warmup and
  * reports its fastest rep — per-run wall times are ~10 ms, so min-of-reps
- * is what filters scheduler noise out of the gated ratio.
+ * is what filters scheduler noise out of the gated ratio. The two widths
+ * alternate within each rep, so a slow phase of the host falls on both.
  *
  * Support walk (gated on "speedup_sparse"): the QUTRIT Generalized
  * Toffoli at width 10 (9 controls, 3^10 amplitudes; fixed, so the gated
  * ratio always measures the same workload) from the Figure 11
  * qubit-subspace inputs, 24 trials in B-lane batches walking only their
  * occupied support (the default) against the same trials forced dense
- * (noise::testing::DenseSupportScope), each on one trajectory worker.
- * The two sides alternate within each rep, so a slow phase of the host
- * falls on both, and each reports its fastest rep. Fails loudly if a
+ * (noise::testing::DenseSupportScope), each on one trajectory worker,
+ * timed the same way. Fails loudly if a
  * per-trial fidelity differs by more than 1e-12 (the damped runs differ
  * by rounding: a tracked batch scales its lanes, not a damping frame).
  * "sparse_support_frac" is the fraction of the dense walk's amplitude
@@ -40,6 +40,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "bench_util.h"
 #include "constructions/gen_toffoli.h"
@@ -57,6 +58,31 @@ now_ms()
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
+}
+
+/** Runs `a` then `b` once per rep and returns each side's fastest rep in
+ *  ms. Alternating the sides within a rep puts a slow phase of the host
+ *  on both of them. */
+template <class A, class B>
+std::pair<double, double>
+time_alternating(int reps, A&& a, B&& b)
+{
+    double best_a = 0, best_b = 0;
+    for (int r = 0; r < reps; ++r) {
+        double t0 = now_ms();
+        a();
+        const double a_ms = now_ms() - t0;
+        t0 = now_ms();
+        b();
+        const double b_ms = now_ms() - t0;
+        if (r == 0 || a_ms < best_a) {
+            best_a = a_ms;
+        }
+        if (r == 0 || b_ms < best_b) {
+            best_b = b_ms;
+        }
+    }
+    return {best_a, best_b};
 }
 
 }  // namespace
@@ -87,31 +113,24 @@ main(int argc, char** argv)
     options.threads = 1;
     options.keep_per_trial = true;
 
-    auto time_path = [&](int batch, noise::TrajectoryResult& result) {
-        options.batch = batch;
-        double best = 0;
-        for (int r = 0; r < reps; ++r) {
-            const double t0 = now_ms();
-            result = noise::run_noisy_trials(circuit, model, options);
-            const double elapsed = now_ms() - t0;
-            if (r == 0 || elapsed < best) {
-                best = elapsed;
-            }
-        }
-        return best;
-    };
-
     // Warmup: run once so page faults and lazy init don't land in either
     // side's first rep.
-    noise::TrajectoryResult single, batched;
-    options.batch = lanes;
-    noise::run_noisy_trials(circuit, model, options);
+    noise::TrajectoryOptions single_opts = options;
+    single_opts.batch = 1;
+    noise::TrajectoryOptions batched_opts = options;
+    batched_opts.batch = lanes;
+    noise::TrajectoryResult single;
+    noise::TrajectoryResult batched =
+        noise::run_noisy_trials(circuit, model, batched_opts);
 
-    // 1. One lane per pass.
-    const double single_ms = time_path(1, single);
-
-    // 2. B-way batched execution: one compiled pass advances B lanes.
-    const double batched_ms = time_path(lanes, batched);
+    // 1. One lane per pass; 2. B-way batched execution: one compiled pass
+    // advances B lanes.
+    const auto [single_ms, batched_ms] = time_alternating(
+        reps,
+        [&] { single = noise::run_noisy_trials(circuit, model, single_opts); },
+        [&] {
+            batched = noise::run_noisy_trials(circuit, model, batched_opts);
+        });
 
     bool lane_equivalent = single.per_trial.size() == batched.per_trial.size();
     for (std::size_t t = 0; lane_equivalent && t < single.per_trial.size();
@@ -150,21 +169,9 @@ main(int argc, char** argv)
     // Warmup, as above.
     noise::TrajectoryResult dense_res = run_dense();
     noise::TrajectoryResult tracked_res = run_wide();
-    double sparse_dense_ms = 0, sparse_ms = 0;
-    for (int r = 0; r < reps; ++r) {
-        double t0 = now_ms();
-        dense_res = run_dense();
-        const double dense_elapsed = now_ms() - t0;
-        t0 = now_ms();
-        tracked_res = run_wide();
-        const double tracked_elapsed = now_ms() - t0;
-        if (r == 0 || dense_elapsed < sparse_dense_ms) {
-            sparse_dense_ms = dense_elapsed;
-        }
-        if (r == 0 || tracked_elapsed < sparse_ms) {
-            sparse_ms = tracked_elapsed;
-        }
-    }
+    const auto [sparse_dense_ms, sparse_ms] = time_alternating(
+        reps, [&] { dense_res = run_dense(); },
+        [&] { tracked_res = run_wide(); });
     bool sparse_equivalent =
         tracked_res.per_trial.size() == dense_res.per_trial.size();
     for (std::size_t t = 0; sparse_equivalent && t < dense_res.per_trial.size();

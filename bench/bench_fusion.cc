@@ -16,7 +16,7 @@
  *      collapses to one controlled-subspace block.
  *
  * For each workload: ms per circuit pass unfused (PR 2 engine) vs fused,
- * min-of-reps timing, plus a correctness check (max amplitude deviation
+ * min-of-reps timing with the two sides alternating within each rep, plus a correctness check (max amplitude deviation
  * fused vs unfused). Emits BENCH_fusion.json; the `speedup`
  * (gen-Toffoli), `speedup_incrementer`, and `speedup_tree` ratios are
  * gated in CI via scripts/compare_bench.py, as is the instrumented
@@ -77,25 +77,24 @@ measure(const Circuit& circuit, int reps)
     m.fused_groups = fused.num_fused_groups();
 
     // Warm both paths once, then take the min over reps (robust against
-    // scheduler noise on shared runners).
+    // scheduler noise on shared runners). The two sides alternate within
+    // each rep, so a slow phase of the host falls on both.
     sink = init;
     unfused.run(sink, scratch);
     sink = init;
     fused.run(sink, scratch);
 
-    m.unfused_ms = 1e300;
-    for (int r = 0; r < reps; ++r) {
+    const auto pass_ms = [&](const exec::CompiledCircuit& compiled) {
         sink = init;
         const double t0 = now_ms();
-        unfused.run(sink, scratch);
-        m.unfused_ms = std::min(m.unfused_ms, now_ms() - t0);
-    }
+        compiled.run(sink, scratch);
+        return now_ms() - t0;
+    };
+    m.unfused_ms = 1e300;
     m.fused_ms = 1e300;
     for (int r = 0; r < reps; ++r) {
-        sink = init;
-        const double t0 = now_ms();
-        fused.run(sink, scratch);
-        m.fused_ms = std::min(m.fused_ms, now_ms() - t0);
+        m.unfused_ms = std::min(m.unfused_ms, pass_ms(unfused));
+        m.fused_ms = std::min(m.fused_ms, pass_ms(fused));
     }
     m.speedup = m.unfused_ms / m.fused_ms;
 

@@ -16,21 +16,21 @@
 
 namespace qd::noise {
 
+namespace {
+
+/** Completes an already compiled K with conj(K), compiled from K's gate
+ *  elementwise conjugated so both land on the same kernel class. */
 CompiledSuperOp
-compile_superop(const WireDims& dims, const Gate& gate,
-                std::span<const int> wires, exec::PlanCache* cache)
+with_conjugate(const WireDims& dims, exec::CompiledOp k,
+               exec::PlanCache* cache)
 {
-    if (gate.empty()) {
-        throw std::invalid_argument("compile_superop: empty gate");
-    }
-    Matrix conj = gate.matrix();
+    Matrix conj = k.gate.matrix();
     for (Complex& v : conj.data()) {
         v = std::conj(v);
     }
-    const Gate gate_conj(gate.name() + "*", gate.dims(), std::move(conj));
-    CompiledSuperOp out{
-        exec::compile_op(dims, gate, wires, cache),
-        exec::compile_op(dims, gate_conj, wires, cache)};
+    const Gate gate_conj(k.gate.name() + "*", k.gate.dims(), std::move(conj));
+    exec::CompiledOp k_conj = exec::compile_op(dims, gate_conj, k.wires, cache);
+    CompiledSuperOp out{std::move(k), std::move(k_conj)};
     // Only the dense kernel reads the matrix through CompiledOp::gate.
     // Dropping it elsewhere keeps a channel's Kraus operators from holding
     // two b x b payloads each (a cached density program keeps them all).
@@ -39,6 +39,19 @@ compile_superop(const WireDims& dims, const Gate& gate,
         out.k_conj.gate = Gate();
     }
     return out;
+}
+
+}  // namespace
+
+CompiledSuperOp
+compile_superop(const WireDims& dims, const Gate& gate,
+                std::span<const int> wires, exec::PlanCache* cache)
+{
+    if (gate.empty()) {
+        throw std::invalid_argument("compile_superop: empty gate");
+    }
+    return with_conjugate(dims, exec::compile_op(dims, gate, wires, cache),
+                          cache);
 }
 
 CompiledSuperOp
@@ -192,10 +205,10 @@ apply_gaussian_dephasing(DensityMatrix& dm, Matrix& rho, int wire, Real s)
 /**
  * The payload behind DensityCompilation (cached across requests by the
  * CompileService): the fully fused ideal reference, every operator
- * and channel the evolution touches — compiled once against one shared
- * plan cache — and the flattened step program that replays the exact
- * moment-by-moment (or fused-group) application order of the original
- * inline engine.
+ * and channel the evolution touches — compiled once against the noisy
+ * program's plan cache — and the flattened step program that replays the
+ * program's moments: each compiled op as one superop, the gate-error
+ * channels of its source ops after it, then the moment's idle noise.
  */
 struct DensityCompilation::Impl {
     /** One replayed application. kSuperOp/kChannel index into the pools;
@@ -210,109 +223,50 @@ struct DensityCompilation::Impl {
     };
 
     NoiseModel model;              ///< the model the program was built from
-    exec::PlanCache cache;         ///< plans shared by every compile below
     exec::CompiledCircuit ideal;   ///< fully fused noiseless reference
-    std::vector<CompiledSuperOp> superops;
+    std::vector<CompiledSuperOp> superops;  ///< one per compiled op
     std::vector<CompiledChannel> channels;
     std::vector<Step> steps;
 
     Impl(const Circuit& circuit, const NoiseModel& noise_model,
-         const exec::FusionOptions& fusion)
-        : model(noise_model), cache(circuit.dims()),
-          ideal(circuit, exec::FusionOptions{}, {}, &cache)
+         NoisyProgram program)
+        : model(noise_model),
+          ideal(circuit, exec::FusionOptions{}, {}, &program.cache)
     {
         const WireDims& dims = circuit.dims();
+        exec::PlanCache& cache = program.cache;
 
-        // Gate-error channels: same placement as the trajectory engine,
-        // compiled once per (wires, per-channel probability).
-        const auto sites = enumerate_error_sites(circuit, model);
+        // K is the program's compiled op; conj(K) compiles from its gate,
+        // which fused blocks still hold here.
+        superops.reserve(program.compiled.num_ops());
+        for (const exec::CompiledOp& op : program.compiled.ops()) {
+            superops.push_back(with_conjugate(dims, op, &cache));
+        }
+
+        // Gate-error channels at the program's sites (the trajectory
+        // engine draws at the same ones), compiled once per (wires,
+        // per-channel probability).
         std::map<std::pair<std::vector<int>, Real>, std::size_t>
             channel_memo;
-        std::vector<std::vector<std::size_t>> op_channels(
-            circuit.num_ops());
-        {
-            obs::ScopedSpan compile_span("density", "compile_channels");
-            for (std::size_t i = 0; i < sites.size(); ++i) {
-                for (const ErrorSite& site : sites[i]) {
-                    const auto key =
-                        std::make_pair(site.wires, site.per_channel);
-                    auto it = channel_memo.find(key);
-                    if (it == channel_memo.end()) {
-                        const MixedUnitaryChannel ch =
-                            site.dims.size() == 1
-                                ? depolarizing1(site.dims[0],
-                                                site.per_channel)
-                                : depolarizing2(site.dims[0], site.dims[1],
-                                                site.per_channel);
-                        std::size_t block = 1;
-                        for (const int d : site.dims) {
-                            block *= static_cast<std::size_t>(d);
-                        }
-                        channels.push_back(
-                            compile_channel(dims, ch.to_kraus(block),
-                                            site.wires, &cache));
-                        it = channel_memo
-                                 .emplace(key, channels.size() - 1)
-                                 .first;
-                    }
-                    op_channels[i].push_back(it->second);
+        auto channel_for = [&](const ErrorSite& site) -> std::size_t {
+            const auto key = std::make_pair(site.wires, site.per_channel);
+            auto it = channel_memo.find(key);
+            if (it == channel_memo.end()) {
+                const MixedUnitaryChannel ch =
+                    site.dims.size() == 1
+                        ? depolarizing1(site.dims[0], site.per_channel)
+                        : depolarizing2(site.dims[0], site.dims[1],
+                                        site.per_channel);
+                std::size_t block = 1;
+                for (const int d : site.dims) {
+                    block *= static_cast<std::size_t>(d);
                 }
+                channels.push_back(compile_channel(
+                    dims, ch.to_kraus(block), site.wires, &cache));
+                it = channel_memo.emplace(key, channels.size() - 1).first;
             }
-        }
-
-        // No idle noise: nothing separates gates but their error
-        // channels, so the moment scaffolding is irrelevant — fuse gate
-        // runs between error fences into single conjugation passes
-        // (channels fence the partition and attach to their pre-fusion op
-        // boundaries, exactly like the trajectory engine).
-        const NoisyLayout layout =
-            noisy_layout(circuit, model, sites, fusion.enabled);
-        if (!layout.by_moment) {
-            const auto groups = exec::fuse_sites(dims, circuit.ops(),
-                                                 layout.fences, fusion);
-            for (const exec::FusedGroup& group : groups) {
-                if (group.members.size() == 1) {
-                    const Operation& op = circuit.ops()[group.members[0]];
-                    superops.push_back(compile_superop(
-                        dims, op.gate, op.wires, &cache));
-                } else {
-                    // Wrap the product in a Gate so controlled structure
-                    // survives fusion on this path too (plain-matrix
-                    // compilation would densify same-signature controlled
-                    // products).
-                    std::vector<int> gate_dims;
-                    gate_dims.reserve(group.wires.size());
-                    for (const int w : group.wires) {
-                        gate_dims.push_back(dims.dim(w));
-                    }
-                    const Gate fused_gate(
-                        "fused[" + std::to_string(group.members.size()) +
-                            "]",
-                        std::move(gate_dims),
-                        exec::fused_matrix(dims, circuit.ops(), group));
-                    superops.push_back(compile_superop(
-                        dims, fused_gate, group.wires, &cache));
-                }
-                steps.push_back(
-                    {Step::Kind::kSuperOp, superops.size() - 1, 0, 0});
-                for (const std::uint32_t src : group.members) {
-                    for (const std::size_t ch :
-                         op_channels[static_cast<std::size_t>(src)]) {
-                        steps.push_back({Step::Kind::kChannel, ch, 0, 0});
-                    }
-                }
-            }
-            return;
-        }
-
-        // Compile every gate once, sharing plans across same-wire ops.
-        std::vector<std::size_t> gate_ops;
-        gate_ops.reserve(circuit.num_ops());
-        for (const Operation& op : circuit.ops()) {
-            superops.push_back(
-                compile_superop(dims, op.gate, op.wires, &cache));
-            gate_ops.push_back(superops.size() - 1);
-        }
+            return it->second;
+        };
 
         // Per-wire damping channels: dt depends only on the moment type,
         // so at most two compiled variants exist per wire.
@@ -335,12 +289,13 @@ struct DensityCompilation::Impl {
             return it->second;
         };
 
-        for (const Moment& moment : layout.moments) {
-            for (const std::size_t idx : moment.op_indices) {
-                steps.push_back(
-                    {Step::Kind::kSuperOp, gate_ops[idx], 0, 0});
-                for (const std::size_t ch : op_channels[idx]) {
-                    steps.push_back({Step::Kind::kChannel, ch, 0, 0});
+        obs::ScopedSpan compile_span("density", "compile_channels");
+        for (const Moment& moment : program.moments) {
+            for (const std::size_t k : moment.op_indices) {
+                steps.push_back({Step::Kind::kSuperOp, k, 0, 0});
+                for (const ErrorSite& site : program.sites[k]) {
+                    steps.push_back(
+                        {Step::Kind::kChannel, channel_for(site), 0, 0});
                 }
             }
             const Real dt = model.moment_duration(moment.has_multi_qudit);
@@ -362,7 +317,13 @@ struct DensityCompilation::Impl {
 DensityCompilation::DensityCompilation(const Circuit& circuit,
                                        const NoiseModel& model,
                                        const exec::FusionOptions& fusion)
-    : impl_(std::make_unique<Impl>(circuit, model, fusion)) {}
+    : DensityCompilation(circuit, model,
+                         compile_noisy(circuit, model, fusion)) {}
+
+DensityCompilation::DensityCompilation(const Circuit& circuit,
+                                       const NoiseModel& model,
+                                       NoisyProgram program)
+    : impl_(std::make_unique<Impl>(circuit, model, std::move(program))) {}
 
 DensityCompilation::~DensityCompilation() = default;
 

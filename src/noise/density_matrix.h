@@ -20,6 +20,7 @@
 #include <memory>
 #include <span>
 
+#include "noise/error_placement.h"
 #include "noise/kraus.h"
 #include "noise/noise_model.h"
 #include "qdsim/circuit.h"
@@ -129,20 +130,26 @@ class DensityMatrix {
 
 /**
  * Everything the exact engine derives from (circuit, model, fusion)
- * before rho moves: the fully fused ideal reference compilation, every
- * gate compiled as a CompiledSuperOp, every gate-error and damping
- * channel compiled against one shared plan cache, and the flattened
- * moment-by-moment step program the evolution replays. Immutable after
- * construction and safe to share across threads — the CompileService
- * caches these across requests so repeated submissions of the same
- * (circuit, model, fusion) skip compilation entirely. Construction does
- * NOT verify; admission is the CompileService's job
+ * before rho moves: the fully fused ideal reference compilation, one
+ * CompiledSuperOp per compiled op of the noisy program (compile_noisy,
+ * the partition the trajectory engine runs too), every gate-error and
+ * damping channel compiled against the program's plan cache, and the
+ * flattened moment-by-moment step program the evolution replays.
+ * Immutable after construction and safe to share across threads — the
+ * CompileService caches these across requests so repeated submissions of
+ * the same (circuit, model, fusion) skip compilation entirely.
+ * Construction does NOT verify; admission is the CompileService's job
  * (CompileService::admission_report for direct callers).
  */
 class DensityCompilation {
  public:
+    /** Builds from compile_noisy(circuit, model, fusion). */
     DensityCompilation(const Circuit& circuit, const NoiseModel& model,
                        const exec::FusionOptions& fusion = {});
+    /** Builds from `program`, which must be compile_noisy(circuit, model,
+     *  fusion) for some fusion setting. */
+    DensityCompilation(const Circuit& circuit, const NoiseModel& model,
+                       NoisyProgram program);
     ~DensityCompilation();
     DensityCompilation(const DensityCompilation&) = delete;
     DensityCompilation& operator=(const DensityCompilation&) = delete;
@@ -167,11 +174,12 @@ class DensityCompilation {
  * modelled as the equivalent Gaussian dephasing channel.
  *
  * `fusion` drives the compile-time fusion stage (exec/fusion.h) on the
- * density side: gate runs between noise boundaries merge into one
- * conjugation pass. Error channels fence the partition, so they attach to
- * pre-fusion op boundaries exactly like the trajectory engine; under idle
- * noise (damping/dephasing every moment, where in-moment ops are
- * wire-disjoint) the per-op moment loop is kept unchanged.
+ * density side, through the same noisy program the trajectory engine
+ * runs (noise::compile_noisy): without idle noise, gate runs between
+ * error channels merge into one conjugation pass and each channel
+ * attaches to its pre-fusion op boundary; under idle noise each moment's
+ * wire-disjoint ops merge into one moment kernel, their gate-error
+ * channels applied after it (they commute with the other members).
  *
  * Compilation routes through exec::CompileService::global(), so repeated
  * calls with the same (circuit, model, fusion) reuse one

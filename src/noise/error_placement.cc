@@ -53,29 +53,64 @@ error_fences(const std::vector<std::vector<ErrorSite>>& sites)
     return fences;
 }
 
-NoisyLayout
-noisy_layout(const Circuit& circuit, const NoiseModel& model,
-             const std::vector<std::vector<ErrorSite>>& sites,
-             bool fusion_enabled)
+NoisyProgram
+compile_noisy(const Circuit& circuit, const NoiseModel& model,
+              const exec::FusionOptions& fusion)
 {
-    NoisyLayout layout;
-    layout.by_moment =
-        model.has_damping() || model.has_dephasing() || !fusion_enabled;
-    if (!layout.by_moment) {
-        layout.fences = error_fences(sites);
-        return layout;
-    }
-    layout.moments = schedule_asap(circuit);
-    layout.order.reserve(circuit.num_ops());
-    layout.fences.reserve(circuit.num_ops());
-    for (const Moment& moment : layout.moments) {
-        for (const std::size_t i : moment.op_indices) {
-            layout.order.push_back(static_cast<std::uint32_t>(i));
-            layout.fences.push_back(0);
+    NoisyProgram program{exec::PlanCache(circuit.dims()), {}, {}, {}, {}, {}};
+    const std::vector<std::vector<ErrorSite>> op_sites =
+        enumerate_error_sites(circuit, model);
+    // The schedule over circuit ops, and the moment of each position.
+    std::vector<Moment> schedule;
+    std::vector<std::uint32_t> moment_of;
+    Circuit laid_out(circuit.dims());
+    if (model.has_damping() || model.has_dephasing() || !fusion.enabled) {
+        // With fusion off the compile ignores the fences: one kernel per
+        // op on the ASAP moment schedule.
+        schedule = schedule_asap(circuit);
+        for (std::size_t m = 0; m < schedule.size(); ++m) {
+            for (const std::size_t i : schedule[m].op_indices) {
+                const Operation& op = circuit.ops()[i];
+                laid_out.append(op.gate, op.wires);
+                program.order.push_back(static_cast<std::uint32_t>(i));
+                program.fences.push_back(0);
+                moment_of.push_back(static_cast<std::uint32_t>(m));
+            }
+            program.fences.back() = 1;
         }
-        layout.fences.back() = 1;
+    } else {
+        // Gate errors are the only noise: circuit order as one moment,
+        // fenced at every op that draws a channel.
+        Moment all;
+        for (std::size_t i = 0; i < circuit.num_ops(); ++i) {
+            all.op_indices.push_back(i);
+            all.has_multi_qudit =
+                all.has_multi_qudit || circuit.ops()[i].gate.arity() >= 2;
+        }
+        schedule.push_back(std::move(all));
+        moment_of.assign(circuit.num_ops(), 0);
+        program.fences = error_fences(op_sites);
     }
-    return layout;
+    program.compiled = exec::CompiledCircuit(
+        program.order.empty() ? circuit : laid_out, fusion, program.fences,
+        &program.cache);
+    program.moments.resize(schedule.size());
+    for (std::size_t m = 0; m < schedule.size(); ++m) {
+        program.moments[m].has_multi_qudit = schedule[m].has_multi_qudit;
+    }
+    program.sites.resize(program.compiled.num_ops());
+    for (std::size_t k = 0; k < program.compiled.num_ops(); ++k) {
+        const std::vector<std::uint32_t>& members =
+            program.compiled.ops()[k].source_ops;
+        program.moments[moment_of[members.front()]].op_indices.push_back(k);
+        for (const std::uint32_t s : members) {
+            const auto& from =
+                op_sites[program.order.empty() ? s : program.order[s]];
+            program.sites[k].insert(program.sites[k].end(), from.begin(),
+                                    from.end());
+        }
+    }
+    return program;
 }
 
 }  // namespace qd::noise

@@ -1,14 +1,19 @@
 /**
  * @file error_placement.h
- * Shared gate-error placement policy for the noise engines.
+ * Shared gate-error placement and the one noisy compilation both noise
+ * engines run.
  *
  * The trajectory engine (trajectory.cc) and the exact density-matrix
  * engine (density_matrix.cc) must attach depolarizing error channels to
- * exactly the same operands with exactly the same probabilities — the
- * convergence tests compare the two. This module is the single source of
- * truth for that placement: one-qudit gates get one single-qudit channel,
- * two-qudit gates one two-qudit channel, and wider (undecomposed) gates a
+ * exactly the same operands with exactly the same probabilities, and run
+ * exactly the same fused partition — the convergence tests compare the
+ * two. enumerate_error_sites is the single source of truth for the
+ * placement: one-qudit gates get one single-qudit channel, two-qudit
+ * gates one two-qudit channel, and wider (undecomposed) gates a
  * conservative independent two-qudit channel per adjacent operand pair.
+ * compile_noisy is the single source of truth for the partition: both
+ * engines build from the NoisyProgram it returns, and CompileService
+ * admission audits that same program before an engine takes it.
  */
 #ifndef NOISE_ERROR_PLACEMENT_H
 #define NOISE_ERROR_PLACEMENT_H
@@ -18,6 +23,7 @@
 
 #include "noise/noise_model.h"
 #include "qdsim/circuit.h"
+#include "qdsim/exec/compiled_circuit.h"
 #include "qdsim/moments.h"
 
 namespace qd::noise {
@@ -44,40 +50,43 @@ std::vector<std::vector<ErrorSite>> enumerate_error_sites(
  * Fusion fences derived from the error placement: entry i is non-zero
  * iff operation i draws at least one channel, so the compile-time fusion
  * stage (exec/fusion.h) pins that op's trailing boundary and the channel
- * keeps its pre-fusion attachment point. Single source of truth for the
- * trajectory AND density engines — both must fence identically for their
- * convergence comparisons to stay valid.
+ * keeps its pre-fusion attachment point.
  */
 std::vector<std::uint8_t> error_fences(
     const std::vector<std::vector<ErrorSite>>& sites);
 
-/** The op order and fusion fences a noisy circuit compiles under. */
-struct NoisyLayout {
-    /** True: ASAP-moment order with a fence after each moment's last op.
-     *  False: circuit order with error_fences. */
-    bool by_moment = false;
-    /** The ASAP schedule over circuit ops (by_moment only). */
+/**
+ * A noisy circuit compiled once, as both noise engines run it. Under
+ * idle noise (damping or dephasing) or with fusion off, the ops are laid
+ * out in ASAP-moment order with a fence after each moment's last op, so
+ * fusion merges only the wire-disjoint ops of one moment into a moment
+ * kernel; otherwise they stay in circuit order, fenced by the gate
+ * errors, so every channel keeps its pre-fusion attachment point.
+ */
+struct NoisyProgram {
+    /** Plans of `compiled`, shared with whatever the engine compiles next
+     *  (ideal reference, error operators, channels). */
+    exec::PlanCache cache;
+    /** The noisy compilation of the laid-out ops; its source_ops index
+     *  layout positions. Fused blocks still hold their gates, which the
+     *  fusion audit and the density engine's conj(K) read. */
+    exec::CompiledCircuit compiled;
+    /** Schedule over compiled-op indices: the ASAP moments of a by-moment
+     *  layout, else one moment holding every compiled op. */
     std::vector<Moment> moments;
-    /** Layout position -> circuit op (by_moment only; empty keeps circuit
-     *  order). */
+    /** Layout position -> circuit op; empty keeps circuit order. */
     std::vector<std::uint32_t> order;
-    /** fence_after per layout position. */
+    /** fence_after per layout position, as compiled. */
     std::vector<std::uint8_t> fences;
+    /** Per compiled op: the error sites of its source ops, in op order
+     *  (a member's gate errors commute with the other members of its
+     *  moment kernel, so they apply after it). */
+    std::vector<std::vector<ErrorSite>> sites;
 };
 
-/**
- * The layout the noise engines compile a noisy circuit in: under idle
- * noise (damping or dephasing) or with fusion off, ASAP-moment order
- * fenced after every moment, so fusion merges only the wire-disjoint ops
- * of one moment; otherwise circuit order fenced by the gate errors
- * (`sites`, from enumerate_error_sites). Single source of truth for the
- * trajectory and density compiles (the density engine runs a by-moment
- * layout one op at a time) and CompileService admission, so the audited
- * partition is the compiled one.
- */
-NoisyLayout noisy_layout(const Circuit& circuit, const NoiseModel& model,
-                         const std::vector<std::vector<ErrorSite>>& sites,
-                         bool fusion_enabled);
+/** Compiles `circuit` under `model`'s noise layout (see NoisyProgram). */
+NoisyProgram compile_noisy(const Circuit& circuit, const NoiseModel& model,
+                           const exec::FusionOptions& fusion);
 
 }  // namespace qd::noise
 

@@ -57,15 +57,13 @@ testing::DenseSupportScope::~DenseSupportScope()
 /**
  * Precomputed per-circuit state shared by all trajectories (the payload
  * behind TrajectoryCompilation, cached across requests by the
- * CompileService): two compiled circuits over one shared plan cache —
- * `ideal` (fully fused) for the noiseless reference passes, `noisy`
- * (fused only between noise boundaries: error sites, or moments under
- * idle noise) for the moment loop — the per-compiled-op precompiled
- * depolarizing error draws, the moment schedule and, for
- * uniform-dimension registers, a
- * per-basis-index key packing the excited-level counts (n1, n2), which
- * lets the no-jump damping operator of ALL wires apply as one
- * table-scaled pass.
+ * CompileService): `ideal` (fully fused) for the noiseless reference
+ * passes and the noisy program's compilation (compile_noisy, fused only
+ * between noise boundaries) for the moment loop, the per-compiled-op
+ * precompiled depolarizing error draws, the moment schedule and, for
+ * uniform-dimension registers, a per-basis-index key packing the
+ * excited-level counts (n1, n2), which lets the no-jump damping operator
+ * of ALL wires apply as one table-scaled pass.
  */
 struct TrajectoryCompilation::Impl {
     /**
@@ -79,15 +77,9 @@ struct TrajectoryCompilation::Impl {
     };
 
     NoiseModel model;             ///< the model every trial draws from
-    exec::PlanCache cache;        ///< plans shared across both compilations
     exec::CompiledCircuit ideal;  ///< fully fused: ideal reference passes
-    /** The noisy-loop compilation. Without idle noise, gate-error ops are
-     *  fusion fences, so every error channel still attaches to its
-     *  pre-fusion op boundary — this holds for stage-2 union merges too,
-     *  because cost-model windows never span a fence. Under idle noise
-     *  each moment is fenced instead and its wire-disjoint ops may merge
-     *  into one kernel (compile_moments); a member's gate errors commute
-     *  with the other members, so they run after the merged kernel. */
+    /** The noisy program's compilation (see NoisyProgram), its fused
+     *  payloads released. */
     exec::CompiledCircuit noisy;
     /** Per noisy-op index: the error lotteries drawn for that op, the
      *  draws of its source ops in op order (with error fences only the
@@ -114,39 +106,16 @@ struct TrajectoryCompilation::Impl {
     Impl& operator=(const Impl&) = delete;
 
     Impl(const Circuit& circuit, const NoiseModel& noise_model,
-         const exec::FusionOptions& fusion)
+         const exec::FusionOptions& fusion, NoisyProgram program)
         : model(noise_model),
-          cache(circuit.dims()),
-          ideal(circuit, fusion, {}, &cache) {
-        const auto sites = enumerate_error_sites(circuit, model);
-        const NoisyLayout layout =
-            noisy_layout(circuit, model, sites, fusion.enabled);
-        if (layout.by_moment) {
-            // With fusion off the compile ignores the fences: one kernel
-            // per op on the ASAP moment schedule.
-            compile_moments(circuit, layout, fusion);
-        } else {
-            // Gate errors are the only noise: fuse between error sites.
-            // Every op that draws a channel fences the partition, pinning
-            // the channel to its pre-fusion boundary (noisy_layout is the
-            // single source of truth shared with the density engine).
-            noisy = exec::CompiledCircuit(circuit, fusion, layout.fences,
-                                          &cache);
-            Moment all;
-            all.op_indices.resize(noisy.num_ops());
-            for (std::size_t k = 0; k < noisy.num_ops(); ++k) {
-                all.op_indices[k] = k;
-            }
-            for (const Operation& op : circuit.ops()) {
-                all.has_multi_qudit =
-                    all.has_multi_qudit || op.gate.arity() >= 2;
-            }
-            moments.push_back(std::move(all));
-        }
-        build_error_draws(circuit, sites, layout.order);
+          ideal(circuit, fusion, {}, &program.cache),
+          noisy(std::move(program.compiled)),
+          moments(std::move(program.moments)) {
+        build_error_draws(program.sites, program.cache);
+        noisy.release_fused_payloads();
         const WireDims& dims = circuit.dims();
         if (model.has_damping()) {
-            build_jumps(dims);
+            build_jumps(dims, program.cache);
         }
         width = dims.num_wires();
         dim = dims.dim(0);
@@ -185,57 +154,20 @@ struct TrajectoryCompilation::Impl {
 
   private:
     /**
-     * Moment-kernel compile of a by-moment layout: the circuit is laid
-     * out in ASAP-moment order and compiled through the fusion stage with
-     * a fence after each moment's last op, so the cost model can merge
-     * the wire-disjoint ops of one moment (and nothing across moments)
-     * into one kernel; with fusion off it is one kernel per op in that
-     * order. Fills `noisy` and `moments` (over noisy-op indices). Fused
-     * blocks keep their matrix only when the dense kernel reads it.
-     */
-    void compile_moments(const Circuit& circuit, const NoisyLayout& layout,
-                         const exec::FusionOptions& fusion) {
-        const std::vector<Moment>& asap = layout.moments;
-        Circuit ordered(circuit.dims());
-        std::vector<std::uint32_t> moment_of;
-        for (std::size_t m = 0; m < asap.size(); ++m) {
-            for (const std::size_t i : asap[m].op_indices) {
-                const Operation& op = circuit.ops()[i];
-                ordered.append(op.gate, op.wires);
-                moment_of.push_back(static_cast<std::uint32_t>(m));
-            }
-        }
-        noisy = exec::CompiledCircuit(ordered, fusion, layout.fences, &cache);
-        noisy.release_fused_payloads();
-        moments.resize(asap.size());
-        for (std::size_t m = 0; m < asap.size(); ++m) {
-            moments[m].has_multi_qudit = asap[m].has_multi_qudit;
-        }
-        for (std::size_t k = 0; k < noisy.num_ops(); ++k) {
-            const std::uint32_t first = noisy.ops()[k].source_ops.front();
-            moments[moment_of[first]].op_indices.push_back(k);
-        }
-    }
-
-    /**
      * Precompiles every depolarizing error unitary the trajectory loop can
-     * draw, sharing apply plans with the compiled circuits (an error on a
-     * gate's wires reuses that gate's offset tables via the shared
-     * cache). Placement comes from enumerate_error_sites — the same
-     * policy the exact density-matrix engine compiles against, so the two
-     * stay comparable. Draws are memoised by (wires, per-channel
-     * probability), so a circuit with many gates on the same wire pair
-     * compiles its channel once. Per-source-op draw lists are folded onto
-     * the noisy compilation through CompiledOp::source_ops (source op s
-     * is circuit op order[s], or op s when `order` is empty).
+     * draw at the program's sites (the placement the exact density-matrix
+     * engine compiles against, so the two stay comparable), sharing apply
+     * plans with the compiled circuits: an error on a gate's wires reuses
+     * that gate's offset tables via the shared cache. Draws are memoised
+     * by (wires, per-channel probability), so a circuit with many gates
+     * on the same wire pair compiles its channel once.
      */
-    void build_error_draws(const Circuit& circuit,
-                           const std::vector<std::vector<ErrorSite>>& sites,
-                           const std::vector<std::uint32_t>& order) {
-        const WireDims& dims = circuit.dims();
-        std::vector<std::vector<const ErrorDraw*>> per_op(circuit.num_ops());
-        for (std::size_t i = 0; i < sites.size(); ++i) {
-            for (const ErrorSite& site : sites[i]) {
+    void build_error_draws(const std::vector<std::vector<ErrorSite>>& sites,
+                           exec::PlanCache& cache) {
+        const WireDims& dims = noisy.dims();
+        errors.resize(sites.size());
+        for (std::size_t k = 0; k < sites.size(); ++k) {
+            for (const ErrorSite& site : sites[k]) {
                 const auto key =
                     std::make_pair(site.wires, site.per_channel);
                 auto it = error_memo_.find(key);
@@ -256,22 +188,13 @@ struct TrajectoryCompilation::Impl {
                     }
                     it = error_memo_.emplace(key, std::move(draw)).first;
                 }
-                per_op[i].push_back(&it->second);
-            }
-        }
-        errors.resize(noisy.num_ops());
-        for (std::size_t k = 0; k < noisy.num_ops(); ++k) {
-            for (const std::uint32_t s : noisy.ops()[k].source_ops) {
-                const auto& draws =
-                    per_op[order.empty() ? s : order[s]];
-                errors[k].insert(errors[k].end(), draws.begin(),
-                                 draws.end());
+                errors[k].push_back(&it->second);
             }
         }
     }
 
     /** Compiles every wire's damping jumps |m> -> |0>. */
-    void build_jumps(const WireDims& dims) {
+    void build_jumps(const WireDims& dims, exec::PlanCache& cache) {
         jumps.resize(static_cast<std::size_t>(dims.num_wires()));
         for (int w = 0; w < dims.num_wires(); ++w) {
             const int d = dims.dim(w);
@@ -295,7 +218,14 @@ struct TrajectoryCompilation::Impl {
 TrajectoryCompilation::TrajectoryCompilation(
     const Circuit& circuit, const NoiseModel& model,
     const exec::FusionOptions& fusion)
-    : impl_(std::make_unique<Impl>(circuit, model, fusion)) {}
+    : TrajectoryCompilation(circuit, model, fusion,
+                            compile_noisy(circuit, model, fusion)) {}
+
+TrajectoryCompilation::TrajectoryCompilation(
+    const Circuit& circuit, const NoiseModel& model,
+    const exec::FusionOptions& fusion, NoisyProgram program)
+    : impl_(std::make_unique<Impl>(circuit, model, fusion,
+                                   std::move(program))) {}
 
 TrajectoryCompilation::~TrajectoryCompilation() = default;
 

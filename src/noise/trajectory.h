@@ -42,6 +42,7 @@
 #include <functional>
 #include <memory>
 
+#include "noise/error_placement.h"
 #include "noise/noise_model.h"
 #include "qdsim/circuit.h"
 #include "qdsim/exec/fusion.h"
@@ -100,19 +101,26 @@ struct TrajectoryResult {
 /**
  * Everything the trajectory engine derives from (circuit, model, fusion)
  * before the first shot runs: the fully fused ideal reference compilation,
- * the error-fenced noisy compilation, the precompiled gate-error draw
- * tables, the moment schedule, and the register classification that
- * selects fused or sequential idle damping. Immutable after construction
- * and safe to share across threads — the CompileService caches these
- * across requests so repeated submissions of the same (circuit, model,
- * fusion) skip compilation entirely. Construction does NOT verify;
- * admission is the CompileService's job (CompileService::admission_report
- * for direct callers).
+ * the noisy program (compile_noisy, the partition the density engine
+ * runs too), the precompiled gate-error draw tables, the moment schedule,
+ * and the register classification that selects fused or sequential idle
+ * damping. Immutable after construction and safe to share across threads
+ * — the CompileService caches these across requests so repeated
+ * submissions of the same (circuit, model, fusion) skip compilation
+ * entirely. Construction does NOT verify; admission is the
+ * CompileService's job (CompileService::admission_report for direct
+ * callers).
  */
 class TrajectoryCompilation {
  public:
+    /** Builds from compile_noisy(circuit, model, fusion). */
     TrajectoryCompilation(const Circuit& circuit, const NoiseModel& model,
                           const exec::FusionOptions& fusion = {});
+    /** Builds from `program`, which must be compile_noisy(circuit, model,
+     *  fusion); its fused payloads are released. */
+    TrajectoryCompilation(const Circuit& circuit, const NoiseModel& model,
+                          const exec::FusionOptions& fusion,
+                          NoisyProgram program);
     ~TrajectoryCompilation();
     TrajectoryCompilation(const TrajectoryCompilation&) = delete;
     TrajectoryCompilation& operator=(const TrajectoryCompilation&) = delete;

@@ -37,21 +37,42 @@ verified_flag(const CompiledArtifact& artifact, Admission admission)
                                            : artifact.verified_default;
 }
 
+/** The admission audits that follow a noisy program's build: its plan
+ *  and fusion audits (findings naming circuit ops), then the noise
+ *  audit. */
+void
+audit_program(const Circuit& circuit, const noise::NoiseModel& model,
+              const noise::NoisyProgram& program,
+              const FusionOptions& fusion, verify::Report& report)
+{
+    verify::audit_compilation(circuit, program.compiled, program.order,
+                              program.fences, fusion, report);
+    report.merge(verify::analyze_noise(model, circuit.dims()));
+}
+
+/** Counts and throws the rejection of a report with errors. */
+void
+reject_on_errors(const verify::Report& report)
+{
+    if (report.has_errors()) {
+        obs::count(obs::Counter::kServiceRejects);
+        throw verify::VerificationError(report);
+    }
+}
+
 /** Verifies a cached artifact at a strength it has not passed yet. */
 void
 run_admission_on(const CompiledArtifact& artifact,
                  const noise::NoiseModel* model, Admission admission)
 {
-    const verify::Report report =
+    // The artifact's noisy engines released their fused payloads, so the
+    // audit runs on a fresh compilation.
+    reject_on_errors(
         model != nullptr
             ? CompileService::admission_report(artifact.circuit, *model,
                                                admission, artifact.fusion)
             : CompileService::admission_report(artifact.circuit, admission,
-                                               artifact.fusion);
-    if (report.has_errors()) {
-        obs::count(obs::Counter::kServiceRejects);
-        throw verify::VerificationError(report);
-    }
+                                               artifact.fusion));
     verified_flag(artifact, admission).store(true,
                                              std::memory_order_release);
 }
@@ -79,13 +100,9 @@ noise_model_hash(const noise::NoiseModel& model)
 }
 
 verify::Options
-CompileService::admission_options(Admission admission,
-                                  const FusionOptions& fusion,
-                                  std::vector<std::uint8_t> fences)
+CompileService::admission_options(Admission admission)
 {
     verify::Options options;
-    options.fusion = fusion;
-    options.fences = std::move(fences);
     if (admission == Admission::kAlways) {
         // Untrusted IR: lint dead code too (warnings, not rejections) and
         // reject non-unitary gates — a service endpoint must not execute a
@@ -106,7 +123,11 @@ verify::Report
 CompileService::admission_report(const Circuit& circuit, Admission admission,
                                  const FusionOptions& fusion)
 {
-    return verify::analyze(circuit, admission_options(admission, fusion));
+    verify::Report report =
+        verify::analyze(circuit, admission_options(admission));
+    const CompiledCircuit compiled(circuit, fusion);
+    verify::audit_compilation(circuit, compiled, {}, {}, fusion, report);
+    return report;
 }
 
 verify::Report
@@ -115,16 +136,11 @@ CompileService::admission_report(const Circuit& circuit,
                                  Admission admission,
                                  const FusionOptions& fusion)
 {
-    // Lay out and fence exactly as the noisy engines do, so the plan and
-    // fusion audits see the partition the compile will actually produce.
-    noise::NoisyLayout layout = noise::noisy_layout(
-        circuit, model, noise::enumerate_error_sites(circuit, model),
-        fusion.enabled);
-    verify::Options options =
-        admission_options(admission, fusion, std::move(layout.fences));
-    options.order = std::move(layout.order);
-    verify::Report report = verify::analyze(circuit, options);
-    report.merge(verify::analyze_noise(model, circuit.dims()));
+    verify::Report report =
+        verify::analyze(circuit, admission_options(admission));
+    const noise::NoisyProgram program =
+        noise::compile_noisy(circuit, model, fusion);
+    audit_program(circuit, model, program, fusion, report);
     return report;
 }
 
@@ -218,38 +234,44 @@ CompileService::compile_impl(const Circuit& circuit,
     }
 
     obs::count(obs::Counter::kServiceMisses);
-    if (verify_now) {
-        const verify::Report report =
-            model != nullptr
-                ? admission_report(circuit, *model, admission, fusion)
-                : admission_report(circuit, admission, fusion);
-        if (report.has_errors()) {
-            obs::count(obs::Counter::kServiceRejects);
-            throw verify::VerificationError(report);
-        }
-    }
-
     // Compile outside the lock: concurrent submissions of different
-    // circuits must not serialize on each other's compile time.
+    // circuits must not serialize on each other's compile time. Under
+    // admission: legality first, then the audits of the one compilation
+    // the artifact is built from (before a noisy engine releases its
+    // fused payloads); on errors nothing is built further or cached.
+    verify::Report report;
+    if (verify_now) {
+        report = verify::analyze(circuit, admission_options(admission));
+    }
     auto built = std::make_shared<CompiledArtifact>();
     built->engine = engine;
     built->circuit_hash = key.circuit_hash;
     built->noise_hash = key.noise_hash;
     built->circuit = circuit;
     built->fusion = fusion;
-    switch (engine) {
-    case EngineKind::kState:
-        built->state = std::make_shared<const CompiledCircuit>(circuit,
-                                                               fusion);
-        break;
-    case EngineKind::kTrajectory:
-        built->trajectory = std::make_shared<const noise::TrajectoryCompilation>(
-            circuit, *model, fusion);
-        break;
-    case EngineKind::kDensity:
-        built->density = std::make_shared<const noise::DensityCompilation>(
-            circuit, *model, fusion);
-        break;
+    if (engine == EngineKind::kState) {
+        auto state = std::make_shared<const CompiledCircuit>(circuit, fusion);
+        if (verify_now) {
+            verify::audit_compilation(circuit, *state, {}, {}, fusion,
+                                      report);
+            reject_on_errors(report);
+        }
+        built->state = std::move(state);
+    } else {
+        noise::NoisyProgram program =
+            noise::compile_noisy(circuit, *model, fusion);
+        if (verify_now) {
+            audit_program(circuit, *model, program, fusion, report);
+            reject_on_errors(report);
+        }
+        if (engine == EngineKind::kTrajectory) {
+            built->trajectory =
+                std::make_shared<const noise::TrajectoryCompilation>(
+                    circuit, *model, fusion, std::move(program));
+        } else {
+            built->density = std::make_shared<const noise::DensityCompilation>(
+                circuit, *model, std::move(program));
+        }
     }
     if (verify_now) {
         verified_flag(*built, admission).store(true,

@@ -5,17 +5,22 @@
  *
  *     (engine kind, ir::circuit_hash, fusion on/off, noise-model hash)
  *
- * that verifies circuits at admission (verify::analyze as the gate,
- * structured rejection carrying the verify Report) and hands out shared
- * immutable CompiledArtifacts. `simulate()`, `run_noisy_trials()` and
+ * that verifies circuits at admission (structured rejection carrying the
+ * verify Report) and hands out shared immutable CompiledArtifacts. `simulate()`, `run_noisy_trials()` and
  * `density_matrix_fidelity()` all consume artifacts from here, so a
  * repeated submission — the simulation-as-a-service traffic pattern —
  * compiles once and executes many times. Cache traffic is observable
  * through the obs counters service_hits / service_misses /
  * service_evictions / service_rejects.
  *
- * Admission (admission_report) is the one strict-mode gate: the engines
- * do not verify on their own. Levels:
+ * Admission is the one strict-mode gate: the engines do not verify on
+ * their own. On a miss it runs verify::analyze (legality, dead code),
+ * builds the one compilation the artifact is built from — the state
+ * engine's CompiledCircuit, or the noisy engines' noise::NoisyProgram —
+ * audits that compilation (verify::audit_compilation) and, with a noise
+ * model, the model (verify::analyze_noise); only then does a noisy
+ * engine take the program. On errors it rejects and caches nothing.
+ * Levels:
  *   kDefault  trusted in-process circuits: verify only under strict mode
  *             (QD_VERIFY=strict), with dead-code lint off and non-unitary
  *             gates downgraded to warnings.
@@ -118,18 +123,16 @@ class CompileService {
      * gates; kDefault/kNever leave dead code to the transpiler and
      * downgrade non-unitary gates to a warning.
      */
-    static verify::Options admission_options(
-        Admission admission, const FusionOptions& fusion = {},
-        std::vector<std::uint8_t> fences = {});
+    static verify::Options admission_options(Admission admission);
 
     /**
-     * Runs the admission analysis without caching: circuit legality plus
-     * the plan/fusion audits of one compilation of the circuit, and the
-     * noise audit when a model is given (that compilation then takes the
-     * op order and fences the noisy engines compile in,
-     * noise::noisy_layout, so the fused partition is derived once, as the
-     * engine derives it). This is the report a rejected compile() throws
-     * with.
+     * Runs the admission sequence without caching: circuit legality, a
+     * build of the compilation an artifact would be built from
+     * (CompiledCircuit, or noise::compile_noisy when a model is given),
+     * the plan/fusion audits of that compilation, then the noise audit.
+     * This is the report a rejected compile() throws with. A cache hit
+     * that needs a stricter admission than it passed runs it too, since
+     * the cached noisy engines no longer hold their fused payloads.
      */
     static verify::Report admission_report(const Circuit& circuit,
                                            Admission admission =

@@ -347,22 +347,13 @@ audit_partition_impl(const WireDims& dims, std::span<const Operation> ops,
     check_caps_and_cost(dims, ops, groups, fused, check_cost, report);
 }
 
-}  // namespace
-
+/** audit_fusion over the laid-out sequence `ops`: findings name its
+ *  positions. */
 void
-audit_partition(const WireDims& dims, std::span<const Operation> ops,
+audit_positions(const exec::CompiledCircuit& compiled,
+                std::span<const Operation> ops,
                 std::span<const std::uint8_t> fence_after,
-                std::span<const FusedGroup> groups, Report& report)
-{
-    audit_partition_impl(dims, ops, fence_after, groups, {},
-                         /*check_cost=*/true, report);
-}
-
-void
-audit_fusion(const exec::CompiledCircuit& compiled,
-             std::span<const Operation> ops,
-             std::span<const std::uint8_t> fence_after,
-             const exec::FusionOptions& options, Report& report)
+                const exec::FusionOptions& options, Report& report)
 {
     const WireDims& dims = compiled.dims();
     std::vector<FusedGroup> groups;
@@ -474,6 +465,45 @@ audit_fusion(const exec::CompiledCircuit& compiled,
                            "parts (" +
                            std::to_string(part_sum) + ")");
         }
+    }
+}
+
+}  // namespace
+
+void
+audit_partition(const WireDims& dims, std::span<const Operation> ops,
+                std::span<const std::uint8_t> fence_after,
+                std::span<const FusedGroup> groups, Report& report)
+{
+    audit_partition_impl(dims, ops, fence_after, groups, {},
+                         /*check_cost=*/true, report);
+}
+
+void
+audit_fusion(const exec::CompiledCircuit& compiled,
+             std::span<const Operation> ops,
+             std::span<const std::uint32_t> order,
+             std::span<const std::uint8_t> fence_after,
+             const exec::FusionOptions& options, Report& report)
+{
+    std::vector<Operation> laid_out;
+    if (!order.empty()) {
+        laid_out.reserve(order.size());
+        for (const std::uint32_t i : order) {
+            laid_out.push_back(ops[i]);
+        }
+        ops = laid_out;
+    }
+    Report positions;
+    audit_positions(compiled, ops, fence_after, options, positions);
+    for (const Finding& f : positions.findings()) {
+        const bool names_op =
+            !order.empty() && f.op_index >= 0 &&
+            static_cast<std::size_t>(f.op_index) < order.size();
+        report.add(f.rule, f.severity,
+                   names_op ? order[static_cast<std::size_t>(f.op_index)]
+                            : f.op_index,
+                   f.message);
     }
 }
 

@@ -42,17 +42,21 @@ void audit_partition(const WireDims& dims, std::span<const Operation> ops,
                      Report& report);
 
 /**
- * Audits the partition `compiled` realises over `ops`, the sequence it was
- * compiled from under `fence_after`/`options`; each compiled op's
- * source_ops and wires form one group, and its gate is the group's fused
- * operator. Checks the structural invariants of audit_partition plus the
- * exact two-level cost contract (stage-1 merges vs member sums, stage-2
- * union merges vs the stage-1 groups they replaced). The compilation must
- * still hold its fused gates (not release_fused_payloads'd); one that does
- * not is left to audit_compiled, which reports the empty gates.
+ * Audits the partition `compiled` realises over `ops` laid out in `order`
+ * (position p holds ops[order[p]]; empty keeps `ops` order), the sequence
+ * it was compiled from under `fence_after` (per position) and `options`;
+ * each compiled op's source_ops and wires form one group, and its gate is
+ * the group's fused operator. Checks the structural invariants of
+ * audit_partition plus the exact two-level cost contract (stage-1 merges
+ * vs member sums, stage-2 union merges vs the stage-1 groups they
+ * replaced). Findings name ops (order[p]), not positions. The
+ * compilation must still hold its fused gates (not
+ * release_fused_payloads'd); one that does not is left to audit_compiled,
+ * which reports the empty gates.
  */
 void audit_fusion(const exec::CompiledCircuit& compiled,
                   std::span<const Operation> ops,
+                  std::span<const std::uint32_t> order,
                   std::span<const std::uint8_t> fence_after,
                   const exec::FusionOptions& options, Report& report);
 

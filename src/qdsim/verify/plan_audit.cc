@@ -302,7 +302,8 @@ audit_compiled_op(const WireDims& dims, const CompiledOp& op, Report& report,
 }
 
 void
-audit_compiled(const exec::CompiledCircuit& compiled, Report& report)
+audit_compiled(const exec::CompiledCircuit& compiled, Report& report,
+               std::span<const std::uint32_t> order)
 {
     const WireDims& dims = compiled.dims();
     exec::PlanCache cache(dims);
@@ -311,10 +312,12 @@ audit_compiled(const exec::CompiledCircuit& compiled, Report& report)
 
     for (std::size_t i = 0; i < compiled.ops().size(); ++i) {
         const CompiledOp& op = compiled.ops()[i];
-        const std::ptrdiff_t anchor =
-            op.source_ops.empty()
-                ? -1
-                : static_cast<std::ptrdiff_t>(op.source_ops.front());
+        std::ptrdiff_t anchor = -1;
+        if (!op.source_ops.empty()) {
+            const std::uint32_t first = op.source_ops.front();
+            anchor = order.empty() || first >= order.size() ? first
+                                                            : order[first];
+        }
         audit_compiled_op(dims, op, report, anchor, &cache);
 
         std::uint32_t prev = 0;

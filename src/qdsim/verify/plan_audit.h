@@ -49,9 +49,11 @@ void audit_compiled_op(const WireDims& dims, const exec::CompiledOp& op,
  * Audits a whole compiled circuit: every op via audit_compiled_op (one
  * PlanCache shared by all re-derivations) plus the source-op cover —
  * each source index in exactly one compiled op, ascending within an op
- * (plan.source-cover).
+ * (plan.source-cover). Source index p is laid-out position p of op
+ * order[p] (empty `order` keeps circuit order); findings name that op.
  */
-void audit_compiled(const exec::CompiledCircuit& compiled, Report& report);
+void audit_compiled(const exec::CompiledCircuit& compiled, Report& report,
+                    std::span<const std::uint32_t> order = {});
 
 }  // namespace qd::verify
 

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "qdsim/exec/compiled_circuit.h"
 #include "qdsim/exec/kernels.h"
 #include "qdsim/verify/fusion_audit.h"
 #include "qdsim/verify/plan_audit.h"
@@ -40,15 +39,12 @@ op_label(const Operation& op)
 
 /**
  * Legality pass: wire bounds/duplicates, gate-vs-wire dimension
- * agreement, arity, unitarity. Returns true when the sequence is
- * structurally sound (compile_op would accept every site), which gates
- * the compiled-artifact audits.
+ * agreement, arity, unitarity.
  */
-bool
+void
 check_legality(const WireDims& dims, std::span<const Operation> ops,
                const Options& options, Report& report)
 {
-    bool structural_ok = true;
     // One unitarity/classification finding per distinct matrix payload:
     // circuits share gate flyweights, so per-op reporting would flood.
     std::unordered_map<const Matrix*, bool> matrix_seen;
@@ -59,7 +55,6 @@ check_legality(const WireDims& dims, std::span<const Operation> ops,
         if (op.gate.empty()) {
             report.add("circuit.empty-gate", Severity::kError, idx,
                        "operation holds a default-constructed gate");
-            structural_ok = false;
             continue;
         }
         if (op.wires.size() != static_cast<std::size_t>(op.gate.arity())) {
@@ -68,10 +63,8 @@ check_legality(const WireDims& dims, std::span<const Operation> ops,
                            std::to_string(op.gate.arity()) + " but " +
                            std::to_string(op.wires.size()) +
                            " wires bound");
-            structural_ok = false;
             continue;
         }
-        bool wires_ok = true;
         std::vector<int> sorted = op.wires;
         std::sort(sorted.begin(), sorted.end());
         for (std::size_t j = 0; j + 1 < sorted.size(); ++j) {
@@ -79,7 +72,6 @@ check_legality(const WireDims& dims, std::span<const Operation> ops,
                 report.add("circuit.duplicate-wire", Severity::kError, idx,
                            op_label(op) + ": wire " +
                                std::to_string(sorted[j]) + " bound twice");
-                wires_ok = false;
                 break;
             }
         }
@@ -91,7 +83,6 @@ check_legality(const WireDims& dims, std::span<const Operation> ops,
                                " outside the " +
                                std::to_string(dims.num_wires()) +
                                "-wire register");
-                wires_ok = false;
             } else if (op.gate.dims()[j] != dims.dim(w)) {
                 report.add("circuit.dim-mismatch", Severity::kError, idx,
                            op_label(op) + ": operand " + std::to_string(j) +
@@ -100,10 +91,8 @@ check_legality(const WireDims& dims, std::span<const Operation> ops,
                                " but wire " + std::to_string(w) +
                                " has dimension " +
                                std::to_string(dims.dim(w)));
-                wires_ok = false;
             }
         }
-        structural_ok = structural_ok && wires_ok;
 
         const Matrix* key = &op.gate.matrix();
         if (matrix_seen.emplace(key, true).second) {
@@ -139,7 +128,6 @@ check_legality(const WireDims& dims, std::span<const Operation> ops,
             }
         }
     }
-    return structural_ok;
 }
 
 /** Dead-code pass: identity-up-to-phase gates and adjacent inverse pairs
@@ -301,82 +289,17 @@ check_domain(const WireDims& dims, std::span<const Operation> ops,
     }
 }
 
-/** Core analysis over a raw op sequence; returns structural soundness so
- *  callers know whether compiled-artifact audits are safe to run. */
-bool
+void
 analyze_core(const WireDims& dims, std::span<const Operation> ops,
              const Options& options, Report& report)
 {
-    bool structural_ok = true;
     if (options.legality) {
-        structural_ok = check_legality(dims, ops, options, report);
+        check_legality(dims, ops, options, report);
     }
     if (options.dead_code) {
         check_dead_code(ops, options, report);
     }
     check_domain(dims, ops, options, report);
-    if (!options.fences.empty() && options.fences.size() != ops.size()) {
-        report.add("verify.options", Severity::kError, -1,
-                   "fence flags length " +
-                       std::to_string(options.fences.size()) +
-                       " does not match op count " +
-                       std::to_string(ops.size()));
-        structural_ok = false;
-    }
-    if (!options.order.empty()) {
-        std::vector<std::uint8_t> seen(ops.size(), 0);
-        bool permutation = options.order.size() == ops.size();
-        for (const std::uint32_t i : options.order) {
-            permutation = permutation && i < ops.size() && seen[i] == 0;
-            if (!permutation) {
-                break;
-            }
-            seen[i] = 1;
-        }
-        if (!permutation) {
-            report.add("verify.options", Severity::kError, -1,
-                       "op order is not a permutation of the " +
-                           std::to_string(ops.size()) + " ops");
-            structural_ok = false;
-        }
-    }
-    return structural_ok;
-}
-
-void
-audit_artifacts(const Circuit& circuit, const Options& options,
-                Report& report)
-{
-    if (!options.order.empty()) {
-        // Audit the laid-out sequence, then name the circuit's ops.
-        Circuit laid_out(circuit.dims());
-        for (const std::uint32_t i : options.order) {
-            const Operation& op = circuit.ops()[i];
-            laid_out.append(op.gate, op.wires);
-        }
-        Options in_order = options;
-        in_order.order.clear();
-        Report positions;
-        audit_artifacts(laid_out, in_order, positions);
-        for (const Finding& f : positions.findings()) {
-            const bool names_op = f.op_index >= 0 &&
-                                  static_cast<std::size_t>(f.op_index) <
-                                      options.order.size();
-            report.add(f.rule, f.severity,
-                       names_op ? options.order[static_cast<std::size_t>(
-                                      f.op_index)]
-                                : f.op_index,
-                       f.message);
-        }
-        return;
-    }
-    // One compilation, exactly as an engine builds it: the fusion audit
-    // reads its partition and fused gates, the plan audit its kernels.
-    const exec::CompiledCircuit compiled(circuit, options.fusion,
-                                         options.fences);
-    audit_fusion(compiled, circuit.ops(), options.fences, options.fusion,
-                 report);
-    audit_compiled(compiled, report);
 }
 
 }  // namespace
@@ -384,13 +307,7 @@ audit_artifacts(const Circuit& circuit, const Options& options,
 Report
 analyze(const Circuit& circuit, const Options& options)
 {
-    Report report;
-    const bool structural_ok =
-        analyze_core(circuit.dims(), circuit.ops(), options, report);
-    if (structural_ok) {
-        audit_artifacts(circuit, options, report);
-    }
-    return report;
+    return analyze_ops(circuit.dims(), circuit.ops(), options);
 }
 
 Report
@@ -398,16 +315,20 @@ analyze_ops(const WireDims& dims, std::span<const Operation> ops,
             const Options& options)
 {
     Report report;
-    const bool structural_ok = analyze_core(dims, ops, options, report);
-    if (structural_ok) {
-        // Structurally sound, so the validating append cannot throw.
-        Circuit rebuilt{dims};
-        for (const Operation& op : ops) {
-            rebuilt.append(op.gate, op.wires);
-        }
-        audit_artifacts(rebuilt, options, report);
-    }
+    analyze_core(dims, ops, options, report);
     return report;
+}
+
+void
+audit_compilation(const Circuit& circuit,
+                  const exec::CompiledCircuit& compiled,
+                  std::span<const std::uint32_t> order,
+                  std::span<const std::uint8_t> fence_after,
+                  const exec::FusionOptions& fusion, Report& report)
+{
+    audit_fusion(compiled, circuit.ops(), order, fence_after, fusion,
+                 report);
+    audit_compiled(compiled, report, order);
 }
 
 // --------------------------------------------------------------- strict

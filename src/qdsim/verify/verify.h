@@ -15,19 +15,21 @@
  *    that declared ancilla wires return to their input value and that no
  *    |2> population survives to the output — mid-circuit |2> occupancy is
  *    the paper's mechanism (lifted regions) and stays legal;
- *  - compiled-artifact audits (plan_audit.h, fusion_audit.h): the
- *    circuit is compiled once under Options::fusion/fences, and that
- *    compilation's fusion partition, offset tables and kernel dispatch
- *    are proven without running a kernel.
+ *  - compiled-artifact audits (audit_compilation, over plan_audit.h and
+ *    fusion_audit.h): a compilation an engine runs has its fusion
+ *    partition, offset tables and kernel dispatch proven without running
+ *    a kernel. `analyze` compiles nothing; the CompileService audits the
+ *    one compilation each artifact is built from.
  *
  * Strict mode: `strict()` reads QD_VERIFY=strict (overridable with
  * set_strict). Under it the CompileService admits every in-process
- * circuit through this analysis before compiling (exec/compile_service.h),
- * so the simulation entry points (`simulate`, `apply_circuit`,
- * `circuit_unitary`, `run_noisy_trials`, `density_matrix_fidelity`) are
- * verified and a Debug CI leg exporting QD_VERIFY=strict turns the whole
- * test suite into a verifier fuzz corpus. Off by default; precompiled-
- * circuit overloads (the per-shot hot paths) are never re-verified.
+ * circuit through this analysis and the audit of its compilation
+ * (exec/compile_service.h), so the simulation entry points (`simulate`,
+ * `apply_circuit`, `circuit_unitary`, `run_noisy_trials`,
+ * `density_matrix_fidelity`) are verified and a Debug CI leg exporting
+ * QD_VERIFY=strict turns the whole test suite into a verifier fuzz
+ * corpus. Off by default; precompiled-circuit overloads (the per-shot hot
+ * paths) are never re-verified.
  */
 #ifndef QDSIM_VERIFY_VERIFY_H
 #define QDSIM_VERIFY_VERIFY_H
@@ -37,7 +39,7 @@
 #include <vector>
 
 #include "qdsim/circuit.h"
-#include "qdsim/exec/fusion.h"
+#include "qdsim/exec/compiled_circuit.h"
 #include "qdsim/verify/report.h"
 
 namespace qd::verify {
@@ -51,21 +53,6 @@ struct Options {
     /** Emit an info finding classifying each distinct gate matrix
      *  (unitary/hermitian/diagonal/permutation/monomial). */
     bool classify = false;
-    /** Fusion settings the audited compilation runs under. The circuit is
-     *  compiled once and its fusion partition (fusion_audit.h) and every
-     *  plan/kernel assignment (plan_audit.h) are audited; skipped when
-     *  legality found structural errors. */
-    exec::FusionOptions fusion{};
-    /** fence_after flags for the audited compilation (empty or one per
-     *  op). */
-    std::vector<std::uint8_t> fences{};
-    /** Op order the plan and fusion audits see: position p holds op
-     *  order[p] (empty keeps circuit order, else a permutation of the op
-     *  indices). `fences` then index positions, and findings' op_index
-     *  still names circuit ops. The noisy engines compile in such an
-     *  order (noise::noisy_layout). */
-    std::vector<std::uint32_t> order{};
-
     /** Wires that must return to their input value on every qubit-subspace
      *  basis input (clean ancilla enter as |0>; dirty borrows restore any
      *  input). Empty disables the check. Permutation circuits only. */
@@ -86,7 +73,8 @@ struct Options {
     Real tol = kLooseTol;
 };
 
-/** Analyzes a circuit; never throws on findings. */
+/** Analyzes a circuit (legality, dead code, domain); never throws on
+ *  findings. */
 [[nodiscard]] Report analyze(const Circuit& circuit,
                              const Options& options = {});
 
@@ -100,6 +88,21 @@ struct Options {
 [[nodiscard]] Report analyze_ops(const WireDims& dims,
                                  std::span<const Operation> ops,
                                  const Options& options = {});
+
+/**
+ * Audits one compilation of `circuit`: its fusion partition
+ * (fusion_audit.h) and every plan/kernel assignment (plan_audit.h).
+ * `compiled` realises the circuit's ops laid out in `order` (position p
+ * holds op order[p]; empty keeps circuit order) under `fence_after` (one
+ * flag per position, or empty) and `fusion`; findings' op_index names
+ * circuit ops, not positions. The compilation must still hold its fused
+ * payloads (not release_fused_payloads'd).
+ */
+void audit_compilation(const Circuit& circuit,
+                       const exec::CompiledCircuit& compiled,
+                       std::span<const std::uint32_t> order,
+                       std::span<const std::uint8_t> fence_after,
+                       const exec::FusionOptions& fusion, Report& report);
 
 // ------------------------------------------------------------ strict mode
 

@@ -377,7 +377,9 @@ TEST(DensityMatrix, FusedFidelityMatchesUnfused) {
     // Gate errors on two-qutrit ops only: the density path fuses
     // the single-qutrit runs between channels into one conjugation pass;
     // the exact fidelity must be unchanged (error channels fence the
-    // partition, so placement is identical).
+    // partition, so placement is identical). Under idle noise (SC) each
+    // moment's wire-disjoint ops fuse into one moment kernel instead,
+    // their gate errors applied after it, which they commute with.
     Circuit c(WireDims::uniform(2, 3));
     c.append(gates::Z3(), {0});
     c.append(gates::H3(), {0});
@@ -398,6 +400,23 @@ TEST(DensityMatrix, FusedFidelityMatchesUnfused) {
     const Real fused = density_matrix_fidelity(c, m, init);
     const Real unfused = density_matrix_fidelity(c, m, init, off);
     EXPECT_NEAR(fused, unfused, 1e-10);
+
+    Circuit parallel(WireDims::uniform(2, 3));
+    parallel.append(gates::Z3(), {0});
+    parallel.append(gates::Z3(), {1});
+    parallel.append(gates::H3(), {0});
+    parallel.append(gates::X12(), {1});
+    parallel.append(gates::Xplus1().controlled(3, 1), {0, 1});
+    parallel.append(gates::Xplus1(), {0});
+    parallel.append(gates::Xplus1(), {1});
+    parallel.append(gates::H3(), {1});
+    NoiseModel idle = noise::sc();
+    idle.p1 = 2e-3;  // errors on every op, inside the moment kernels too
+    const NoisyProgram program = compile_noisy(parallel, idle, {});
+    ASSERT_LT(program.compiled.num_ops(), parallel.num_ops())
+        << "no moment kernel fused";
+    EXPECT_NEAR(density_matrix_fidelity(parallel, idle, init),
+                density_matrix_fidelity(parallel, idle, init, off), 1e-12);
 }
 
 TEST(DensityMatrix, ConjugationMatchesStateOuterProductOnWideRegister) {

@@ -241,6 +241,37 @@ TEST(CompileService, AdmissionAuditsTheNoisyPartitionTheEngineCompiles)
     }
 }
 
+TEST(CompileService, ColdAdmittedCompileFusesEachPartitionOnce)
+{
+    // A cold kAlways compile audits the compilation the artifact is built
+    // from instead of deriving its own: the state engine fuses the
+    // circuit once, the noisy engines twice (the ideal reference and the
+    // one noisy program both engines run).
+    const Circuit circuit =
+        ctor::build_gen_toffoli(ctor::Method::kQubitNoAncilla, 5).circuit;
+    const std::uint64_t n = circuit.num_ops();
+    const exec::FusionOptions fusion;
+    {
+        exec::CompileService service;
+        ScopedObs obs;
+        (void)service.compile(circuit, fusion, exec::Admission::kAlways);
+        EXPECT_EQ(obs::counters_snapshot()[obs::Counter::kFusionOpsIn], n);
+    }
+    for (const exec::EngineKind engine :
+         {exec::EngineKind::kTrajectory, exec::EngineKind::kDensity}) {
+        for (const noise::NoiseModel& model :
+             {noise::sc(), noise::ti_qubit()}) {
+            exec::CompileService service;
+            ScopedObs obs;
+            (void)service.compile(circuit, model, engine, fusion,
+                                  exec::Admission::kAlways);
+            EXPECT_EQ(obs::counters_snapshot()[obs::Counter::kFusionOpsIn],
+                      2 * n)
+                << model.name;
+        }
+    }
+}
+
 TEST(CompileService, LruEvictionPastCapacity)
 {
     exec::CompileService service(2);

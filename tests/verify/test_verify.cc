@@ -9,6 +9,8 @@
  */
 #include "qdsim/verify/verify.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "apps/arithmetic.h"
@@ -18,6 +20,7 @@
 #include "constructions/peephole.h"
 #include "noise/channels.h"
 #include "noise/density_matrix.h"
+#include "noise/error_placement.h"
 #include "noise/models.h"
 #include "noise/trajectory.h"
 #include "qdsim/exec/compile_service.h"
@@ -275,7 +278,7 @@ TEST(VerifyFusion, BuilderPartitionsAuditCleanWithFusionOnAndOff) {
         for (const auto& f : {no_fences, fences}) {
             const exec::CompiledCircuit compiled(c, options, f);
             Report r;
-            verify::audit_fusion(compiled, c.ops(), f, options, r);
+            verify::audit_fusion(compiled, c.ops(), {}, f, options, r);
             EXPECT_TRUE(r.clean()) << r.to_string();
         }
     }
@@ -314,21 +317,71 @@ TEST(VerifyFusion, SeededPartitionViolationsAreCaught) {
     }
 }
 
-TEST(VerifyFusion, AuditOrderMustBeAPermutation) {
-    // Ops 0 and 1 act on disjoint wires, so swapping them lays out the
-    // same circuit: the artifact audits run over the reordered sequence
-    // (fences indexing its positions) and stay clean.
-    const Circuit c = small_mixed_circuit();
-    verify::Options options;
-    options.dead_code = false;
-    options.order = {1, 0, 2, 3, 4};
-    options.fences = {0, 1, 0, 0, 1};
-    EXPECT_TRUE(verify::analyze(c, options).clean());
-    options.order = {1, 0, 2, 2, 3};  // op 4 missing, op 2 twice
-    const Report bad = verify::analyze(c, options);
-    EXPECT_TRUE(bad.has_rule("verify.options")) << bad.to_string();
-    options.order = {0, 1};  // wrong length
-    EXPECT_TRUE(verify::analyze(c, options).has_rule("verify.options"));
+TEST(VerifyFusion, ByMomentFindingsNameCircuitOps) {
+    // Under idle noise the noisy program lays the ops out in ASAP-moment
+    // order (T on wires 1 and 2 run beside the first H) and merges each
+    // moment's wire-disjoint ops into moment kernels. Compiled source_ops
+    // index layout positions; the audits' findings must name circuit ops.
+    Circuit c(WireDims::uniform(3, 2));
+    c.append(gates::H(), {0});
+    c.append(gates::H(), {0});
+    c.append(gates::T(), {1});
+    c.append(gates::T(), {2});
+    const exec::FusionOptions fusion;
+    const noise::NoisyProgram program =
+        noise::compile_noisy(c, noise::sc(), fusion);
+    ASSERT_EQ(program.order.size(), c.num_ops());
+    Report clean;
+    verify::audit_compilation(c, program.compiled, program.order,
+                              program.fences, fusion, clean);
+    EXPECT_TRUE(clean.clean()) << clean.to_string();
+
+    // A fused op whose first position holds a different circuit op.
+    std::size_t pos = c.num_ops();
+    for (const exec::CompiledOp& op : program.compiled.ops()) {
+        const std::uint32_t first = op.source_ops.front();
+        if (op.source_ops.size() > 1 && program.order[first] != first) {
+            pos = first;
+        }
+    }
+    ASSERT_LT(pos, c.num_ops()) << "no reordered moment kernel";
+    const auto named = static_cast<std::ptrdiff_t>(program.order[pos]);
+    const auto names = [](const Report& r, const char* rule) {
+        std::vector<std::ptrdiff_t> out;
+        for (const verify::Finding& f : r.findings()) {
+            if (f.rule == rule) {
+                out.push_back(f.op_index);
+            }
+        }
+        return out;
+    };
+
+    // Plan audit: a released payload is reported at the fused op's first
+    // member, named as its circuit op.
+    exec::CompiledCircuit released = program.compiled;
+    released.release_fused_payloads();
+    Report plan;
+    verify::audit_compiled(released, plan, program.order);
+    const auto plan_ops = names(plan, "plan.kernel-class");
+    EXPECT_NE(std::find(plan_ops.begin(), plan_ops.end(), named),
+              plan_ops.end())
+        << plan.to_string();
+    EXPECT_EQ(std::find(plan_ops.begin(), plan_ops.end(),
+                        static_cast<std::ptrdiff_t>(pos)),
+              plan_ops.end())
+        << "finding names a layout position";
+
+    // Fusion audit: a fence inside the moment kernel is spanned at the
+    // same first member.
+    std::vector<std::uint8_t> fences = program.fences;
+    fences[pos] = 1;
+    Report spans;
+    verify::audit_fusion(program.compiled, c.ops(), program.order, fences,
+                         fusion, spans);
+    const auto span_ops = names(spans, "fusion.fence-span");
+    EXPECT_NE(std::find(span_ops.begin(), span_ops.end(), named),
+              span_ops.end())
+        << spans.to_string();
 }
 
 // ----------------------------------------------------------- noise audit
@@ -400,14 +453,6 @@ TEST(VerifyStrict, RoundTripsAllEngines) {
 TEST(VerifyStrict, BadArtifactsAreReportedAndRejected) {
     StrictGuard strict(true);
     const Circuit c = small_mixed_circuit();
-    // Strict in-process admission options, wrong-length fences.
-    const Report report = verify::analyze(
-        c, exec::CompileService::admission_options(exec::Admission::kDefault,
-                                                   exec::FusionOptions{},
-                                                   {1}));
-    EXPECT_TRUE(report.has_errors());
-    EXPECT_TRUE(report.has_rule("verify.options")) << report.to_string();
-
     noise::NoiseModel negative = noise::sc();
     negative.p2 = -1.0;
     try {

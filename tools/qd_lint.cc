@@ -1,6 +1,7 @@
 /**
  * @file qd_lint.cc
- * Static verification CLI: runs verify::analyze over the repo's circuit
+ * Static verification CLI: runs verify::analyze and the audit of one
+ * fused compilation (verify::audit_compilation) over the repo's circuit
  * corpus (every paper construction the library can build) plus
  * verify::analyze_noise over the calibrated noise models, without
  * executing a single kernel.
@@ -466,8 +467,12 @@ main(int argc, char** argv)
     };
 
     for (const Entry& entry : corpus) {
-        record(entry.name, qd::verify::analyze(entry.circuit,
-                                               entry.options));
+        Report report = qd::verify::analyze(entry.circuit, entry.options);
+        const qd::exec::CompiledCircuit compiled(entry.circuit,
+                                                 qd::exec::FusionOptions{});
+        qd::verify::audit_compilation(entry.circuit, compiled, {}, {},
+                                      qd::exec::FusionOptions{}, report);
+        record(entry.name, report);
     }
     for (const NoiseEntry& entry : lint_noise_models()) {
         record(entry.name, entry.report);
