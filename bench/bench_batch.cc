@@ -34,6 +34,14 @@
  * "sparse_support_frac" is the fraction of the dense walk's amplitude
  * slots the tracked run visits (obs bat_walked_slots).
  *
+ * QUBIT (recorded, not gated: "speedup_qubit"): the ancilla-free QUBIT
+ * Generalized Toffoli at width 10 (9 controls, 2^10 amplitudes) under
+ * the same model, 24 trials at one lane per pass against B-lane passes,
+ * timed the same way. Its batches are dense and carry the lane-shared
+ * frame, so its diagonal gates (T, T^dagger, S and their fused products,
+ * most of its kernels) multiply the frame instead of every lane. Fails
+ * loudly unless the two widths' per-trial fidelities are bitwise equal.
+ *
  * Knobs: QD_BATCH_CONTROLS (default 4), QD_BATCH_TRIALS (default 512),
  * QD_BATCH_LANES (default 12), QD_BATCH_REPS (default 5).
  */
@@ -215,6 +223,43 @@ main(int argc, char** argv)
                 sparse_equivalent ? "within 1e-12" : "MISMATCH",
                 tracked_res.mean_fidelity);
 
+    // 4. QUBIT: one lane against B lanes per pass on the width-10
+    // ancilla-free QUBIT circuit.
+    const int qubit_controls = 9;
+    const int qubit_trials = 24;
+    const auto qubit = ctor::build_gen_toffoli(ctor::Method::kQubitNoAncilla,
+                                               qubit_controls);
+    std::printf("\n%s\n", qubit.circuit.summary("QUBIT").c_str());
+    noise::TrajectoryOptions qubit_single_opts = single_opts;
+    qubit_single_opts.trials = qubit_trials;
+    noise::TrajectoryOptions qubit_batched_opts = batched_opts;
+    qubit_batched_opts.trials = qubit_trials;
+    // Warmup, as above.
+    noise::TrajectoryResult qubit_single;
+    noise::TrajectoryResult qubit_batched =
+        noise::run_noisy_trials(qubit.circuit, model, qubit_batched_opts);
+    const auto [qubit_single_ms, qubit_batched_ms] = time_alternating(
+        reps,
+        [&] {
+            qubit_single = noise::run_noisy_trials(qubit.circuit, model,
+                                                   qubit_single_opts);
+        },
+        [&] {
+            qubit_batched = noise::run_noisy_trials(qubit.circuit, model,
+                                                    qubit_batched_opts);
+        });
+    const bool qubit_equivalent =
+        qubit_single.per_trial == qubit_batched.per_trial;
+    const double speedup_qubit = qubit_single_ms / qubit_batched_ms;
+    std::printf("1 lane:  %d trials in %8.1f ms\n", qubit_trials,
+                qubit_single_ms);
+    std::printf("batched: %d trials in %8.1f ms, B=%d\n", qubit_trials,
+                qubit_batched_ms, lanes);
+    std::printf("speedup: %8.2fx\n", speedup_qubit);
+    std::printf("lane equivalence: %s (mean fidelity %.6f)\n",
+                qubit_equivalent ? "bitwise identical" : "MISMATCH",
+                qubit_batched.mean_fidelity);
+
     // Instrumented section: a small batched run with counters on
     // (trajectory divergence events, batched kernel classes) and optional
     // --trace spans.
@@ -245,12 +290,24 @@ main(int argc, char** argv)
         .num("speedup_sparse", speedup_sparse, "%.4f")
         .num("sparse_support_frac", support_frac, "%.5f")
         .boolean("sparse_equivalent", sparse_equivalent)
+        .integer("qubit_controls", qubit_controls)
+        .integer("qubit_trials", qubit_trials)
+        .num("qubit_per_shot_ms", qubit_single_ms, "%.3f")
+        .num("qubit_batched_ms", qubit_batched_ms, "%.3f")
+        .num("speedup_qubit", speedup_qubit, "%.4f")
+        .boolean("qubit_equivalent", qubit_equivalent)
         .report(rep);
     jw.write("BENCH_batch.json");
     if (!lane_equivalent) {
         std::fprintf(stderr,
                      "bench_batch: 1-lane and B-lane trajectories "
                      "diverged; the speedup is meaningless\n");
+        return 1;
+    }
+    if (!qubit_equivalent) {
+        std::fprintf(stderr,
+                     "bench_batch: QUBIT 1-lane and B-lane trajectories "
+                     "diverged; speedup_qubit is meaningless\n");
         return 1;
     }
     if (!sparse_equivalent) {

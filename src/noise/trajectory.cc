@@ -382,23 +382,28 @@ fused_rare_branch(exec::BatchedStateVector& psi, const NoiseModel& model,
 // the lane back — which is what keeps every lane's result a function of
 // its own RNG stream alone, bitwise independent of the batch width.
 //
-// Fused idle damping runs in a damping frame (exec::BatchedStateVector::
-// frame): the joint no-jump operator of a moment is a real diagonal that
-// depends on the circuit alone, so it multiplies one factor per amplitude
-// shared by all lanes (f) and the gate kernels carry f; a damped moment
-// costs a pass over f, not over the batch. Normalisation is deferred:
-// lane b's state f (.) x_b is unnormalised, and the no-jump branch is
+// Dense batches run in a frame (exec::BatchedStateVector::frame): one
+// complex factor per amplitude shared by all lanes (c), lane b's state
+// being c (.) x_b. Diagonal gates and the joint no-jump operator of a
+// damped moment act on every lane alike and depend on the circuit alone,
+// so they multiply c and leave the lanes as they are, and the other gate
+// kernels carry c: a T gate or a damped moment costs a pass over c, not
+// over the batch. The ideal reference batch carries one too and folds it
+// before the fidelity. Normalisation is deferred: lane b's state
+// c (.) x_b is unnormalised under damping, and the no-jump branch is
 // taken iff u * N_b < M_b (N_b, M_b the squared norms before and after the
 // moment's scaling — the draw u < M_b / N_b without the division). Since
 // M_b >= s_min^2 N_b for the table's smallest entry s_min, a draw below
 // s_min^2 (less a margin) accepts with no norm at all; only the other
 // draws take one read sweep for N_b and M_b. Per-lane events (fired gate
-// errors, the rare branch) extract f (.) x_b and store the result / f;
-// they never fold f into the batch, which would make f depend on the
+// errors, the rare branch) extract c (.) x_b and store the result / c;
+// they never fold c into the batch, which would make c depend on the
 // lanes. The frame is folded deterministically when a lower bound on its
-// entries (the product of the moments' smallest table entries since the
-// last fold) nears underflow, and the final fidelity divides by the
-// lane's norm.
+// entries' moduli (the product of the moments' smallest table entries
+// since the last fold; diagonal gates are unitary) nears underflow, and
+// under damping the final fidelity divides by the lane's norm. Batches on
+// the exact sequential damping engine (mixed radix, d > 3) carry no frame:
+// its per-wire populations and K0 passes need frameless lanes.
 //
 // Coherent dephasing runs in a phase frame (exec::BatchedStateVector::
 // phase_frame): a dephased moment draws its per-(lane, wire) angles as
@@ -414,20 +419,22 @@ fused_rare_branch(exec::BatchedStateVector& psi, const NoiseModel& model,
 // every pass walks the union of the lanes' supports, and divergent events
 // run on a one-lane tracked batch. Per lane this is bitwise the dense
 // walk up to the sign of zeros, with one exception:
-// a tracked batch carries no damping frame, since a frame entry at an
-// index outside the support is neither reset nor scaled, so a set_lane
-// there would divide by a factor that depends on the other lanes. Its
-// fused damping scales the occupied rows each moment instead, which
-// yields N_b and M_b in the same sweep; its lanes are renormalised where
-// a frame would be folded.
+// a tracked batch carries no frame, since a frame entry at an index
+// outside the support is neither reset nor scaled, so a set_lane there
+// would divide by a factor that depends on the other lanes. Its gates
+// run on the lanes, and its fused damping scales the occupied rows each
+// moment, which yields N_b and M_b in the same sweep; its lanes are
+// renormalised where a frame would be folded.
 //
 // Determinism: results are bitwise independent of the batch width and of
-// the thread count. Without fused damping or dephasing there is no frame,
-// so results are bitwise those of an engine that normalises and dephases
-// every moment; with them, the frames and the deferred normalisation move
-// per-trial fidelities by rounding only (within 1e-12, tested), and a
-// tracked batch's per-moment scaling agrees with a dense batch's frame
-// within 1e-12 (tested).
+// the thread count, since c depends on the circuit alone. A frame of all
+// ones (a circuit without diagonal gates, no damping) leaves every result
+// bitwise that of an engine without frames; otherwise the frames and the
+// deferred normalisation move per-trial fidelities by rounding only
+// against an engine that applies every gate to the lanes and normalises
+// and dephases every moment (within 1e-12, tested), and a tracked batch's
+// per-moment scaling agrees with a dense batch's frame within 1e-12
+// (tested).
 // --------------------------------------------------------------------------
 
 /** One gate error drawn for one lane: the lane and the unitary it takes. */
@@ -499,11 +506,13 @@ apply_gate_errors(exec::BatchedStateVector& psi,
     }
 }
 
-/** True iff the engine carries fused idle damping in a frame. */
+/** True iff a batch on `support` carries the lane-shared frame: dense
+ *  batches, except on the exact sequential damping engine. */
 bool
-uses_frame(const EngineContext& ctx)
+carries_frame(const EngineContext& ctx, exec::Support support)
 {
-    return ctx.model.has_damping() && ctx.accel;
+    return support == exec::Support::kDense &&
+           (ctx.accel || !ctx.model.has_damping());
 }
 
 /** The frame is folded into the lanes once its floor (a lower bound on
@@ -537,12 +546,13 @@ damping_tables(const NoiseModel& model, Real dt, const EngineContext& ctx)
  * lane (extracted as the scaled state, renormalised by 1/sqrt(N_b), as
  * fused_rare_branch expects). A framed batch takes one read sweep for
  * N_b and M_b only if some draw is not below tables.accept_below and
- * scales the frame. A tracked batch carries no damping frame (its frame
+ * scales the frame. A tracked batch carries no frame (its frame
  * entries at unoccupied indices would depend on the other lanes): it
  * scales its occupied rows, which yields N_b and M_b in the same sweep.
- * `frame_floor` bounds every frame factor (a tracked batch: every
- * amplitude's accumulated scaling) from below: the scaling multiplies it
- * by s_min (kernels only move factors or reset them to 1), and the frame
+ * `frame_floor` bounds every frame factor's modulus (a tracked batch:
+ * every amplitude's accumulated scaling) from below: the scaling
+ * multiplies it by s_min (kernels only move factors, reset them to 1 or
+ * multiply them by a diagonal gate's unit-modulus entries), and the frame
  * is folded (a tracked batch's lanes renormalised) when it nears
  * underflow — a function of the circuit alone, so every lane sees the
  * same folds.
@@ -709,9 +719,10 @@ apply_idle_dephasing_batched(exec::BatchedStateVector& psi,
 
 /**
  * The trajectory moment loop. `psi` holds each lane's initial state
- * (normalised) and `ideal` its noiseless output; lane j draws from
- * rngs[j]. Advances every lane through the noisy circuit together and
- * returns each lane's fidelity against its ideal output.
+ * (normalised), in a frame of all ones iff carries_frame, and `ideal`
+ * its noiseless output, frameless; lane j draws from rngs[j]. Advances
+ * every lane through the noisy circuit together and returns each lane's
+ * fidelity against its ideal output.
  */
 std::vector<Real>
 run_lanes(const EngineContext& ctx, exec::BatchedStateVector& psi,
@@ -728,14 +739,11 @@ run_lanes(const EngineContext& ctx, exec::BatchedStateVector& psi,
     // The fused no-jump tables depend only on the moment duration, which
     // takes exactly two values — build each once per batch, not per moment.
     // A tracked batch runs fused damping without a frame.
-    const bool fused = uses_frame(ctx);
+    const bool fused = model.has_damping() && ctx.accel;
     DampingTables tables_1q, tables_2q;
     if (fused) {
         tables_1q = damping_tables(model, model.dt_1q, ctx);
         tables_2q = damping_tables(model, model.dt_2q, ctx);
-        if (!psi.tracked()) {
-            psi.start_frame();
-        }
     }
     if (model.has_dephasing()) {
         psi.start_phase_frame();
@@ -902,10 +910,15 @@ run_trajectory_batch(const EngineContext& ctx,
         options.qubit_subspace_inputs
             ? support_for(dims, qubit_subspace_size(dims))
             : exec::Support::kDense;
-    exec::BatchedStateVector psi(dims, lanes, uses_frame(ctx), support);
+    const bool framed = carries_frame(ctx, support);
+    exec::BatchedStateVector psi(dims, lanes, framed, support);
     draw_initial_states(psi, rngs, options.qubit_subspace_inputs);
-    exec::BatchedStateVector ideal = psi;
+    if (framed) {
+        psi.start_frame();
+    }
+    exec::BatchedStateVector ideal = psi;  // the frame comes along
     exec::run_batched(ctx.ideal, ideal, scratch);
+    ideal.end_frame();
 
     const std::vector<Real> fid =
         run_lanes(ctx, psi, ideal, rngs, scratch);
@@ -927,10 +940,14 @@ run_single_trajectory(const TrajectoryCompilation& compiled,
         occupied += a != Complex(0, 0) ? 1 : 0;
     }
     const exec::Support support = support_for(compiled.dims(), occupied);
-    exec::BatchedStateVector psi(compiled.dims(), 1, false, support);
+    const bool framed = carries_frame(compiled.impl(), support);
+    exec::BatchedStateVector psi(compiled.dims(), 1, framed, support);
     exec::BatchedStateVector ideal(compiled.dims(), 1, false, support);
     psi.set_lane(0, initial);
     ideal.set_lane(0, ideal_out);
+    if (framed) {
+        psi.start_frame();
+    }
     std::vector<Rng> rngs{rng};
     exec::ExecScratch scratch;
     const Real fid =

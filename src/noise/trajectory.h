@@ -29,11 +29,14 @@
  * draws) run on the lane copied into a one-lane batch, so results are
  * BITWISE independent of the batch width and thread count.
  *
- * Idle damping picks its implementation from the register: uniform
- * registers with dim <= 3 apply the joint no-jump operator of all wires
- * as one table scaling of a damping frame shared by the batch's lanes
- * (fused; see exec/batched_state.h); mixed-radix or dim > 3 registers
- * run the exact per-wire loop of Algorithm 1 (sequential).
+ * Dense batches keep diagonal gates and no-jump damping in a frame of
+ * one complex factor per amplitude shared by the batch's lanes (see
+ * exec/batched_state.h), so a T gate multiplies the frame, not every
+ * lane. Idle damping picks its implementation from the register:
+ * uniform registers with dim <= 3 apply the joint no-jump operator of
+ * all wires as one table scaling (of the frame, or of a support-walking
+ * batch's occupied rows; fused); mixed-radix or dim > 3 registers run the
+ * exact per-wire loop of Algorithm 1 (sequential) on frameless batches.
  */
 #ifndef NOISE_TRAJECTORY_H
 #define NOISE_TRAJECTORY_H

@@ -388,20 +388,23 @@ copy_lanes(Complex* dst, const Complex* src, const Lanes B)
 template <bool kFramed, bool kPhased, class Lanes>
 void
 matvec_block_b(Complex* amps, Index base, const Index* off, Index nb,
-               const Complex* m, const Lanes B, Complex* in, Real* frame)
+               const Complex* m, const Lanes B, Complex* in, Complex* frame)
 {
     for (Index b = 0; b < nb; ++b) {
         Complex* src = amps + (base + off[b]) * B;
         if constexpr (kFramed) {
-            // Gather f (.) x and leave f = 1 behind: the rows this block
+            // Gather c (.) x and leave c = 1 behind: the rows this block
             // writes hold the framed state itself.
-            const Real f = frame[base + off[b]];
-            frame[base + off[b]] = 1.0;
+            const Real fr = frame[base + off[b]].real();
+            const Real fi = frame[base + off[b]].imag();
+            frame[base + off[b]] = Complex(1, 0);
             Real* d = as_reals(in + static_cast<std::size_t>(b) * B);
             const Real* x = as_reals(src);
             QD_SIMD
-            for (std::size_t l = 0; l < 2 * B; ++l) {
-                d[l] = x[l] * f;
+            for (std::size_t l = 0; l < B; ++l) {
+                const Real xr = x[2 * l], xi = x[2 * l + 1];
+                d[2 * l] = xr * fr - xi * fi;
+                d[2 * l + 1] = xr * fi + xi * fr;
             }
         } else {
             copy_lanes(in + static_cast<std::size_t>(b) * B, src, B);
@@ -479,6 +482,15 @@ matvec_block_b(Complex* amps, Index base, const Index* off, Index nb,
     }
 }
 
+/** (ar, ai) *= c, a frame factor, on re/im doubles. */
+inline void
+frame_lane(Real& ar, Real& ai, Complex c)
+{
+    const Real r = ar * c.real() - ai * c.imag();
+    ai = ar * c.imag() + ai * c.real();
+    ar = r;
+}
+
 /** dst[l] = src[l] * f[l] over one row of B lanes, f a row of per-lane
  *  factors (dst may equal src). */
 inline void
@@ -499,7 +511,7 @@ move_lanes_scaled(Complex* dst, const Complex* src, const Complex* f,
 
 /**
  * The per-lane tables a pass over a phase-framed batch runs on
- * (batched_state.h: lane l's state is P_l (f (.) x_l), P_l the product
+ * (batched_state.h: lane l's state is P_l (c (.) x_l), P_l the product
  * over wires w of diag(e^{i m theta[w][l]})). Conjugating the op by P
  * leaves the phases of its own wires S: ph_l(k) = e^{i phi_l(k)}, with
  * phi_l(k) = sum over w in S of digit_w(k) theta[w][l] for a local
@@ -604,21 +616,22 @@ phase_table(const CompiledOp& op, const WireDims& dims, const Real* theta,
  * through run_blocks. Each case supplies the kernel's outer-block
  * geometry and its per-block body. `Lanes` is OneLane for a StateVector
  * and std::size_t for a BatchedStateVector. With `kFramed` the lanes
- * carry a damping frame (batched_state.h): permutation and monomial
- * blocks move f[idx] along their cycles with the amplitudes, diagonal
- * blocks leave it alone (real diagonals commute), and the matvec kernels
- * (single-wire, controlled, dense) multiply the amplitudes they read by
- * f and reset those entries to 1. With `kPhased` the lanes carry a phase
- * frame and `lane_tab` is the op's phase_table: cycle moves take a
- * per-lane factor, and the single-wire kernels run as per-lane matvecs
- * like the controlled and dense ones. Diagonal ops never run phased.
- * With `walk` (a tracked batch) every kernel runs over the walk's blocks
- * instead of its own dense geometry.
+ * carry a frame (batched_state.h): permutation and monomial blocks move
+ * c[idx] along their cycles with the amplitudes (a monomial's phases stay
+ * in the lanes), diagonal blocks leave it alone (diagonals commute;
+ * apply_op_batched sends a framed diagonal to the frame instead), and the
+ * matvec kernels (single-wire, controlled, dense) multiply the
+ * amplitudes they read by c and reset those entries to 1. With `kPhased`
+ * the lanes carry a phase frame and `lane_tab` is the op's phase_table:
+ * cycle moves take a per-lane factor, and the single-wire kernels run as
+ * per-lane matvecs like the controlled and dense ones. Diagonal ops
+ * never run phased. With `walk` (a tracked batch) every kernel runs over
+ * the walk's blocks instead of its own dense geometry.
  */
 template <bool kFramed, bool kPhased, class Lanes>
 void
 run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
-       ExecScratch& scratch, Real* frame, const Complex* lane_tab,
+       ExecScratch& scratch, Complex* frame, const Complex* lane_tab,
        const SupportWalk* walk = nullptr)
 {
     auto run = [&](const auto& blocks, std::size_t tmp_elems, auto kernel) {
@@ -637,7 +650,7 @@ run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
     auto cycle_frame = [frame](Index base, const Index* c,
                                std::uint32_t len) {
         if constexpr (kFramed) {
-            const Real last = frame[base + c[len - 1]];
+            const Complex last = frame[base + c[len - 1]];
             for (std::uint32_t i = len - 1; i >= 1; --i) {
                 frame[base + c[i]] = frame[base + c[i - 1]];
             }
@@ -800,21 +813,19 @@ run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
                 [=](Index base, Complex*) QD_BLOCK_BODY {
                     Real* d0 = as_reals(amps + base * B);
                     Real* d1 = as_reals(amps + base * B + jump);
-                    Real f0 = 1.0, f1 = 1.0;
+                    Complex f0(1, 0), f1(1, 0);
                     if constexpr (kFramed) {
                         f0 = frame[base];
                         f1 = frame[base + s1];
-                        frame[base] = frame[base + s1] = 1.0;
+                        frame[base] = frame[base + s1] = Complex(1, 0);
                     }
                     QD_SIMD
                     for (std::size_t b = 0; b < B; ++b) {
                         Real a0r = d0[2 * b], a0i = d0[2 * b + 1];
                         Real a1r = d1[2 * b], a1i = d1[2 * b + 1];
                         if constexpr (kFramed) {
-                            a0r *= f0;
-                            a0i *= f0;
-                            a1r *= f1;
-                            a1i *= f1;
+                            frame_lane(a0r, a0i, f0);
+                            frame_lane(a1r, a1i, f1);
                         }
                         d0[2 * b] = (u00r * a0r - u00i * a0i) +
                                     (u01r * a1r - u01i * a1i);
@@ -843,13 +854,13 @@ run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
                     Real* d0 = as_reals(amps + base * B);
                     Real* d1 = as_reals(amps + base * B + jump);
                     Real* d2 = as_reals(amps + base * B + 2 * jump);
-                    Real f0 = 1.0, f1 = 1.0, f2 = 1.0;
+                    Complex f0(1, 0), f1(1, 0), f2(1, 0);
                     if constexpr (kFramed) {
                         f0 = frame[base];
                         f1 = frame[base + s1];
                         f2 = frame[base + 2 * s1];
                         frame[base] = frame[base + s1] =
-                            frame[base + 2 * s1] = 1.0;
+                            frame[base + 2 * s1] = Complex(1, 0);
                     }
                     QD_SIMD
                     for (std::size_t b = 0; b < B; ++b) {
@@ -857,12 +868,9 @@ run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
                         Real a1r = d1[2 * b], a1i = d1[2 * b + 1];
                         Real a2r = d2[2 * b], a2i = d2[2 * b + 1];
                         if constexpr (kFramed) {
-                            a0r *= f0;
-                            a0i *= f0;
-                            a1r *= f1;
-                            a1i *= f1;
-                            a2r *= f2;
-                            a2i *= f2;
+                            frame_lane(a0r, a0i, f0);
+                            frame_lane(a1r, a1i, f1);
+                            frame_lane(a2r, a2i, f2);
                         }
                         d0[2 * b] = (u00.real() * a0r - u00.imag() * a0i) +
                                     (u01.real() * a1r - u01.imag() * a1i) +
@@ -932,10 +940,12 @@ count_single(const CompiledOp& op, Index total, std::uint64_t n)
 }
 
 /** Counts one batched dispatch of `op` over `lanes` lanes that walks
- *  `walked` amplitudes per lane (the register, or a tracked batch's
- *  occupied blocks). */
+ *  `walked` amplitudes (the register, or a tracked batch's occupied
+ *  blocks) of `walked_lanes` lanes: every lane, or the one lane-shared
+ *  frame a framed diagonal multiplies. */
 void
-count_dispatch(const CompiledOp& op, Index walked, std::uint64_t lanes)
+count_dispatch(const CompiledOp& op, Index walked, std::uint64_t lanes,
+               std::uint64_t walked_lanes)
 {
     // The class counter advances by the lane count so per-class totals
     // across the two zoos are invariant under the batch width (each lane
@@ -944,9 +954,10 @@ count_dispatch(const CompiledOp& op, Index walked, std::uint64_t lanes)
         obs::count_unchecked(kernel_counter(op.kind, /*batched=*/true),
                              lanes);
         obs::count_unchecked(obs::Counter::kBatDispatches);
-        obs::count_unchecked(obs::Counter::kBatWalkedSlots, walked * lanes);
+        obs::count_unchecked(obs::Counter::kBatWalkedSlots,
+                             walked * walked_lanes);
         obs::count_unchecked(obs::Counter::kEstimatedFlops,
-                             op_flop_estimate(op, walked) * lanes);
+                             op_flop_estimate(op, walked) * walked_lanes);
     }
 }
 
@@ -970,6 +981,18 @@ void
 apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
                  ExecScratch& scratch)
 {
+    Complex* frame = psi.frame();
+    if (frame != nullptr && op.kind == KernelKind::kDiagonal) {
+        // Every lane takes the same diagonal, and the frame is diagonal:
+        // c *= diag, one one-lane pass over c, the lanes left as they are.
+        count_dispatch(op, psi.size(), lanes_of(psi), 1);
+        run_op<false, false>(op, frame, psi.size(), OneLane{}, scratch,
+                             nullptr, nullptr);
+        if (verify::strict()) {
+            psi.check_frame();
+        }
+        return;
+    }
     SupportWalk support;
     const SupportWalk* walk = nullptr;
     Index walked = psi.size();
@@ -978,8 +1001,7 @@ apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
         walk = &support;
         walked = static_cast<Index>(support.count) * support.block;
     }
-    count_dispatch(op, walked, lanes_of(psi));
-    Real* frame = psi.frame();
+    count_dispatch(op, walked, lanes_of(psi), lanes_of(psi));
     const Real* theta = psi.phase_frame();
     if (theta != nullptr && op.kind != KernelKind::kDiagonal) {
         const Complex* tab = phase_table(op, psi.dims(), theta,
@@ -998,8 +1020,11 @@ apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
         run_op<false, false>(op, psi.data(), psi.size(), lanes_of(psi),
                              scratch, nullptr, nullptr, walk);
     }
-    if (walk != nullptr && verify::strict()) {
-        psi.check_support();
+    if (verify::strict()) {
+        if (walk != nullptr) {
+            psi.check_support();
+        }
+        psi.check_frame();
     }
 }
 
@@ -1018,7 +1043,7 @@ conjugate_op(const CompiledOp& k, const CompiledOp& k_conj, Matrix& rho,
     Complex* a = rho.data().data();
     // Left pass, rho -> K rho: row-major rho is a batch of D lanes (the
     // column index) over a D-amplitude register (the row index).
-    count_dispatch(k, dim, dim);
+    count_dispatch(k, dim, dim, dim);
     run_op<false, false>(k, a, dim, static_cast<std::size_t>(dim), scratch,
                          nullptr, nullptr);
     // Right pass, rho -> rho K^dagger: row r of rho K^dagger is conj(K)

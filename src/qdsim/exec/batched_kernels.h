@@ -19,20 +19,25 @@
  * mix batched passes with per-lane single-shot fallbacks for divergent
  * events.
  *
- * A batch that carries a damping frame (BatchedStateVector::frame:
- * lane b's state is f (.) x_b with one real factor per amplitude shared
- * by every lane) runs the same bodies with the frame threaded through:
- * permutation and monomial kernels move f along their cycles, diagonal
- * kernels leave it alone, and the single-wire, controlled and dense
- * kernels multiply the amplitudes they gather by f and reset those
- * entries to 1. f depends on the circuit alone, so lanes stay bitwise
- * independent of the batch width, and a framed pass followed by
- * fold_frame() equals fold_frame() followed by the plain pass to
- * rounding (property-tested). The trajectory engine's no-jump damping
- * then costs one pass over f per moment instead of a sweep of the batch.
+ * A batch that carries a frame (BatchedStateVector::frame: lane b's
+ * state is c (.) x_b with one complex factor per amplitude shared by
+ * every lane) runs a diagonal op on the frame alone: c *= diag, one
+ * one-lane pass through the diagonal body, the stored lanes bitwise
+ * untouched. The other bodies thread c through: permutation and monomial
+ * kernels move c along their cycles (a monomial's phases stay in the
+ * lanes), and the single-wire, controlled and dense kernels multiply the
+ * amplitudes they gather by c and reset those entries to 1. c depends on
+ * the circuit alone, so lanes stay bitwise independent of the batch
+ * width, and a framed pass followed by fold_frame() equals fold_frame()
+ * followed by the plain pass to rounding (property-tested). The
+ * trajectory engine's T gates and no-jump damping then cost a pass over
+ * c instead of a sweep of the batch. A framed diagonal counts one lane's
+ * walked slots (obs::Counter::kBatWalkedSlots) and its class counter
+ * still advances by the lane count. Under QD_VERIFY=strict every op on a
+ * framed batch is followed by BatchedStateVector::check_frame.
  *
  * A batch that carries a phase frame (BatchedStateVector::phase_frame:
- * lane b's state is P_b (f (.) x_b), P_b a product of per-wire phase
+ * lane b's state is P_b (c (.) x_b), P_b a product of per-wire phase
  * diagonals) runs P_S^dagger U P_S on the op's wires S from per-lane
  * tables built once per call, before any OpenMP region: diagonal ops
  * are unchanged, cycle moves take a per-lane ratio ph(src) / ph(dst),
@@ -77,8 +82,9 @@ namespace qd::exec {
  *  share ExecScratch. */
 using BatchedScratch = ExecScratch;
 
-/** Executes a compiled operation on every lane in place, carrying the
- *  batch's damping frame when it has one. `psi` must be over the dims
+/** Executes a compiled operation on every lane in place, through the
+ *  batch's frames when it has them (a diagonal op on a framed batch
+ *  multiplies the frame only). `psi` must be over the dims
  *  the op was compiled for. */
 void apply_op_batched(const CompiledOp& op, BatchedStateVector& psi,
                       ExecScratch& scratch);

@@ -79,11 +79,24 @@ sweep_lanes(std::size_t n, std::size_t B, Acc* __restrict acc, Step step)
     }
 }
 
-/** Complex slots holding a frame of `n` reals. */
-std::size_t
-frame_slots(Index n)
+/** a * c on re/im doubles: the expression tree of the std::complex
+ *  product, without libstdc++'s NaN-recovery branch. */
+inline Complex
+mul(Complex a, Complex c)
 {
-    return (static_cast<std::size_t>(n) + 1) / 2;
+    return Complex(a.real() * c.real() - a.imag() * c.imag(),
+                   a.real() * c.imag() + a.imag() * c.real());
+}
+
+/** v / c for a frame factor c (finite and nonzero): v conj(c) / |c|^2.
+ *  |c| stays above the fold threshold's 2^-500 in the trajectory engine,
+ *  so |c|^2 is a normal double. */
+inline Complex
+unframe(Complex v, Complex c)
+{
+    const Real n = c.real() * c.real() + c.imag() * c.imag();
+    return Complex((v.real() * c.real() + v.imag() * c.imag()) / n,
+                   (v.imag() * c.real() - v.real() * c.imag()) / n);
 }
 
 /**
@@ -213,7 +226,7 @@ BatchedStateVector::BatchedStateVector(WireDims dims, int lanes,
     : dims_(std::move(dims)), lanes_(lanes) {
     const std::size_t body =
         static_cast<std::size_t>(dims_.size()) * checked_lane_count(lanes);
-    slots_ = body + (frame_room ? frame_slots(dims_.size()) : 0);
+    slots_ = body + (frame_room ? static_cast<std::size_t>(dims_.size()) : 0);
     amps_ = allocate(slots_);
     for (int b = 0; b < lanes_; ++b) {
         amps_.get()[static_cast<std::size_t>(b)] = Complex(1, 0);
@@ -236,7 +249,7 @@ BatchedStateVector::BatchedStateVector(const BatchedStateVector& other)
       phased_(other.phased_) {
     const std::size_t n = static_cast<std::size_t>(dims_.size());
     const std::size_t B = static_cast<std::size_t>(lanes_);
-    slots_ = lane_amps() + (framed_ ? frame_slots(dims_.size()) : 0);
+    slots_ = lane_amps() + (framed_ ? n : 0);
     amps_ = allocate(slots_);
     if (tracked()) {
         for_each_row(*this, [&](std::size_t i) {
@@ -248,7 +261,7 @@ BatchedStateVector::BatchedStateVector(const BatchedStateVector& other)
                     lane_amps() * sizeof(Complex));
     }
     if (framed_) {
-        std::memcpy(frame(), other.frame(), n * sizeof(Real));
+        std::memcpy(frame(), other.frame(), n * sizeof(Complex));
     }
 }
 
@@ -330,7 +343,7 @@ BatchedStateVector::store_lane(int lane, const Complex* s, Present present)
     const std::size_t B = static_cast<std::size_t>(lanes_);
     const std::size_t n = static_cast<std::size_t>(dims_.size());
     Complex* a = amps_.get() + static_cast<std::size_t>(lane);
-    const Real* f = frame();
+    const Complex* f = frame();
     // A tracked batch skips the indices outside its support where src is
     // zero; the others it writes, and src's nonzeros join the support.
     std::uint8_t* occ = support();
@@ -345,7 +358,7 @@ BatchedStateVector::store_lane(int lane, const Complex* s, Present present)
         return false;
     };
     if (phased_) {
-        // x = P^dagger src / f, P's factor from a one-lane walk.
+        // x = P^dagger src / c, P's factor from a one-lane walk.
         walk_product_diag(
             dims_, 1,
             [&](std::size_t, int w) { return phase_factors(lane, w); },
@@ -354,25 +367,21 @@ BatchedStateVector::store_lane(int lane, const Complex* s, Present present)
                     return;
                 }
                 const Complex v = s[i] * Complex(c[0], -c[1]);
-                a[i * B] = f != nullptr ? Complex(v.real() / f[i],
-                                                  v.imag() / f[i])
-                                        : v;
+                a[i * B] = f != nullptr ? unframe(v, f[i]) : v;
             });
         return;
     }
     if (occ != nullptr) {
         for (std::size_t i = 0; i < n; ++i) {
             if (!skip(i)) {
-                a[i * B] = f != nullptr ? Complex(s[i].real() / f[i],
-                                                  s[i].imag() / f[i])
-                                        : s[i];
+                a[i * B] = f != nullptr ? unframe(s[i], f[i]) : s[i];
             }
         }
         return;
     }
     if (f != nullptr) {
         for (std::size_t i = 0; i < n; ++i) {
-            a[i * B] = Complex(s[i].real() / f[i], s[i].imag() / f[i]);
+            a[i * B] = unframe(s[i], f[i]);
         }
         return;
     }
@@ -409,7 +418,7 @@ BatchedStateVector::copy_lane_out(int lane, Complex* d, bool zero_fill) const
     const std::size_t B = static_cast<std::size_t>(lanes_);
     const std::size_t n = static_cast<std::size_t>(dims_.size());
     const Complex* a = amps_.get() + static_cast<std::size_t>(lane);
-    const Real* f = frame();
+    const Complex* f = frame();
     const std::uint8_t* occ = support();
     if (occ != nullptr && zero_fill) {
         // Unoccupied indices are zero in every lane.
@@ -424,24 +433,20 @@ BatchedStateVector::copy_lane_out(int lane, Complex* d, bool zero_fill) const
                     return;
                 }
                 const Complex x = a[i * B];
-                d[i] = (f != nullptr ? Complex(x.real() * f[i],
-                                               x.imag() * f[i])
-                                     : x) *
+                d[i] = (f != nullptr ? mul(x, f[i]) : x) *
                        Complex(c[0], c[1]);
             });
         return;
     }
     if (occ != nullptr) {
         for_each_row(*this, [&](std::size_t i) {
-            d[i] = f != nullptr ? Complex(a[i * B].real() * f[i],
-                                          a[i * B].imag() * f[i])
-                                : a[i * B];
+            d[i] = f != nullptr ? mul(a[i * B], f[i]) : a[i * B];
         });
         return;
     }
     if (f != nullptr) {
         for (std::size_t i = 0; i < n; ++i) {
-            d[i] = Complex(a[i * B].real() * f[i], a[i * B].imag() * f[i]);
+            d[i] = mul(a[i * B], f[i]);
         }
         return;
     }
@@ -461,7 +466,8 @@ BatchedStateVector::lane_state(int lane) const
 void
 BatchedStateVector::start_frame()
 {
-    const std::size_t total = lane_amps() + frame_slots(dims_.size());
+    const std::size_t total =
+        lane_amps() + static_cast<std::size_t>(dims_.size());
     if (slots_ < total) {
         // No room was made: move the lanes to a buffer with the frame
         // after them (a tracked batch copies its occupied rows only).
@@ -480,7 +486,26 @@ BatchedStateVector::start_frame()
         slots_ = total;
     }
     framed_ = true;
-    std::fill_n(frame(), static_cast<std::size_t>(dims_.size()), 1.0);
+    std::fill_n(frame(), static_cast<std::size_t>(dims_.size()),
+                Complex(1, 0));
+}
+
+void
+BatchedStateVector::check_frame() const
+{
+    const Complex* c = frame();
+    if (c == nullptr) {
+        return;
+    }
+    for (Index i = 0; i < dims_.size(); ++i) {
+        const Complex v = c[static_cast<std::size_t>(i)];
+        if (!std::isfinite(v.real()) || !std::isfinite(v.imag()) ||
+            v == Complex(0, 0)) {
+            throw std::logic_error(
+                "BatchedStateVector: frame entry " + std::to_string(i) +
+                " is zero or not finite");
+        }
+    }
 }
 
 void
@@ -492,15 +517,20 @@ BatchedStateVector::scale_frame(const std::vector<std::uint16_t>& key,
         throw std::invalid_argument(
             "scale_frame: needs a frame and one key per amplitude");
     }
-    Real* __restrict f = frame();
+    Real* __restrict f = as_reals(frame());
     const std::uint16_t* __restrict k = key.data();
     const Real* __restrict s = scale.data();
+    auto scale_at = [=](std::size_t i) {
+        const Real v = s[k[i]];
+        f[2 * i] *= v;
+        f[2 * i + 1] *= v;
+    };
     if (tracked()) {
-        for_each_row(*this, [=](std::size_t i) { f[i] *= s[k[i]]; });
+        for_each_row(*this, scale_at);
         return;
     }
     for (std::size_t i = 0; i < n; ++i) {
-        f[i] *= s[k[i]];
+        scale_at(i);
     }
 }
 
@@ -513,16 +543,25 @@ BatchedStateVector::fold_frame()
     const std::size_t n = static_cast<std::size_t>(dims_.size());
     const std::size_t B = static_cast<std::size_t>(lanes_);
     Real* __restrict d = as_reals(amps_.get());
-    Real* __restrict f = frame();
+    const Real* __restrict f = as_reals(frame());
     for_each_row(*this, [=](std::size_t i) {
-        const Real fi = f[i];
+        const Real cr = f[2 * i], ci = f[2 * i + 1];
         Real* __restrict row = d + i * 2 * B;
         QD_SIMD
-        for (std::size_t j = 0; j < 2 * B; ++j) {
-            row[j] *= fi;
+        for (std::size_t b = 0; b < B; ++b) {
+            const Real ar = row[2 * b], ai = row[2 * b + 1];
+            row[2 * b] = ar * cr - ai * ci;
+            row[2 * b + 1] = ar * ci + ai * cr;
         }
     });
-    std::fill_n(f, n, 1.0);
+    std::fill_n(frame(), n, Complex(1, 0));
+}
+
+void
+BatchedStateVector::end_frame()
+{
+    fold_frame();
+    framed_ = false;
 }
 
 void
@@ -581,18 +620,21 @@ BatchedStateVector::damped_norm_sq_lanes(
     };
     std::vector<Pair> acc(B);
     const Real* __restrict d = as_reals(amps_.get());
-    const Real* __restrict f = frame();
+    const Real* __restrict f = as_reals(frame());
     const std::uint16_t* __restrict k = key.data();
     const Real* __restrict s = scale.data();
     const std::vector<Index> occ =
         tracked() ? support_indices() : std::vector<Index>{};
-    // (f x)^2, never f^2 x^2: x may be as large as 1 / f.
+    // |c x|^2, never |c|^2 |x|^2: x may be as large as 1 / |c|.
     sweep_support(tracked() ? &occ : nullptr, n, B, acc.data(),
                   [=](std::size_t i, std::size_t b, Pair& v) {
                       const Real* p = d + 2 * (i * B + b);
-                      const Real g = f[i], h = f[i] * s[k[i]];
-                      const Real ar = p[0] * g, ai = p[1] * g;
-                      const Real br = p[0] * h, bi = p[1] * h;
+                      const Real gr = f[2 * i], gi = f[2 * i + 1];
+                      const Real hr = gr * s[k[i]], hi = gi * s[k[i]];
+                      const Real ar = p[0] * gr - p[1] * gi;
+                      const Real ai = p[0] * gi + p[1] * gr;
+                      const Real br = p[0] * hr - p[1] * hi;
+                      const Real bi = p[0] * hi + p[1] * hr;
                       v.n += ar * ar + ai * ai;
                       v.m += br * br + bi * bi;
                   });
@@ -902,20 +944,25 @@ BatchedStateVector::fidelity_lanes(const BatchedStateVector& other,
     const std::size_t B = static_cast<std::size_t>(lanes_);
     // Per lane the overlap accumulates in amplitude-index order and
     // (conj(a) * o) == (ar*or + ai*oi, ar*oi - ai*or) bitwise, matching
-    // StateVector::inner. Under a frame a = f x, formed first; under a
-    // phase frame, a = P (f x), P's factor from an all-lane walk.
+    // StateVector::inner. Under a frame a = c x, formed first; under a
+    // phase frame, a = P (c x), P's factor from an all-lane walk.
     struct Overlap {
         Real re = 0, im = 0, nsq = 0;
     };
     std::vector<Overlap> acc(B);
     const Real* __restrict a = as_reals(amps_.get());
     const Real* __restrict o = as_reals(other.amps_.get());
-    const Real* f = frame();
+    const Real* f = as_reals(frame());
     auto phased_step = [&](std::size_t i, const Real* __restrict c) {
-        const Real g = f != nullptr ? f[i] : 1.0;
         for (std::size_t b = 0; b < B; ++b) {
             const std::size_t at = 2 * (i * B + b);
-            const Real xr = a[at] * g, xi = a[at + 1] * g;
+            Real xr = a[at], xi = a[at + 1];
+            if (f != nullptr) {
+                const Real gr = f[2 * i], gi = f[2 * i + 1];
+                const Real yr = xr * gr - xi * gi;
+                xi = xr * gi + xi * gr;
+                xr = yr;
+            }
             const Real ar = xr * c[2 * b] - xi * c[2 * b + 1];
             const Real ai = xr * c[2 * b + 1] + xi * c[2 * b];
             Overlap& v = acc[b];
@@ -946,8 +993,9 @@ BatchedStateVector::fidelity_lanes(const BatchedStateVector& other,
         sweep_support(walk, n, B, acc.data(),
                       [=](std::size_t i, std::size_t b, Overlap& v) {
                           const std::size_t at = 2 * (i * B + b);
-                          const Real ar = a[at] * g[i],
-                                     ai = a[at + 1] * g[i];
+                          const Real gr = g[2 * i], gi = g[2 * i + 1];
+                          const Real ar = a[at] * gr - a[at + 1] * gi;
+                          const Real ai = a[at] * gi + a[at + 1] * gr;
                           v.re += ar * o[at] + ai * o[at + 1];
                           v.im += ar * o[at + 1] - ai * o[at];
                           v.nsq += ar * ar + ai * ai;

@@ -21,20 +21,23 @@
  * (norms, fidelities) keep all lanes' accumulators live across one sweep
  * instead of re-walking the batch per lane tile.
  *
- * Damping frame: the trajectory engine's no-jump damping is a real
- * diagonal that depends on the circuit alone, so it is kept out of the
- * lanes in one factor per amplitude shared by every lane, f[idx]: while a
- * frame is set, lane b's state is f (.) x_b, with x_b the stored
- * amplitudes. A damped moment then costs `scale_frame` (one pass over f,
- * 1/(2B) of the batch) instead of a sweep over the batch; the gate
- * kernels carry f (batched_kernels.h); normalisation is deferred to the
+ * Frame: the trajectory engine's no-jump damping and the circuit's
+ * diagonal gates act on every lane alike, so they are kept out of the
+ * lanes in one complex factor per amplitude shared by every lane, c[idx]:
+ * while a frame is set, lane b's state is c (.) x_b, with x_b the stored
+ * amplitudes. A damped moment then costs `scale_frame` (one pass over c,
+ * 1/B of the batch) instead of a sweep over the batch, and a diagonal
+ * gate multiplies c alone (batched_kernels.h), leaving the lanes as they
+ * are; the other gate kernels carry c; normalisation is deferred to the
  * final fidelity. scale_by_table_lanes, norm_sq_lanes, normalize_lanes
- * and populations_lanes need a batch without a damping frame.
+ * and populations_lanes need a batch without a frame. Under
+ * QD_VERIFY=strict every op on a framed batch is followed by
+ * check_frame().
  *
  * Phase frame: coherent idle dephasing is a per-lane diagonal that
  * factors over the wires, P_b = (x)_w diag(e^{i m Theta[w][b]}) over the
  * wire's levels m, so it is kept out of the lanes as n x B accumulated
- * angles: while a phase frame is set, lane b's state is P_b (f (.) x_b).
+ * angles: while a phase frame is set, lane b's state is P_b (c (.) x_b).
  * A dephased moment only adds its angles to Theta (phase_frame()); the
  * gate kernels run P_S^dagger U P_S on the wires S they act on
  * (batched_kernels.h), so the phase costs arithmetic on the amplitudes a
@@ -42,12 +45,12 @@
  * once per batch, inside the fidelity sweep; fold_phase_frame folds it
  * into the lanes with apply_product_diag_lanes.
  *
- * Both frames are diagonal, so every diagonal pass (apply_diag1_masked,
- * apply_product_diag_lanes, the damping frame's passes) commutes with
- * them and runs on the stored amplitudes, and P leaves norms and
- * populations alone. The lane accessors and the fidelity (set_lane,
- * extract_lane, lane_state, fidelity_lanes) work on the true state
- * P_b (f (.) x_b).
+ * Both frames are diagonal, so they commute with each other and with
+ * every diagonal pass (apply_diag1_masked, apply_product_diag_lanes, the
+ * frame's passes), which runs on the stored amplitudes, and P leaves
+ * norms and populations alone. The lane accessors and the fidelity
+ * (set_lane, extract_lane, lane_state, fidelity_lanes) work on the true
+ * state P_b (c (.) x_b).
  *
  * Divergent per-lane events (damping jumps, gate-error draws) are handled
  * by copying the lane into a one-lane batch (extract_lane), running the
@@ -69,11 +72,11 @@
  * zero, so per lane every pass is bitwise its dense counterpart, except
  * possibly for the sign of a zero. Tracked frame entries at unoccupied
  * indices are neither reset by the kernels nor scaled, so a tracked
- * damping frame differs from the dense one there, and a set_lane at such
- * an index divides by a factor that depends on the other lanes; the
- * trajectory engine therefore runs tracked batches without a damping
- * frame. The buffer comes from calloc, so pages no lane ever touches
- * stay unfaulted.
+ * frame differs from the dense one there, and a set_lane at such an
+ * index divides by a factor that depends on the other lanes; the
+ * trajectory engine therefore runs tracked batches without a frame. The
+ * buffer comes from calloc, so pages no lane ever touches stay
+ * unfaulted.
  *
  * A dense batch (the default) walks every index: each pass tests for a
  * support once and then runs its dense loop. Writes through data() or
@@ -171,13 +174,13 @@ class BatchedStateVector {
     void check_support() const;
 
     /** Overwrites one lane with `src` (dims must match); under the
-     *  frames the stored amplitudes are P^dagger src / f. A tracked batch
+     *  frames the stored amplitudes are P^dagger src / c. A tracked batch
      *  writes the occupied indices and src's nonzeros, and flags the
      *  latter. */
     void set_lane(int lane, const StateVector& src);
 
     /** Copies one lane into `dst` (dims must match); under the frames,
-     *  P (f (.) x_lane). */
+     *  P (c (.) x_lane). */
     void extract_lane(int lane, StateVector& dst) const;
 
     /** Copies one lane into lane 0 of `dst`, a one-lane batch over the
@@ -192,22 +195,25 @@ class BatchedStateVector {
      *  latter. */
     void set_lane(int lane, const BatchedStateVector& src);
 
-    /** Starts a damping frame of all ones (no-op on the lanes' states).
-     *  The frame lives in the batch's own buffer, after the lanes. */
+    /** Starts a frame of all ones (no-op on the lanes' states). The
+     *  frame lives in the batch's own buffer, after the lanes. */
     void start_frame();
 
-    /** The frame, one factor per amplitude; null when none is set. */
-    Real* frame() {
-        return framed_ ? reinterpret_cast<Real*>(amps_.get() + lane_amps())
-                       : nullptr;
+    /** The frame, one complex factor per amplitude; null when none is
+     *  set. */
+    Complex* frame() {
+        return framed_ ? amps_.get() + lane_amps() : nullptr;
     }
-    const Real* frame() const {
-        return framed_ ? reinterpret_cast<const Real*>(amps_.get() +
-                                                       lane_amps())
-                       : nullptr;
+    const Complex* frame() const {
+        return framed_ ? amps_.get() + lane_amps() : nullptr;
     }
 
-    /** f[idx] *= scale[key[idx]] (every lane's state takes the real
+    /** The strict-mode check of a framed batch: throws std::logic_error
+     *  if some frame entry is zero or not finite (a no-op without a
+     *  frame). Reads the whole frame. */
+    void check_frame() const;
+
+    /** c[idx] *= scale[key[idx]] (every lane's state takes the real
      *  diagonal scale[key[.]]), on the occupied indices of a tracked
      *  batch. Requires a frame; key.size() must equal size(). */
     void scale_frame(const std::vector<std::uint16_t>& key,
@@ -216,10 +222,13 @@ class BatchedStateVector {
     /** Multiplies the frame into every lane and resets it to ones. */
     void fold_frame();
 
+    /** Multiplies the frame into every lane and drops it. */
+    void end_frame();
+
     /**
      * One read sweep giving, per lane, the squared norm of the state and
      * of the state after a scale_frame(key, scale) still to come:
-     * norm_sq[b] = sum (f|x_b|)^2, scaled[b] = sum (f s|x_b|)^2, both in
+     * norm_sq[b] = sum |c x_b|^2, scaled[b] = sum |(c s) x_b|^2, both in
      * amplitude-index order. Requires a frame.
      */
     void damped_norm_sq_lanes(const std::vector<std::uint16_t>& key,
@@ -319,7 +328,7 @@ class BatchedStateVector {
      *  when `zero_fill`. */
     void copy_lane_out(int lane, Complex* d, bool zero_fill = true) const;
 
-    /** Writes src[i] (P^dagger src[i] / f under the frames) to lane
+    /** Writes src[i] (P^dagger src[i] / c under the frames) to lane
      *  `lane`; a tracked batch writes its occupied indices and those
      *  where present(i), which it flags. */
     template <class Present>
@@ -333,7 +342,7 @@ class BatchedStateVector {
      *  level m. */
     std::vector<Complex> phase_factors(int lane, int wire) const;
 
-    /** Complex slots of the lanes; a frame's reals follow them. */
+    /** Complex slots of the lanes; a frame follows them. */
     std::size_t lane_amps() const {
         return static_cast<std::size_t>(dims_.size()) *
                static_cast<std::size_t>(lanes_);

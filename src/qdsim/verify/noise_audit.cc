@@ -19,6 +19,42 @@ prefix(std::string_view label)
                          : std::string(label) + " channel";
 }
 
+/** The probability checks of a mixed-unitary channel (noise.probability):
+ *  every branch probability in [0, 1], their sum at most 1. */
+void
+audit_probabilities(const std::vector<Real>& probs, Report& report,
+                    const std::string& who, Real tol)
+{
+    Real total = 0;
+    for (const Real p : probs) {
+        if (p < -tol || p > 1 + tol) {
+            report.add("noise.probability", Severity::kError, -1,
+                       who + " branch probability " + std::to_string(p) +
+                           " outside [0, 1]");
+        }
+        total += p;
+    }
+    if (total > 1 + tol) {
+        report.add("noise.probability", Severity::kError, -1,
+                   who + " branch probabilities sum to " +
+                       std::to_string(total) + " > 1");
+    }
+}
+
+/** The unitarity checks of a mixed-unitary channel (noise.unitary). */
+void
+audit_unitaries(const std::vector<Matrix>& unitaries, Report& report,
+                const std::string& who, Real tol)
+{
+    for (std::size_t i = 0; i < unitaries.size(); ++i) {
+        if (!unitaries[i].is_unitary(tol)) {
+            report.add("noise.unitary", Severity::kError, -1,
+                       who + " operator " + std::to_string(i) +
+                           " is not unitary");
+        }
+    }
+}
+
 }  // namespace
 
 void
@@ -68,27 +104,8 @@ audit_mixed_unitary(const noise::MixedUnitaryChannel& channel,
                        " unitaries");
         return;
     }
-    Real total = 0;
-    for (const Real p : channel.probs) {
-        if (p < -tol || p > 1 + tol) {
-            report.add("noise.probability", Severity::kError, -1,
-                       who + " branch probability " + std::to_string(p) +
-                           " outside [0, 1]");
-        }
-        total += p;
-    }
-    if (total > 1 + tol) {
-        report.add("noise.probability", Severity::kError, -1,
-                   who + " branch probabilities sum to " +
-                       std::to_string(total) + " > 1");
-    }
-    for (std::size_t i = 0; i < channel.unitaries.size(); ++i) {
-        if (!channel.unitaries[i].is_unitary(tol)) {
-            report.add("noise.unitary", Severity::kError, -1,
-                       who + " operator " + std::to_string(i) +
-                           " is not unitary");
-        }
-    }
+    audit_probabilities(channel.probs, report, who, tol);
+    audit_unitaries(channel.unitaries, report, who, tol);
 }
 
 Report
@@ -124,6 +141,20 @@ analyze_noise(const noise::NoiseModel& model, const WireDims& dims,
         report.add("noise.probability", Severity::kWarning, -1,
                    "model '" + model.name + "': " + message);
     };
+    // Every depolarizing operator is a generalized Pauli X^j Z^k of one
+    // wire's dimension or a Kronecker product of two, which is unitary
+    // when its factors are: each dimension's d^2 - 1 non-identity Paulis
+    // are audited once, and a two-qudit channel's (de)^2 - 1 products of
+    // size de x de are never built.
+    std::set<int> paulis_audited;
+    const auto audit_paulis = [&](int d) {
+        if (paulis_audited.insert(d).second) {
+            audit_unitaries(noise::depolarizing1(d, 0).unitaries, report,
+                            "generalized Paulis(d=" + std::to_string(d) +
+                                ")",
+                            tol);
+        }
+    };
     for (const int d : distinct) {
         const Real total1 = model.gate_error_total_1q(d);
         if (total1 < -tol) {
@@ -134,9 +165,13 @@ analyze_noise(const noise::NoiseModel& model, const WireDims& dims,
                       " > 1 (sampler saturates) for d=" +
                       std::to_string(d));
         } else if (model.p1 > 0) {
-            audit_mixed_unitary(
-                noise::depolarizing1(d, model.per_channel_1q(d)), report,
-                "depolarizing1(d=" + std::to_string(d) + ")", tol);
+            audit_probabilities(
+                std::vector<Real>(static_cast<std::size_t>(
+                                      noise::depolarizing1_channel_count(d)),
+                                  model.per_channel_1q(d)),
+                report, prefix("depolarizing1(d=" + std::to_string(d) + ")"),
+                tol);
+            audit_paulis(d);
         }
         for (const int e : distinct) {
             if (e < d) {
@@ -153,12 +188,17 @@ analyze_noise(const noise::NoiseModel& model, const WireDims& dims,
                           std::to_string(d) + "," + std::to_string(e) +
                           ")");
             } else if (model.p2 > 0) {
-                audit_mixed_unitary(
-                    noise::depolarizing2(d, e, model.per_channel_2q(d, e)),
+                audit_probabilities(
+                    std::vector<Real>(
+                        static_cast<std::size_t>(
+                            noise::depolarizing2_channel_count(d, e)),
+                        model.per_channel_2q(d, e)),
                     report,
-                    "depolarizing2(" + std::to_string(d) + "," +
-                        std::to_string(e) + ")",
+                    prefix("depolarizing2(" + std::to_string(d) + "," +
+                           std::to_string(e) + ")"),
                     tol);
+                audit_paulis(d);
+                audit_paulis(e);
             }
         }
     }

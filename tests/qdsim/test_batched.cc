@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <optional>
 
@@ -23,6 +24,7 @@
 #include "qdsim/gate_library.h"
 #include "qdsim/random_state.h"
 #include "qdsim/simulator.h"
+#include "qdsim/verify/verify.h"
 #include "product_diag_reference.h"
 
 namespace qd {
@@ -417,7 +419,8 @@ TEST(Batched, FrameAccessorsSeeTheFramedState) {
     const std::vector<std::uint16_t> key = cycling_key(dims);
     std::vector<Real> before, after;
     batch.damped_norm_sq_lanes(key, kScale, before, after);
-    const std::vector<Real> f0(batch.frame(), batch.frame() + dims.size());
+    const std::vector<Complex> f0(batch.frame(),
+                                  batch.frame() + dims.size());
     batch.scale_frame(key, kScale);
     for (std::size_t i = 0; i < f0.size(); ++i) {
         EXPECT_EQ(batch.frame()[i], f0[i] * kScale[key[i]]);
@@ -481,6 +484,7 @@ check_phased_op(const WireDims& dims, const CompiledOp& op, int lanes,
     folded.fold_phase_frame();
     folded.fold_frame();
     exec::apply_op_batched(op, folded, bscratch);
+    folded.fold_frame();  // a diagonal on a framed batch lands in the frame
     const std::size_t n = static_cast<std::size_t>(dims.size()) *
                           static_cast<std::size_t>(lanes);
     for (std::size_t i = 0; i < n; ++i) {
@@ -562,6 +566,135 @@ TEST(Batched, PhaseAccessorsSeeTheTrueState) {
     EXPECT_THROW(other.fidelity_lanes(batch), std::invalid_argument);
 }
 
+/** Unitary ops of all six kernel classes over {3, 2, 3, 3}: two complex
+ *  diagonals (a random two-qutrit one and T on the qubit), a
+ *  permutation, a monomial, single-wire d=2 and d=3, controlled and
+ *  dense. */
+std::vector<CompiledOp>
+unitary_kernel_pool(const WireDims& dims, Rng& rng)
+{
+    std::vector<CompiledOp> ops;
+    auto add = [&](const Gate& g, std::vector<int> wires, KernelKind kind) {
+        ops.push_back(exec::compile_op(dims, g, wires));
+        EXPECT_EQ(ops.back().kind, kind) << g.name();
+    };
+    Matrix phases(9, 9);
+    for (std::size_t i = 0; i < 9; ++i) {
+        phases(i, i) = std::polar(1.0, rng.uniform() * 6.28);
+    }
+    add(Gate("rdiag", {3, 3}, phases), {0, 3}, KernelKind::kDiagonal);
+    add(gates::T(), {1}, KernelKind::kDiagonal);
+    add(gates::Xplus1().controlled(3, 2), {0, 2}, KernelKind::kPermutation);
+    add(Gate("Z3xX+1", {3, 3},
+             gates::Z3().matrix().kron(gates::Xplus1().matrix())),
+        {2, 0}, KernelKind::kMonomial);
+    add(gates::H(), {1}, KernelKind::kSingleWireD2);
+    add(gates::H3(), {3}, KernelKind::kSingleWireD3);
+    add(gates::fourier(3).controlled(3, 1), {2, 3}, KernelKind::kControlled);
+    add(Gate("haar", {3, 3}, haar_random_unitary(9, rng)), {3, 2},
+        KernelKind::kDense);
+    return ops;
+}
+
+TEST(Batched, FramedRandomSequencesMatchUnframed) {
+    // A framed batch multiplies diagonals into its lane-shared frame c
+    // and carries c through every other kernel. Random sequences of all
+    // six kernel classes, with gate-error-style lane round trips (the
+    // lane extracted into a one-lane batch, an op applied there, the lane
+    // stored back) between them, must leave the true states within 1e-12
+    // of an unframed batch's, with and without a phase frame; and a
+    // diagonal must leave the framed batch's stored lanes bitwise
+    // untouched.
+    Rng rng(315);
+    const WireDims dims({3, 2, 3, 3});
+    const std::vector<CompiledOp> pool = unitary_kernel_pool(dims, rng);
+    for (const int lanes : {1, 12}) {
+        for (const bool phased : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "lanes " << lanes
+                         << (phased ? ", phased" : ""));
+            BatchedStateVector plain(dims, lanes);
+            random_lanes(plain, rng);
+            BatchedStateVector framed = plain;
+            framed.start_frame();
+            if (phased) {
+                start_random_phase_frame(plain, rng);
+                framed.start_phase_frame();
+                std::copy_n(plain.phase_frame(),
+                            static_cast<std::size_t>(dims.num_wires()) *
+                                static_cast<std::size_t>(lanes),
+                            framed.phase_frame());
+            }
+            const std::size_t slots = static_cast<std::size_t>(dims.size()) *
+                                      static_cast<std::size_t>(lanes);
+            BatchedStateVector one(dims, 1);
+            ExecScratch ps, fs;
+            int diagonals = 0;
+            for (int step = 0; step < 80; ++step) {
+                const CompiledOp& op = pool[rng.uniform_int(pool.size())];
+                const std::vector<Complex> before(framed.data(),
+                                                  framed.data() + slots);
+                exec::apply_op_batched(op, framed, fs);
+                exec::apply_op_batched(op, plain, ps);
+                if (op.kind == KernelKind::kDiagonal) {
+                    ++diagonals;
+                    ASSERT_EQ(std::memcmp(before.data(), framed.data(),
+                                          slots * sizeof(Complex)),
+                              0)
+                        << "step " << step;
+                }
+                if (step % 5 == 2) {
+                    const int j = static_cast<int>(
+                        rng.uniform_int(static_cast<std::uint64_t>(lanes)));
+                    const CompiledOp& err =
+                        pool[rng.uniform_int(pool.size())];
+                    for (BatchedStateVector* b : {&plain, &framed}) {
+                        b->extract_lane(j, one);
+                        exec::apply_op_batched(err, one, ps);
+                        b->set_lane(j, one);
+                    }
+                }
+            }
+            EXPECT_GT(diagonals, 0);
+            for (int b = 0; b < lanes; ++b) {
+                const StateVector got = framed.lane_state(b);
+                const StateVector want = plain.lane_state(b);
+                for (Index i = 0; i < dims.size(); ++i) {
+                    ASSERT_NEAR(std::abs(got[i] - want[i]), 0.0, 1e-12)
+                        << "lane " << b << " index " << i;
+                }
+            }
+        }
+    }
+}
+
+TEST(Batched, StrictModeChecksTheFrame) {
+    // Under QD_VERIFY=strict every op on a framed batch is followed by a
+    // check that each frame entry is finite and nonzero (an underflowed
+    // or overflowed factor would silently zero or poison every lane).
+    Rng rng(316);
+    const WireDims dims({3, 2, 3, 3});
+    BatchedStateVector batch(dims, 3);
+    random_lanes(batch, rng);
+    batch.start_frame();
+    EXPECT_NO_THROW(batch.check_frame());
+    const CompiledOp t =
+        exec::compile_op(dims, gates::T(), std::vector<int>{1});
+    ExecScratch scratch;
+    verify::set_strict(true);
+    EXPECT_NO_THROW(exec::apply_op_batched(t, batch, scratch));
+    batch.frame()[5] = Complex(0, 0);
+    EXPECT_THROW(exec::apply_op_batched(t, batch, scratch),
+                 std::logic_error);
+    batch.frame()[5] = Complex(1, std::numeric_limits<Real>::infinity());
+    EXPECT_THROW(exec::apply_op_batched(t, batch, scratch),
+                 std::logic_error);
+    verify::set_strict(false);
+    EXPECT_NO_THROW(exec::apply_op_batched(t, batch, scratch));
+    verify::clear_strict();
+    EXPECT_THROW(batch.check_frame(), std::logic_error);
+}
+
 #ifdef _OPENMP
 TEST(Batched, FramedKernelsIndependentOfThreadCount) {
     // Width-11 qutrit register: every kernel class clears the outer-block
@@ -595,7 +728,7 @@ TEST(Batched, FramedKernelsIndependentOfThreadCount) {
                                   sizeof(Complex)),
                   0);
         ASSERT_EQ(std::memcmp(out[0].frame(), out[1].frame(),
-                              n * sizeof(Real)),
+                              n * sizeof(Complex)),
                   0);
       }
     }
@@ -867,7 +1000,7 @@ TEST(Batched, SupportWalkIndependentOfThreadCount) {
                       0);
             if (in == &framed) {
                 ASSERT_EQ(std::memcmp(out[0].frame(), out[1].frame(),
-                                      n * sizeof(Real)),
+                                      n * sizeof(Complex)),
                           0);
             }
         }
