@@ -8,16 +8,14 @@
 #ifndef BENCH_BENCH_UTIL_H
 #define BENCH_BENCH_UTIL_H
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
-
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
 
 #include "qdsim/exec/compile_service.h"
 #include "qdsim/obs/counters.h"
@@ -46,22 +44,21 @@ banner(const std::string& artifact, const std::string& note)
                 note.c_str(), line.c_str());
 }
 
-/** OpenMP max thread count the bench ran under (1 without OpenMP). */
+/** Engine worker count the bench ran under: the hardware concurrency
+ *  run_noisy_trials defaults to (kernel passes run on their worker, so
+ *  this is the engine's whole parallelism). */
 inline int
-omp_threads()
+engine_threads()
 {
-#if defined(_OPENMP)
-    return omp_get_max_threads();
-#else
-    return 1;
-#endif
+    return static_cast<int>(
+        std::max(1u, std::thread::hardware_concurrency()));
 }
 
 /**
  * Flat JSON object writer for the BENCH_*.json artifacts: fields emit in
  * insertion order, one per line, matching the shape compare_bench.py
  * consumes (top-level object, scalar metrics). Every artifact records the
- * OpenMP thread count it ran under as `threads`, so a comparison can tell
+ * engine worker count it ran under as `threads`, so a comparison can tell
  * runs on different core counts apart.
  */
 class JsonWriter {
@@ -114,7 +111,7 @@ class JsonWriter {
         if (out == nullptr) {
             return false;
         }
-        std::fprintf(out, "{\n  \"threads\": %d", omp_threads());
+        std::fprintf(out, "{\n  \"threads\": %d", engine_threads());
         for (const auto& [key, value] : fields_) {
             std::fprintf(out, ",\n  \"%s\": %s", key.c_str(),
                          value.c_str());

@@ -27,9 +27,10 @@ object and every tracked metric must be a plain number (booleans are
 rejected — JSON true/false silently coerce to 1/0 in Python and would
 gate on garbage).
 
-Every failure line names the OpenMP thread count each side ran under
-(the BENCH_*.json "threads" field, "unrecorded" when a file predates it),
-so a failure on a different core count reads as such.
+Every failure line names the engine worker count each side ran under
+(the BENCH_*.json "threads" field: std::thread::hardware_concurrency(),
+the default worker count of run_noisy_trials; "unrecorded" when a file
+predates it), so a failure on a different core count reads as such.
 
 --self-test exercises the script's own failure paths (truncated JSON,
 schema violations, zero metrics compared, below-floor / not-exact /

@@ -9,17 +9,18 @@ in CI before anything is built (first-stage gate, like
 compare_bench.py --self-test):
 
   obs-in-omp     obs:: instrumentation hooks must not be called inside
-                 an OpenMP parallel region (PR 6's rule: the counter
-                 slabs are per-thread aggregated OUTSIDE the region;
-                 hooks inside would tear or serialize the hot loop).
-                 Detected by brace-tracking the statement or block that
-                 follows every `#pragma omp parallel...` in src/.
-  omp-sites      a `#pragma omp parallel...` in src/ appears only in the
-                 files of OMP_SITES: the one block driver every kernel
-                 runs through (run_blocks in batched_kernels.cc) —
-                 single-shot, batched and density-matrix passes alike. A
-                 pragma anywhere else is a second kernel loop growing
-                 back beside the driver.
+                 an OpenMP parallel region (the counter slabs are
+                 per-thread aggregated OUTSIDE the region; hooks inside
+                 would tear or serialize the hot loop). Detected by
+                 brace-tracking the statement or block that follows
+                 every `#pragma omp parallel...` in src/.
+  omp-sites      no `#pragma omp parallel...` in src/ outside the files
+                 of OMP_SITES, which is empty: every kernel pass runs on
+                 its calling thread, and parallelism comes only from
+                 trajectory batches (run_noisy_trials' workers) and
+                 daemon jobs (qd_served's pool), so a thread team inside
+                 a pass would nest under them. `#pragma omp simd`
+                 (QD_SIMD) is vectorisation, not a region, and passes.
   raw-assert     no raw assert() in library code (src/): asserts vanish
                  in Release builds, so invariants must either throw or
                  be static_assert. Tests/benches may assert freely.
@@ -143,8 +144,8 @@ def check_obs_in_omp(root):
     return findings
 
 
-# The only src/ files allowed to open OpenMP parallel regions.
-OMP_SITES = ("src/qdsim/exec/batched_kernels.cc",)
+# The src/ files allowed to open OpenMP parallel regions: none.
+OMP_SITES = ()
 
 
 def check_omp_sites(root):
@@ -163,9 +164,10 @@ def check_omp_sites(root):
             for m in OMP_PARALLEL.finditer(text):
                 line = text.count("\n", 0, m.start()) + 1
                 findings.append(
-                    f"{rel}:{line}: OpenMP parallel region outside "
-                    f"{', '.join(OMP_SITES)} (every kernel runs "
-                    f"through the one block driver, run_blocks)")
+                    f"{rel}:{line}: OpenMP parallel region in src/ "
+                    f"(kernel passes run on their calling thread; "
+                    f"parallelism comes from trajectory batches and "
+                    f"daemon jobs)")
     return findings
 
 
@@ -332,7 +334,15 @@ void hot() {
 """
 
 COMMENT_PRAGMA_CC = """
-// A second kernel loop would need `#pragma omp parallel for` here.
+// A thread team would need `#pragma omp parallel for` here.
+"""
+
+SIMD_CC = """
+void lanes() {
+#pragma omp simd
+    for (int l = 0; l < n; ++l) { work(l); }
+    obs::record_pass(n);
+}
 """
 
 BAD_ASSERT_CC = """
@@ -378,14 +388,14 @@ def expect(cond, label, problems):
 
 
 def make_fixture_repo(root, *, bad):
-    write(root, OMP_SITES[0], GOOD_CC + COMMENT_ONLY_CC)
-    write(root, "src/good.cc", GOOD_ASSERT_CC + COMMENT_PRAGMA_CC)
+    write(root, "src/good.cc", GOOD_ASSERT_CC + COMMENT_PRAGMA_CC + SIMD_CC)
     if bad:
         write(root, "src/bad_omp.cc", BAD_OMP_CC)
         write(root, "src/bad_omp_for.cc", BAD_OMP_FOR_CC)
         write(root, "src/bad_assert.cc", BAD_ASSERT_CC)
-        write(root, "src/qdsim/exec/kernels.cc", GOOD_CC)
-        write(root, "src/qdsim/exec/superop.cc", GOOD_CC)
+        # Regions obs-in-omp accepts still fail omp-sites.
+        write(root, "src/qdsim/exec/batched_kernels.cc",
+              GOOD_CC + COMMENT_ONLY_CC)
     write(
         root, "scripts/compare_bench.py", """
 TRACKED = {
@@ -421,7 +431,7 @@ def self_test():
         expect(check_obs_in_omp(good) == [], "clean omp fixture passes",
                problems)
         expect(check_omp_sites(good) == [],
-               "pragmas in the allowed files pass", problems)
+               "omp simd and a commented-out pragma pass", problems)
         expect(check_raw_assert(good) == [], "clean assert fixture passes",
                problems)
         expect(check_bench_metrics(good) == [],
@@ -439,10 +449,8 @@ def self_test():
         sites = check_omp_sites(bad)
         expect(len(sites) == 4 and any("bad_omp.cc" in f for f in sites)
                and any("bad_omp_for.cc" in f for f in sites)
-               and any("exec/kernels.cc" in f for f in sites)
-               and any("exec/superop.cc" in f for f in sites),
-               "parallel regions outside the allowed files flagged",
-               problems)
+               and sum("exec/batched_kernels.cc" in f for f in sites) == 2,
+               "every parallel region in src/ flagged", problems)
         expect(check_raw_assert(bad) != [], "raw assert flagged", problems)
         bench = check_bench_metrics(bad)
         expect(any("ghost" in f for f in bench),

@@ -970,6 +970,10 @@ run_noisy_trials(const Circuit& circuit, const NoiseModel& model,
         throw std::invalid_argument(
             "run_noisy_trials: options.batch must be >= 0");
     }
+    if (options.threads < 0) {
+        throw std::invalid_argument(
+            "run_noisy_trials: options.threads must be >= 0");
+    }
     // The compile service verifies at admission under QD_VERIFY=strict
     // and caches the compilation across calls. After the cheap
     // argument checks so the documented invalid_argument contract wins.
@@ -1004,7 +1008,11 @@ run_noisy_trials(const TrajectoryCompilation& compiled,
     const int num_batches = (trials + batch - 1) / batch;
 
     int threads = options.threads;
-    if (threads <= 0) {
+    if (threads < 0) {
+        throw std::invalid_argument(
+            "run_noisy_trials: options.threads must be >= 0");
+    }
+    if (threads == 0) {
         threads = static_cast<int>(std::thread::hardware_concurrency());
         if (threads <= 0) {
             threads = 1;

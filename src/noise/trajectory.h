@@ -57,7 +57,9 @@ namespace qd::noise {
 /** Options for a batch of trajectory trials. */
 struct TrajectoryOptions {
     int trials = 100;
-    /** Worker threads; 0 = hardware concurrency. */
+    /** Worker threads, each running whole trajectory batches (the only
+     *  parallelism of a run: kernel passes stay on their worker);
+     *  0 = hardware concurrency. */
     int threads = 0;
     std::uint64_t seed = 2019;
     /**
@@ -160,8 +162,8 @@ Real run_single_trajectory(const TrajectoryCompilation& compiled,
  * fixed seed regardless of thread count AND batch width (lane t always
  * consumes stream root.child(t)).
  *
- * @throws std::invalid_argument if options.trials <= 0 or
- *         options.batch < 0.
+ * @throws std::invalid_argument if options.trials <= 0,
+ *         options.batch < 0 or options.threads < 0.
  *
  * @deprecated For job-stream traffic prefer serve::execute() (serve/run.h),
  *         which routes through the shared CompileService and returns a
@@ -178,7 +180,7 @@ TrajectoryResult run_noisy_trials(const Circuit& circuit,
  * re-verifying or recompiling — the per-request hot path behind the
  * CompileService. `options.fusion` is ignored (the compilation already
  * fixed it); every other option behaves as above, with the same throw
- * contract for trials/batch.
+ * contract for trials/batch/threads.
  */
 TrajectoryResult run_noisy_trials(const TrajectoryCompilation& compiled,
                                   const TrajectoryOptions& options);

@@ -93,8 +93,8 @@ std::shared_ptr<const ApplyPlan> make_apply_plan(const WireDims& dims,
  * Memoises plans by wire tuple so every operation on the same wires of one
  * register shares one set of tables (gate, fused blocks, gate errors,
  * Kraus operators): a plan is a pure function of (dims, wires).
- * The map is guarded by a mutex, so concurrent compilation (e.g. ops
- * compiled under OpenMP, or several engines sharing one cache) is safe;
+ * The map is guarded by a mutex, so concurrent compilation (trajectory
+ * workers or daemon jobs sharing one cache) is safe;
  * the plans themselves are immutable and freely shareable. Copying a
  * cache copies the map (the shared plan tables are not duplicated).
  */

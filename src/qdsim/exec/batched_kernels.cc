@@ -12,30 +12,6 @@ namespace qd::exec {
 
 namespace {
 
-/** Outer-block count above which a pass parallelises with OpenMP. Small
- *  registers stay serial, but a trajectory batch can cross it: a two-wire
- *  plan on 12 qutrits has 3^10 = 59049 outer blocks, so every trajectory
- *  worker on such a register opens its own OpenMP team (measured on a
- *  4-core Xeon: forcing one kernel thread per worker made a QUTRIT x SC
- *  width-12 cell slower, 1.23-1.48 s against 1.15-1.25 s). */
-constexpr Index kParallelOuter = Index{1} << 13;
-
-/** Amplitude slots (amplitudes times lanes) a pass over a tracked
- *  batch's occupied blocks must walk to parallelise with OpenMP: 32 MB
- *  of lanes, a few milliseconds of work. Its work measure is the
- *  support, not the register: a width-12 qutrit trajectory batch walks
- *  10^5 to 10^6 slots per kernel and stays serial on its trajectory
- *  worker, while the dense walk of the same register (6.4 x 10^6 slots)
- *  clears kParallelOuter. At 2^18 and 2^20 slots the kernels of a
- *  QUTRIT x SC width-12 batch whose gate errors had widened the support
- *  opened teams nested in the trajectory workers, and one worker's
- *  48 trials took 1.46 s and 0.38 s, against 0.34 s with one OpenMP
- *  thread (4-core Xeon). */
-constexpr std::size_t kParallelSlots = std::size_t{1} << 21;
-
-/** Amplitudes per chunk of outer blocks: the unit of OpenMP work. */
-constexpr Index kChunkAmps = Index{1} << 10;
-
 /** Marks a kernel's per-block body, which run_blocks calls once per outer
  *  block: always inlined, since a one-lane block is a few loads and
  *  stores, cheaper than the call GCC otherwise keeps in the large run_op
@@ -69,33 +45,26 @@ as_reals(const Complex* p)
 struct PlanBlocks {
     const ApplyPlan& plan;
 
-    std::int64_t count() const {
-        return static_cast<std::int64_t>(plan.outer_count());
-    }
-    bool parallel() const { return plan.outer_count() >= kParallelOuter; }
-    Index size() const { return plan.block; }
-
-    /** Calls visit(base, tmp) for blocks [lo, hi), in order. */
+    /** Calls visit(base, tmp) for every block, in order. */
     template <class Visit>
-    void walk(std::int64_t lo, std::int64_t hi, const Visit& visit,
-              Complex* tmp) const {
+    void walk(const Visit& visit, Complex* tmp) const {
+        const Index n = plan.outer_count();
         if (!plan.base_offsets.empty()) {
             // Tabulated bases, read through a hoisted pointer.
             const Index* bases = plan.base_offsets.data();
-            for (std::int64_t o = lo; o < hi; ++o) {
+            for (Index o = 0; o < n; ++o) {
                 visit(bases[o], tmp);
             }
             return;
         }
-        for (std::int64_t o = lo; o < hi; ++o) {
-            visit(plan.base_of(static_cast<Index>(o)), tmp);
+        for (Index o = 0; o < n; ++o) {
+            visit(plan.base_of(o), tmp);
         }
     }
 };
 
 /** Outer blocks of a single-wire kernel: block o is row o, the d
- *  amplitudes base + v * stride (v < d), rows in increasing base order.
- *  Runs of `period` amplitudes are the OpenMP threshold unit. */
+ *  amplitudes base + v * stride (v < d), rows in increasing base order. */
 struct WireBlocks {
     Index stride, period, total;
     Index off[3];
@@ -105,19 +74,12 @@ struct WireBlocks {
         : stride(stride_), period(period_), total(total_),
           off{0, stride_, 2 * stride_}, d(period_ / stride_) {}
 
-    std::int64_t count() const {
-        return static_cast<std::int64_t>(total / d);
-    }
-    bool parallel() const { return total / period >= kParallelOuter; }
-    Index size() const { return d; }
-
-    /** Calls visit(base, tmp) for blocks [lo, hi), in order. */
+    /** Calls visit(base, tmp) for every block, in order. */
     template <class Visit>
-    void walk(std::int64_t lo, std::int64_t hi, const Visit& visit,
-              Complex* tmp) const {
-        Index i = static_cast<Index>(lo) % stride;
-        Index base = static_cast<Index>(lo) / stride * period + i;
-        for (std::int64_t o = lo; o < hi; ++o) {
+    void walk(const Visit& visit, Complex* tmp) const {
+        const Index n = total / d;
+        Index i = 0, base = 0;
+        for (Index o = 0; o < n; ++o) {
             visit(base, tmp);
             if (++i == stride) {
                 i = 0;
@@ -148,28 +110,17 @@ struct SupportWalk {
 
 /** Outer blocks of a kernel over a tracked batch: the blocks of a
  *  SupportWalk, each followed by flagging the written amplitudes that are
- *  nonzero in some lane and clearing the flags of the rest. Blocks are
- *  disjoint, so every flag is written by the thread that owns its
- *  block. */
+ *  nonzero in some lane and clearing the flags of the rest. */
 template <class Lanes>
 struct SupportBlocks {
     const SupportWalk& w;
     const Complex* amps;
     Lanes B;
 
-    std::int64_t count() const { return w.count; }
-    bool parallel() const {
-        return static_cast<std::size_t>(w.count) *
-                   static_cast<std::size_t>(w.block) * B >=
-               kParallelSlots;
-    }
-    Index size() const { return w.block; }
-
-    /** Calls visit(base, tmp) for blocks [lo, hi), in order. */
+    /** Calls visit(base, tmp) for every block, in order. */
     template <class Visit>
-    void walk(std::int64_t lo, std::int64_t hi, const Visit& visit,
-              Complex* tmp) const {
-        for (std::int64_t o = lo; o < hi; ++o) {
+    void walk(const Visit& visit, Complex* tmp) const {
+        for (std::int64_t o = 0; o < w.count; ++o) {
             const Index base = w.bases[o];
             visit(base, tmp);
             for (std::size_t k = 0; k < w.nmarks; ++k) {
@@ -311,43 +262,27 @@ collect_support(const CompiledOp& op, BatchedStateVector& psi,
 
 /**
  * The one pass driver every kernel runs through, single-shot and batched:
- * calls kernel(base, tmp) per outer block of `blocks`, where tmp is a
- * per-thread buffer of `tmp_elems` complexes. A serial pass walks the
- * blocks in one run; a parallel one (large registers) goes in chunks of
- * about kChunkAmps amplitudes under an OpenMP static schedule. Blocks are
- * disjoint, so the result does not depend on the thread count.
+ * calls kernel(base, tmp) per outer block of `blocks`, in order, on the
+ * calling thread, where tmp is the scratch's buffer grown to `tmp_elems`
+ * complexes. Parallelism lives above the kernels (trajectory batches,
+ * daemon jobs), each worker with its own scratch. Kept out of line, one
+ * function per kernel body: inlined into run_op, every block loop of
+ * the switch shared one function's register allocation, and QUBIT
+ * width-12 trajectories ran ~25% slower (4-core Xeon, one worker).
  */
 template <class Blocks, class Kernel>
-void
+__attribute__((noinline)) void
 run_blocks(const Blocks& blocks, std::size_t tmp_elems, ExecScratch& scratch,
            Kernel kernel)
 {
-    const std::int64_t n = blocks.count();
-#ifdef _OPENMP
-    if (blocks.parallel()) {
-        const std::int64_t per = std::max<std::int64_t>(
-            1, static_cast<std::int64_t>(kChunkAmps / blocks.size()));
-        const std::int64_t nchunks = (n + per - 1) / per;
-#pragma omp parallel
-        {
-            std::vector<Complex> tmp(tmp_elems);
-#pragma omp for schedule(static)
-            for (std::int64_t c = 0; c < nchunks; ++c) {
-                blocks.walk(c * per, std::min(n, c * per + per), kernel,
-                            tmp.data());
-            }
-        }
-        return;
-    }
-#endif
     if (scratch.tmp.size() < tmp_elems) {
         scratch.tmp.resize(tmp_elems);
     }
-    blocks.walk(0, n, kernel, scratch.tmp.data());
+    blocks.walk(kernel, scratch.tmp.data());
 }
 
-/** One row of per-lane temporaries: the per-thread scratch row for a
- *  runtime lane count; a local for OneLane, which the compiler keeps in
+/** One row of per-lane temporaries: the scratch row for a runtime lane
+ *  count; a local for OneLane, which the compiler keeps in
  *  registers (a scratch row could alias the state). */
 template <class Lanes>
 struct LaneRow {
@@ -525,7 +460,7 @@ move_lanes_scaled(Complex* dst, const Complex* src, const Complex* f,
  *    control digits are fixed in its active block, so only the target
  *    wires' phases survive.
  * Diagonal ops commute with P and take no table. Built into `out` once
- * per call, before any OpenMP region reads it.
+ * per call, before the pass reads it.
  */
 const Complex*
 phase_table(const CompiledOp& op, const WireDims& dims, const Real* theta,
@@ -930,8 +865,8 @@ run_op(const CompiledOp& op, Complex* amps, Index total, const Lanes B,
 void
 count_single(const CompiledOp& op, Index total, std::uint64_t n)
 {
-    // Hooks sit outside the kernels' OpenMP regions; counts land in the
-    // calling thread's block (see obs/counters.h).
+    // Counts land in the calling thread's block (see obs/counters.h),
+    // which also runs every kernel pass.
     if (obs::enabled()) {
         obs::count_unchecked(kernel_counter(op.kind, /*batched=*/false), n);
         obs::count_unchecked(obs::Counter::kEstimatedFlops,

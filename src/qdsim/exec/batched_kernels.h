@@ -6,8 +6,8 @@
  * BatchedStateVector in a single pass: the plan's offset tables and the
  * gate payload are read once per amplitude block instead of once per shot,
  * and the per-amplitude work runs over the B contiguous lanes with
- * `QD_SIMD` inner loops. Outer blocks go parallel via OpenMP on large
- * registers.
+ * `QD_SIMD` inner loops, on the calling thread (kernels.h: parallelism
+ * comes from trajectory batches and daemon jobs, not from a pass).
  *
  * The kernel bodies are the ones single-shot `apply_op` runs (kernels.h):
  * one template per kernel class over the lane count, instantiated at a
@@ -39,7 +39,7 @@
  * A batch that carries a phase frame (BatchedStateVector::phase_frame:
  * lane b's state is P_b (c (.) x_b), P_b a product of per-wire phase
  * diagonals) runs P_S^dagger U P_S on the op's wires S from per-lane
- * tables built once per call, before any OpenMP region: diagonal ops
+ * tables built once per call, before the pass: diagonal ops
  * are unchanged, cycle moves take a per-lane ratio ph(src) / ph(dst),
  * and single-wire, controlled and dense ops multiply by per-lane block
  * matrices. A phased pass followed by fold_phase_frame() equals the fold
@@ -57,17 +57,15 @@
  * nonzeros, and QD_VERIFY=strict checks that after every pass. A skipped
  * block holds exact zeros, which every kernel maps to zeros, so lanes are
  * bitwise the dense walk's up to the sign of zeros; frame entries in
- * skipped blocks are left alone. The work measure of that walk's OpenMP
- * threshold is its amplitude slots (amplitudes times lanes), not the
- * register size, and obs::Counter::kBatWalkedSlots and kEstimatedFlops
- * count the amplitudes a pass walks. A dense batch takes the plan and
+ * skipped blocks are left alone. obs::Counter::kBatWalkedSlots and
+ * kEstimatedFlops count the amplitudes a pass walks. A dense batch takes the plan and
  * wire walks after one branch.
  *
  * `conjugate_op` runs the exact density-matrix engine on the same bodies:
  * a row-major D x D rho is a lane-interleaved batch of D lanes, so
  * rho -> K rho is one batched pass, and rho -> rho K^dagger is one
  * single-shot pass of conj(K) per row. There is no second kernel set and
- * no OpenMP region outside run_blocks.
+ * no second block driver.
  */
 #ifndef QDSIM_EXEC_BATCHED_KERNELS_H
 #define QDSIM_EXEC_BATCHED_KERNELS_H

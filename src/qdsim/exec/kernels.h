@@ -28,9 +28,11 @@
  * `apply_op_batched` at the batch width, and `conjugate_op` applies a
  * density operator as rho -> K rho K^dagger with both (K over rho's D
  * columns as lanes, then conj(K) on each row). All go through one block
- * driver, allocation-free and div/mod-free in the inner loops, whose
- * outer loop goes parallel via OpenMP when the register is large enough
- * (blocks are disjoint by construction).
+ * driver, allocation-free and div/mod-free in the inner loops, which
+ * walks every pass on its calling thread. Parallelism has one policy and
+ * lives above the kernels: run_noisy_trials runs trajectory batches on
+ * its workers and qd_served runs jobs on its pool, each worker with its
+ * own ExecScratch, so passes never nest a second level of threads.
  */
 #ifndef QDSIM_EXEC_KERNELS_H
 #define QDSIM_EXEC_KERNELS_H

@@ -2,6 +2,8 @@
  * @file simd.h
  * QD_SIMD: `#pragma omp simd` when compiled with OpenMP, nothing otherwise.
  *
+ * This is the only OpenMP construct in src/: kernel passes run on their
+ * calling thread (kernels.h), and OpenMP is used for vectorisation alone.
  * The batched execution engine's inner lane loops are independent by
  * construction; the pragma tells the vectoriser so without changing the
  * arithmetic order inside any single lane (omp simd vectorises ACROSS

@@ -5,8 +5,8 @@
  * Every hook site in the engines calls obs::count(...) (usually under one
  * obs::enabled() check so disabled builds pay a single relaxed atomic load
  * plus a predictable branch). Counts land in a thread-local block, so hook
- * sites inside OpenMP or std::thread worker loops never serialize on a
- * shared cache line; a snapshot merges the per-thread blocks in registry
+ * sites inside the trajectory and daemon worker threads never serialize
+ * on a shared cache line; a snapshot merges the per-thread blocks in registry
  * order. Because every counter is an unsigned integer and integer addition
  * is associative and commutative, the merged totals are bitwise identical
  * regardless of thread count or merge order — the "ordered merge" is

@@ -474,6 +474,21 @@ TEST(Trajectory, RejectsNegativeBatch) {
                  std::invalid_argument);
 }
 
+TEST(Trajectory, RejectsNegativeThreads) {
+    // 0 asks for every core; a negative count is a caller's mistake that
+    // must not silently mean the same, so both overloads reject it.
+    const Circuit c = small_qutrit_circuit();
+    TrajectoryOptions opts;
+    opts.trials = 4;
+    opts.threads = -1;
+    EXPECT_THROW(run_noisy_trials(c, noiseless(), opts),
+                 std::invalid_argument);
+    const TrajectoryCompilation compiled(c, noiseless());
+    EXPECT_THROW(run_noisy_trials(compiled, opts), std::invalid_argument);
+    opts.threads = 0;
+    EXPECT_EQ(run_noisy_trials(compiled, opts).trials, 4);
+}
+
 TEST(Trajectory, DampingEnginesAgreeUnderLevel2OnlyDecay) {
     // Regression: the sequential engine gated the no-jump K0 on
     // lambda(1) > 0 alone, so a level-2-only decay model (lambda(1) == 0,

@@ -16,10 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "qdsim/exec/batched_state.h"
 #include "qdsim/gate_library.h"
 #include "qdsim/random_state.h"
@@ -329,8 +325,6 @@ every_kernel_class(const WireDims& dims, int qubit, Rng& rng)
     add(Gate("Z3xX+1", {3, 3},
              gates::Z3().matrix().kron(gates::Xplus1().matrix())),
         {q[2], q[0]}, KernelKind::kMonomial);
-    // The last qutrit wire has the shortest runs: the single-wire kernel's
-    // OpenMP threshold (runs per register) is easiest to reach there.
     add(gates::H3(), {q.back()}, KernelKind::kSingleWireD3);
     add(gates::fourier(3).controlled(3, 1), {q[1], q.back()},
         KernelKind::kControlled);
@@ -695,51 +689,6 @@ TEST(Batched, StrictModeChecksTheFrame) {
     EXPECT_THROW(batch.check_frame(), std::logic_error);
 }
 
-#ifdef _OPENMP
-TEST(Batched, FramedKernelsIndependentOfThreadCount) {
-    // Width-11 qutrit register: every kernel class clears the outer-block
-    // threshold, so the OpenMP branch runs; amplitudes and frame must be
-    // bitwise equal at 1 and 4 threads.
-    Rng rng(306);
-    const WireDims dims = WireDims::uniform(11, 3);
-    const int lanes = 3;
-    BatchedStateVector start(dims, lanes);
-    random_lanes(start, rng);
-    start_varied_frame(start);
-    BatchedStateVector phased = start;
-    start_random_phase_frame(phased, rng);
-    const int saved = omp_get_max_threads();
-    for (const CompiledOp& op : every_kernel_class(dims, -1, rng)) {
-      for (const BatchedStateVector* in : {&start, &phased}) {
-        SCOPED_TRACE(::testing::Message()
-                     << exec::kernel_name(op.kind)
-                     << (in == &phased ? ", phased" : ""));
-        std::vector<BatchedStateVector> out;
-        for (const int threads : {1, 4}) {
-            omp_set_num_threads(threads);
-            out.push_back(*in);
-            ExecScratch bscratch;
-            exec::apply_op_batched(op, out.back(), bscratch);
-        }
-        omp_set_num_threads(saved);
-        const std::size_t n = static_cast<std::size_t>(dims.size());
-        ASSERT_EQ(std::memcmp(out[0].data(), out[1].data(),
-                              n * static_cast<std::size_t>(lanes) *
-                                  sizeof(Complex)),
-                  0);
-        ASSERT_EQ(std::memcmp(out[0].frame(), out[1].frame(),
-                              n * sizeof(Complex)),
-                  0);
-      }
-    }
-    // Phased passes take the same OpenMP branch as the plain ones and
-    // match the fold-then-plain pass there too.
-    for (const CompiledOp& op : every_kernel_class(dims, -1, rng)) {
-        check_phased_op(dims, op, lanes, true, rng);
-    }
-}
-#endif
-
 // ---------------------------------------------------------------- support
 
 /** Fills lane b of both batches with the same qubit-subspace Haar state
@@ -962,51 +911,6 @@ TEST(Batched, SupportReductionsMatchDenseBitwise) {
     expect_same_lanes(tracked, dense);
     expect_support_covers_nonzeros(tracked);
 }
-
-#ifdef _OPENMP
-TEST(Batched, SupportWalkIndependentOfThreadCount) {
-    // Width-11 qutrit register, 12 lanes over the whole register: the
-    // tracked walk (every block occupied) clears its slot threshold, so
-    // the OpenMP branch runs; amplitudes, support flags and frame must be
-    // bitwise equal at 1 and 4 threads, plain and framed.
-    Rng rng(314);
-    const WireDims dims = WireDims::uniform(11, 3);
-    const int lanes = 12;
-    BatchedStateVector start(dims, lanes, false, exec::Support::kTracked);
-    random_lanes(start, rng);
-    BatchedStateVector framed = start;
-    start_varied_frame(framed);
-    start_random_phase_frame(framed, rng);
-    const int saved = omp_get_max_threads();
-    const std::size_t n = static_cast<std::size_t>(dims.size());
-    for (const CompiledOp& op : every_kernel_class(dims, -1, rng)) {
-        for (const BatchedStateVector* in : {&start, &framed}) {
-            SCOPED_TRACE(::testing::Message()
-                         << exec::kernel_name(op.kind)
-                         << (in == &framed ? ", framed" : ""));
-            std::vector<BatchedStateVector> out;
-            for (const int threads : {1, 4}) {
-                omp_set_num_threads(threads);
-                out.push_back(*in);
-                ExecScratch bscratch;
-                exec::apply_op_batched(op, out.back(), bscratch);
-            }
-            omp_set_num_threads(saved);
-            ASSERT_EQ(std::memcmp(out[0].data(), out[1].data(),
-                                  n * static_cast<std::size_t>(lanes) *
-                                      sizeof(Complex)),
-                      0);
-            ASSERT_EQ(std::memcmp(out[0].support(), out[1].support(), n),
-                      0);
-            if (in == &framed) {
-                ASSERT_EQ(std::memcmp(out[0].frame(), out[1].frame(),
-                                      n * sizeof(Complex)),
-                          0);
-            }
-        }
-    }
-}
-#endif
 
 TEST(Batched, ZeroNormLaneSignalledAndLeftUntouched) {
     const WireDims dims({3, 3});

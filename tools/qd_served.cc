@@ -17,18 +17,23 @@
  * --stdin runs the single-client loop over stdin/stdout (one frame per
  * line, responses flushed per frame) — the no-socket mode tests and CI
  * pipes use. --stats-json writes the final ServeStats JSON on exit.
+ * Every N is a whole non-negative decimal; anything else prints the
+ * usage and exits 2. --engine-threads 0 gives each job all cores.
  */
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <thread>
 
 #include "serve/daemon.h"
@@ -54,6 +59,26 @@ usage()
         "       qd_served --stdin [--engine-threads N]\n"
         "                 [--max-client-shots N] [--stats-json FILE]\n");
     return 2;
+}
+
+/** Parses `text` as a whole non-negative decimal count into `out`; false
+ *  (leaving `out` alone) on a sign, trailing text or overflow. A typo must
+ *  not become 0 or a negative count, which the engine reads as "all
+ *  cores" for every job. */
+template <class T>
+bool
+parse_count(const char* text, T& out)
+{
+    const char* end = text + std::strlen(text);
+    long long v = 0;
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc() || ptr != end || v < 0 ||
+        static_cast<unsigned long long>(v) >
+            static_cast<unsigned long long>(std::numeric_limits<T>::max())) {
+        return false;
+    }
+    out = static_cast<T>(v);
+    return true;
 }
 
 int
@@ -84,16 +109,25 @@ main(int argc, char** argv)
         } else if (arg == "--stdin") {
             stdin_mode = true;
         } else if (arg == "--workers" && i + 1 < argc) {
-            options.workers = std::atoi(argv[++i]);
+            if (!parse_count(argv[++i], options.workers)) {
+                return usage();
+            }
         } else if (arg == "--queue" && i + 1 < argc) {
-            options.queue_capacity =
-                static_cast<std::size_t>(std::atoll(argv[++i]));
+            if (!parse_count(argv[++i], options.queue_capacity)) {
+                return usage();
+            }
         } else if (arg == "--max-client-jobs" && i + 1 < argc) {
-            options.max_client_queued = std::atoi(argv[++i]);
+            if (!parse_count(argv[++i], options.max_client_queued)) {
+                return usage();
+            }
         } else if (arg == "--max-client-shots" && i + 1 < argc) {
-            options.max_client_shots = std::atoll(argv[++i]);
+            if (!parse_count(argv[++i], options.max_client_shots)) {
+                return usage();
+            }
         } else if (arg == "--engine-threads" && i + 1 < argc) {
-            options.engine_threads = std::atoi(argv[++i]);
+            if (!parse_count(argv[++i], options.engine_threads)) {
+                return usage();
+            }
         } else if (arg == "--stats-json" && i + 1 < argc) {
             stats_path = argv[++i];
         } else {
